@@ -2,8 +2,9 @@
 //! (DESIGN.md §12): fixed-vs-random secret classes, randomly
 //! interleaved, compared with Welch's t-test (top-decile cropped).
 //!
-//! Runs each probe (digit selection, final subtraction) in both
-//! [`HardeningMode::Off`] and [`HardeningMode::Hardened`] and prints
+//! Runs each probe (digit selection, and final subtraction at 1 and 64
+//! lanes) in both [`HardeningMode::Off`] and
+//! [`HardeningMode::Hardened`] and prints
 //! `|t|` next to the 4.5 dudect threshold. The Off rows are
 //! *informative* — they demonstrate the harness can see the
 //! skip-on-zero-digit leak it exists to detect; the Hardened rows are
@@ -16,7 +17,8 @@
 //! (`-- --quick` shrinks the sample count to a CI smoke run).
 
 use mmm_bench::timing::{
-    probe_digit_selection, probe_final_subtraction, HardeningMode, TimingReport, T_THRESHOLD,
+    probe_digit_selection, probe_final_subtraction, HardeningMode, TimingReport,
+    FINAL_SUBTRACTION_LANES, T_THRESHOLD,
 };
 
 fn main() {
@@ -33,11 +35,15 @@ fn main() {
 
     let mut broken = false;
     let mut hardened_leaks = Vec::new();
-    type Probe = fn(HardeningMode, usize) -> TimingReport;
-    let probes: [(&str, Probe); 2] = [
-        ("digit-selection", probe_digit_selection),
-        ("final-subtraction", probe_final_subtraction),
-    ];
+    type Probe = Box<dyn Fn(HardeningMode, usize) -> TimingReport>;
+    let mut probes: Vec<(String, Probe)> =
+        vec![("digit-selection".into(), Box::new(probe_digit_selection))];
+    for lanes in FINAL_SUBTRACTION_LANES {
+        probes.push((
+            format!("final-subtraction/{lanes}"),
+            Box::new(move |mode, n| probe_final_subtraction(mode, lanes, n)),
+        ));
+    }
     for (name, probe) in probes {
         for mode in [HardeningMode::Off, HardeningMode::Hardened] {
             let r = probe(mode, n_per_class);

@@ -16,7 +16,7 @@
 //!
 //! The timer is [`std::time::Instant`] (CLOCK_MONOTONIC), not a raw
 //! cycle counter: the workspace forbids `unsafe`, `_rdtsc` needs it,
-//! and the probed operations run tens of microseconds — three orders
+//! and every sample times tens of microseconds of work — three orders
 //! of magnitude above the ~20 ns clock_gettime resolution, so the
 //! cheaper counter buys nothing here (EXPERIMENTS.md discusses the
 //! trade-off). The top decile of each class is cropped before the
@@ -27,15 +27,18 @@
 //! mechanisms: [`probe_digit_selection`] (exponent-dependent scan
 //! time: skip-on-zero-digit vs the hardened multiply-always sweep)
 //! and [`probe_final_subtraction`] (operand-dependent reduction time
-//! in the hardened branchless canonicalization). `timing_probe` runs
-//! them from the command line; `tests/timing_variance.rs` gates on
-//! them under `MMM_TIMING_GATE=1`.
+//! in the hardened branchless canonicalization), the latter at each of
+//! [`FINAL_SUBTRACTION_LANES`] so both of the radix-2⁶⁴ engine's
+//! subtraction paths are timed. `timing_probe` runs them from the
+//! command line; `tests/timing_variance.rs` gates on them under
+//! `MMM_TIMING_GATE=1`.
 
 use mmm_bigint::Ubig;
-use mmm_core::cios::CiosBatch;
+use mmm_core::cios::{CiosBatch, MAX_LANES};
 pub use mmm_core::config::HardeningMode;
 use mmm_core::expo_batch::BatchModExp;
 use mmm_core::modgen::random_safe_params;
+use mmm_core::montgomery::mont_mul_alg2;
 use mmm_core::traits::BatchMontMul;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,6 +50,11 @@ use std::time::Instant;
 /// is *inconclusive at this sample size* — absence of evidence, not
 /// proof of constant time.
 pub const T_THRESHOLD: f64 = 4.5;
+
+/// Lane counts [`probe_final_subtraction`] runs at: one lane takes the
+/// radix-2⁶⁴ engine's per-lane path (`ct_sub_if_ge` on each lane), 64
+/// lanes its SoA kernel (`cond_sub_rows` across the lane rows).
+pub const FINAL_SUBTRACTION_LANES: [usize; 2] = [1, 64];
 
 /// Which input population a sample was drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -250,43 +258,65 @@ pub fn probe_digit_selection(mode: HardeningMode, n_per_class: usize) -> TimingR
     report(&samples, n_per_class)
 }
 
-/// Probe 2 — **final subtraction**: `mont_mul_batch` on the
-/// radix-2⁶⁴ backend, secret = the operands. Fixed class pins both
-/// operands at `N−1` (the Walter-bound worst case, where the hardened
-/// canonicalizing subtraction actually fires); random class draws
-/// fresh operands, where it mostly doesn't. The hardened subtraction
-/// is branchless two-pass (compute `t−N`, select by borrow mask), so
-/// whether it "fires" must not be visible in time.
-pub fn probe_final_subtraction(mode: HardeningMode, n_per_class: usize) -> TimingReport {
+/// Probe 2 — **final subtraction**: a `lanes`-wide `mont_mul_batch`
+/// on the radix-2⁶⁴ backend, secret = the operands. Fixed class pins
+/// every operand at one full-width value whose Algorithm-2 square is
+/// `≥ N`, so the hardened canonicalizing subtraction fires in every
+/// lane (`N−1` would not do: for this modulus its square lands below
+/// `N`); random class draws fresh operands, where it fires about one
+/// time in seven. The hardened subtraction is branchless two-pass
+/// (compute `t−N`, select by borrow mask), so whether it "fires" must
+/// not be visible in time. The lane count picks the engine path under
+/// test (see [`FINAL_SUBTRACTION_LANES`]).
+pub fn probe_final_subtraction(
+    mode: HardeningMode,
+    lanes: usize,
+    n_per_class: usize,
+) -> TimingReport {
     const L: usize = 512;
-    const LANES: usize = 8;
     let mut rng = StdRng::seed_from_u64(0xF19A);
     let params = random_safe_params(&mut rng, L);
-    let nm1 = params.n() - &Ubig::one();
     // Both classes draw full-width (exactly-l-bit) operands: operand
     // *magnitude* is public here (it fixes the limb count and hence
     // the conversion cost), and letting it vary between classes would
     // flag that public difference as a leak. The secret under test is
     // only whether the canonicalizing subtraction fires.
     let lo = Ubig::pow2(L - 1);
+    let fires = loop {
+        let v = Ubig::random_range(&mut rng, &lo, params.n());
+        if mont_mul_alg2(&params, &v, &v) >= *params.n() {
+            break v;
+        }
+    };
     let mut engine = CiosBatch::new(params.clone());
     engine.set_hardening(mode);
+    // Every sample times 64 lane-multiplications, whatever the lane
+    // count. A single sub-microsecond call sits too close to the
+    // sample's own input construction, which the first call after it
+    // still feels: one 1-lane call per sample gave |t| of 4–18 with the
+    // fixed class 20–30 ns faster even unhardened, where no subtraction
+    // exists to leak.
+    let reps = MAX_LANES / lanes;
+    let mut out = Vec::new();
     let samples = sample_interleaved(
         n_per_class,
         &mut rng,
         |class, rng| match class {
-            Class::Fixed => (vec![nm1.clone(); LANES], vec![nm1.clone(); LANES]),
+            Class::Fixed => (vec![fires.clone(); lanes], vec![fires.clone(); lanes]),
             Class::Random => (
-                (0..LANES)
+                (0..lanes)
                     .map(|_| Ubig::random_range(rng, &lo, params.n()))
                     .collect(),
-                (0..LANES)
+                (0..lanes)
                     .map(|_| Ubig::random_range(rng, &lo, params.n()))
                     .collect(),
             ),
         },
         |(xs, ys): (Vec<Ubig>, Vec<Ubig>)| {
-            black_box(engine.mont_mul_batch(black_box(&xs), black_box(&ys)));
+            for _ in 0..reps {
+                engine.mont_mul_batch_into(black_box(&xs), black_box(&ys), &mut out);
+                black_box(&out);
+            }
         },
     );
     report(&samples, n_per_class)
@@ -364,8 +394,13 @@ mod tests {
         for mode in [HardeningMode::Off, HardeningMode::Hardened] {
             let r = probe_digit_selection(mode, 8);
             assert!(r.t.is_finite(), "digit-selection t finite ({mode:?})");
-            let r = probe_final_subtraction(mode, 8);
-            assert!(r.t.is_finite(), "final-subtraction t finite ({mode:?})");
+            for lanes in FINAL_SUBTRACTION_LANES {
+                let r = probe_final_subtraction(mode, lanes, 8);
+                assert!(
+                    r.t.is_finite(),
+                    "final-subtraction/{lanes} t finite ({mode:?})"
+                );
+            }
         }
     }
 }

@@ -42,6 +42,14 @@
 //! bit-sliced engine, the hot loop is a free function over `noalias`
 //! slice parameters and the whole path is allocation-free once warm.
 //!
+//! The SoA kernel costs a full 64-lane scan whatever the lane count,
+//! so a batch of at most `SCALAR_LANES` (32) live lanes takes the
+//! **per-lane path** instead: the scalar scan behind [`CiosMont`] runs
+//! once per lane, on that lane's own limbs. It has no SoA transposes
+//! and no dead lanes, computes the same function, and is also
+//! allocation-free once warm. The crossover is measured, not modelled
+//! (DESIGN.md §7 "SoA lane layout").
+//!
 //! ## Constant-time status
 //!
 //! The scan itself has a fixed schedule: no final subtraction (the
@@ -52,7 +60,10 @@
 //! canonicalizing final subtraction** (`cond_sub_rows`): two fixed
 //! passes over the SoA accumulator (a borrow chain to decide `t ≥ N`
 //! per lane, a masked subtraction to apply it), so outputs are `< N`
-//! with a schedule independent of the values. The exponentiation-layer
+//! with a schedule independent of the values. The per-lane path ends
+//! each lane with the same two-pass subtraction over that lane's limbs
+//! ([`mmm_bigint::ct::ct_sub_if_ge`]); which path runs depends only on
+//! the public lane count. The exponentiation-layer
 //! leaks (secret-indexed power-table loads) are closed separately in
 //! [`crate::expo_batch`]; DESIGN.md §12 has the full per-path table.
 
@@ -60,7 +71,7 @@ use crate::config::HardeningMode;
 use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
 use crate::traits::{BatchMontMul, MontMul};
-use mmm_bigint::ct::sbb_ct;
+use mmm_bigint::ct::{ct_sub_if_ge, sbb_ct};
 use mmm_bigint::limbs::{adc, carrying_mul, mac_with_carry, Limb, LIMB_BITS};
 use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
 use mmm_bigint::Ubig;
@@ -68,6 +79,12 @@ use mmm_bigint::Ubig;
 /// Lanes one [`CiosBatch`] advances per call (matches
 /// [`crate::batch::MAX_LANES`] so sharding logic is engine-agnostic).
 pub const MAX_LANES: usize = crate::batch::MAX_LANES;
+
+/// Widest batch [`CiosBatch`] serves on the per-lane scalar path;
+/// wider batches run the 64-lane SoA kernel. The largest lane count at
+/// which the per-lane path was no slower at l = 256, 512 and 1024
+/// (DESIGN.md §7 "SoA lane layout" has the measured table).
+const SCALAR_LANES: usize = 32;
 
 /// Shared per-width geometry of the radix-2⁶⁴ scan over `R = 2^{l+2}`.
 #[derive(Debug, Clone, Copy)]
@@ -100,6 +117,35 @@ impl Geometry {
     }
 }
 
+/// Reusable buffers of one scalar scan: the padded operands (`sw`
+/// limbs each) and the `sw + 2` accumulator.
+#[derive(Debug, Clone)]
+struct LaneScratch {
+    x: Vec<Limb>,
+    y: Vec<Limb>,
+    t: Vec<Limb>,
+}
+
+impl LaneScratch {
+    fn new(geo: Geometry) -> Self {
+        LaneScratch {
+            x: vec![0; geo.sw],
+            y: vec![0; geo.sw],
+            t: vec![0; geo.sw + 2],
+        }
+    }
+
+    /// One Algorithm-2 multiplication of `x, y < 2N`, read straight
+    /// from their limbs; returns the `sw` result limbs.
+    fn mont_mul(&mut self, geo: Geometry, n: &[Limb], x: &Ubig, y: &Ubig) -> &mut [Limb] {
+        load_padded(x, &mut self.x);
+        load_padded(y, &mut self.y);
+        self.t.fill(0);
+        run_cios_scalar(geo, n, &self.x, &self.y, &mut self.t);
+        &mut self.t[..geo.sw]
+    }
+}
+
 /// Scalar radix-2⁶⁴ CIOS engine: the solo-path counterpart of
 /// [`CiosBatch`], bit-identical to every Algorithm-2 engine.
 #[derive(Debug, Clone)]
@@ -108,10 +154,7 @@ pub struct CiosMont {
     geo: Geometry,
     /// Modulus padded to `sw` limbs.
     n: Vec<Limb>,
-    /// Reusable operand/accumulator buffers (`sw`, `sw`, `sw + 2`).
-    x: Vec<Limb>,
-    y: Vec<Limb>,
-    t: Vec<Limb>,
+    lane: LaneScratch,
 }
 
 impl CiosMont {
@@ -122,9 +165,7 @@ impl CiosMont {
         let geo = Geometry::of(&params);
         CiosMont {
             n: geo.padded_modulus(&params),
-            x: vec![0; geo.sw],
-            y: vec![0; geo.sw],
-            t: vec![0; geo.sw + 2],
+            lane: LaneScratch::new(geo),
             params,
             geo,
         }
@@ -141,11 +182,7 @@ impl MontMul for CiosMont {
             self.params.check_operand(x) && self.params.check_operand(y),
             "operands must be < 2N"
         );
-        load_padded(x, &mut self.x);
-        load_padded(y, &mut self.y);
-        self.t.fill(0);
-        run_cios_scalar(self.geo, &self.n, &self.x, &self.y, &mut self.t);
-        let out = Ubig::from_limbs(self.t[..self.geo.sw].to_vec());
+        let out = Ubig::from_limbs(self.lane.mont_mul(self.geo, &self.n, x, y).to_vec());
         debug_assert!(self.params.check_operand(&out), "Walter bound violated");
         out
     }
@@ -242,10 +279,14 @@ pub struct CiosBatch {
     /// SoA operands: `x[j·64 + k]` is limb `j` of lane `k`.
     x: Vec<Limb>,
     y: Vec<Limb>,
-    /// SoA accumulator, `sw + 2` limb rows.
+    /// SoA accumulator, `sw + 2` limb rows. The per-lane path reuses
+    /// its head as a `lanes`-stride view of the results.
     t: Vec<Limb>,
+    /// Scalar-scan scratch of the per-lane path.
+    lane: LaneScratch,
     /// Constant-time mode: when hardened, every result is canonicalized
-    /// `< N` by [`cond_sub_rows`].
+    /// `< N` by [`cond_sub_rows`] (SoA path) or [`ct_sub_if_ge`]
+    /// (per-lane path).
     hardening: HardeningMode,
 }
 
@@ -260,6 +301,7 @@ impl CiosBatch {
             x: vec![0; geo.sw * MAX_LANES],
             y: vec![0; geo.sw * MAX_LANES],
             t: vec![0; (geo.sw + 2) * MAX_LANES],
+            lane: LaneScratch::new(geo),
             params,
             geo,
             hardening: HardeningMode::Off,
@@ -295,21 +337,39 @@ impl CiosBatch {
         out: &mut Vec<Ubig>,
     ) -> Result<(), MmmError> {
         validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        lanes_to_limbs_into(xs, self.geo.sw, MAX_LANES, &mut self.x);
-        lanes_to_limbs_into(ys, self.geo.sw, MAX_LANES, &mut self.y);
-        self.t.fill(0);
-        run_cios_batch(self.geo, &self.n, &self.x, &self.y, &mut self.t);
-        if self.hardening.is_hardened() {
-            cond_sub_rows(&self.n, &mut self.t, self.geo.sw);
-        }
-        limbs_to_lanes_into(
-            &self.t[..self.geo.sw * MAX_LANES],
-            self.geo.sw,
-            MAX_LANES,
-            xs.len(),
-            out,
-        );
+        let sw = self.geo.sw;
+        let stride = if xs.len() <= SCALAR_LANES {
+            self.run_per_lane(xs, ys);
+            xs.len()
+        } else {
+            lanes_to_limbs_into(xs, sw, MAX_LANES, &mut self.x);
+            lanes_to_limbs_into(ys, sw, MAX_LANES, &mut self.y);
+            self.t.fill(0);
+            run_cios_batch(self.geo, &self.n, &self.x, &self.y, &mut self.t);
+            if self.hardening.is_hardened() {
+                cond_sub_rows(&self.n, &mut self.t, sw);
+            }
+            MAX_LANES
+        };
+        limbs_to_lanes_into(&self.t[..sw * stride], sw, stride, xs.len(), out);
         Ok(())
+    }
+
+    /// The per-lane path for narrow batches: one scalar scan per live
+    /// lane, canonicalized by [`ct_sub_if_ge`] when hardened. Lane
+    /// `k`'s result limb `j` lands in `t[j·lanes + k]`, the SoA view
+    /// [`limbs_to_lanes_into`] reads at stride `lanes`.
+    fn run_per_lane(&mut self, xs: &[Ubig], ys: &[Ubig]) {
+        let lanes = xs.len();
+        for (k, (x, y)) in xs.iter().zip(ys).enumerate() {
+            let r = self.lane.mont_mul(self.geo, &self.n, x, y);
+            if self.hardening.is_hardened() {
+                ct_sub_if_ge(r, &self.n);
+            }
+            for (j, &limb) in r.iter().enumerate() {
+                self.t[j * lanes + k] = limb;
+            }
+        }
     }
 }
 
@@ -687,6 +747,65 @@ mod tests {
             let raw = batch.mont_mul_batch(&xs, &ys);
             for k in 0..lanes {
                 assert_eq!(raw[k], mont_mul_alg2(&p, &xs[k], &ys[k]), "lane {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn per_lane_path_matches_alg2_and_soa_at_every_lane_count() {
+        let mut rng = StdRng::seed_from_u64(509);
+        for l in [62usize, 63, 64, 65, 126, 254, 256, 510, 512, 1022, 1024] {
+            let p = random_safe_params(&mut rng, l);
+            // The 9 pairs of worst cases {0, N−1, 2N−1}, then random
+            // operands: one 64-lane pool.
+            let edges = [
+                Ubig::zero(),
+                p.n() - &Ubig::one(),
+                &p.two_n() - &Ubig::one(),
+            ];
+            let (mut xs, mut ys): (Vec<Ubig>, Vec<Ubig>) = edges
+                .iter()
+                .flat_map(|a| edges.iter().map(move |b| (a.clone(), b.clone())))
+                .unzip();
+            while xs.len() < MAX_LANES {
+                xs.push(random_operand(&mut rng, &p));
+                ys.push(random_operand(&mut rng, &p));
+            }
+            let alg2: Vec<Ubig> = xs
+                .iter()
+                .zip(&ys)
+                .map(|(x, y)| mont_mul_alg2(&p, x, y))
+                .collect();
+            for mode in [HardeningMode::Off, HardeningMode::Hardened] {
+                let want: Vec<Ubig> = if mode.is_hardened() {
+                    alg2.iter().map(|v| v.rem(p.n())).collect()
+                } else {
+                    alg2.clone()
+                };
+                let mut batch = CiosBatch::new(p.clone());
+                batch.set_hardening(mode);
+                // 64 lanes: the SoA kernel.
+                let soa = batch.mont_mul_batch(&xs, &ys);
+                assert_eq!(soa, want, "SoA at l={l} ({mode:?})");
+                let mut out = Vec::new();
+                // Every lane count 1..=64, alternately wide and narrow,
+                // so the engine's scratch shrinks and grows across the
+                // per-lane/SoA boundary on every call.
+                for lanes in (1..=MAX_LANES / 2).flat_map(|i| [MAX_LANES + 1 - i, i]) {
+                    // A window of the pool that moves with the lane
+                    // count, so the worst cases land on both paths.
+                    let idx: Vec<usize> = (0..lanes).map(|k| (5 * lanes + k) % MAX_LANES).collect();
+                    let lx: Vec<Ubig> = idx.iter().map(|&i| xs[i].clone()).collect();
+                    let ly: Vec<Ubig> = idx.iter().map(|&i| ys[i].clone()).collect();
+                    batch.mont_mul_batch_into(&lx, &ly, &mut out);
+                    assert_eq!(out.len(), lanes);
+                    for (k, &i) in idx.iter().enumerate() {
+                        assert_eq!(out[k], want[i], "l={l} lanes={lanes} lane {k} ({mode:?})");
+                        if mode.is_hardened() {
+                            assert!(out[k] < *p.n(), "l={l} lanes={lanes} lane {k}");
+                        }
+                    }
+                }
             }
         }
     }

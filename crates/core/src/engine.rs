@@ -83,7 +83,7 @@ impl EngineKind {
 
     /// The process-wide default backend: [`EngineKind::Cios`], unless
     /// the `MMM_ENGINE` environment variable selects otherwise
-    /// (`cios` / `bitsliced`). The environment is parsed **once** per
+    /// (`cios` / `cios52` / `bitsliced`). The environment is parsed **once** per
     /// process through [`EngineConfig::from_env`] — the single home of
     /// all `MMM_*` parsing — and the parse *result* is what gets
     /// cached, so an invalid environment produces the same clean panic

@@ -3,7 +3,8 @@
 //! after two warm-up batches (which size the lane state and the
 //! reusable output buffers) further `mont_mul_batch_into` calls must
 //! perform **zero** heap operations — on the bit-sliced engine, the
-//! radix-2⁶⁴ CIOS engine, and the radix-2⁵² carry-save engine alike.
+//! radix-2⁶⁴ CIOS engine (both its per-lane and its SoA path), and the
+//! radix-2⁵² carry-save engine alike.
 //!
 //! Runs with `harness = false` (see the `[[test]]` entry in
 //! `Cargo.toml`): the libtest harness keeps its main thread alive
@@ -99,29 +100,44 @@ fn warm_batch_multiplication_does_not_allocate() {
     }
     assert_eq!(a, want, "hot-path results must stay bit-identical");
 
-    // Same discipline for the radix-2^64 CIOS batch engine: the SoA
-    // operand/accumulator buffers live in the engine and the output
-    // lanes recycle their limb capacity, so the warm word-level path
-    // must not touch the heap either.
+    // Same discipline for the radix-2^64 CIOS batch engine, on both of
+    // its paths: batches of up to 32 lanes (its per-lane bound) run one
+    // scalar scan per lane, wider ones the 64-lane SoA kernel. The
+    // window alternates 1-, 3-, 32- and 64-lane squaring chains on one
+    // engine. Each chain ping-pongs its own pair of output buffers,
+    // since shrinking a Vec<Ubig> would drop its lanes' limb buffers.
     let mut cios = CiosBatch::new(params.clone());
-    let mut ca: Vec<Ubig> = Vec::new();
-    let mut cb: Vec<Ubig> = Vec::new();
-    cios.mont_mul_batch_into(&xs, &ys, &mut ca);
-    cios.mont_mul_batch_into(&ca, &ca, &mut cb);
-    std::mem::swap(&mut ca, &mut cb);
+    let mut chains: Vec<(Vec<Ubig>, Vec<Ubig>)> = [1usize, 3, 32, 64]
+        .iter()
+        .map(|&lanes| {
+            let (mut ca, mut cb) = (Vec::new(), Vec::new());
+            cios.mont_mul_batch_into(&xs[..lanes], &ys[..lanes], &mut ca);
+            cios.mont_mul_batch_into(&ca, &ca, &mut cb);
+            (cb, ca)
+        })
+        .collect();
 
     let before = HEAP_OPS.load(Ordering::SeqCst);
     for _ in 0..8 {
-        cios.mont_mul_batch_into(&ca, &ca, &mut cb);
-        std::mem::swap(&mut ca, &mut cb);
+        for (ca, cb) in chains.iter_mut() {
+            cios.mont_mul_batch_into(ca, ca, cb);
+            std::mem::swap(ca, cb);
+        }
     }
     let after = HEAP_OPS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "warm CIOS mont_mul_batch_into must not touch the heap"
+        "warm CIOS mont_mul_batch_into must not touch the heap on either path"
     );
-    assert_eq!(ca, a, "CIOS squaring chain bit-identical to bit-sliced");
+    for (ca, _) in &chains {
+        assert_eq!(
+            ca[..],
+            a[..ca.len()],
+            "{}-lane CIOS squaring chain bit-identical to bit-sliced",
+            ca.len()
+        );
+    }
 
     // And for the radix-2^52 carry-save engine (whichever kernel is
     // active on this host): the digit-domain conversions run through

@@ -226,6 +226,73 @@ fn cios_bit_identity_at_word_boundary_and_serving_widths() {
     }
 }
 
+/// The CIOS engine's per-lane path (narrow batches) and its 64-lane
+/// SoA kernel on both sides of their boundary: every lane count
+/// `1..=64`, alternately wide and narrow on one reused engine, with
+/// random operands and the worst cases 0, N−1 and 2N−1. Each lane must
+/// equal Algorithm 2, a 64-lane CIOS call and every radix-2⁵² kernel
+/// (which always run all 64 lanes) — the raw `< 2N` representative
+/// when unhardened, the canonical `< N` residue when hardened.
+#[test]
+fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
+    use montgomery_systolic::core::montgomery::mont_mul_alg2;
+    use montgomery_systolic::core::HardeningMode;
+    let mut rng = StdRng::seed_from_u64(0xC108);
+    for l in [62usize, 63, 64, 65, 126, 254, 256, 510, 512, 1022, 1024] {
+        let params = random_safe_params(&mut rng, l);
+        let edges = [
+            Ubig::zero(),
+            params.n() - &Ubig::one(),
+            &params.two_n() - &Ubig::one(),
+        ];
+        let (mut xs, mut ys): (Vec<Ubig>, Vec<Ubig>) = edges
+            .iter()
+            .flat_map(|a| edges.iter().map(move |b| (a.clone(), b.clone())))
+            .unzip();
+        while xs.len() < 64 {
+            xs.push(random_operand(&mut rng, &params));
+            ys.push(random_operand(&mut rng, &params));
+        }
+        let alg2: Vec<Ubig> = xs
+            .iter()
+            .zip(&ys)
+            .map(|(x, y)| mont_mul_alg2(&params, x, y))
+            .collect();
+        for mode in [HardeningMode::Off, HardeningMode::Hardened] {
+            let want: Vec<Ubig> = if mode.is_hardened() {
+                alg2.iter().map(|v| v.rem(params.n())).collect()
+            } else {
+                alg2.clone()
+            };
+            let mut cios = CiosBatch::new(params.clone());
+            cios.set_hardening(mode);
+            assert_eq!(cios.mont_mul_batch(&xs, &ys), want, "l={l} ({mode:?})");
+            for &kernel in Cios52Kernel::available() {
+                let mut c52 = Cios52Batch::with_kernel(params.clone(), kernel);
+                c52.set_hardening(mode);
+                assert_eq!(
+                    c52.mont_mul_batch(&xs, &ys),
+                    want,
+                    "cios52/{} l={l} ({mode:?})",
+                    kernel.name()
+                );
+            }
+            let mut out = Vec::new();
+            for lanes in (1..=32).flat_map(|i| [65 - i, i]) {
+                let idx: Vec<usize> = (0..lanes).map(|k| (7 * lanes + k) % 64).collect();
+                let lx: Vec<Ubig> = idx.iter().map(|&i| xs[i].clone()).collect();
+                let ly: Vec<Ubig> = idx.iter().map(|&i| ys[i].clone()).collect();
+                cios.mont_mul_batch_into(&lx, &ly, &mut out);
+                assert_eq!(out.len(), lanes);
+                for (k, &i) in idx.iter().enumerate() {
+                    assert_eq!(out[k], want[i], "l={l} lanes={lanes} lane {k} ({mode:?})");
+                    assert!(!mode.is_hardened() || out[k] < *params.n(), "not canonical");
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic regression: windowed batch exponentiation agrees
 /// across backends and with the big-integer oracle at word-boundary
 /// widths and at l = 256 (exponents kept short so the bit-sliced

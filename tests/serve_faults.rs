@@ -72,6 +72,13 @@ fn injected_worker_panic_answers_every_request_and_recovers() {
         }
         assert!(panicked >= 1, "the armed panic hit a shard in flight");
         assert_eq!(server.faults().panics_fired(), 1);
+        // The panicked shard's tickets resolve while the panic unwinds;
+        // the supervisor counts the restart only once the unwind
+        // reaches it, so the count may trail the last ticket briefly.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.stats().worker_restarts == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let stats = server.stats();
         assert!(
             stats.worker_restarts >= 1,

@@ -1,7 +1,8 @@
 //! Timing-variance harness smoke and (opt-in) leakage gate.
 //!
 //! Default mode keeps CI deterministic: run both dudect-style probes
-//! (`mmm_bench::timing`) in both hardening modes at a small sample
+//! (`mmm_bench::timing`; final subtraction at every lane count of
+//! `FINAL_SUBTRACTION_LANES`) in both hardening modes at a small sample
 //! count and assert only that the harness produces *finite*
 //! t-statistics — timing verdicts on shared CI hardware are noisy, so
 //! the strict `|t| < 4.5` gate on the hardened rows is opt-in via
@@ -9,7 +10,8 @@
 //! EXPERIMENTS.md documents the methodology and the noise caveats).
 
 use mmm_bench::timing::{
-    probe_digit_selection, probe_final_subtraction, HardeningMode, TimingReport, T_THRESHOLD,
+    probe_digit_selection, probe_final_subtraction, HardeningMode, TimingReport,
+    FINAL_SUBTRACTION_LANES, T_THRESHOLD,
 };
 
 fn gate_enabled() -> bool {
@@ -18,7 +20,7 @@ fn gate_enabled() -> bool {
 
 fn run_probe(
     name: &str,
-    probe: fn(HardeningMode, usize) -> TimingReport,
+    probe: impl Fn(HardeningMode, usize) -> TimingReport,
     mode: HardeningMode,
 ) -> TimingReport {
     // The gate needs real statistical power; the smoke run only needs
@@ -52,23 +54,21 @@ fn digit_selection_probe_is_finite_and_gates_hardened() {
     }
 }
 
+/// One lane reaches the radix-2⁶⁴ engine's per-lane path, 64 lanes its
+/// SoA kernel: both hardened subtractions are gated.
 #[test]
 fn final_subtraction_probe_is_finite_and_gates_hardened() {
-    run_probe(
-        "final-subtraction",
-        probe_final_subtraction,
-        HardeningMode::Off,
-    );
-    let hardened = run_probe(
-        "final-subtraction",
-        probe_final_subtraction,
-        HardeningMode::Hardened,
-    );
-    if gate_enabled() {
-        assert!(
-            hardened.passes(),
-            "hardened final subtraction leaks: |t| = {:.2} >= {T_THRESHOLD}",
-            hardened.t.abs()
-        );
+    for lanes in FINAL_SUBTRACTION_LANES {
+        let name = format!("final-subtraction/{lanes}");
+        let probe = |mode, n| probe_final_subtraction(mode, lanes, n);
+        run_probe(&name, probe, HardeningMode::Off);
+        let hardened = run_probe(&name, probe, HardeningMode::Hardened);
+        if gate_enabled() {
+            assert!(
+                hardened.passes(),
+                "hardened {name} leaks: |t| = {:.2} >= {T_THRESHOLD}",
+                hardened.t.abs()
+            );
+        }
     }
 }
