@@ -13,7 +13,13 @@
 //! and reports ns per scalar multiplication plus the per-op batched
 //! speedup. Before any timing the 64 batch lanes are verified
 //! bit-identical to the solo oracle on the exact scalars to be
-//! measured. The run **fails** (non-zero exit) if the default backend
+//! measured.
+//!
+//! It also times ECDSA verify's `[u1]G + [u2]Q` over 64 lanes on every
+//! backend two ways: as two scans plus an add, and as the joint scan
+//! ([`BatchCurve::joint_scalar_mul`], generator table at one lane).
+//! The two are asserted lane-for-lane identical first. The run
+//! **fails** (non-zero exit) if the default backend
 //! does not reach the ≥ 8× per-op speedup the roadmap gates on. Run
 //! with `cargo run --release -p mmm-bench --bin compare_ecc`
 //! (`-- --quick` shrinks scalars and budget to a CI smoke run and
@@ -43,6 +49,10 @@ struct Row {
     kernel: &'static str,
     batch_ns_per_op: f64,
     speedup_vs_solo: f64,
+    /// One 64-lane `[u1]G + [u2]Q` as two scans plus an add.
+    two_scans_ms: f64,
+    /// The same through the joint scan.
+    joint_ms: f64,
 }
 
 fn main() {
@@ -51,16 +61,21 @@ fn main() {
 
     let spec = p256();
     let mut rng = StdRng::seed_from_u64(0xECC0);
-    let ks: Vec<Ubig> = (0..MAX_LANES)
-        .map(|_| {
-            let k = Ubig::random_bits(&mut rng, scalar_bits).rem(&spec.order);
-            if k.is_zero() {
-                Ubig::one()
-            } else {
-                k
-            }
-        })
-        .collect();
+    let mut scalars = || -> Vec<Ubig> {
+        (0..MAX_LANES)
+            .map(|_| {
+                let k = Ubig::random_bits(&mut rng, scalar_bits).rem(&spec.order);
+                if k.is_zero() {
+                    Ubig::one()
+                } else {
+                    k
+                }
+            })
+            .collect()
+    };
+    let ks = scalars();
+    // Verify's scalars; Q[k] = [ks[k]]G stands in for the public keys.
+    let (u1, u2) = (scalars(), scalars());
 
     let params = MontgomeryParams::hardware_safe(&spec.p);
 
@@ -130,6 +145,30 @@ fn main() {
             black_box(curve.scalar_mul(&mut f, black_box(&ks), black_box(&base), None));
         }) / MAX_LANES as f64;
 
+        // [u1]G + [u2]Q both ways, identical lane for lane before any
+        // timing.
+        let q = got;
+        let g1 = PointLanes::splat(&g, 1);
+        let two_scans = |f: &mut BatchFieldCtx<_>| {
+            let r1 = curve.scalar_mul(f, &u1, &base, None);
+            let r2 = curve.scalar_mul(f, &u2, &q, None);
+            curve.add(f, &r1, &r2)
+        };
+        let sum = two_scans(&mut f);
+        let joint = curve.joint_scalar_mul(&mut f, &u1, &g1, &u2, &q, None);
+        assert_eq!(
+            curve.to_affine(&mut f, &joint),
+            curve.to_affine(&mut f, &sum),
+            "joint scan vs two scans plus an add, backend={}",
+            kind.name()
+        );
+        let two_scans_ms = time_ns_per_call(budget_ms, || {
+            black_box(two_scans(&mut f));
+        }) / 1e6;
+        let joint_ms = time_ns_per_call(budget_ms, || {
+            black_box(curve.joint_scalar_mul(&mut f, &u1, &g1, &u2, &q, None));
+        }) / 1e6;
+
         let kernel = match kind {
             EngineKind::Cios52 => Cios52Kernel::active().name(),
             _ => "-",
@@ -148,7 +187,24 @@ fn main() {
             kernel,
             batch_ns_per_op: batch_ns,
             speedup_vs_solo: speedup,
+            two_scans_ms,
+            joint_ms,
         });
+    }
+
+    println!(
+        "\n{MAX_LANES}-lane [u1]G + [u2]Q\n{:>10} {:>10} {:>16} {:>16} {:>9}",
+        "backend", "kernel", "two scans ms", "joint scan ms", "speedup"
+    );
+    for r in &rows {
+        println!(
+            "{:>10} {:>10} {:>16.2} {:>16.2} {:>8.2}x",
+            r.backend,
+            r.kernel,
+            r.two_scans_ms,
+            r.joint_ms,
+            r.two_scans_ms / r.joint_ms
+        );
     }
 
     let default_row = rows
@@ -179,6 +235,18 @@ fn main() {
             r.kernel,
             r.batch_ns_per_op,
             r.speedup_vs_solo,
+            if i + 1 < rows.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n  \"verify_rows\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"backend\": \"{}\", \"kernel\": \"{}\", \"two_scans_ms\": {:.2}, \"joint_ms\": {:.2}, \"joint_speedup\": {:.2}}}{}\n",
+            r.backend,
+            r.kernel,
+            r.two_scans_ms,
+            r.joint_ms,
+            r.two_scans_ms / r.joint_ms,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }

@@ -131,7 +131,7 @@ impl<E: BatchMontMul> WindowScanClient for ModexpScanClient<'_, E> {
         std::mem::swap(&mut self.a, &mut self.scratch);
     }
 
-    fn combine(&mut self, digits: &[usize]) {
+    fn combine(&mut self, _set: usize, digits: &[usize]) {
         for (k, slot) in self.multiplier.iter_mut().enumerate() {
             let d = digits[k];
             if self.hardened {
@@ -456,7 +456,7 @@ impl<E: BatchMontMul> BatchModExp<E> {
             a: Vec::new(),
             scratch: Vec::with_capacity(lanes),
         };
-        let scan = run_windowed_scan(&mut client, lanes, &es, window, hardened);
+        let scan = run_windowed_scan(&mut client, lanes, &[es], window, hardened);
         let a = std::mem::take(&mut client.a);
         self.stats.squarings += scan.doublings;
         self.stats.multiplications += scan.combines;

@@ -15,17 +15,25 @@
 //!   it with the table entries the current digits select;
 //! * [`run_windowed_scan`] — the driver producing the schedule:
 //!   `⌈t/w⌉` windows, the top one a pure table lookup, each further
-//!   one `w` doubles plus one combine, skipped when every lane's digit
-//!   is zero — unless `never_skip` (the hardened mode contract) forces
-//!   the combine on every window.
+//!   one `w` doubles plus one combine per scalar set, skipped when
+//!   every lane's digit is zero — unless `never_skip` (the hardened
+//!   mode contract) forces the combine on every window.
+//!
+//! The driver takes **one or more** scalar sets over one accumulator
+//! (Straus–Shamir interleaving): each window's `w` doubles are shared
+//! by every set, followed by one combine per set against that set's
+//! own table. One set is the plain scan — RSA and single-scalar ECC
+//! run exactly that schedule; two sets compute `[u1]P1 + [u2]P2` (or
+//! `b1^e1 · b2^e2`) for the price of one run of doublings.
 //!
 //! The cost model lives here too, in group-operation counts
 //! ([`fixed_window_schedule`]) with a weighted argmin
 //! ([`best_fixed_window_weighted`]) so each workload can price the
 //! operations in its own currency: for modexp a table entry, a double
 //! and a combine all cost one batched multiplication; for Jacobian ECC
-//! a double costs ~7 field multiplications and an add ~16. The RSA
-//! cost model ([`crate::expo_window::expected_fixed_window_muls`] /
+//! a double costs 10 field multiplications (2M + 8S) and an add 16
+//! (11M + 5S). The RSA cost model
+//! ([`crate::expo_window::expected_fixed_window_muls`] /
 //! [`crate::expo_window::best_fixed_window`]) is the unit-weight
 //! instance of this one, so both paths keep a single tuning policy
 //! and the RSA schedules are bit-identical to the pre-lift code
@@ -75,16 +83,17 @@ impl ScalarSet<'_> {
 }
 
 /// What a workload plugs into the scan: the three group-operation
-/// hooks the driver schedules. The client owns the accumulator and the
-/// precomputed table (powers for modexp, point multiples for ECC); the
-/// driver only tells it when to act and which (secret) digits select
-/// table entries — *how* the selection reads memory (direct index or
-/// constant-time full-table sweep) stays the client's business.
+/// hooks the driver schedules. The client owns the accumulator and one
+/// precomputed table per scalar set (powers for modexp, point
+/// multiples for ECC); the driver only tells it when to act and which
+/// (secret) digits select table entries — *how* the selection reads
+/// memory (direct index or constant-time full-table sweep) stays the
+/// client's business.
 pub trait WindowScanClient {
-    /// Initializes the accumulator from the **top** window's digits:
+    /// Initializes the accumulator from **set 0**'s top-window digits:
     /// lane `k` becomes its table entry for `digits[k]` (digit 0 is
     /// the group identity). Called exactly once, before any
-    /// [`WindowScanClient::double`]. When the scalar set is all-zero
+    /// [`WindowScanClient::double`]. When every scalar set is all-zero
     /// the driver still calls this with all-zero digits and then runs
     /// no further steps, so clients must map digit 0 to the identity
     /// even when they built no table.
@@ -94,10 +103,11 @@ pub trait WindowScanClient {
     /// point doubling for ECC).
     fn double(&mut self);
 
-    /// One batched combine: lane `k` of the accumulator absorbs its
-    /// table entry for `digits[k]` (digit-0 lanes absorb the identity,
-    /// keeping the lockstep schedule uniform).
-    fn combine(&mut self, digits: &[usize]);
+    /// One batched combine with scalar set `set`'s table: lane `k` of
+    /// the accumulator absorbs that table's entry for `digits[k]`
+    /// (digit-0 lanes absorb the identity, keeping the lockstep
+    /// schedule uniform). Single-set scans only ever pass `set == 0`.
+    fn combine(&mut self, set: usize, digits: &[usize]);
 }
 
 /// The schedule actually executed by one [`run_windowed_scan`].
@@ -112,31 +122,37 @@ pub struct ScanStats {
     pub skipped_combines: u64,
 }
 
-/// Drives one lockstep fixed-window scan over `lanes` lanes: extracts
-/// the window digits of every lane, initializes the client from the
-/// top window, then per lower window issues `window` doubles and one
-/// combine — skipped when all digits are zero, unless `never_skip`
-/// (the hardened-mode contract: the schedule must not depend on the
-/// OR of the lanes' secret digits).
+/// Drives one lockstep fixed-window scan of the scalar sets `sets`
+/// over one accumulator of `lanes` lanes: extracts the window digits
+/// of every lane, initializes the client from set 0's top window, then
+/// per lower window issues `window` doubles shared by all the sets and
+/// one combine per set — each skipped when all of that set's digits
+/// are zero, unless `never_skip` (the hardened-mode contract: the
+/// schedule must not depend on the OR of the lanes' secret digits).
+/// Sets after the first fold their top-window digits in with a combine
+/// straight after `init`. The windows span the longest scalar of any
+/// set. With one set this is the plain windowed scan.
 ///
 /// The caller validates `window ∈ [1, 8]` and the lane shapes; this
-/// driver is schedule-only and `debug_assert!`s the window range.
+/// driver is schedule-only and `debug_assert!`s the window range and
+/// that `sets` is non-empty.
 pub fn run_windowed_scan<C: WindowScanClient>(
     client: &mut C,
     lanes: usize,
-    scalars: &ScalarSet<'_>,
+    sets: &[ScalarSet<'_>],
     window: usize,
     never_skip: bool,
 ) -> ScanStats {
     debug_assert!((1..=8).contains(&window), "window must be in 1..=8");
+    debug_assert!(!sets.is_empty(), "at least one scalar set");
     let mut stats = ScanStats::default();
-    let t = scalars.max_bit_len();
+    let t = sets.iter().map(ScalarSet::max_bit_len).max().unwrap_or(0);
     let windows = t.div_ceil(window);
 
     let mut digits = vec![0usize; lanes];
-    let fill = |digits: &mut [usize], win: usize| {
+    let fill = |digits: &mut [usize], set: &ScalarSet<'_>, win: usize| {
         for (k, d) in digits.iter_mut().enumerate() {
-            *d = scalars.digit(k, win, window);
+            *d = set.digit(k, win, window);
         }
     };
 
@@ -147,21 +163,28 @@ pub fn run_windowed_scan<C: WindowScanClient>(
         client.init(&digits);
         return stats;
     }
-    fill(&mut digits, windows - 1);
+    fill(&mut digits, &sets[0], windows - 1);
     client.init(&digits);
 
+    // One combine per set from `first` on, at window `win`.
+    let mut combine_sets = |client: &mut C, stats: &mut ScanStats, win: usize, first: usize| {
+        for (s, set) in sets.iter().enumerate().skip(first) {
+            fill(&mut digits, set, win);
+            if never_skip || digits.iter().any(|&d| d != 0) {
+                client.combine(s, &digits);
+                stats.combines += 1;
+            } else {
+                stats.skipped_combines += 1;
+            }
+        }
+    };
+    combine_sets(client, &mut stats, windows - 1, 1);
     for win in (0..windows - 1).rev() {
         for _ in 0..window {
             client.double();
             stats.doublings += 1;
         }
-        fill(&mut digits, win);
-        if never_skip || digits.iter().any(|&d| d != 0) {
-            client.combine(&digits);
-            stats.combines += 1;
-        } else {
-            stats.skipped_combines += 1;
-        }
+        combine_sets(client, &mut stats, win, 0);
     }
     stats
 }
@@ -231,30 +254,33 @@ pub fn best_fixed_window_weighted(
 mod tests {
     use super::*;
 
-    /// A tiny test client over u64 multiplication mod 2^64: the table
-    /// is base^d, double squares, combine multiplies — enough to pin
-    /// the schedule without any engine.
+    /// A tiny test client over u64 multiplication mod 2^64: one table
+    /// of base^d per scalar set, double squares, combine multiplies —
+    /// enough to pin the schedule without any engine.
     struct U64Client {
-        table: Vec<Vec<u64>>, // table[d][k] = base_k^d
+        tables: Vec<Vec<Vec<u64>>>, // tables[s][d][k] = base_{s,k}^d
         acc: Vec<u64>,
         log: Vec<String>,
     }
 
     impl U64Client {
         fn new(bases: &[u64], window: usize, t: usize) -> Self {
+            Self::with_sets(&[bases], window, t)
+        }
+
+        fn with_sets(sets: &[&[u64]], window: usize, t: usize) -> Self {
             let len = if t == 0 { 0 } else { 1usize << window };
-            let mut table = Vec::new();
-            for d in 0..len {
-                table.push(
-                    bases
-                        .iter()
-                        .map(|b| b.wrapping_pow(d as u32))
-                        .collect::<Vec<u64>>(),
-                );
-            }
+            let tables = sets
+                .iter()
+                .map(|bases| {
+                    (0..len)
+                        .map(|d| bases.iter().map(|b| b.wrapping_pow(d as u32)).collect())
+                        .collect()
+                })
+                .collect();
             U64Client {
-                table,
-                acc: vec![1; bases.len()],
+                tables,
+                acc: vec![1; sets[0].len()],
                 log: Vec::new(),
             }
         }
@@ -264,10 +290,10 @@ mod tests {
         fn init(&mut self, digits: &[usize]) {
             self.log.push(format!("init{digits:?}"));
             for (k, &d) in digits.iter().enumerate() {
-                self.acc[k] = if self.table.is_empty() {
+                self.acc[k] = if self.tables[0].is_empty() {
                     1
                 } else {
-                    self.table[d][k]
+                    self.tables[0][d][k]
                 };
             }
         }
@@ -277,10 +303,10 @@ mod tests {
                 *a = a.wrapping_mul(*a);
             }
         }
-        fn combine(&mut self, digits: &[usize]) {
-            self.log.push(format!("comb{digits:?}"));
+        fn combine(&mut self, set: usize, digits: &[usize]) {
+            self.log.push(format!("comb{set}{digits:?}"));
             for (k, &d) in digits.iter().enumerate() {
-                self.acc[k] = self.acc[k].wrapping_mul(self.table[d][k]);
+                self.acc[k] = self.acc[k].wrapping_mul(self.tables[set][d][k]);
             }
         }
     }
@@ -296,7 +322,7 @@ mod tests {
         ];
         for w in 1..=5 {
             let mut client = U64Client::new(&bases, w, 7);
-            let stats = run_windowed_scan(&mut client, 4, &ScalarSet::PerLane(&exps), w, false);
+            let stats = run_windowed_scan(&mut client, 4, &[ScalarSet::PerLane(&exps)], w, false);
             for (k, b) in bases.iter().enumerate() {
                 let e = exps[k].to_u64().unwrap() as u32;
                 assert_eq!(client.acc[k], b.wrapping_pow(e), "w={w} lane {k}");
@@ -312,13 +338,111 @@ mod tests {
         let es = vec![e.clone(); 3];
         for w in [1usize, 3, 4] {
             let mut a = U64Client::new(&bases, w, e.bit_len());
-            let sa = run_windowed_scan(&mut a, 3, &ScalarSet::Shared(&e), w, false);
+            let sa = run_windowed_scan(&mut a, 3, &[ScalarSet::Shared(&e)], w, false);
             let mut b = U64Client::new(&bases, w, e.bit_len());
-            let sb = run_windowed_scan(&mut b, 3, &ScalarSet::PerLane(&es), w, false);
+            let sb = run_windowed_scan(&mut b, 3, &[ScalarSet::PerLane(&es)], w, false);
             assert_eq!(a.acc, b.acc, "w={w}");
             assert_eq!(sa, sb, "w={w}");
             assert_eq!(a.log, b.log, "w={w}: identical call sequence");
         }
+    }
+
+    #[test]
+    fn single_set_call_log_and_stats_are_pinned() {
+        // e = 29 = 0b11101 and 6 = 0b00110 at w = 2: windows (MSB
+        // first) [01, 11, 01] and [00, 01, 10]. One set is the plain
+        // scan: init from the top window, then two doubles and one
+        // combine per lower window.
+        let es = [Ubig::from(29u64), Ubig::from(6u64)];
+        let mut client = U64Client::new(&[3, 5], 2, 5);
+        let stats = run_windowed_scan(&mut client, 2, &[ScalarSet::PerLane(&es)], 2, false);
+        assert_eq!(
+            client.log,
+            [
+                "init[1, 0]",
+                "dbl",
+                "dbl",
+                "comb0[3, 1]",
+                "dbl",
+                "dbl",
+                "comb0[1, 2]"
+            ]
+        );
+        assert_eq!(
+            stats,
+            ScanStats {
+                doublings: 4,
+                combines: 2,
+                skipped_combines: 0,
+            }
+        );
+        assert_eq!(client.acc, vec![3u64.pow(29), 5u64.pow(6)]);
+    }
+
+    #[test]
+    fn two_sets_compute_joint_powers() {
+        // b1^e1 · b2^e2 per lane, with sets of different lengths, zero
+        // scalars in either set, and a shared second set.
+        let b1 = [3u64, 7, 1, 10, 5];
+        let b2 = [11u64, 2, 9, 4, 13];
+        let e1 = [29u64, 0, 5, 64, 0];
+        let e2 = [1000u64, 77, 0, 3, 0];
+        let (e1s, e2s) = (e1.map(Ubig::from), e2.map(Ubig::from));
+        let shared = Ubig::from(22u64);
+        let cases = [
+            (ScalarSet::PerLane(&e2s), e2),
+            (ScalarSet::Shared(&shared), [22; 5]),
+        ];
+        for w in 1..=5 {
+            for &(second, e2) in &cases {
+                let sets = [ScalarSet::PerLane(&e1s), second];
+                let t = sets.iter().map(ScalarSet::max_bit_len).max().unwrap();
+                for never_skip in [false, true] {
+                    let mut client = U64Client::with_sets(&[&b1, &b2], w, t);
+                    let stats = run_windowed_scan(&mut client, 5, &sets, w, never_skip);
+                    for k in 0..5 {
+                        let want = b1[k]
+                            .wrapping_pow(e1[k] as u32)
+                            .wrapping_mul(b2[k].wrapping_pow(e2[k] as u32));
+                        assert_eq!(client.acc[k], want, "w={w} lane {k}");
+                    }
+                    // The doubles are shared: one run for both sets.
+                    let model = fixed_window_schedule(t, w);
+                    assert_eq!(stats.doublings, model.doublings, "w={w}");
+                    assert_eq!(
+                        stats.combines + stats.skipped_combines,
+                        2 * model.combines + 1,
+                        "w={w}: one combine per set per lower window, plus set 1's top window"
+                    );
+                    if never_skip {
+                        assert_eq!(stats.skipped_combines, 0, "w={w}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn never_skip_combines_an_all_zero_set() {
+        // Set 0 is zero on every lane: the plain scan skips all of its
+        // combines (init still loads the identity), the never-skip scan
+        // runs them with digit 0 — same results.
+        let zeros = [Ubig::zero(), Ubig::zero()];
+        let es = [Ubig::from(13u64), Ubig::from(2u64)];
+        let sets = [ScalarSet::PerLane(&zeros), ScalarSet::PerLane(&es)];
+        let mut plain = U64Client::with_sets(&[&[5, 6], &[3, 7]], 2, 4);
+        let sp = run_windowed_scan(&mut plain, 2, &sets, 2, false);
+        let mut hard = U64Client::with_sets(&[&[5, 6], &[3, 7]], 2, 4);
+        let sh = run_windowed_scan(&mut hard, 2, &sets, 2, true);
+        assert_eq!(plain.acc, vec![3u64.pow(13), 49]);
+        assert_eq!(plain.acc, hard.acc);
+        assert_eq!(
+            plain.log,
+            ["init[0, 0]", "comb1[3, 0]", "dbl", "dbl", "comb1[1, 2]"]
+        );
+        assert_eq!(sp.skipped_combines, 1);
+        assert_eq!(sh.skipped_combines, 0);
+        assert_eq!(sh.combines, sp.combines + sp.skipped_combines);
     }
 
     #[test]
@@ -327,7 +451,7 @@ mod tests {
         let stats = run_windowed_scan(
             &mut client,
             2,
-            &ScalarSet::PerLane(&[Ubig::zero(), Ubig::zero()]),
+            &[ScalarSet::PerLane(&[Ubig::zero(), Ubig::zero()])],
             4,
             false,
         );
@@ -345,9 +469,9 @@ mod tests {
         let e = Ubig::from(1u64 << 12); // digits 1,0,0,0 at w=3
         for w in [2usize, 3] {
             let mut plain = U64Client::new(&bases, w, e.bit_len());
-            let sp = run_windowed_scan(&mut plain, 1, &ScalarSet::Shared(&e), w, false);
+            let sp = run_windowed_scan(&mut plain, 1, &[ScalarSet::Shared(&e)], w, false);
             let mut hard = U64Client::new(&bases, w, e.bit_len());
-            let sh = run_windowed_scan(&mut hard, 1, &ScalarSet::Shared(&e), w, true);
+            let sh = run_windowed_scan(&mut hard, 1, &[ScalarSet::Shared(&e)], w, true);
             assert_eq!(plain.acc, hard.acc, "w={w}");
             assert!(sp.skipped_combines > 0, "w={w}");
             assert_eq!(sh.skipped_combines, 0, "w={w}");
@@ -367,7 +491,7 @@ mod tests {
                 v
             };
             let mut client = U64Client::new(&bases, w, t);
-            let stats = run_windowed_scan(&mut client, 5, &ScalarSet::PerLane(&es), w, true);
+            let stats = run_windowed_scan(&mut client, 5, &[ScalarSet::PerLane(&es)], w, true);
             let model = fixed_window_schedule(t, w);
             assert_eq!(stats.doublings, model.doublings, "t={t} w={w}");
             assert_eq!(stats.combines, model.combines, "t={t} w={w}");

@@ -25,8 +25,13 @@
 //! windowed-scan core (`mmm_core::scan`) that also drives the RSA
 //! exponentiator: one table of `[d]P` lane batches, then per window a
 //! run of batched doublings and one batched table addition. The window
-//! is chosen by the same weighted cost model, with doubling ≈ 10 and
-//! addition ≈ 16 engine calls (the formulas' multiplication counts).
+//! is chosen by the same weighted cost model ([`scan_window`]), with
+//! doubling 10 and addition 16 engine calls (the formulas'
+//! multiplication counts). The two-scalar form
+//! ([`BatchCurve::joint_scalar_mul`], ECDSA verify's `[u1]G + [u2]Q`)
+//! drives both scalars through one scan, so each window's doublings
+//! are shared; a base given at one lane (the generator) keeps its
+//! table at one lane and is broadcast as its entries are gathered.
 
 use crate::batch_field::BatchFieldCtx;
 use crate::curve::Point;
@@ -40,6 +45,20 @@ use mmm_core::traits::BatchMontMul;
 pub const DOUBLE_FIELD_MULS: usize = 10;
 /// Engine calls per batched point addition (11M + 5S).
 pub const ADD_FIELD_MULS: usize = 16;
+
+/// The cost-model window width for `sets` scalar sets of at most `t`
+/// bits driving one accumulator, `per_lane_tables` of whose window
+/// tables are built at the batch's full lane width (a broadcast
+/// one-lane table is priced at zero). Each window costs its shared
+/// doublings plus one addition per set.
+pub fn scan_window(t: usize, per_lane_tables: usize, sets: usize) -> usize {
+    best_fixed_window_weighted(
+        t,
+        (per_lane_tables * ADD_FIELD_MULS) as f64,
+        DOUBLE_FIELD_MULS as f64,
+        (sets * ADD_FIELD_MULS) as f64,
+    )
+}
 
 /// A lane-sliced batch of Jacobian points (Montgomery-domain
 /// coordinates; lane `k` is identity ⇔ `Z[k] ≡ 0`).
@@ -415,7 +434,7 @@ impl BatchCurve {
         window: Option<usize>,
     ) -> PointLanes {
         assert_eq!(ks.len(), base.lanes(), "one scalar per lane");
-        self.scalar_mul_set(f, &ScalarSet::PerLane(ks), base, window)
+        self.scan(f, base.lanes(), &[ScalarSet::PerLane(ks)], &[base], window)
     }
 
     /// Batched scalar multiplication with one scalar shared by every
@@ -429,57 +448,108 @@ impl BatchCurve {
         base: &PointLanes,
         window: Option<usize>,
     ) -> PointLanes {
-        self.scalar_mul_set(f, &ScalarSet::Shared(k), base, window)
+        self.scan(f, base.lanes(), &[ScalarSet::Shared(k)], &[base], window)
     }
 
-    fn scalar_mul_set<E: BatchMontMul>(
+    /// Batched joint scalar multiplication (Straus–Shamir): lane `k` of
+    /// the result is `[u1[k]]·P1 + [u2[k]]·P2[k]` — ECDSA verify's
+    /// `[u1]G + [u2]Q`. One scan drives both scalars, so each window's
+    /// doublings are shared and only the additions come per scalar.
+    /// A base given at **one** lane (the generator) is broadcast to
+    /// every lane: its window table is built at one lane and its
+    /// entries are gathered into each lane. `window` forces a width
+    /// (1..=8); `None` picks [`scan_window`]'s optimum, pricing only
+    /// the full-width tables. Hardening disables window skipping as in
+    /// [`BatchCurve::scalar_mul`]. Every lane's affine result equals
+    /// `add(scalar_mul(u1, P1), scalar_mul(u2, P2))`.
+    ///
+    /// # Panics
+    /// Panics if `u1` and `u2` differ in length or a base has neither
+    /// one lane nor one lane per scalar.
+    pub fn joint_scalar_mul<E: BatchMontMul>(
         &self,
         f: &mut BatchFieldCtx<E>,
-        ks: &ScalarSet<'_>,
-        base: &PointLanes,
+        u1: &[Ubig],
+        p1: &PointLanes,
+        u2: &[Ubig],
+        p2: &PointLanes,
         window: Option<usize>,
     ) -> PointLanes {
-        let lanes = base.lanes();
-        let t = ks.max_bit_len();
+        let lanes = u1.len();
+        assert_eq!(u2.len(), lanes, "one scalar per lane in each set");
+        for base in [p1, p2] {
+            assert!(
+                base.lanes() == 1 || base.lanes() == lanes,
+                "a base has one lane or one lane per scalar"
+            );
+        }
+        self.scan(
+            f,
+            lanes,
+            &[ScalarSet::PerLane(u1), ScalarSet::PerLane(u2)],
+            &[p1, p2],
+            window,
+        )
+    }
+
+    /// Runs the windowed scan of `sets[i]` against `bases[i]` over one
+    /// `lanes`-wide accumulator.
+    fn scan<E: BatchMontMul>(
+        &self,
+        f: &mut BatchFieldCtx<E>,
+        lanes: usize,
+        sets: &[ScalarSet<'_>],
+        bases: &[&PointLanes],
+        window: Option<usize>,
+    ) -> PointLanes {
+        let t = sets.iter().map(ScalarSet::max_bit_len).max().unwrap_or(0);
         let window = window.unwrap_or_else(|| {
-            best_fixed_window_weighted(
-                t,
-                ADD_FIELD_MULS as f64,
-                DOUBLE_FIELD_MULS as f64,
-                ADD_FIELD_MULS as f64,
-            )
+            let per_lane = bases.iter().filter(|b| b.lanes() == lanes).count();
+            scan_window(t, per_lane, sets.len())
         });
         assert!(
             (1..=8).contains(&window),
             "window width {window} not in 1..=8"
         );
         let hardened = f.engine().hardening().is_hardened();
-        // Table of [d]P lane batches for d = 0 .. 2^w − 1; the chain
-        // P + [d−1]P exercises the patched add (d = 2 hits the
-        // equal-points lane on every lane).
-        let table: Vec<PointLanes> = if t == 0 {
+        let tables = if t == 0 {
             Vec::new()
         } else {
-            let mut table = Vec::with_capacity(1 << window);
-            table.push(self.identity(f, lanes));
-            table.push(base.clone());
-            for _ in 2..(1usize << window) {
-                let next = self.add(f, table.last().unwrap(), base);
-                table.push(next);
-            }
-            table
+            bases
+                .iter()
+                .map(|base| self.window_table(f, base, window))
+                .collect()
         };
         let mut client = PointScanClient {
             curve: self,
             f,
-            table,
+            tables,
             acc: None,
             gather: None,
             lanes,
         };
-        run_windowed_scan(&mut client, lanes, ks, window, hardened);
+        run_windowed_scan(&mut client, lanes, sets, window, hardened);
         let acc = client.acc.take();
         acc.unwrap_or_else(|| self.identity(f, lanes))
+    }
+
+    /// Table of `[d]P` lane batches for `d = 0 .. 2^w − 1`, at the
+    /// base's own lane count; the chain `P + [d−1]P` exercises the
+    /// patched add (`d = 2` hits the equal-points case on every lane).
+    fn window_table<E: BatchMontMul>(
+        &self,
+        f: &mut BatchFieldCtx<E>,
+        base: &PointLanes,
+        window: usize,
+    ) -> Vec<PointLanes> {
+        let mut table = Vec::with_capacity(1 << window);
+        table.push(self.identity(f, base.lanes()));
+        table.push(base.clone());
+        for _ in 2..(1usize << window) {
+            let next = self.add(f, table.last().unwrap(), base);
+            table.push(next);
+        }
+        table
     }
 
     /// Converts every lane to affine plain coordinates with **one**
@@ -512,27 +582,33 @@ impl BatchCurve {
 
 /// The scan client for batched point multiplication: the accumulator
 /// is a lane batch, "double" is a batched point doubling, "combine"
-/// gathers each lane's table entry by its window digit and performs
-/// one batched addition. Digit 0 gathers the identity, which the
-/// patched add turns into a copy — the point analogue of multiplying
-/// by 1̄.
+/// gathers each lane's entry of one set's table by its window digit
+/// and performs one batched addition. Digit 0 gathers the identity,
+/// which the patched add turns into a copy — the point analogue of
+/// multiplying by 1̄.
 struct PointScanClient<'c, 'f, E: BatchMontMul> {
     curve: &'c BatchCurve,
     f: &'f mut BatchFieldCtx<E>,
-    table: Vec<PointLanes>,
+    /// One window table per scalar set (empty when every scalar is
+    /// zero); a one-lane table is broadcast to every lane.
+    tables: Vec<Vec<PointLanes>>,
     acc: Option<PointLanes>,
     gather: Option<PointLanes>,
     lanes: usize,
 }
 
 impl<E: BatchMontMul> PointScanClient<'_, '_, E> {
-    fn gather_digits(&mut self, digits: &[usize]) -> PointLanes {
+    fn gather_digits(&mut self, set: usize, digits: &[usize]) -> PointLanes {
         let mut g = self
             .gather
             .take()
             .unwrap_or_else(|| self.curve.identity(self.f, self.lanes));
         for (k, &d) in digits.iter().enumerate() {
-            g.set_lane(k, &self.table[d].lane(k));
+            let entry = &self.tables[set][d];
+            let j = if entry.lanes() == 1 { 0 } else { k };
+            g.x[k].clone_from(&entry.x[j]);
+            g.y[k].clone_from(&entry.y[j]);
+            g.z[k].clone_from(&entry.z[j]);
         }
         g
     }
@@ -540,16 +616,12 @@ impl<E: BatchMontMul> PointScanClient<'_, '_, E> {
 
 impl<E: BatchMontMul> WindowScanClient for PointScanClient<'_, '_, E> {
     fn init(&mut self, digits: &[usize]) {
-        if self.table.is_empty() {
+        self.acc = Some(if self.tables.is_empty() {
             // Zero-length scalars: everything is [0]P = ∞.
-            self.acc = Some(self.curve.identity(self.f, self.lanes));
-            return;
-        }
-        let mut acc = self.curve.identity(self.f, self.lanes);
-        for (k, &d) in digits.iter().enumerate() {
-            acc.set_lane(k, &self.table[d].lane(k));
-        }
-        self.acc = Some(acc);
+            self.curve.identity(self.f, self.lanes)
+        } else {
+            self.gather_digits(0, digits)
+        });
     }
 
     fn double(&mut self) {
@@ -557,8 +629,8 @@ impl<E: BatchMontMul> WindowScanClient for PointScanClient<'_, '_, E> {
         self.acc = Some(self.curve.double(self.f, &acc));
     }
 
-    fn combine(&mut self, digits: &[usize]) {
-        let g = self.gather_digits(digits);
+    fn combine(&mut self, set: usize, digits: &[usize]) {
+        let g = self.gather_digits(set, digits);
         let acc = self.acc.take().expect("init runs first");
         self.acc = Some(self.curve.add(self.f, &acc, &g));
         self.gather = Some(g);

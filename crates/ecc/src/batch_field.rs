@@ -13,7 +13,10 @@
 //! Inversion uses **Montgomery's simultaneous-inversion trick**: a
 //! prefix chain of Montgomery products, a *single* `modinv`, then a
 //! backward sweep — one field inversion amortized over the whole batch
-//! (the dominant cost of the batched affine conversion).
+//! (the dominant cost of the batched affine conversion). The sweeps
+//! are a serial chain of single products, so they run on the scalar
+//! radix-2⁶⁴ [`CiosMont`] rather than the batch engine; it is
+//! bit-identical to every Algorithm-2 engine.
 //!
 //! The exception-patching companion ops (`lane_*`) run the reference
 //! `mont_mul_alg2` on a single lane; the engines are bit-identical to
@@ -22,9 +25,10 @@
 
 use crate::field::Fe;
 use mmm_bigint::Ubig;
+use mmm_core::cios::CiosMont;
 use mmm_core::error::MmmError;
 use mmm_core::montgomery::{mont_mul_alg2, MontgomeryParams};
-use mmm_core::traits::BatchMontMul;
+use mmm_core::traits::{BatchMontMul, MontMul};
 
 /// Batch field context: a [`BatchMontMul`] engine plus the constants
 /// needed to enter/leave the Montgomery domain.
@@ -153,27 +157,28 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     ///
     /// Cost: `3(k−1)` Montgomery multiplications plus **one** `modinv`
     /// for `k` nonzero lanes, instead of `k` inversions. The prefix and
-    /// backward sweeps run the scalar reference multiplication so the
-    /// `< 2N` residue bound is maintained throughout.
+    /// backward sweeps run on a scalar [`CiosMont`], which computes the
+    /// Algorithm-2 function bit for bit, so the `< 2N` residue bound is
+    /// maintained throughout.
     pub fn inv(&mut self, a: &[Fe]) -> Vec<Option<Fe>> {
-        let params = self.engine.params().clone();
         let nz: Vec<usize> = (0..a.len()).filter(|&k| !self.is_zero(&a[k])).collect();
         let mut out: Vec<Option<Fe>> = vec![None; a.len()];
         if nz.is_empty() {
             return out;
         }
+        let mut mont = CiosMont::new(self.engine.params().clone());
         // Prefix chain of Montgomery products over the nonzero lanes:
         // prefix[i] = ā₀·ā₁⋯āᵢ (Montgomery domain, < 2N).
         let mut prefix: Vec<Fe> = Vec::with_capacity(nz.len());
         let mut acc = a[nz[0]].clone();
         prefix.push(acc.clone());
         for &k in &nz[1..] {
-            acc = mont_mul_alg2(&params, &acc, &a[k]);
+            acc = mont.mont_mul(&acc, &a[k]);
             prefix.push(acc.clone());
         }
         // One inversion of the total product.
         let total_plain = {
-            let v = mont_mul_alg2(&params, &acc, &Ubig::one());
+            let v = mont.mont_mul(&acc, &Ubig::one());
             if &v >= self.p() {
                 v - self.p()
             } else {
@@ -190,14 +195,14 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         };
         // Re-enter the domain, then sweep backwards stripping one lane
         // per step: u = (ā₀⋯āᵢ)⁻¹ before visiting lane i.
-        let mut u = mont_mul_alg2(&params, &inv_plain, &self.r2);
+        let mut u = mont.mont_mul(&inv_plain, &self.r2);
         for i in (0..nz.len()).rev() {
             let k = nz[i];
             if i == 0 {
                 out[k] = Some(u.clone());
             } else {
-                out[k] = Some(mont_mul_alg2(&params, &u, &prefix[i - 1]));
-                u = mont_mul_alg2(&params, &u, &a[k]);
+                out[k] = Some(mont.mont_mul(&u, &prefix[i - 1]));
+                u = mont.mont_mul(&u, &a[k]);
             }
         }
         out

@@ -21,7 +21,8 @@
 //! * [`batch_field`] — 64-lane GF(p) arithmetic on any
 //!   [`BatchMontMul`] engine, with Montgomery simultaneous inversion;
 //! * [`batch_curve`] — lane-sliced Jacobian point arithmetic and
-//!   fixed-window batched scalar multiplication driven by the shared
+//!   fixed-window batched scalar multiplication — one scalar, or two
+//!   sharing one scan for ECDSA verify — driven by the shared
 //!   windowed-scan core (`mmm_core::scan`) that also schedules the RSA
 //!   exponentiator;
 //! * [`curves`] — named curve parameter sets (NIST P-256);

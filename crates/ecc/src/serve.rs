@@ -186,31 +186,36 @@ impl CurveSession {
             }
         }
         let n = &self.spec.order;
-        let one = Ubig::one();
         // Per-request scalar precomputation (plain arithmetic): w =
-        // s⁻¹, u1 = z·w, u2 = r·w mod order. Range-invalid requests
-        // keep placeholder scalars and a dead verdict mask.
+        // s⁻¹, u1 = z·w, u2 = r·w mod order, with every live lane's s
+        // inverted by one shared `modinv`. Range-invalid requests keep
+        // placeholder scalars and a dead verdict mask.
         struct Prepared {
             live: bool,
             u1: Ubig,
             u2: Ubig,
         }
-        let prepared: Vec<Prepared> = reqs
+        let live_s: Vec<Option<&Ubig>> = reqs
             .iter()
             .map(|req| {
-                let in_range = !req.r.is_zero() && req.r < *n && !req.s.is_zero() && req.s < *n;
-                match (in_range, req.s.modinv(n)) {
-                    (true, Some(w)) => Prepared {
-                        live: true,
-                        u1: req.z.rem(n).modmul(&w, n),
-                        u2: req.r.modmul(&w, n),
-                    },
-                    _ => Prepared {
-                        live: false,
-                        u1: one.clone(),
-                        u2: one.clone(),
-                    },
-                }
+                let ok = !req.r.is_zero() && req.r < *n && !req.s.is_zero() && req.s < *n;
+                ok.then_some(&req.s)
+            })
+            .collect();
+        let prepared: Vec<Prepared> = reqs
+            .iter()
+            .zip(batch_modinv(&live_s, n))
+            .map(|(req, w)| match w {
+                Some(w) => Prepared {
+                    live: true,
+                    u1: req.z.rem(n).modmul(&w, n),
+                    u2: req.r.modmul(&w, n),
+                },
+                None => Prepared {
+                    live: false,
+                    u1: Ubig::one(),
+                    u2: Ubig::one(),
+                },
             })
             .collect();
         let width = self.shard_width();
@@ -227,10 +232,9 @@ impl CurveSession {
                 let q = curve.try_points(&mut f, &xy)?;
                 let u1: Vec<Ubig> = sprep.iter().map(|p| p.u1.clone()).collect();
                 let u2: Vec<Ubig> = sprep.iter().map(|p| p.u2.clone()).collect();
-                let gbase = PointLanes::splat(&g, sreqs.len());
-                let r1 = curve.scalar_mul(&mut f, &u1, &gbase, None);
-                let r2 = curve.scalar_mul(&mut f, &u2, &q, None);
-                let sum = curve.add(&mut f, &r1, &r2);
+                // [u1]G + [u2]Q in one scan; G stays at one lane.
+                let g = PointLanes::splat(&g, 1);
+                let sum = curve.joint_scalar_mul(&mut f, &u1, &g, &u2, &q, None);
                 let affine = curve.to_affine(&mut f, &sum);
                 Ok(sreqs
                     .iter()
@@ -345,6 +349,42 @@ impl CurveSession {
         };
         Ok((f, curve, g))
     }
+}
+
+/// `xs[k]⁻¹ mod n` for every `Some` lane (each `< n`), by Montgomery's trick in
+/// plain arithmetic: a prefix chain of products, **one** `modinv` of
+/// the total, then a backward sweep. `None` lanes stay out of the
+/// product and come back `None`, as does any lane with no inverse
+/// (found by per-lane fallback when `n` is composite and the total
+/// shares a factor with it).
+fn batch_modinv(xs: &[Option<&Ubig>], n: &Ubig) -> Vec<Option<Ubig>> {
+    let live: Vec<usize> = (0..xs.len()).filter(|&k| xs[k].is_some()).collect();
+    let x = |k: usize| xs[k].expect("live lane");
+    let mut out = vec![None; xs.len()];
+    let Some((&first, rest)) = live.split_first() else {
+        return out;
+    };
+    // prefix[i] = x_{live[0]} ⋯ x_{live[i]} mod n.
+    let mut prefix = Vec::with_capacity(live.len());
+    prefix.push(x(first).clone());
+    for &k in rest {
+        let next = prefix.last().unwrap().modmul(x(k), n);
+        prefix.push(next);
+    }
+    let Some(mut u) = prefix.last().unwrap().modinv(n) else {
+        for &k in &live {
+            out[k] = x(k).modinv(n);
+        }
+        return out;
+    };
+    // u = (x_{live[0]} ⋯ x_{live[i]})⁻¹ before visiting live[i].
+    for i in (1..live.len()).rev() {
+        let k = live[i];
+        out[k] = Some(u.modmul(&prefix[i - 1], n));
+        u = u.modmul(x(k), n);
+    }
+    out[first] = Some(u);
+    out
 }
 
 /// Aggregates individually submitted [`EcdsaRequest`]s toward full
@@ -530,6 +570,32 @@ mod tests {
             };
         }
         order
+    }
+
+    #[test]
+    fn batch_modinv_matches_per_lane_inverses() {
+        // A prime modulus (one shared inversion) and a composite one
+        // where some lanes have no inverse (per-lane fallback); `None`
+        // lanes stay out of the product.
+        for n in [10007u64, 91] {
+            let n = Ubig::from(n);
+            let xs: Vec<Ubig> = [1u64, 7, 13, 90, 2, 45, 64]
+                .iter()
+                .map(|&v| Ubig::from(v))
+                .collect();
+            let lanes: Vec<Option<&Ubig>> = xs
+                .iter()
+                .enumerate()
+                .map(|(k, x)| (k != 3).then_some(x))
+                .collect();
+            let want: Vec<Option<Ubig>> =
+                lanes.iter().map(|x| x.and_then(|x| x.modinv(&n))).collect();
+            assert_eq!(batch_modinv(&lanes, &n), want, "n = {n:?}");
+        }
+        assert!(batch_modinv(&[None, None], &Ubig::from(5u64))
+            .iter()
+            .all(Option::is_none));
+        assert!(batch_modinv(&[], &Ubig::from(5u64)).is_empty());
     }
 
     #[test]

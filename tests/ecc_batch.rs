@@ -7,9 +7,12 @@
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::engine::EngineKind;
 use montgomery_systolic::core::montgomery::MontgomeryParams;
+use montgomery_systolic::core::scan::fixed_window_schedule;
 use montgomery_systolic::core::traits::{BatchMontMul, SoftwareEngine};
 use montgomery_systolic::core::{HardeningMode, MmmError};
-use montgomery_systolic::ecc::batch_curve::{BatchCurve, PointLanes};
+use montgomery_systolic::ecc::batch_curve::{
+    scan_window, BatchCurve, PointLanes, ADD_FIELD_MULS, DOUBLE_FIELD_MULS,
+};
 use montgomery_systolic::ecc::batch_field::BatchFieldCtx;
 use montgomery_systolic::ecc::curve::{Curve, Point};
 use montgomery_systolic::ecc::curves::p256;
@@ -17,6 +20,9 @@ use montgomery_systolic::ecc::field::FieldCtx;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
+
+type Affine = Vec<Option<(Ubig, Ubig)>>;
 
 /// The word-boundary test primes: NIST P-256's field prime (256-bit),
 /// 2²⁵⁵ − 19 (255-bit, one under the limb boundary) and a 257-bit
@@ -277,6 +283,268 @@ fn hardened_scan_is_result_identical() {
         let acc = bc.scalar_mul(&mut bf, &ks, &base, None);
         assert_eq!(bc.to_affine(&mut bf, &acc), solo, "kind={kind:?}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The joint scan: `joint_scalar_mul(u1, P1, u2, P2)` must equal the
+// composition it replaces, `add(scalar_mul(u1, P1), scalar_mul(u2, P2))`,
+// lane for lane at affine coordinates.
+// ---------------------------------------------------------------------
+
+/// `[u1]P1 + [u2]P2` both ways on one batch context: (joint scan,
+/// two scans plus an add). A one-lane `p1` is broadcast.
+fn joint_and_composed<E: BatchMontMul>(
+    bf: &mut BatchFieldCtx<E>,
+    bc: &BatchCurve,
+    (u1, p1): (&[Ubig], &PointLanes),
+    (u2, p2): (&[Ubig], &PointLanes),
+    window: Option<usize>,
+) -> (Affine, Affine) {
+    let joint = bc.joint_scalar_mul(bf, u1, p1, u2, p2, window);
+    let p1 = if p1.lanes() == 1 {
+        PointLanes::splat(&p1.lane(0), u1.len())
+    } else {
+        p1.clone()
+    };
+    let r1 = bc.scalar_mul(bf, u1, &p1, window);
+    let r2 = bc.scalar_mul(bf, u2, p2, window);
+    let sum = bc.add(bf, &r1, &r2);
+    (bc.to_affine(bf, &joint), bc.to_affine(bf, &sum))
+}
+
+/// `count` distinct solo points `[2]G, [3]G, …`.
+fn multiples(sf: &mut FieldCtx<SoftwareEngine>, sc: &Curve, g: &Point, count: usize) -> Vec<Point> {
+    let mut out = Vec::with_capacity(count);
+    let mut acc = sc.double(sf, g);
+    for _ in 0..count {
+        out.push(acc.clone());
+        acc = sc.add(sf, &acc, g);
+    }
+    out
+}
+
+#[test]
+fn joint_scan_matches_two_scans_plus_add_on_every_backend() {
+    let p = Ubig::from(10007u64);
+    let (mut sf, sc, g) = solo_fixture(&p);
+    let q_all = multiples(&mut sf, &sc, &g, 64);
+    let mut rng = StdRng::seed_from_u64(21);
+    for lanes in [1usize, 3, 63, 64] {
+        let mut scalars = || -> Vec<Ubig> {
+            (0..lanes)
+                .map(|_| Ubig::random_below(&mut rng, &Ubig::from(20000u64)))
+                .collect()
+        };
+        let (mut u1, u2) = (scalars(), scalars());
+        u1[0] = Ubig::zero();
+        let q = PointLanes::from_points(&q_all[..lanes]);
+        let g1 = PointLanes::splat(&g, 1);
+        let per_lane_p1 = PointLanes::from_points(&q_all[64 - lanes..]);
+        for kind in EngineKind::ALL {
+            let (mut bf, bc) = batch_fixture(&p, kind);
+            for p1 in [&g1, &per_lane_p1] {
+                let (joint, composed) =
+                    joint_and_composed(&mut bf, &bc, (&u1, p1), (&u2, &q), None);
+                assert_eq!(
+                    joint,
+                    composed,
+                    "kind={kind:?} lanes={lanes} p1 lanes={}",
+                    p1.lanes()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn joint_scan_forced_windows_and_hardened() {
+    let p = Ubig::from(10007u64);
+    let (mut sf, sc, g) = solo_fixture(&p);
+    let q = PointLanes::from_points(&multiples(&mut sf, &sc, &g, 7));
+    let g1 = PointLanes::splat(&g, 1);
+    let u1: Vec<Ubig> = (0..7u64).map(|k| Ubig::from(k * k * 37 + 1)).collect();
+    let u2: Vec<Ubig> = (0..7u64).map(|k| Ubig::from(k * 701 + 3)).collect();
+    for kind in EngineKind::ALL {
+        let (mut bf, bc) = batch_fixture(&p, kind);
+        for w in 1..=6usize {
+            let (joint, composed) =
+                joint_and_composed(&mut bf, &bc, (&u1, &g1), (&u2, &q), Some(w));
+            assert_eq!(joint, composed, "kind={kind:?} window={w}");
+        }
+        bf.engine_mut().set_hardening(HardeningMode::Hardened);
+        for window in [None, Some(2)] {
+            let (joint, composed) = joint_and_composed(&mut bf, &bc, (&u1, &g1), (&u2, &q), window);
+            assert_eq!(joint, composed, "hardened kind={kind:?} window={window:?}");
+        }
+    }
+}
+
+#[test]
+fn joint_scan_at_word_boundary_primes() {
+    let mut rng = StdRng::seed_from_u64(5);
+    for (name, p) in boundary_primes() {
+        let (mut sf, sc, g) = solo_fixture(&p);
+        let q = PointLanes::from_points(&multiples(&mut sf, &sc, &g, 6));
+        let g1 = PointLanes::splat(&g, 1);
+        // Full-width, short, zero and one scalars in both sets.
+        let profile = |rng: &mut StdRng| -> Vec<Ubig> {
+            vec![
+                Ubig::random_below(rng, &p),
+                Ubig::random_bits(rng, 48),
+                Ubig::zero(),
+                Ubig::one(),
+                Ubig::random_below(rng, &p),
+                Ubig::random_bits(rng, 8),
+            ]
+        };
+        let (u1, u2) = (profile(&mut rng), profile(&mut rng));
+        let (mut bf, bc) = batch_fixture(&p, EngineKind::default_kind());
+        let (joint, composed) = joint_and_composed(&mut bf, &bc, (&u1, &g1), (&u2, &q), None);
+        assert_eq!(joint, composed, "prime={name}");
+    }
+}
+
+/// y² = x³ + 2x + 3 over GF(97), G = (3, 6) of order 5 — small enough
+/// that table entries of G and Q collide all the time.
+#[test]
+fn joint_scan_exception_lanes_on_tiny_curve() {
+    let p = Ubig::from(97u64);
+    let params = MontgomeryParams::hardware_safe(&p);
+    let mut sf = FieldCtx::new(SoftwareEngine::new(params.clone()));
+    let sc = Curve::new(&mut sf, &Ubig::from(2u64), &Ubig::from(3u64));
+    let g = sc.point(&mut sf, &Ubig::from(3u64), &Ubig::from(6u64));
+    let neg_g = sc.point(&mut sf, &Ubig::from(3u64), &Ubig::from(91u64));
+    let g2 = sc.double(&mut sf, &g);
+    let g3 = sc.add(&mut sf, &g2, &g);
+    // (u1, u2, Q) per lane.
+    let lanes: Vec<(u64, u64, Point)> = vec![
+        (0, 3, g2.clone()),    // u1 = 0
+        (2, 0, g3.clone()),    // u2 = 0
+        (0, 0, g.clone()),     // both 0: the identity
+        (1, 2, g.clone()),     // Q = G
+        (3, 3, g.clone()),     // Q = G with equal digits: doubling collisions
+        (2, 3, neg_g.clone()), // Q = −G
+        (2, 2, neg_g.clone()), // u1·G = −u2·Q: the identity
+        (1, 4, g.clone()),     // [5]G = ∞
+        (2, 1, g3.clone()),    // [2]G + [3]G = ∞
+        (4, 1, neg_g.clone()), // [4]G − G = [3]G
+    ];
+    let u1: Vec<Ubig> = lanes.iter().map(|l| Ubig::from(l.0)).collect();
+    let u2: Vec<Ubig> = lanes.iter().map(|l| Ubig::from(l.1)).collect();
+    let qs: Vec<Point> = lanes.iter().map(|l| l.2.clone()).collect();
+    let q = PointLanes::from_points(&qs);
+    let g1 = PointLanes::splat(&g, 1);
+    for kind in EngineKind::ALL {
+        let mut bf = BatchFieldCtx::new(kind.build(params.clone()));
+        let bc = BatchCurve::try_new(&mut bf, &Ubig::from(2u64), &Ubig::from(3u64)).unwrap();
+        for hardened in [false, true] {
+            if hardened {
+                bf.engine_mut().set_hardening(HardeningMode::Hardened);
+            }
+            for window in [None, Some(1), Some(2), Some(3)] {
+                let (joint, composed) =
+                    joint_and_composed(&mut bf, &bc, (&u1, &g1), (&u2, &q), window);
+                let what = format!("kind={kind:?} hardened={hardened} window={window:?}");
+                assert_eq!(joint, composed, "{what}");
+                for k in [2, 6, 7, 8] {
+                    assert!(joint[k].is_none(), "{what}: lane {k} is the identity");
+                }
+            }
+        }
+    }
+}
+
+/// Counts engine calls by batch width; results pass through unchanged.
+struct Counting<E> {
+    inner: E,
+    calls: BTreeMap<usize, u64>,
+}
+
+impl<E: BatchMontMul> BatchMontMul for Counting<E> {
+    fn params(&self) -> &MontgomeryParams {
+        self.inner.params()
+    }
+
+    fn max_lanes(&self) -> usize {
+        self.inner.max_lanes()
+    }
+
+    fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
+        *self.calls.entry(xs.len()).or_default() += 1;
+        self.inner.mont_mul_batch(xs, ys)
+    }
+
+    fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
+        *self.calls.entry(xs.len()).or_default() += 1;
+        self.inner.mont_mul_batch_into(xs, ys, out);
+    }
+
+    fn set_hardening(&mut self, mode: HardeningMode) {
+        self.inner.set_hardening(mode);
+    }
+
+    fn hardening(&self) -> HardeningMode {
+        self.inner.hardening()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// The §6 cost model, executed: on 64 P-256 lanes the joint scan makes
+/// exactly the engine calls `fixed_window_schedule` predicts at the
+/// window it picks — G's table at one lane, everything else at 64.
+#[test]
+fn joint_scan_engine_calls_match_the_cost_model() {
+    let spec = p256();
+    let params = MontgomeryParams::hardware_safe(&spec.p);
+    let mut f = BatchFieldCtx::new(Counting {
+        inner: EngineKind::Cios.build(params),
+        calls: BTreeMap::new(),
+    });
+    let curve = BatchCurve::try_new(&mut f, &spec.a, &spec.b).unwrap();
+    let g = {
+        let m = f.to_mont(&[spec.gx.clone(), spec.gy.clone(), Ubig::one()]);
+        Point {
+            x: m[0].clone(),
+            y: m[1].clone(),
+            z: m[2].clone(),
+        }
+    };
+    let ds: Vec<Ubig> = (2..66u64).map(Ubig::from).collect();
+    let q = curve.scalar_mul(&mut f, &ds, &PointLanes::splat(&g, 64), None);
+    let mut rng = StdRng::seed_from_u64(256);
+    let mut scalars = || -> Vec<Ubig> {
+        (0..64)
+            .map(|_| Ubig::random_below(&mut rng, &spec.order))
+            .collect()
+    };
+    let (u1, u2) = (scalars(), scalars());
+    let t = u1.iter().chain(&u2).map(Ubig::bit_len).max().unwrap();
+    assert_eq!(t, 256);
+
+    f.engine_mut().calls.clear();
+    let g1 = PointLanes::splat(&g, 1);
+    curve.joint_scalar_mul(&mut f, &u1, &g1, &u2, &q, None);
+    let calls = std::mem::take(&mut f.engine_mut().calls);
+
+    // One full-width table (Q's) is priced; two adds per window.
+    let w = scan_window(t, 1, 2);
+    let s = fixed_window_schedule(t, w);
+    let (add, dbl) = (ADD_FIELD_MULS as u64, DOUBLE_FIELD_MULS as u64);
+    // Set 0 (u1) loads the top window; set 1 (u2) folds its top
+    // window in with one extra add.
+    let want64 = s.table_entries * add + s.doublings * dbl + (2 * s.combines + 1) * add;
+    let want1 = s.table_entries * add;
+    assert_eq!(w, 5);
+    assert_eq!(
+        calls,
+        BTreeMap::from([(1, want1), (64, want64)]),
+        "one-lane calls build G's table; 64-lane calls build Q's table and run the scan"
+    );
+    // Two separate scans plus an add made 7,520 64-lane calls here.
+    assert!(want64 < 5300, "{want64} 64-lane calls");
 }
 
 // ---------------------------------------------------------------------

@@ -202,6 +202,78 @@ fn tiny_spec() -> CurveSpec {
     }
 }
 
+/// FIPS 186-4 §6.4 verification over the affine reference.
+fn ecdsa_verify_reference(spec: &CurveSpec, req: &EcdsaRequest) -> bool {
+    let n = &spec.order;
+    let in_range = |v: &Ubig| !v.is_zero() && v < n;
+    if !in_range(&req.r) || !in_range(&req.s) {
+        return false;
+    }
+    let w = inv_mod(&req.s, n);
+    let u1 = req.z.rem(n).modmul(&w, n);
+    let u2 = req.r.modmul(&w, n);
+    let g = Some((spec.gx.clone(), spec.gy.clone()));
+    let q = Some((req.qx.clone(), req.qy.clone()));
+    let x = aff_add(
+        &spec.p,
+        &spec.a,
+        &aff_mul(&spec.p, &spec.a, &u1, &g),
+        &aff_mul(&spec.p, &spec.a, &u2, &q),
+    );
+    x.is_some_and(|(x, _)| x.rem(n) == req.r)
+}
+
+#[test]
+fn ecdsa_every_tiny_signature_matches_the_affine_reference() {
+    // Every key d ∈ [1, 5), nonce k ∈ [1, 5) and digest z ∈ [0, 5) on
+    // the order-5 fixture, where u1·G and u2·Q collide, cancel and
+    // vanish all the time. Each signature is sent as signed and with
+    // r and s nudged, and every verdict must match the reference.
+    let spec = tiny_spec();
+    let session = CurveSession::new(spec.clone(), config()).unwrap();
+    let n = &spec.order;
+    let g = Some((spec.gx.clone(), spec.gy.clone()));
+    let mut reqs = Vec::new();
+    let mut genuine = Vec::new();
+    for d in 1..5u64 {
+        let (qx, qy) = aff_mul(&spec.p, &spec.a, &Ubig::from(d), &g).unwrap();
+        for k in 1..5u64 {
+            let (rx, _) = aff_mul(&spec.p, &spec.a, &Ubig::from(k), &g).unwrap();
+            let r = rx.rem(n);
+            for z in 0..5u64 {
+                let z = Ubig::from(z);
+                let s = inv_mod(&Ubig::from(k), n)
+                    .modmul(&z.modadd(&r.modmul(&Ubig::from(d), n), n), n);
+                let req = EcdsaRequest {
+                    z,
+                    r: r.clone(),
+                    s: s.clone(),
+                    qx: qx.clone(),
+                    qy: qy.clone(),
+                };
+                genuine.push(!r.is_zero() && !s.is_zero());
+                let mut nudged_r = req.clone();
+                nudged_r.r = r.modadd(&Ubig::one(), n);
+                let mut nudged_s = req.clone();
+                nudged_s.s = s.modadd(&Ubig::one(), n);
+                reqs.extend([req, nudged_r, nudged_s]);
+            }
+        }
+    }
+    let want: Vec<bool> = reqs
+        .iter()
+        .map(|req| ecdsa_verify_reference(&spec, req))
+        .collect();
+    for (i, &ok) in genuine.iter().enumerate() {
+        assert!(
+            !ok || want[3 * i],
+            "the reference accepts genuine signature {i}"
+        );
+    }
+    assert!(want.iter().any(|&v| !v), "some nudged signatures fail");
+    assert_eq!(session.verify_ecdsa(&reqs).unwrap(), want);
+}
+
 #[test]
 fn backends_agree_on_ecdh_and_base_multiples() {
     let reference = {
