@@ -1,6 +1,6 @@
 //! Criterion bench: `window_sweep` — the fixed-window batched
-//! exponentiation scan across window widths `w ∈ {1, 2, 4, 5, 6}`
-//! against the multiply-always baseline, 64 lanes of 256-bit
+//! exponentiation scan across window widths `w ∈ {1, 2, 4, 5, 6}`,
+//! where `w = 1` is the multiply-always baseline, 64 lanes of 256-bit
 //! exponents (`Throughput::Elements(64)` reports lane-exponentiations
 //! per second).
 
@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mmm_bigint::Ubig;
 use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
 use mmm_core::modgen::random_safe_params;
-use mmm_core::BatchModExp;
+use mmm_core::{BatchModExp, ScalarSet, WindowPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -31,15 +31,13 @@ fn bench_window_sweep(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(1));
     group.throughput(Throughput::Elements(MAX_LANES as u64));
 
-    let mut always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-    group.bench_with_input(BenchmarkId::new("multiply_always", l), &l, |b, _| {
-        b.iter(|| black_box(always.modexp_batch(black_box(&ms), black_box(&es))))
-    });
-
     for w in [1usize, 2, 4, 5, 6] {
         let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
         group.bench_with_input(BenchmarkId::new("fixed_window", w), &w, |b, &w| {
-            b.iter(|| black_box(windowed.modexp_batch_windowed(black_box(&ms), black_box(&es), w)))
+            b.iter(|| {
+                let es = ScalarSet::PerLane(black_box(&es));
+                black_box(windowed.try_modexp(black_box(&ms), es, WindowPolicy::Fixed(w)))
+            })
         });
     }
     group.finish();

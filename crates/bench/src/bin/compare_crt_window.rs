@@ -1,16 +1,17 @@
 //! Serving-path comparison: full-width multiply-always batch
-//! decryption (PR 1's `decrypt_batch` schedule) versus the windowed
-//! full-width scan versus windowed batched **CRT** decryption, at 64
-//! lanes. Emits `BENCH_crt_window.json`.
+//! decryption (PR 1's schedule, now the `w = 1` scan) versus the
+//! windowed full-width scan versus windowed batched **CRT**
+//! decryption, at 64 lanes. Emits `BENCH_crt_window.json`.
 //!
 //! For each RSA key size it measures, per operation (one full
 //! decryption of one lane):
 //!
 //! * `full_always` — one 64-lane batch on a full-width engine,
-//!   square-and-multiply-always (the PR 1 baseline);
+//!   square-and-multiply-always: [`BatchModExp::try_modexp`] at
+//!   [`WindowPolicy::Fixed`]`(1)` (the PR 1 baseline);
 //! * `full_window` — same engine, fixed-window scan at the
 //!   cost-model-picked width (isolates the windowing win);
-//! * `crt_window` — [`mmm_rsa::decrypt_crt_batch`]: two half-width
+//! * `crt_window` — [`KeyedSession::decrypt_crt`]: two half-width
 //!   windowed batch exponentiations recombined with Garner per lane
 //!   (the full serving path, pool-backed).
 //!
@@ -26,10 +27,10 @@
 //! It also measures generic batched modexp with **per-lane** random
 //! exponents (the mixed-traffic shape), multiply-always vs windowed —
 //! the clean windowing comparison. With one shared exponent the
-//! "multiply-always" scan already skips every bit that is 0 in `d`
+//! multiply-always scan already skips every bit that is 0 in `d`
 //! (all lanes agree), so the decrypt rows understate the window win;
 //! with per-lane exponents no bit position is ever all-clear and the
-//! schedules differ purely by the scan.
+//! schedules differ purely by the window width.
 //!
 //! Every path is verified lane-for-lane against the big-integer
 //! oracle before timing. Run with
@@ -43,11 +44,26 @@ use mmm_core::batch::{BitSlicedBatch, MAX_LANES};
 use mmm_core::cios52::Cios52Kernel;
 use mmm_core::expo_window::best_fixed_window;
 use mmm_core::montgomery::MontgomeryParams;
-use mmm_core::{BatchModExp, EngineKind};
-use mmm_rsa::{decrypt_crt_batch, decrypt_crt_batch_with, sign_batch_with, RsaKeyPair};
+use mmm_core::{BatchModExp, EngineConfig, EngineKind, ScalarSet, WindowPolicy};
+use mmm_rsa::{KeyedSession, RsaKeyPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+/// Algorithm 3's square-and-multiply-always scan.
+const ALWAYS: WindowPolicy = WindowPolicy::Fixed(1);
+
+/// One `ms[k] ^ es[k]` batch on `me` with per-lane exponents, its
+/// inputs hidden from the optimizer for timing.
+fn modexp(
+    me: &mut BatchModExp<BitSlicedBatch>,
+    ms: &[Ubig],
+    es: &[Ubig],
+    window: WindowPolicy,
+) -> Vec<Ubig> {
+    me.try_modexp(black_box(ms), ScalarSet::PerLane(black_box(es)), window)
+        .expect("reduced inputs, valid window")
+}
 
 struct Row {
     bits: usize,
@@ -103,60 +119,64 @@ fn main() {
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
         let ds = vec![key.d.clone(); MAX_LANES];
         let window = best_fixed_window(key.d.bit_len());
-
-        // Correctness gate: all three paths bit-identical to the
-        // scalar oracle before any timing — and the backend-dispatch
-        // entry points on **every** engine kind, so a CI smoke run
-        // catches engine-selection regressions, not just the default
-        // engine's arithmetic.
-        {
-            let mut always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            assert_eq!(always.modexp_batch(&cs, &ds), ms, "multiply-always oracle");
-            let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            assert_eq!(
-                windowed.modexp_batch_windowed(&cs, &ds, window),
-                ms,
-                "windowed oracle"
-            );
-            assert_eq!(
-                decrypt_crt_batch(&key, &cs),
-                ms,
-                "CRT oracle (default kind)"
-            );
-            for kind in EngineKind::ALL {
-                assert_eq!(
-                    decrypt_crt_batch_with(&key, &cs, kind),
-                    ms,
-                    "CRT dispatch oracle ({})",
-                    kind.name()
-                );
-            }
-            // Signatures must agree bit-for-bit across *every*
-            // backend (swept, not a hardcoded pair, so the next
-            // EngineKind addition is gated automatically).
-            let sig_want = sign_batch_with(&key, &ms, EngineKind::ALL[0]);
-            for kind in &EngineKind::ALL[1..] {
-                assert_eq!(
-                    sign_batch_with(&key, &ms, *kind),
-                    sig_want,
-                    "sign dispatch cross-backend ({})",
-                    kind.name()
-                );
-            }
-        }
+        let fixed = WindowPolicy::Fixed(window);
+        let sessions: Vec<KeyedSession> = EngineKind::ALL
+            .iter()
+            .map(|&kind| {
+                KeyedSession::new(key.clone(), EngineConfig::default().with_backend(kind))
+                    .expect("pooled parameters suit every backend")
+            })
+            .collect();
+        let crt = sessions
+            .iter()
+            .find(|s| s.backend() == EngineKind::default_kind())
+            .expect("the default kind is one of EngineKind::ALL");
 
         let mut engine_always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        let full_always_ns = time_ns_per_call(budget_ms, || {
-            black_box(engine_always.modexp_batch(black_box(&cs), black_box(&ds)));
-        }) / MAX_LANES as f64;
-
         let mut engine_window = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+
+        // Correctness gate: all three paths bit-identical to the
+        // scalar oracle before any timing — and the session entry
+        // points on **every** engine kind, so a CI smoke run catches
+        // engine-selection regressions, not just the default engine's
+        // arithmetic.
+        assert_eq!(
+            modexp(&mut engine_always, &cs, &ds, ALWAYS),
+            ms,
+            "multiply-always oracle"
+        );
+        assert_eq!(
+            modexp(&mut engine_window, &cs, &ds, fixed),
+            ms,
+            "windowed oracle"
+        );
+        // Signatures must agree bit-for-bit across *every* backend
+        // (swept, not a hardcoded pair, so the next EngineKind
+        // addition is gated automatically).
+        let sig_want: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.d, &key.n)).collect();
+        for session in &sessions {
+            let kind = session.backend().name();
+            assert_eq!(
+                session.decrypt_crt(&cs).unwrap(),
+                ms,
+                "CRT dispatch oracle ({kind})"
+            );
+            assert_eq!(
+                session.sign(&ms).unwrap(),
+                sig_want,
+                "sign dispatch cross-backend ({kind})"
+            );
+        }
+
+        let full_always_ns = time_ns_per_call(budget_ms, || {
+            black_box(modexp(&mut engine_always, &cs, &ds, ALWAYS));
+        }) / MAX_LANES as f64;
         let full_window_ns = time_ns_per_call(budget_ms, || {
-            black_box(engine_window.modexp_batch_windowed(black_box(&cs), black_box(&ds), window));
+            black_box(modexp(&mut engine_window, &cs, &ds, fixed));
         }) / MAX_LANES as f64;
 
         let crt_window_ns = time_ns_per_call(budget_ms, || {
-            black_box(decrypt_crt_batch(black_box(&key), black_box(&cs)));
+            black_box(crt.decrypt_crt(black_box(&cs)).unwrap());
         }) / MAX_LANES as f64;
 
         // Mixed traffic: per-lane random full-length exponents.
@@ -167,23 +187,18 @@ fn main() {
                 e
             })
             .collect();
-        {
-            let mut always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            let mut windowed = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            let a = always.modexp_batch(&ms, &es);
-            assert_eq!(
-                windowed.modexp_batch_windowed(&ms, &es, window),
-                a,
-                "mixed-traffic oracle"
-            );
-        }
         let mut modexp_always = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        let modexp_always_ns = time_ns_per_call(budget_ms, || {
-            black_box(modexp_always.modexp_batch(black_box(&ms), black_box(&es)));
-        }) / MAX_LANES as f64;
         let mut modexp_window = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        assert_eq!(
+            modexp(&mut modexp_window, &ms, &es, fixed),
+            modexp(&mut modexp_always, &ms, &es, ALWAYS),
+            "mixed-traffic oracle"
+        );
+        let modexp_always_ns = time_ns_per_call(budget_ms, || {
+            black_box(modexp(&mut modexp_always, &ms, &es, ALWAYS));
+        }) / MAX_LANES as f64;
         let modexp_window_ns = time_ns_per_call(budget_ms, || {
-            black_box(modexp_window.modexp_batch_windowed(black_box(&ms), black_box(&es), window));
+            black_box(modexp(&mut modexp_window, &ms, &es, fixed));
         }) / MAX_LANES as f64;
 
         println!(

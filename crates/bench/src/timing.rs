@@ -40,6 +40,7 @@ use mmm_core::expo_batch::BatchModExp;
 use mmm_core::modgen::random_safe_params;
 use mmm_core::montgomery::mont_mul_alg2;
 use mmm_core::traits::BatchMontMul;
+use mmm_core::{ScalarSet, WindowPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -211,8 +212,8 @@ fn report(samples: &[(Class, f64)], n_per_class: usize) -> TimingReport {
     }
 }
 
-/// Probe 1 — **digit selection**: binary-scan `modexp_batch` on the
-/// radix-2⁶⁴ backend, secret = the exponents. Fixed class pins the
+/// Probe 1 — **digit selection**: the binary (`w = 1`) batched scan
+/// on the radix-2⁶⁴ backend, secret = the exponents. Fixed class pins the
 /// worst case (all-ones exponents — every digit non-zero); random
 /// class draws fresh exponents per sample. Unhardened, the scan's
 /// skip-on-zero-digit optimization makes dense exponents measurably
@@ -252,7 +253,9 @@ pub fn probe_digit_selection(mode: HardeningMode, n_per_class: usize) -> TimingR
                 .collect(),
         },
         |es: Vec<Ubig>| {
-            black_box(me.modexp_batch(black_box(&ms), black_box(&es)));
+            let es = ScalarSet::PerLane(black_box(&es));
+            black_box(me.try_modexp(black_box(&ms), es, WindowPolicy::Fixed(1)))
+                .expect("reduced inputs");
         },
     );
     report(&samples, n_per_class)

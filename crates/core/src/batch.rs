@@ -45,11 +45,10 @@
 //! Lane-for-lane, results are bit-identical to a solo
 //! [`crate::wave_packed::PackedMmmc`] run — asserted by the module
 //! tests and by `tests/batch_engine.rs` at the workspace root. For
-//! workloads wider than 64 lanes, [`mont_mul_many`] shards across
+//! workloads wider than 64 lanes, [`try_mont_mul_many`] shards across
 //! engines with rayon.
 
 use crate::config::{EngineConfig, HardeningMode};
-use crate::engine::EngineKind;
 use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
@@ -414,39 +413,24 @@ impl<E: MontMul> BatchMontMul for SequentialBatch<E> {
     }
 }
 
-/// Montgomery-multiplies an arbitrary number of lane pairs by sharding
-/// them into 64-lane batches and fanning the batches out across cores
-/// with rayon (results keep input order). Engines are checked out of
-/// the process-wide [`pool`] keyed by `params`, so repeated calls stop
-/// rebuilding parameters and reallocating lane state — each worker
-/// reuses a warm engine of the **process-default backend**
-/// ([`crate::engine::EngineKind::default_kind`], the radix-2⁶⁴ CIOS
-/// scan); [`mont_mul_many_with`] selects a backend explicitly. Every
-/// backend returns bit-identical results.
-pub fn mont_mul_many(params: &MontgomeryParams, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-    mont_mul_many_with(params, xs, ys, EngineKind::default_kind())
-}
-
-/// [`mont_mul_many`] on an explicit backend — the cross-checking and
-/// wave-model-experiment entry point.
-pub fn mont_mul_many_with(
-    params: &MontgomeryParams,
-    xs: &[Ubig],
-    ys: &[Ubig],
-    kind: EngineKind,
-) -> Vec<Ubig> {
-    assert_eq!(xs.len(), ys.len(), "operand count mismatch");
-    mont_mul_many_sharded(params, xs, ys, kind, MAX_LANES, HardeningMode::Off)
-}
-
-/// Fully fallible [`mont_mul_many`] driven by an [`EngineConfig`]
-/// (backend and shard width): every input rejection — length mismatch,
-/// an operand `≥ 2N` (reported with its index in `xs`/`ys`, not
-/// shard-local), a bit-sliced request on hardware-unsafe parameters —
-/// comes back as a typed [`MmmError`] instead of a panic, so one bad
-/// request cannot abort a serving process. Empty input is `Ok(vec![])`
-/// (a sharding façade has no lanes to reject). Ok-path results are
-/// bit-identical to [`mont_mul_many_with`] on the same backend.
+/// Montgomery-multiplies any number of lane pairs, driven by an
+/// [`EngineConfig`]: the pairs are sharded into
+/// [`EngineConfig::shard_lanes`]-wide batches fanned out across cores
+/// with rayon (results keep input order), each on a warm engine of the
+/// configured backend checked out of the process-wide [`pool`] keyed by
+/// `params`, so repeated calls stop rebuilding parameters and
+/// reallocating lane state. Every backend returns bit-identical
+/// results. Under [`HardeningMode::Hardened`] every checked-out engine
+/// runs its branchless canonicalizing final subtraction, so results
+/// are the canonical `< N` representatives (the same residues; `Off`
+/// returns the raw Algorithm-2 `< 2N` values).
+///
+/// Every input rejection — length mismatch, an operand `≥ 2N`
+/// (reported with its index in `xs`/`ys`, not shard-local), a
+/// bit-sliced request on hardware-unsafe parameters — comes back as a
+/// typed [`MmmError`] instead of a panic, so one bad request cannot
+/// abort a serving process. Empty input is `Ok(vec![])` (a sharding
+/// façade has no lanes to reject).
 pub fn try_mont_mul_many(
     params: &MontgomeryParams,
     xs: &[Ubig],
@@ -460,7 +444,7 @@ pub fn try_mont_mul_many(
         });
     }
     config.backend().ensure_supports(params)?;
-    pool::try_global()?;
+    let pool = pool::try_global()?;
     for (k, (x, y)) in xs.iter().zip(ys).enumerate() {
         if !(params.check_operand(x) && params.check_operand(y)) {
             return Err(MmmError::OperandOutOfRange {
@@ -469,43 +453,19 @@ pub fn try_mont_mul_many(
             });
         }
     }
-    Ok(mont_mul_many_sharded(
-        params,
-        xs,
-        ys,
-        config.backend(),
-        config.shard_lanes(),
-        config.hardening(),
-    ))
-}
-
-/// The shared sharding core of [`mont_mul_many_with`] /
-/// [`try_mont_mul_many`]: inputs are assumed validated. Under
-/// [`HardeningMode::Hardened`] every checked-out engine runs its
-/// branchless canonicalizing final subtraction, so results are the
-/// canonical `< N` representatives (the same residues; `Off` returns
-/// the raw Algorithm-2 `< 2N` values).
-fn mont_mul_many_sharded(
-    params: &MontgomeryParams,
-    xs: &[Ubig],
-    ys: &[Ubig],
-    kind: EngineKind,
-    shard_lanes: usize,
-    hardening: HardeningMode,
-) -> Vec<Ubig> {
-    let width = shard_lanes.clamp(1, MAX_LANES);
+    let width = config.shard_lanes().clamp(1, MAX_LANES);
     let shards: Vec<(&[Ubig], &[Ubig])> = xs.chunks(width).zip(ys.chunks(width)).collect();
-    shards
+    Ok(shards
         .into_par_iter()
         .map(|(sx, sy)| {
-            let mut engine = pool::global().checkout_kind(params, kind);
-            engine.set_hardening(hardening);
+            let mut engine = pool.checkout_kind(params, config.backend());
+            engine.set_hardening(config.hardening());
             engine.mont_mul_batch(sx, sy)
         })
         .collect::<Vec<Vec<Ubig>>>()
         .into_iter()
         .flatten()
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
@@ -615,10 +575,11 @@ mod tests {
     fn sharded_many_handles_odd_sizes() {
         let mut rng = StdRng::seed_from_u64(205);
         let p = random_safe_params(&mut rng, 16);
+        let config = EngineConfig::default();
         for count in [1usize, 64, 65, 200] {
             let xs: Vec<Ubig> = (0..count).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..count).map(|_| random_operand(&mut rng, &p)).collect();
-            let got = mont_mul_many(&p, &xs, &ys);
+            let got = try_mont_mul_many(&p, &xs, &ys, &config).unwrap();
             assert_eq!(got.len(), count);
             for k in 0..count {
                 assert_eq!(

@@ -39,6 +39,7 @@ use crate::error::MmmError;
 use crate::pool::DEFAULT_MAX_KEYS;
 use crate::verify::faults::CorruptionPlan;
 use crate::verify::{Quarantine, VerifyContext, VerifyPolicy};
+use std::env::VarError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -423,66 +424,53 @@ impl EngineConfig {
 
     /// Applies the `MMM_*` environment overrides on top of `self`
     /// (see [`EngineConfig::from_env`]).
-    pub fn override_from_env(mut self) -> Result<Self, MmmError> {
-        match std::env::var("MMM_ENGINE") {
-            Ok(v) => {
-                self.backend = v.parse().map_err(|e: MmmError| match e {
-                    MmmError::Config(msg) => MmmError::Config(format!("MMM_ENGINE: {msg}")),
-                    other => other,
-                })?;
-            }
-            Err(std::env::VarError::NotPresent) => {}
-            Err(e) => {
-                return Err(MmmError::Config(format!(
-                    "unreadable MMM_ENGINE value: {e}"
-                )));
-            }
+    pub fn override_from_env(self) -> Result<Self, MmmError> {
+        self.override_from(|name| std::env::var(name))
+    }
+
+    /// [`EngineConfig::override_from_env`] reading each variable
+    /// through `lookup` instead of the process environment.
+    fn override_from(
+        mut self,
+        lookup: impl Fn(&str) -> Result<String, VarError>,
+    ) -> Result<Self, MmmError> {
+        if let Some(backend) = env_override(&lookup, "MMM_ENGINE", str::parse)? {
+            self.backend = backend;
         }
-        match std::env::var("MMM_POOL_KEYS") {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(c) if c >= 1 => self.pool_capacity = c,
-                _ => {
-                    return Err(MmmError::Config(format!(
-                        "MMM_POOL_KEYS must be a positive integer, got {v:?}"
-                    )));
-                }
-            },
-            Err(std::env::VarError::NotPresent) => {}
-            Err(e) => {
-                return Err(MmmError::Config(format!(
-                    "unreadable MMM_POOL_KEYS value: {e}"
-                )));
-            }
+        let positive = |v: &str| match v.parse::<usize>() {
+            Ok(c) if c >= 1 => Ok(c),
+            _ => Err(MmmError::Config(format!(
+                "must be a positive integer, got {v:?}"
+            ))),
+        };
+        if let Some(capacity) = env_override(&lookup, "MMM_POOL_KEYS", positive)? {
+            self.pool_capacity = capacity;
         }
-        match std::env::var("MMM_VERIFY") {
-            Ok(v) => {
-                self.verify = v.parse().map_err(|e: MmmError| match e {
-                    MmmError::Config(msg) => MmmError::Config(format!("MMM_VERIFY: {msg}")),
-                    other => other,
-                })?;
-            }
-            Err(std::env::VarError::NotPresent) => {}
-            Err(e) => {
-                return Err(MmmError::Config(format!(
-                    "unreadable MMM_VERIFY value: {e}"
-                )));
-            }
+        if let Some(verify) = env_override(&lookup, "MMM_VERIFY", str::parse)? {
+            self.verify = verify;
         }
-        match std::env::var("MMM_HARDENED") {
-            Ok(v) => {
-                self.hardening = v.parse().map_err(|e: MmmError| match e {
-                    MmmError::Config(msg) => MmmError::Config(format!("MMM_HARDENED: {msg}")),
-                    other => other,
-                })?;
-            }
-            Err(std::env::VarError::NotPresent) => {}
-            Err(e) => {
-                return Err(MmmError::Config(format!(
-                    "unreadable MMM_HARDENED value: {e}"
-                )));
-            }
+        if let Some(hardening) = env_override(&lookup, "MMM_HARDENED", str::parse)? {
+            self.hardening = hardening;
         }
         Ok(self)
+    }
+}
+
+/// Reads variable `name` through `lookup` and parses it: an absent
+/// variable is `Ok(None)`; an unreadable or unparsable value is an
+/// [`MmmError::Config`] naming the variable.
+fn env_override<T>(
+    lookup: &impl Fn(&str) -> Result<String, VarError>,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, MmmError>,
+) -> Result<Option<T>, MmmError> {
+    match lookup(name) {
+        Ok(v) => parse(&v).map(Some).map_err(|e| match e {
+            MmmError::Config(msg) => MmmError::Config(format!("{name}: {msg}")),
+            other => other,
+        }),
+        Err(VarError::NotPresent) => Ok(None),
+        Err(e) => Err(MmmError::Config(format!("unreadable {name} value: {e}"))),
     }
 }
 
@@ -644,6 +632,72 @@ mod tests {
             EngineConfig::default().with_shard_lanes(65),
             Err(MmmError::Config(_))
         ));
+    }
+
+    /// `override_from` over a fixed variable table, never the process
+    /// environment (which every test in the binary shares).
+    fn with_vars(vars: &[(&str, &str)]) -> Result<EngineConfig, MmmError> {
+        EngineConfig::default().override_from(|name| {
+            vars.iter()
+                .find(|(k, _)| *k == name)
+                .map(|(_, v)| v.to_string())
+                .ok_or(VarError::NotPresent)
+        })
+    }
+
+    #[test]
+    fn env_typos_are_config_errors_naming_the_variable() {
+        let typos = [
+            ("MMM_HARDENED", "typo"),
+            ("MMM_HARDENED", "2"),
+            ("MMM_HARDENED", "yes!"),
+            ("MMM_HARDENED", " hardened"),
+            ("MMM_ENGINE", "coos"),
+            ("MMM_POOL_KEYS", "0"),
+            ("MMM_POOL_KEYS", "many"),
+            ("MMM_VERIFY", "sampled:0"),
+        ];
+        for (name, typo) in typos {
+            match with_vars(&[(name, typo)]) {
+                Err(MmmError::Config(msg)) => {
+                    assert!(msg.contains(name), "names the variable: {msg}");
+                    assert!(msg.contains(typo.trim()), "echoes the value: {msg}");
+                }
+                other => panic!("{name}={typo:?}: expected a Config error, got {other:?}"),
+            }
+        }
+        let unreadable = EngineConfig::default()
+            .override_from(|_| Err(VarError::NotUnicode("\u{fffd}".into())))
+            .unwrap_err();
+        assert!(unreadable.to_string().contains("unreadable MMM_ENGINE"));
+    }
+
+    #[test]
+    fn env_values_override_the_defaults() {
+        for (ok, want) in [
+            ("1", HardeningMode::Hardened),
+            ("on", HardeningMode::Hardened),
+            ("hardened", HardeningMode::Hardened),
+            ("0", HardeningMode::Off),
+            ("off", HardeningMode::Off),
+        ] {
+            let c = with_vars(&[("MMM_HARDENED", ok)]).unwrap();
+            assert_eq!(c.hardening(), want, "{ok}");
+        }
+        let c = with_vars(&[
+            ("MMM_ENGINE", "cios52"),
+            ("MMM_POOL_KEYS", "7"),
+            ("MMM_VERIFY", "full"),
+        ])
+        .unwrap();
+        assert_eq!(c.backend(), EngineKind::Cios52);
+        assert_eq!(c.pool_capacity(), 7);
+        assert_eq!(c.verify(), VerifyPolicy::Full);
+        assert_eq!(
+            with_vars(&[]).unwrap(),
+            EngineConfig::default(),
+            "absent variables keep the defaults"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Backend dispatch: one [`EngineKind`] switch selecting which batch
 //! Montgomery multiplier runs under every pooled entry point
-//! (`mont_mul_many`, `modexp_many*`, the `mmm-rsa` batch API).
+//! (`try_mont_mul_many`, `try_modexp_many`, the `mmm-rsa` sessions).
 //!
 //! Every backend implements the identical Algorithm-2 contract and
 //! produces **bit-identical** results lane for lane (asserted by

@@ -4,11 +4,13 @@
 //! The original research-harness surface validated with `assert!` —
 //! fine for experiments, fatal for a server where one unreduced
 //! message from one client must not abort the process. The fallible
-//! entry points (`try_mont_mul_batch`, `try_modexp_*`,
-//! `mmm-rsa`'s `KeyedSession`) return [`MmmError`] instead; the legacy
-//! panicking entry points are thin wrappers that delegate to them and
-//! `panic!` with the error's [`Display`](std::fmt::Display) text, so
-//! their messages (asserted by the existing test suite) are unchanged.
+//! entry points (`try_mont_mul_batch`, `BatchModExp::try_modexp`,
+//! `try_modexp_many`, `mmm-rsa`'s `KeyedSession`) return [`MmmError`]
+//! instead; the panicking entry points that remain (engine-level
+//! `mont_mul_batch`, the `new` constructors) are thin wrappers that
+//! delegate to them and `panic!` with the error's
+//! [`Display`](std::fmt::Display) text, so their messages (asserted by
+//! the existing test suite) are unchanged.
 //!
 //! Variants carry enough structure to act on programmatically — most
 //! importantly [`MmmError::OperandOutOfRange`] names the offending

@@ -167,12 +167,13 @@ pub fn best_window(t: usize) -> usize {
 
 /// Expected **batched** Montgomery-multiplication count of the
 /// lockstep fixed-window (k-ary) scan
-/// ([`crate::expo_batch::BatchModExp::modexp_batch_windowed`]) for a
-/// `t`-bit exponent: the full table `2^w − 2` (every digit value,
-/// even ones included, so digit selection never perturbs the
-/// schedule), `(⌈t/w⌉ − 1)·w` squarings (the top window is a table
-/// lookup), `⌈t/w⌉ − 1` multiply-always steps, and the two domain
-/// transforms. Unlike the sliding-window model this charges the
+/// ([`crate::expo_batch::BatchModExp::try_modexp`]) for a `t`-bit
+/// exponent: the full table `2^w − 2` (every digit value, even ones
+/// included, so digit selection never perturbs the schedule),
+/// `(⌈t/w⌉ − 1)·w` squarings (the top window is a table lookup),
+/// `⌈t/w⌉ − 1` multiply-always steps, and the two domain transforms.
+/// At `w = 1` this is Algorithm 3's square-and-multiply-always scan:
+/// `2(t − 1) + 2` multiplications. Unlike the sliding-window model this charges the
 /// multiply for *every* window, because lanes scan in lockstep and a
 /// window is only skippable when **all** lanes have digit 0.
 ///

@@ -26,11 +26,13 @@
 //!    default through the backend-dispatch layer ([`engine`]) with the
 //!    bit-sliced array retained as the fidelity oracle. See
 //!    `DESIGN.md` §7.
-//! 7. **Typed serving surface** ([`error`], [`config`]) — fallible
-//!    `try_*` twins of every batch entry point returning
-//!    [`MmmError`] instead of panicking, and the [`EngineConfig`]
-//!    builder that absorbs the `MMM_*` environment variables into one
-//!    validated value. See `DESIGN.md` §8.
+//! 7. **Typed serving surface** ([`error`], [`config`]) — one
+//!    fallible entry point per batch operation
+//!    ([`BatchModExp::try_modexp`], [`expo_batch::try_modexp_many`],
+//!    [`batch::try_mont_mul_many`]) returning [`MmmError`] instead of
+//!    panicking, and the [`EngineConfig`] builder that absorbs the
+//!    `MMM_*` environment variables into one validated value. See
+//!    `DESIGN.md` §8.
 //! 8. **Radix-2⁵² carry-save SIMD backend** ([`cios52`]) — the same
 //!    Algorithm-2 contract over 52-bit digits with deferred carries,
 //!    with explicit AVX2 / AVX-512-IFMA kernels selected at runtime

@@ -3,8 +3,8 @@
 //! bounded LRU eviction.
 //!
 //! The serving shape this workspace targets is *one key, many
-//! requests*: every batch entry point (`mont_mul_many`,
-//! `modexp_many`, the `mmm-rsa` batched sign/verify/decrypt paths)
+//! requests*: every batch entry point (`try_mont_mul_many`,
+//! `try_modexp_many`, the `mmm-rsa` session sign/verify/decrypt paths)
 //! used to rebuild `MontgomeryParams` — several wide divisions — and
 //! allocate a fresh engine on **every call**. Under sustained traffic
 //! that is pure overhead: the modulus set is small (one per RSA key,
@@ -15,11 +15,10 @@
 //! * [`EnginePool::params_for`] caches hardware-safe parameters per
 //!   modulus (constants included, since `MontgomeryParams`
 //!   precomputes them at construction);
-//! * [`EnginePool::checkout`] hands out a warm engine of the
-//!   process-default backend ([`EngineKind::default_kind`], CIOS) for
-//!   the parameters — [`EnginePool::checkout_kind`] selects a backend
-//!   explicitly — building one only when every pooled engine of that
-//!   kind for that key is already on loan. The returned
+//! * [`EnginePool::checkout_kind`] hands out a warm engine of the
+//!   requested backend for the parameters, building one only when
+//!   every pooled engine of that kind for that key is already on
+//!   loan. The returned
 //!   [`PooledEngine`] implements [`BatchMontMul`] and parks its engine
 //!   back in the pool on drop, so rayon workers naturally recycle
 //!   engines across shards and calls.
@@ -38,10 +37,10 @@
 //! (now orphaned) entry and are dropped with it when returned.
 //!
 //! One retention caveat remains: an entry keyed by a secret modulus
-//! (the CRT primes behind `mmm-rsa::decrypt_crt_batch`) keeps that
-//! secret in memory until evicted or [`EnginePool::clear`]ed — this
-//! workspace is a throughput simulator, not a hardened key store;
-//! nothing here is zeroized.
+//! (the CRT primes behind `mmm-rsa`'s `KeyedSession::decrypt_crt`)
+//! keeps that secret in memory until evicted or
+//! [`EnginePool::clear`]ed — this workspace is a throughput simulator,
+//! not a hardened key store; nothing here is zeroized.
 //!
 //! The process-wide instance is [`global`].
 
@@ -258,14 +257,6 @@ impl EnginePool {
             .clone()
     }
 
-    /// Checks out a warm engine of the **process-default backend**
-    /// ([`EngineKind::default_kind`], CIOS unless `MMM_ENGINE`
-    /// overrides) for `params`. The engine returns to the pool when
-    /// the guard drops.
-    pub fn checkout(&self, params: &MontgomeryParams) -> PooledEngine {
-        self.checkout_kind(params, EngineKind::default_kind())
-    }
-
     /// Fallible [`EnginePool::checkout_kind`]: rejects a bit-sliced
     /// checkout on hardware-unsafe parameters with
     /// [`MmmError::HardwareUnsafeWidth`] instead of panicking inside
@@ -281,9 +272,9 @@ impl EnginePool {
         Ok(self.checkout_kind(params, kind))
     }
 
-    /// Checks out a warm engine of an explicit backend for `params`,
+    /// Checks out a warm engine of backend `kind` for `params`,
     /// building one only if no idle engine of that kind is pooled for
-    /// this key.
+    /// this key. The engine returns to the pool when the guard drops.
     ///
     /// # Panics
     /// Panics if the bit-sliced backend is requested for
@@ -408,8 +399,8 @@ impl BatchMontMul for PooledEngine {
     }
 }
 
-/// The process-wide pool used by the sharded `*_many` entry points and
-/// the `mmm-rsa` batch API. Its key cap is [`DEFAULT_MAX_KEYS`],
+/// The process-wide pool used by the sharded `try_*_many` entry points
+/// and the `mmm-rsa` sessions. Its key cap is [`DEFAULT_MAX_KEYS`],
 /// overridable once per process with the `MMM_POOL_KEYS` environment
 /// variable (a positive integer) — the escape hatch for serving
 /// processes whose live key population exceeds the default (each CRT
@@ -466,15 +457,15 @@ mod tests {
         let pool = EnginePool::new();
         let p = random_safe_params(&mut rng, 24);
         {
-            let _a = pool.checkout(&p);
-            let _b = pool.checkout(&p);
+            let _a = pool.checkout_kind(&p, EngineKind::Cios);
+            let _b = pool.checkout_kind(&p, EngineKind::Cios);
             let s = pool.stats();
             assert_eq!(s.engine_builds, 2, "both on loan: two builds");
             assert_eq!(s.engine_reuses, 0);
         }
         // Both returned; the next two checkouts must be warm.
-        let _c = pool.checkout(&p);
-        let _d = pool.checkout(&p);
+        let _c = pool.checkout_kind(&p, EngineKind::Cios);
+        let _d = pool.checkout_kind(&p, EngineKind::Cios);
         let s = pool.stats();
         assert_eq!(s.engine_builds, 2);
         assert_eq!(s.engine_reuses, 2);
@@ -486,7 +477,7 @@ mod tests {
         let before = global_stats().expect("clean environment");
         let mut rng = StdRng::seed_from_u64(409);
         let p = random_safe_params(&mut rng, 16);
-        drop(global().checkout(&p));
+        drop(global().checkout_kind(&p, EngineKind::Cios));
         let after = global_stats().expect("clean environment");
         assert!(
             after.engine_builds + after.engine_reuses > before.engine_builds + before.engine_reuses,
@@ -521,12 +512,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(405);
         let pool = EnginePool::new();
         let p = random_safe_params(&mut rng, 20);
+        // The process default (`MMM_ENGINE`, CIOS when unset) is just
+        // one more kind: its engine parks under its own idle list.
+        let default = EngineKind::default_kind();
         {
-            // The plain checkout must honor the process default — CIOS
-            // unless the developer is running the documented
-            // `MMM_ENGINE=bitsliced` A/B workflow.
-            let a = pool.checkout(&p);
-            assert_eq!(a.kind(), EngineKind::default_kind());
+            let a = pool.checkout_kind(&p, default);
+            assert_eq!(a.kind(), default);
         }
         {
             let c = pool.checkout_kind(&p, EngineKind::Cios);
@@ -538,14 +529,18 @@ mod tests {
             let b = pool.checkout_kind(&p, EngineKind::BitSliced);
             assert_eq!(b.kind(), EngineKind::BitSliced);
         }
-        // One build per backend (the default checkout parked an engine
-        // of one of the two kinds, which the matching explicit
-        // checkout above then reused).
-        assert_eq!(pool.stats().engine_builds, 2, "one build per backend");
-        // Now both kinds are warm.
+        // One build per distinct backend: an explicit checkout of the
+        // default's kind reuses the engine the default parked.
+        let kinds = 2 + usize::from(!matches!(default, EngineKind::Cios | EngineKind::BitSliced));
+        assert_eq!(
+            pool.stats().engine_builds,
+            kinds as u64,
+            "one build per backend"
+        );
+        // Now every kind is warm: five checkouts, `kinds` builds.
         let _c = pool.checkout_kind(&p, EngineKind::Cios);
         let _d = pool.checkout_kind(&p, EngineKind::BitSliced);
-        assert_eq!(pool.stats().engine_reuses, 3);
+        assert_eq!(pool.stats().engine_reuses, 5 - kinds as u64);
     }
 
     #[test]
@@ -556,7 +551,7 @@ mod tests {
         for round in 0..4 {
             let xs: Vec<Ubig> = (0..5).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..5).map(|_| random_operand(&mut rng, &p)).collect();
-            let mut engine = pool.checkout(&p);
+            let mut engine = pool.checkout_kind(&p, EngineKind::Cios);
             let got = engine.mont_mul_batch(&xs, &ys);
             for k in 0..5 {
                 assert_eq!(got[k], mont_mul_alg2(&p, &xs[k], &ys[k]), "round {round}");
@@ -633,8 +628,8 @@ mod tests {
         let n = Ubig::from(101u64);
         let narrow = MontgomeryParams::new(&n, 8);
         let wide = MontgomeryParams::new(&n, 10);
-        let _a = pool.checkout(&narrow);
-        let _b = pool.checkout(&wide);
+        let _a = pool.checkout_kind(&narrow, EngineKind::Cios);
+        let _b = pool.checkout_kind(&wide, EngineKind::Cios);
         assert_eq!(pool.stats().key_misses, 2, "width is part of the key");
     }
 
@@ -643,9 +638,9 @@ mod tests {
         let pool = EnginePool::new();
         let n = Ubig::from(1009u64);
         let p = MontgomeryParams::hardware_safe(&n);
-        drop(pool.checkout(&p));
+        drop(pool.checkout_kind(&p, EngineKind::Cios));
         pool.clear();
-        drop(pool.checkout(&p));
+        drop(pool.checkout_kind(&p, EngineKind::Cios));
         assert_eq!(pool.stats().engine_builds, 2, "cleared pool rebuilds");
     }
 
@@ -659,7 +654,7 @@ mod tests {
         for round in 0..5 {
             for p in &ps {
                 let xs: Vec<Ubig> = (0..3).map(|_| random_operand(&mut rng, p)).collect();
-                let mut e = pool.checkout(p);
+                let mut e = pool.checkout_kind(p, EngineKind::Cios);
                 let got = e.mont_mul_batch(&xs, &xs);
                 for k in 0..3 {
                     assert_eq!(got[k], mont_mul_alg2(p, &xs[k], &xs[k]), "round {round}");
@@ -679,22 +674,22 @@ mod tests {
         let a = random_safe_params(&mut rng, 16);
         let b = random_safe_params(&mut rng, 17);
         let c = random_safe_params(&mut rng, 18);
-        drop(pool.checkout(&a));
-        drop(pool.checkout(&b));
+        drop(pool.checkout_kind(&a, EngineKind::Cios));
+        drop(pool.checkout_kind(&b, EngineKind::Cios));
         // Touch `a` so `b` is the LRU entry when `c` arrives.
-        drop(pool.checkout(&a));
-        drop(pool.checkout(&c));
+        drop(pool.checkout_kind(&a, EngineKind::Cios));
+        drop(pool.checkout_kind(&c, EngineKind::Cios));
         let s = pool.stats();
         assert_eq!(s.evictions, 1, "b evicted to admit c");
         // a and c are still warm…
-        drop(pool.checkout(&a));
-        drop(pool.checkout(&c));
+        drop(pool.checkout_kind(&a, EngineKind::Cios));
+        drop(pool.checkout_kind(&c, EngineKind::Cios));
         let s2 = pool.stats();
         assert_eq!(s2.engine_reuses, 3, "a twice, c once");
         assert_eq!(s2.key_misses, 3, "no rebuild for retained keys");
         // …and the evicted key rebuilds from scratch, correctly.
         let xs: Vec<Ubig> = (0..2).map(|_| random_operand(&mut rng, &b)).collect();
-        let mut e = pool.checkout(&b);
+        let mut e = pool.checkout_kind(&b, EngineKind::Cios);
         let got = e.mont_mul_batch(&xs, &xs);
         assert_eq!(got[0], mont_mul_alg2(&b, &xs[0], &xs[0]));
         let s3 = pool.stats();
@@ -711,7 +706,7 @@ mod tests {
         for i in 0..20 {
             let p = random_safe_params(&mut rng, 16 + (i % 7));
             let xs = vec![random_operand(&mut rng, &p)];
-            let mut e = pool.checkout(&p);
+            let mut e = pool.checkout_kind(&p, EngineKind::Cios);
             let got = e.mont_mul_batch(&xs, &xs);
             assert_eq!(got[0], mont_mul_alg2(&p, &xs[0], &xs[0]), "key {i}");
         }
@@ -737,7 +732,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(409);
         let pool = Arc::new(EnginePool::new());
         let p = random_safe_params(&mut rng, 20);
-        drop(pool.checkout(&p)); // park one engine so idle lists exist
+        drop(pool.checkout_kind(&p, EngineKind::Cios)); // park one engine so idle lists exist
         let poisoner = Arc::clone(&pool);
         let pp = p.clone();
         let _ = std::thread::spawn(move || {
@@ -747,7 +742,7 @@ mod tests {
         .join();
         let entry = pool.entry_with(p.n(), p.l(), || p.clone());
         let _ = std::thread::spawn(move || {
-            let _idle = entry.idle_of(EngineKind::default_kind()).lock().unwrap();
+            let _idle = entry.idle_of(EngineKind::Cios).lock().unwrap();
             panic!("injected: die while holding an idle list");
         })
         .join();
@@ -755,14 +750,14 @@ mod tests {
         // The pool still serves checkouts, reuses the parked engine,
         // and computes correctly.
         let xs: Vec<Ubig> = (0..3).map(|_| random_operand(&mut rng, &pp)).collect();
-        let mut e = pool.checkout(&pp);
+        let mut e = pool.checkout_kind(&pp, EngineKind::Cios);
         let got = e.mont_mul_batch(&xs, &xs);
         for k in 0..3 {
             assert_eq!(got[k], mont_mul_alg2(&pp, &xs[k], &xs[k]));
         }
         drop(e);
         pool.clear();
-        drop(pool.checkout(&pp));
+        drop(pool.checkout_kind(&pp, EngineKind::Cios));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub trait BatchMontMul {
 
     /// Largest batch one call accepts (64 for the bit-sliced engine;
     /// shard wider workloads, e.g. with
-    /// [`crate::batch::mont_mul_many`]).
+    /// [`crate::batch::try_mont_mul_many`]).
     fn max_lanes(&self) -> usize;
 
     /// One batch of Montgomery multiplications: lane `k` of the result

@@ -84,10 +84,9 @@ fn flip_bit_of(v: &mut Ubig, bit: usize) {
     v.set_bit(bit, !cur);
 }
 
-/// The shared never-armed plan used by
-/// [`VerifyContext::inert`](crate::verify::VerifyContext::inert) and
-/// by internal verification passes that must not consume a caller's
-/// armed injections. **Never arm this plan** — it is shared
+/// The shared never-armed plan used by internal verification passes
+/// (the CRT verify-before-release re-encryption) that must not consume
+/// a caller's armed injections. **Never arm this plan** — it is shared
 /// process-wide precisely because it stays inert.
 pub fn inert_plan() -> Arc<CorruptionPlan> {
     static INERT: OnceLock<Arc<CorruptionPlan>> = OnceLock::new();

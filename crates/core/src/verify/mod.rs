@@ -153,19 +153,6 @@ pub struct VerifyContext {
     pub quarantine: Arc<Quarantine>,
 }
 
-impl VerifyContext {
-    /// The do-nothing context: policy `Off`, the shared inert fault
-    /// plan, and the process-global quarantine. Used by the legacy
-    /// panicking entry points, which predate per-call configuration.
-    pub fn inert() -> Self {
-        VerifyContext {
-            policy: VerifyPolicy::Off,
-            faults: faults::inert_plan(),
-            quarantine: Quarantine::global(),
-        }
-    }
-}
-
 /// Fixed table of 32-bit primes the shadow modulus is drawn from. The
 /// pick is keyed on the modulus `N` (deterministic, so repeated runs
 /// are reproducible) but varies across keys, so a corruption pattern

@@ -1,123 +1,30 @@
-//! Batched RSA signing, verification and decryption over the batch
-//! Montgomery engines — the many-client serving path.
-//!
-//! One RSA key serves many requests: all lanes share the modulus `N`,
-//! which is exactly the shape the batch engines accelerate (64
-//! requests advance in lockstep; workloads wider than 64 lanes shard
-//! across cores via
-//! [`mmm_core::expo_batch::modexp_many_shared`]). Every entry point
-//! dispatches through [`mmm_core::engine`]: the radix-2⁶⁴ CIOS scan
-//! by default, the bit-sliced systolic simulation behind the same
-//! trait via the `*_with` variants (both backends are bit-identical,
-//! so swapping is purely a performance/fidelity choice). Parameters
-//! and engines come from the process-wide per-key pool
-//! ([`mmm_core::pool`]), so repeated calls against the same key pay
-//! for no setup. Like the scalar [`crate::signing`] API this is
+//! The batched CRT decryption core behind
+//! [`KeyedSession::decrypt_crt`](crate::server::KeyedSession::decrypt_crt):
+//! each shard of ciphertexts is split into **two half-width batch
+//! runs** (mod `p` and mod `q`), each scanned with the shared-exponent
+//! fixed-window exponentiator, and the halves are recombined per lane
+//! with Garner's formula — the standard ~4× CRT speedup the paper's
+//! future-work section alludes to, realized on the batch engine
+//! (half-width halves both the wave band per multiplication and the
+//! exponent length). Engines come warm from the process-wide per-key
+//! pool ([`mmm_core::pool`]), so repeated calls against the same key
+//! pay for no setup. Like the scalar [`crate::signing`] API this is
 //! textbook RSA — no hash or padding; the exercise is the
 //! exponentiator, as in the paper.
-//!
-//! [`decrypt_crt_batch`] is the throughput flagship: each 64-lane
-//! shard is split into **two half-width batch runs** (mod `p` and mod
-//! `q`), each scanned with the fixed-window exponentiator, and the
-//! halves are recombined per lane with Garner's formula — the
-//! standard ~4× CRT speedup the paper's future-work section alludes
-//! to, realized on the batch engine (half-width halves both the wave
-//! band per multiplication and the exponent length).
 
 use crate::keys::RsaKeyPair;
 use mmm_bigint::Ubig;
 use mmm_core::batch::MAX_LANES;
 use mmm_core::error::OperandBound;
-use mmm_core::expo_batch::{modexp_many_shared_with, try_modexp_many_shared};
+use mmm_core::expo_batch::try_modexp_many;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
 use mmm_core::verify::faults::inert_plan;
 use mmm_core::{
-    BatchModExp, BatchMontMul, EngineConfig, EngineKind, MmmError, VerifiedEngine, VerifyContext,
-    VerifyPolicy, WindowPolicy,
+    BatchModExp, BatchMontMul, EngineConfig, EngineKind, MmmError, ScalarSet, VerifiedEngine,
+    VerifyContext, VerifyPolicy,
 };
 use rayon::prelude::*;
-
-/// Pooled hardware-safe parameters for a key's modulus.
-fn params_for(key: &RsaKeyPair) -> MontgomeryParams {
-    pool::global().params_for(&key.n)
-}
-
-/// Signs every message (reduced residues): `s_k = m_k ^ D mod N`.
-/// Accepts any number of messages; lanes beyond 64 shard across
-/// cores, each on a warm engine of the process-default backend
-/// ([`EngineKind::default_kind`], the radix-2⁶⁴ CIOS scan).
-///
-/// # Panics
-/// Panics if any message is `≥ N`.
-pub fn sign_batch(key: &RsaKeyPair, ms: &[Ubig]) -> Vec<Ubig> {
-    sign_batch_with(key, ms, EngineKind::default_kind())
-}
-
-/// [`sign_batch`] on an explicit multiplier backend (bit-identical
-/// across backends — the cross-checking entry point).
-pub fn sign_batch_with(key: &RsaKeyPair, ms: &[Ubig], kind: EngineKind) -> Vec<Ubig> {
-    modexp_many_shared_with(&params_for(key), ms, &key.d, kind)
-}
-
-/// Verifies every signature: `s_k ^ E mod N == m_k`.
-///
-/// # Panics
-/// Panics if `ms` and `sigs` differ in length or any signature is
-/// `≥ N`.
-pub fn verify_batch(key: &RsaKeyPair, ms: &[Ubig], sigs: &[Ubig]) -> Vec<bool> {
-    verify_batch_with(key, ms, sigs, EngineKind::default_kind())
-}
-
-/// [`verify_batch`] on an explicit multiplier backend.
-pub fn verify_batch_with(
-    key: &RsaKeyPair,
-    ms: &[Ubig],
-    sigs: &[Ubig],
-    kind: EngineKind,
-) -> Vec<bool> {
-    assert_eq!(ms.len(), sigs.len(), "message/signature count mismatch");
-    let recovered = modexp_many_shared_with(&params_for(key), sigs, &key.e, kind);
-    recovered.iter().zip(ms).map(|(r, m)| r == m).collect()
-}
-
-/// Decrypts every ciphertext: `m_k = c_k ^ D mod N`.
-///
-/// # Panics
-/// Panics if any ciphertext is `≥ N`.
-pub fn decrypt_batch(key: &RsaKeyPair, cs: &[Ubig]) -> Vec<Ubig> {
-    sign_batch(key, cs)
-}
-
-/// CRT-decrypts every ciphertext on the batch engine: per 64-lane
-/// shard, two half-width windowed batch exponentiations (`c mod p`
-/// raised to `d_p` on a mod-`p` engine, `c mod q` to `d_q` on a
-/// mod-`q` engine — both checked out warm from the per-key pool) and
-/// a per-lane Garner recombination `m = m_q + q·(q⁻¹·(m_p − m_q) mod
-/// p)`. Bit-identical to scalar [`crate::cipher::decrypt_crt`] lane
-/// for lane, ~4× cheaper than [`decrypt_batch`]: half-width shrinks
-/// the simulated wave band per multiplication *and* halves the
-/// exponent scan, and the fixed window cuts another ~35%.
-///
-/// Shards fan out across cores with rayon; results keep input order.
-///
-/// # Panics
-/// Panics if any ciphertext is `≥ N`.
-pub fn decrypt_crt_batch(key: &RsaKeyPair, cs: &[Ubig]) -> Vec<Ubig> {
-    decrypt_crt_batch_with(key, cs, EngineKind::default_kind())
-}
-
-/// [`decrypt_crt_batch`] on an explicit multiplier backend.
-pub fn decrypt_crt_batch_with(key: &RsaKeyPair, cs: &[Ubig], kind: EngineKind) -> Vec<Ubig> {
-    let pool = pool::global();
-    let pparams = pool.params_for(&key.p);
-    let qparams = pool.params_for(&key.q);
-    for (k, c) in cs.iter().enumerate() {
-        assert!(c < &key.n, "lane {k}: ciphertext must be < N");
-    }
-    let config = EngineConfig::default().with_backend(kind);
-    decrypt_crt_core(key, &pparams, &qparams, cs, &config).unwrap_or_else(|e| panic!("{e}"))
-}
 
 /// Everything one CRT batch run needs, bundled so the compute and
 /// verify helpers share a single signature.
@@ -129,9 +36,9 @@ struct CrtPlan<'a> {
     pool: &'a pool::EnginePool,
 }
 
-/// The shared CRT decryption core behind [`decrypt_crt_batch_with`]
-/// and [`crate::server::KeyedSession::decrypt_crt`]: validates inputs
-/// as typed errors, runs each CRT half through the
+/// The CRT decryption core behind
+/// [`crate::server::KeyedSession::decrypt_crt`]: validates inputs as
+/// typed errors, runs each CRT half through the
 /// **shared-exponent** windowed batch scan (each half's scan reads
 /// its digits straight from `d_p`/`d_q`), and — under any
 /// [`VerifyPolicy`] other than `Off` — applies the
@@ -181,7 +88,7 @@ pub(crate) fn decrypt_crt_core(
     } else {
         kind
     };
-    let mut ms = crt_halves(&plan, cs, run_kind, &ctx);
+    let mut ms = crt_halves(&plan, cs, run_kind, &ctx)?;
     if ctx.policy == VerifyPolicy::Off {
         return Ok(ms);
     }
@@ -204,7 +111,7 @@ pub(crate) fn decrypt_crt_core(
         };
     ctx.quarantine.record_fallback_retry();
     let bad_cs: Vec<Ubig> = bad.iter().map(|&k| cs[k].clone()).collect();
-    let retried = crt_halves(&plan, &bad_cs, fallback, &ctx);
+    let retried = crt_halves(&plan, &bad_cs, fallback, &ctx)?;
     let still_bad = crt_bad_lanes(&plan, &bad_cs, &retried, fallback)?;
     if let Some(&j) = still_bad.first() {
         return Err(MmmError::IntegrityViolation { lane: bad[j] });
@@ -222,7 +129,12 @@ pub(crate) fn decrypt_crt_core(
 /// [`VerifiedEngine`] (policy-gated residue self-checks), and the
 /// corruption-injection hooks for the pooled-param and CRT-half fault
 /// models are applied here — inert outside tests.
-fn crt_halves(plan: &CrtPlan<'_>, cs: &[Ubig], kind: EngineKind, ctx: &VerifyContext) -> Vec<Ubig> {
+fn crt_halves(
+    plan: &CrtPlan<'_>,
+    cs: &[Ubig],
+    kind: EngineKind,
+    ctx: &VerifyContext,
+) -> Result<Vec<Ubig>, MmmError> {
     // Fan out over (shard × prime half): the mod-p and mod-q runs of
     // a shard are independent, so they parallelize too — a queue of
     // ≤ 64 ciphertexts still fills two cores instead of one.
@@ -247,16 +159,13 @@ fn crt_halves(plan: &CrtPlan<'_>, cs: &[Ubig], kind: EngineKind, ctx: &VerifyCon
             // constant-time schedule (full-table sweeps, no skips,
             // canonicalizing engines) — see DESIGN.md §12.
             engine.set_hardening(plan.config.hardening());
-            let mut me = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()));
-            let mut half = match plan.config.window() {
-                WindowPolicy::Auto => me.modexp_batch_shared_auto(&residues, d),
-                WindowPolicy::Fixed(w) => me.modexp_batch_shared_windowed(&residues, d, w),
-            };
+            let mut half = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()))
+                .try_modexp(&residues, ScalarSet::Shared(d), plan.config.window())?;
             ctx.faults.corrupt_crt_half(&mut half, params.n());
-            half
+            Ok(half)
         })
-        .collect();
-    halves
+        .collect::<Result<_, MmmError>>()?;
+    Ok(halves
         .chunks(2)
         .flat_map(|pair| {
             let (mps, mqs) = (&pair[0], &pair[1]);
@@ -264,7 +173,7 @@ fn crt_halves(plan: &CrtPlan<'_>, cs: &[Ubig], kind: EngineKind, ctx: &VerifyCon
                 .zip(mqs)
                 .map(|(mp, mq)| crate::cipher::garner(plan.key, mp, mq))
         })
-        .collect()
+        .collect())
 }
 
 /// The verify-before-release pass: re-encrypts every candidate
@@ -305,7 +214,7 @@ fn crt_bad_lanes(
     } else {
         ms
     };
-    let reenc = try_modexp_many_shared(&nparams, inputs, &plan.key.e, &vconfig)?;
+    let reenc = try_modexp_many(&nparams, inputs, ScalarSet::Shared(&plan.key.e), &vconfig)?;
     Ok((0..ms.len())
         .filter(|&k| ms[k] >= plan.key.n || reenc[k] != cs[k])
         .collect())
@@ -313,15 +222,24 @@ fn crt_bad_lanes(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cipher::decrypt_crt;
+    use crate::keys::RsaKeyPair;
+    use crate::server::KeyedSession;
     use crate::signing::{sign, verify};
+    use mmm_bigint::Ubig;
+    use mmm_core::montgomery::MontgomeryParams;
     use mmm_core::traits::SoftwareEngine;
+    use mmm_core::{EngineConfig, EngineKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn keypair(bits: usize, seed: u64) -> RsaKeyPair {
         let mut rng = StdRng::seed_from_u64(seed);
         RsaKeyPair::generate(&mut rng, bits, 12)
+    }
+
+    fn session(key: &RsaKeyPair, kind: EngineKind) -> KeyedSession {
+        KeyedSession::new(key.clone(), EngineConfig::default().with_backend(kind)).unwrap()
     }
 
     #[test]
@@ -332,7 +250,7 @@ mod tests {
         let ms: Vec<Ubig> = (0..9)
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
-        let sigs = sign_batch(&kp, &ms);
+        let sigs = session(&kp, EngineKind::Cios).sign(&ms).unwrap();
         for (k, (m, s)) in ms.iter().zip(&sigs).enumerate() {
             let scalar = sign(SoftwareEngine::new(params.clone()), &kp, m);
             assert_eq!(*s, scalar, "lane {k}");
@@ -346,11 +264,12 @@ mod tests {
         let ms: Vec<Ubig> = (0..6)
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
-        let mut sigs = sign_batch(&kp, &ms);
-        assert!(verify_batch(&kp, &ms, &sigs).into_iter().all(|ok| ok));
+        let session = session(&kp, EngineKind::Cios);
+        let mut sigs = session.sign(&ms).unwrap();
+        assert!(session.verify(&ms, &sigs).unwrap().into_iter().all(|ok| ok));
         // Tamper with one lane only.
         sigs[3] = sigs[3].modadd(&Ubig::one(), &kp.n);
-        let verdicts = verify_batch(&kp, &ms, &sigs);
+        let verdicts = session.verify(&ms, &sigs).unwrap();
         for (k, ok) in verdicts.into_iter().enumerate() {
             assert_eq!(ok, k != 3, "lane {k}");
         }
@@ -364,19 +283,18 @@ mod tests {
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&kp.e, &kp.n)).collect();
-        assert_eq!(decrypt_batch(&kp, &cs), ms);
+        assert_eq!(session(&kp, EngineKind::Cios).decrypt(&cs).unwrap(), ms);
     }
 
     #[test]
     fn crt_batch_matches_scalar_crt_and_plain_decrypt() {
-        use crate::cipher::decrypt_crt;
         let kp = keypair(64, 77);
         let mut rng = StdRng::seed_from_u64(78);
         let ms: Vec<Ubig> = (0..9)
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&kp.e, &kp.n)).collect();
-        let got = decrypt_crt_batch(&kp, &cs);
+        let got = session(&kp, EngineKind::Cios).decrypt_crt(&cs).unwrap();
         assert_eq!(got, ms, "roundtrip");
         for (k, c) in cs.iter().enumerate() {
             assert_eq!(got[k], decrypt_crt(&kp, c), "lane {k} vs scalar CRT");
@@ -391,7 +309,7 @@ mod tests {
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&kp.e, &kp.n)).collect();
-        assert_eq!(decrypt_crt_batch(&kp, &cs), ms);
+        assert_eq!(session(&kp, EngineKind::Cios).decrypt_crt(&cs).unwrap(), ms);
     }
 
     #[test]
@@ -406,40 +324,34 @@ mod tests {
             (&kp.n - &Ubig::one()),
         ];
         let want: Vec<Ubig> = cs.iter().map(|c| c.modpow(&kp.d, &kp.n)).collect();
-        assert_eq!(decrypt_crt_batch(&kp, &cs), want);
-    }
-
-    #[test]
-    #[should_panic(expected = "ciphertext must be < N")]
-    fn crt_batch_rejects_unreduced_ciphertext() {
-        let kp = keypair(32, 82);
-        let _ = decrypt_crt_batch(&kp, std::slice::from_ref(&kp.n));
+        assert_eq!(
+            session(&kp, EngineKind::Cios).decrypt_crt(&cs).unwrap(),
+            want
+        );
     }
 
     #[test]
     fn every_backend_agrees_on_all_batch_entry_points() {
         let kp = keypair(48, 83);
+        let params = MontgomeryParams::hardware_safe(&kp.n);
         let mut rng = StdRng::seed_from_u64(84);
         let ms: Vec<Ubig> = (0..7)
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&kp.e, &kp.n)).collect();
-        let sigs = sign_batch(&kp, &ms);
+        let sigs: Vec<Ubig> = ms
+            .iter()
+            .map(|m| sign(SoftwareEngine::new(params.clone()), &kp, m))
+            .collect();
         for kind in EngineKind::ALL {
-            assert_eq!(sign_batch_with(&kp, &ms, kind), sigs, "{}", kind.name());
+            let session = session(&kp, kind);
+            assert_eq!(session.sign(&ms).unwrap(), sigs, "{}", kind.name());
             assert!(
-                verify_batch_with(&kp, &ms, &sigs, kind)
-                    .into_iter()
-                    .all(|ok| ok),
+                session.verify(&ms, &sigs).unwrap().into_iter().all(|ok| ok),
                 "{}",
                 kind.name()
             );
-            assert_eq!(
-                decrypt_crt_batch_with(&kp, &cs, kind),
-                ms,
-                "{}",
-                kind.name()
-            );
+            assert_eq!(session.decrypt_crt(&cs).unwrap(), ms, "{}", kind.name());
         }
     }
 
@@ -448,7 +360,7 @@ mod tests {
         let kp = keypair(40, 76);
         let params = MontgomeryParams::hardware_safe(&kp.n);
         let ms = vec![Ubig::from(123456u64).rem(&kp.n), Ubig::from(42u64)];
-        let sigs = sign_batch(&kp, &ms);
+        let sigs = session(&kp, EngineKind::Cios).sign(&ms).unwrap();
         for (m, s) in ms.iter().zip(&sigs) {
             assert!(verify(SoftwareEngine::new(params.clone()), &kp, m, s));
         }

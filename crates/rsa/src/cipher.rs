@@ -27,8 +27,9 @@ pub fn decrypt<E: MontMul>(engine: E, key: &RsaKeyPair, c: &Ubig) -> Ubig {
 /// Garner's recombination: lifts the CRT halves `m_p = m mod p`,
 /// `m_q = m mod q` back to `m mod N` via
 /// `m = m_q + q·(q⁻¹·(m_p − m_q) mod p)`. Shared by the scalar
-/// [`decrypt_crt`] and the batched `mmm-rsa::decrypt_crt_batch`, so
-/// the two paths can never drift.
+/// [`decrypt_crt`] and the batched
+/// [`KeyedSession::decrypt_crt`](crate::server::KeyedSession::decrypt_crt),
+/// so the two paths can never drift.
 pub fn garner(key: &RsaKeyPair, mp: &Ubig, mq: &Ubig) -> Ubig {
     let h = mp.modsub(mq, &key.p).modmul(&key.qinv, &key.p);
     mq + &(&h * &key.q)

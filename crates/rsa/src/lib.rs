@@ -14,14 +14,15 @@
 //! [`EngineConfig`] value. On top of that sits [`serve`]: the
 //! fault-tolerant multi-worker front-end ([`Server`]) with
 //! deadline-driven flushing, bounded-queue backpressure, panic
-//! isolation, and a fault-injection harness ([`serve::faults`]). The
-//! free functions in [`batch`] remain as thin panicking wrappers for
-//! harness code and benchmarks.
+//! isolation, and a fault-injection harness ([`serve::faults`]).
+//! Every batched operation — sign, verify, full-width and CRT
+//! decryption — goes through a session; there are no free-function
+//! batch entry points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 pub mod blinding;
 pub mod cipher;
 pub mod keys;
@@ -29,10 +30,6 @@ pub mod serve;
 pub mod server;
 pub mod signing;
 
-pub use batch::{
-    decrypt_batch, decrypt_crt_batch, decrypt_crt_batch_with, sign_batch, sign_batch_with,
-    verify_batch, verify_batch_with,
-};
 pub use cipher::{decrypt, decrypt_crt, encrypt};
 pub use keys::RsaKeyPair;
 pub use serve::{FaultPlan, KeyId, ServeStats, Server, ServerBuilder, Ticket};

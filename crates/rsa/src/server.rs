@@ -1,28 +1,23 @@
-//! The typed serving API: a per-key session handle and a request
-//! aggregator, replacing the free-function/`&RsaKeyPair`-threading
-//! surface for server-shaped callers.
+//! The typed serving API — the one entry point for batched RSA: a
+//! per-key session handle and a request aggregator.
 //!
-//! The batch entry points in [`crate::batch`] answer "I have a `Vec`
-//! of 100 ciphertexts" — a research harness shape. Real traffic is
-//! *millions of independent clients* each submitting one request
-//! against a long-lived key, which needs two things the free
-//! functions don't provide:
+//! Real traffic is *millions of independent clients* each submitting
+//! one request against a long-lived key, which needs two things:
 //!
 //! * [`KeyedSession`] — one handle owning the key **and** its pooled
 //!   Montgomery parameters (`N`, and the CRT primes `p`/`q`) plus the
 //!   engine configuration, built once and reused for every request.
-//!   No more threading `&RsaKeyPair` + [`EngineKind`] through every
-//!   call, and no panics: every method returns
-//!   `Result<_, MmmError>`, so one client's unreduced message bounces
-//!   that request instead of aborting the process.
+//!   No threading `&RsaKeyPair` + [`EngineKind`] through every call,
+//!   and no panics: every method returns `Result<_, MmmError>`, so one
+//!   client's unreduced message bounces that request instead of
+//!   aborting the process.
 //! * [`BatchCollector`] — accepts **individually submitted** requests,
 //!   aggregates them toward full 64-lane shards, and returns
 //!   per-request results in submission order on
-//!   [`BatchCollector::flush`] — the missing aggregation step between
-//!   a pre-assembled `Vec` and independent clients. Results are
-//!   bit-identical to calling the corresponding batch function on the
-//!   same inputs (asserted by `tests/serving_api.rs` on both
-//!   backends).
+//!   [`BatchCollector::flush`] — the aggregation step between
+//!   independent clients and a batch. Results are bit-identical to
+//!   calling the corresponding session method on the same inputs
+//!   (asserted by `tests/serving_api.rs` on every backend).
 //!
 //! Backend, window policy, pool capacity and shard width all come
 //! from one validated [`EngineConfig`] value; use
@@ -34,10 +29,10 @@ use crate::blinding::BlindingState;
 use crate::keys::RsaKeyPair;
 use mmm_bigint::Ubig;
 use mmm_core::error::OperandBound;
-use mmm_core::expo_batch::try_modexp_many_shared;
+use mmm_core::expo_batch::try_modexp_many;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
-use mmm_core::{EngineConfig, EngineKind, MmmError};
+use mmm_core::{EngineConfig, EngineKind, MmmError, ScalarSet};
 use std::sync::Arc;
 
 /// A serving session bound to one RSA key: owns the key, its pooled
@@ -141,7 +136,12 @@ impl KeyedSession {
     /// [`MmmError::OperandOutOfRange`] naming the lane; empty input
     /// is `Ok(vec![])`.
     pub fn sign(&self, ms: &[Ubig]) -> Result<Vec<Ubig>, MmmError> {
-        try_modexp_many_shared(&self.params, ms, &self.key.d, &self.config)
+        try_modexp_many(
+            &self.params,
+            ms,
+            ScalarSet::Shared(&self.key.d),
+            &self.config,
+        )
     }
 
     /// Verifies every signature: `s_k ^ E mod N == m_k`. Rejects
@@ -154,7 +154,12 @@ impl KeyedSession {
                 right: sigs.len(),
             });
         }
-        let recovered = try_modexp_many_shared(&self.params, sigs, &self.key.e, &self.config)?;
+        let recovered = try_modexp_many(
+            &self.params,
+            sigs,
+            ScalarSet::Shared(&self.key.e),
+            &self.config,
+        )?;
         Ok(recovered.iter().zip(ms).map(|(r, m)| r == m).collect())
     }
 
@@ -163,14 +168,18 @@ impl KeyedSession {
     /// it is ~4× cheaper; this entry point exists for keys whose CRT
     /// components are unavailable.
     pub fn decrypt(&self, cs: &[Ubig]) -> Result<Vec<Ubig>, MmmError> {
-        try_modexp_many_shared(&self.params, cs, &self.key.d, &self.config)
+        try_modexp_many(
+            &self.params,
+            cs,
+            ScalarSet::Shared(&self.key.d),
+            &self.config,
+        )
     }
 
     /// CRT-decrypts every ciphertext: per shard, two half-width
     /// shared-exponent windowed batch runs (mod `p`, mod `q`) and a
-    /// per-lane Garner recombination — bit-identical to
-    /// [`crate::batch::decrypt_crt_batch`] on the same inputs.
-    /// Rejects any ciphertext `≥ N` with
+    /// per-lane Garner recombination — bit-identical to the scalar
+    /// [`crate::cipher::decrypt_crt`] lane for lane. Rejects any ciphertext `≥ N` with
     /// [`MmmError::OperandOutOfRange`] naming the lane.
     ///
     /// Under a non-`Off` [`mmm_core::VerifyPolicy`] in this session's
@@ -363,7 +372,7 @@ impl BatchCollector<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{decrypt_crt_batch_with, sign_batch_with, verify_batch_with};
+    use crate::cipher::decrypt_crt;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -385,19 +394,23 @@ mod tests {
             .map(|_| Ubig::random_below(&mut rng, &key.n))
             .collect();
         let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
+        // The scalar entry points are the oracle: `modpow` for the
+        // full-width exponentiations, `cipher::decrypt_crt` for CRT.
+        let want_sigs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.d, &key.n)).collect();
+        let mut tampered = want_sigs.clone();
+        tampered[4] = tampered[4].modadd(&Ubig::one(), &key.n);
+        let want_crt: Vec<Ubig> = cs.iter().map(|c| decrypt_crt(&key, c)).collect();
         for kind in EngineKind::ALL {
             let session = session_for(kind, &key);
             let sigs = session.sign(&ms).unwrap();
-            assert_eq!(sigs, sign_batch_with(&key, &ms, kind), "{}", kind.name());
-            assert_eq!(
-                session.verify(&ms, &sigs).unwrap(),
-                verify_batch_with(&key, &ms, &sigs, kind),
-                "{}",
-                kind.name()
-            );
+            assert_eq!(sigs, want_sigs, "{}", kind.name());
+            let verdicts = session.verify(&ms, &tampered).unwrap();
+            for (k, ok) in verdicts.into_iter().enumerate() {
+                assert_eq!(ok, k != 4, "{} lane {k}", kind.name());
+            }
             assert_eq!(
                 session.decrypt_crt(&cs).unwrap(),
-                decrypt_crt_batch_with(&key, &cs, kind),
+                want_crt,
                 "{}",
                 kind.name()
             );
@@ -456,7 +469,8 @@ mod tests {
         }
         assert_eq!(collector.len(), ms.len());
         let sigs = collector.flush().unwrap();
-        assert_eq!(sigs, sign_batch_with(&key, &ms, EngineKind::Cios));
+        let want: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.d, &key.n)).collect();
+        assert_eq!(sigs, want);
         assert!(collector.is_empty());
         assert_eq!(collector.flush().unwrap_err(), MmmError::EmptyBatch);
     }

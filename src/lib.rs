@@ -55,3 +55,9 @@ pub use mmm_hdl as hdl;
 pub use mmm_rsa as rsa;
 
 pub use mmm_bigint::Ubig;
+
+/// Compiles and runs every Rust block of `README.md` as a doctest, so
+/// `cargo test` fails whenever the README drifts from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

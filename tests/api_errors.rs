@@ -1,19 +1,17 @@
 //! The typed-error contract of the serving API: every [`MmmError`]
-//! variant the issue calls out is reachable through public `try_*` /
-//! session entry points, and every `try_*` Ok path is bit-identical
-//! to its legacy panicking twin — on both backends.
+//! variant is reachable through the public `try_*` / session entry
+//! points, and every `try_*` Ok path is bit-identical to the per-lane
+//! reference oracles — on every backend.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{mont_mul_many_with, try_mont_mul_many, BitSlicedBatch};
+use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch};
 use montgomery_systolic::core::cios::CiosBatch;
 use montgomery_systolic::core::config::{EngineConfig, WindowPolicy};
 use montgomery_systolic::core::error::{MmmError, OperandBound};
-use montgomery_systolic::core::expo_batch::{
-    modexp_many_shared_with, modexp_many_with, try_modexp_many, try_modexp_many_shared, BatchModExp,
-};
+use montgomery_systolic::core::expo_batch::{try_modexp_many, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
-use montgomery_systolic::core::montgomery::MontgomeryParams;
-use montgomery_systolic::core::{pool, BatchMontMul, EngineKind};
+use montgomery_systolic::core::montgomery::{mont_mul_alg2, MontgomeryParams};
+use montgomery_systolic::core::{pool, BatchMontMul, EngineKind, ScalarSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,20 +68,16 @@ fn oversized_lane_index_survives_sharding() {
     ms[5] = params.n().clone();
     let es: Vec<Ubig> = (0..7).map(|_| Ubig::from(3u64)).collect();
     let config = EngineConfig::default().with_shard_lanes(2).unwrap();
-    assert_eq!(
-        try_modexp_many(&params, &ms, &es, &config).unwrap_err(),
-        MmmError::OperandOutOfRange {
-            lane: 5,
-            bound: OperandBound::N
-        }
-    );
-    assert_eq!(
-        try_modexp_many_shared(&params, &ms, &Ubig::from(3u64), &config).unwrap_err(),
-        MmmError::OperandOutOfRange {
-            lane: 5,
-            bound: OperandBound::N
-        }
-    );
+    let three = Ubig::from(3u64);
+    for es in [ScalarSet::PerLane(&es), ScalarSet::Shared(&three)] {
+        assert_eq!(
+            try_modexp_many(&params, &ms, es, &config).unwrap_err(),
+            MmmError::OperandOutOfRange {
+                lane: 5,
+                bound: OperandBound::N
+            }
+        );
+    }
 }
 
 #[test]
@@ -108,22 +102,37 @@ fn length_mismatch_and_empty_batch() {
         MmmError::EmptyBatch
     );
     let mut me = BatchModExp::new(CiosBatch::new(params.clone()));
+    let auto = WindowPolicy::Auto;
     assert_eq!(
-        me.try_modexp_batch(&[], &[]).unwrap_err(),
+        me.try_modexp(&[], ScalarSet::PerLane(&[]), auto)
+            .unwrap_err(),
         MmmError::EmptyBatch
     );
     assert_eq!(
-        me.try_modexp_batch(&xs[..2], &xs[..1]).unwrap_err(),
+        me.try_modexp(&xs[..2], ScalarSet::PerLane(&xs[..1]), auto)
+            .unwrap_err(),
         MmmError::LengthMismatch { left: 2, right: 1 }
     );
     // A 65-lane direct batch call is too wide for one engine.
     let wide = vec![Ubig::one(); 65];
     assert_eq!(
-        me.try_modexp_batch(&wide, &wide).unwrap_err(),
+        me.try_modexp(&wide, ScalarSet::Shared(&wide[0]), auto)
+            .unwrap_err(),
         MmmError::BatchTooWide {
             lanes: 65,
             max_lanes: 64
         }
+    );
+    // The many-lane path checks per-lane exponent counts too.
+    assert_eq!(
+        try_modexp_many(
+            &params,
+            &xs[..2],
+            ScalarSet::PerLane(&xs[..1]),
+            &EngineConfig::default()
+        )
+        .unwrap_err(),
+        MmmError::LengthMismatch { left: 2, right: 1 }
     );
 }
 
@@ -139,14 +148,15 @@ fn bitsliced_checkout_on_hardware_unsafe_params_is_rejected() {
         Err(MmmError::HardwareUnsafeWidth { l: 8 })
     ));
     let ms = vec![Ubig::from(5u64)];
+    let three = Ubig::from(3u64);
     let config = EngineConfig::default().with_backend(EngineKind::BitSliced);
     assert_eq!(
-        try_modexp_many_shared(&params, &ms, &Ubig::from(3u64), &config).unwrap_err(),
+        try_modexp_many(&params, &ms, ScalarSet::Shared(&three), &config).unwrap_err(),
         MmmError::HardwareUnsafeWidth { l: 8 }
     );
     // CIOS runs the very same tight parameters happily.
     let cios = EngineConfig::default();
-    let got = try_modexp_many_shared(&params, &ms, &Ubig::from(3u64), &cios).unwrap();
+    let got = try_modexp_many(&params, &ms, ScalarSet::Shared(&three), &cios).unwrap();
     assert_eq!(
         got[0],
         Ubig::from(5u64).modpow(&Ubig::from(3u64), params.n())
@@ -201,9 +211,10 @@ fn bad_config_strings_and_values_are_typed() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `try_*` Ok paths are bit-identical to the legacy panicking
-    /// entry points, lane for lane, on both backends — the wrapper
-    /// layer may add types, never bits.
+    /// `try_*` Ok paths are bit-identical to the per-lane reference
+    /// oracles (`mont_mul_alg2`, `modpow`), lane for lane, for both
+    /// exponent shapes, on every backend and across shard edges — the
+    /// sharding and typing layers may add types, never bits.
     #[test]
     fn try_ok_paths_match_legacy_entry_points(
         l in 10usize..60,
@@ -213,26 +224,32 @@ proptest! {
         let lanes = [1usize, 3, 63, 65][lane_sel];
         let mut rng = StdRng::seed_from_u64(seed);
         let params = random_safe_params(&mut rng, l);
+        let n = params.n();
         let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &params)).collect();
         let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &params)).collect();
-        let ms: Vec<Ubig> = (0..lanes).map(|_| Ubig::random_below(&mut rng, params.n())).collect();
+        let ms: Vec<Ubig> = (0..lanes).map(|_| Ubig::random_below(&mut rng, n)).collect();
         let es: Vec<Ubig> = (0..lanes).map(|_| Ubig::random_bits(&mut rng, l)).collect();
         let e = Ubig::random_bits(&mut rng, l);
+        let products: Vec<Ubig> = xs.iter().zip(&ys).map(|(x, y)| mont_mul_alg2(&params, x, y)).collect();
+        let powers: Vec<Ubig> = ms.iter().zip(&es).map(|(m, e)| m.modpow(e, n)).collect();
+        let shared: Vec<Ubig> = ms.iter().map(|m| m.modpow(&e, n)).collect();
         for kind in EngineKind::ALL {
+            // Raw Algorithm-2 outputs (< 2N) are only comparable off
+            // the environment: MMM_HARDENED=1 would canonicalize them.
             let config = EngineConfig::default().with_backend(kind);
             prop_assert_eq!(
-                try_mont_mul_many(&params, &xs, &ys, &config).unwrap(),
-                mont_mul_many_with(&params, &xs, &ys, kind),
+                &try_mont_mul_many(&params, &xs, &ys, &config).unwrap(),
+                &products,
                 "mont_mul {}", kind.name()
             );
             prop_assert_eq!(
-                try_modexp_many(&params, &ms, &es, &config).unwrap(),
-                modexp_many_with(&params, &ms, &es, kind),
+                &try_modexp_many(&params, &ms, ScalarSet::PerLane(&es), &config).unwrap(),
+                &powers,
                 "modexp {}", kind.name()
             );
             prop_assert_eq!(
-                try_modexp_many_shared(&params, &ms, &e, &config).unwrap(),
-                modexp_many_shared_with(&params, &ms, &e, kind),
+                &try_modexp_many(&params, &ms, ScalarSet::Shared(&e), &config).unwrap(),
+                &shared,
                 "modexp shared {}", kind.name()
             );
         }

@@ -1,18 +1,20 @@
 //! Cross-engine property tests for the bit-sliced batch engine: every
 //! lane of a batch must be **bit-identical** to a solo run of the
 //! packed wave model, across random widths spanning `u64` word
-//! boundaries and partial batches — the batched exponentiators
-//! (binary and fixed-window) must agree with the big-integer oracle —
-//! and batched CRT decryption must match the scalar CRT path lane for
-//! lane.
+//! boundaries and partial batches — the batched exponentiator must
+//! agree with the big-integer oracle at every window width (`w = 1`
+//! being the binary scan) — and batched CRT decryption must match the
+//! scalar CRT path lane for lane.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{mont_mul_many, BitSlicedBatch, SequentialBatch};
+use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch, SequentialBatch};
 use montgomery_systolic::core::expo_batch::BatchModExp;
 use montgomery_systolic::core::modgen::random_safe_params;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
-use montgomery_systolic::core::{BatchMontMul, MontMul};
-use montgomery_systolic::rsa::{decrypt_crt, decrypt_crt_batch, RsaKeyPair};
+use montgomery_systolic::core::{
+    BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
+};
+use montgomery_systolic::rsa::{decrypt_crt, KeyedSession, RsaKeyPair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,7 +67,11 @@ proptest! {
         let ys: Vec<Ubig> = (0..count)
             .map(|_| montgomery_systolic::core::modgen::random_operand(&mut rng, &params))
             .collect();
-        let got = mont_mul_many(&params, &xs, &ys);
+        // The process-default backend, but not the rest of the
+        // environment: MMM_HARDENED=1 would canonicalize the raw
+        // Algorithm-2 outputs compared below.
+        let config = EngineConfig::default().with_backend(EngineKind::default_kind());
+        let got = try_mont_mul_many(&params, &xs, &ys, &config).unwrap();
         let mut seq = SequentialBatch::new(PackedMmmc::new(params.clone()));
         let want = seq.mont_mul_batch(&xs, &ys);
         prop_assert_eq!(got, want);
@@ -74,13 +80,14 @@ proptest! {
     #[test]
     fn windowed_batch_modexp_matches_ubig_modpow(
         // Widths spanning the u64 word boundary, every partial batch
-        // size, every practical window width.
-        l in 30usize..100,
+        // size, every practical window width (w = 1 is Algorithm 3's
+        // binary scan).
+        l in 16usize..100,
         seed in any::<u64>(),
-        lane_sel in 0usize..4,
+        lane_sel in 0usize..5,
         w in 1usize..=6
     ) {
-        let lanes = [1usize, 3, 63, 64][lane_sel];
+        let lanes = [1usize, 3, 17, 63, 64][lane_sel];
         let mut rng = StdRng::seed_from_u64(seed);
         let params = random_safe_params(&mut rng, l);
         let n = params.n().clone();
@@ -92,7 +99,9 @@ proptest! {
             .map(|k| Ubig::random_bits(&mut rng, (k * 17) % (l + 1)))
             .collect();
         let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        let got = me.modexp_batch_windowed(&ms, &es, w);
+        let got = me
+            .try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Fixed(w))
+            .unwrap();
         for k in 0..lanes {
             prop_assert_eq!(
                 &got[k],
@@ -123,39 +132,13 @@ proptest! {
         let cs: Vec<Ubig> = (0..lanes)
             .map(|_| Ubig::random_below(&mut rng, &kp.n))
             .collect();
-        let got = decrypt_crt_batch(&kp, &cs);
+        let config = EngineConfig::default().with_backend(EngineKind::default_kind());
+        let got = KeyedSession::new(kp.clone(), config).unwrap().decrypt_crt(&cs).unwrap();
         for k in 0..lanes {
             prop_assert_eq!(
                 &got[k],
                 &decrypt_crt(&kp, &cs[k]),
                 "lane {} of {} at {} key bits", k, lanes, bits
-            );
-        }
-    }
-
-    #[test]
-    fn batch_modexp_matches_ubig_modpow(
-        l in 16usize..48,
-        seed in any::<u64>(),
-        lanes in 1usize..20
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let params = random_safe_params(&mut rng, l);
-        let n = params.n().clone();
-        let ms: Vec<Ubig> = (0..lanes)
-            .map(|_| Ubig::random_below(&mut rng, &n))
-            .collect();
-        // Per-lane exponents of wildly different lengths (including 0).
-        let es: Vec<Ubig> = (0..lanes)
-            .map(|k| Ubig::random_bits(&mut rng, (k * 13) % (l + 1)))
-            .collect();
-        let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        let got = me.modexp_batch(&ms, &es);
-        for k in 0..lanes {
-            prop_assert_eq!(
-                &got[k],
-                &ms[k].modpow(&es[k], &n),
-                "lane {} (exponent bits {})", k, es[k].bit_len()
             );
         }
     }
@@ -176,7 +159,9 @@ fn windowed_modexp_word_boundary_widths() {
                 .collect();
             let es: Vec<Ubig> = (0..lanes).map(|_| Ubig::random_bits(&mut rng, l)).collect();
             let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            let got = me.modexp_batch_auto(&ms, &es);
+            let got = me
+                .try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Auto)
+                .unwrap();
             for k in 0..lanes {
                 assert_eq!(
                     got[k],

@@ -8,16 +8,18 @@
 //! digit-domain conversions.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::batch::{mont_mul_many_with, BitSlicedBatch};
+use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch};
 use montgomery_systolic::core::cios::{CiosBatch, CiosMont};
 use montgomery_systolic::core::cios52::{
     digits52_to_limbs, limbs_to_digits52, Cios52Batch, Cios52Kernel, DIGIT_BITS, DIGIT_MASK,
 };
-use montgomery_systolic::core::expo_batch::{modexp_many_with, BatchModExp};
+use montgomery_systolic::core::expo_batch::{try_modexp_many, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::MontgomeryParams;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
-use montgomery_systolic::core::{BatchMontMul, EngineKind, MontMul};
+use montgomery_systolic::core::{
+    BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,14 +79,15 @@ proptest! {
         let es: Vec<Ubig> = (0..lanes)
             .map(|k| Ubig::random_bits(&mut rng, (k * 17) % (l + 1)))
             .collect();
+        let (es, window) = (ScalarSet::PerLane(&es), WindowPolicy::Fixed(w));
         let mut cios = BatchModExp::new(CiosBatch::new(params.clone()));
-        let got = cios.modexp_batch_windowed(&ms, &es, w);
+        let got = cios.try_modexp(&ms, es, window).unwrap();
         let mut bits = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-        prop_assert_eq!(&got, &bits.modexp_batch_windowed(&ms, &es, w), "w={}", w);
+        prop_assert_eq!(&got, &bits.try_modexp(&ms, es, window).unwrap(), "w={}", w);
         let mut c52 = BatchModExp::new(Cios52Batch::new(params.clone()));
-        prop_assert_eq!(&got, &c52.modexp_batch_windowed(&ms, &es, w), "cios52 w={}", w);
+        prop_assert_eq!(&got, &c52.try_modexp(&ms, es, window).unwrap(), "cios52 w={}", w);
         for k in 0..lanes {
-            prop_assert_eq!(&got[k], &ms[k].modpow(&es[k], &n), "w={} lane {}", w, k);
+            prop_assert_eq!(&got[k], &ms[k].modpow(es.get(k), &n), "w={} lane {}", w, k);
         }
     }
 
@@ -106,19 +109,21 @@ proptest! {
             .collect();
         // Sweep *every* backend (not a hardcoded pair) so the next
         // EngineKind addition is covered automatically.
-        let want_mul = mont_mul_many_with(&params, &xs, &ys, EngineKind::ALL[0]);
-        let want_exp = modexp_many_with(&params, &ms, &es, EngineKind::ALL[0]);
+        let config = |kind| EngineConfig::default().with_backend(kind);
+        let es = ScalarSet::PerLane(&es);
+        let want_mul = try_mont_mul_many(&params, &xs, &ys, &config(EngineKind::ALL[0])).unwrap();
+        let want_exp = try_modexp_many(&params, &ms, es, &config(EngineKind::ALL[0])).unwrap();
         for kind in &EngineKind::ALL[1..] {
             prop_assert_eq!(
-                mont_mul_many_with(&params, &xs, &ys, *kind),
+                try_mont_mul_many(&params, &xs, &ys, &config(*kind)).unwrap(),
                 want_mul.clone(),
-                "mont_mul_many_with({})",
+                "try_mont_mul_many({})",
                 kind.name()
             );
             prop_assert_eq!(
-                modexp_many_with(&params, &ms, &es, *kind),
+                try_modexp_many(&params, &ms, es, &config(*kind)).unwrap(),
                 want_exp.clone(),
-                "modexp_many_with({})",
+                "try_modexp_many({})",
                 kind.name()
             );
         }
@@ -311,12 +316,14 @@ fn windowed_modexp_cross_backend_word_boundary_widths() {
             let es: Vec<Ubig> = (0..lanes)
                 .map(|_| Ubig::random_bits(&mut rng, ebits))
                 .collect();
+            let (es, auto) = (ScalarSet::PerLane(&es), WindowPolicy::Auto);
             let mut cios = BatchModExp::new(CiosBatch::new(params.clone()));
-            let got = cios.modexp_batch_auto(&ms, &es);
+            let got = cios.try_modexp(&ms, es, auto).unwrap();
             let mut bits = BatchModExp::new(BitSlicedBatch::new(params.clone()));
-            assert_eq!(got, bits.modexp_batch_auto(&ms, &es), "l={l} lanes={lanes}");
+            let want = bits.try_modexp(&ms, es, auto).unwrap();
+            assert_eq!(got, want, "l={l} lanes={lanes}");
             for k in 0..lanes {
-                assert_eq!(got[k], ms[k].modpow(&es[k], &n), "l={l} lane {k}");
+                assert_eq!(got[k], ms[k].modpow(es.get(k), &n), "l={l} lane {k}");
             }
         }
     }

@@ -4,8 +4,8 @@
 //!
 //! The properties under test are the serving layer's contract:
 //!
-//! * **bit-identity** — every response equals the
-//!   `decrypt_crt_batch` oracle's answer for its ciphertext,
+//! * **bit-identity** — every response equals the scalar
+//!   `decrypt_crt` oracle's answer for its ciphertext,
 //!   regardless of which worker flushed it, how requests interleaved
 //!   across shards, or which submit path admitted them;
 //! * **exactly one response** — every admitted request resolves its
@@ -18,7 +18,7 @@
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::config::EngineConfig;
 use montgomery_systolic::core::EngineKind;
-use montgomery_systolic::rsa::{decrypt_crt_batch, BatchOp, RsaKeyPair, Server};
+use montgomery_systolic::rsa::{decrypt_crt, BatchOp, RsaKeyPair, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -63,8 +63,8 @@ fn concurrent_producers_rotating_keys_both_paths_all_backends() {
                         let key = &keys[which];
                         let m = Ubig::random_below(&mut rng, &key.n);
                         let c = m.modpow(&key.e, &key.n);
-                        let want = decrypt_crt_batch(key, std::slice::from_ref(&c));
-                        assert_eq!(want, vec![m], "oracle roundtrip");
+                        let want = decrypt_crt(key, &c);
+                        assert_eq!(want, m, "oracle roundtrip");
                         let ticket = if i % 2 == 0 {
                             server
                                 .try_submit(key_ids[which], BatchOp::DecryptCrt, c)
@@ -83,7 +83,7 @@ fn concurrent_producers_rotating_keys_both_paths_all_backends() {
                         // ticket and must deliver the oracle's bits.
                         assert_eq!(
                             ticket.wait(),
-                            Ok(want.into_iter().next().unwrap()),
+                            Ok(want),
                             "producer {p}, request {i}, backend {}",
                             kind.name()
                         );

@@ -1,22 +1,25 @@
 //! The serving layer end to end: `KeyedSession` + `BatchCollector`
-//! against the legacy batch entry points — results must be
-//! bit-identical in submission order on **both** backends, and the
-//! aggregation bookkeeping (ids, shard fill, error recovery) must
+//! against the scalar entry points (`decrypt_crt`, `modpow`) — results
+//! must be bit-identical in submission order on **every** backend, and
+//! the aggregation bookkeeping (ids, shard fill, error recovery) must
 //! behave like a server can rely on.
 
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::config::{EngineConfig, WindowPolicy};
 use montgomery_systolic::core::error::MmmError;
 use montgomery_systolic::core::EngineKind;
-use montgomery_systolic::rsa::{
-    decrypt_crt_batch, decrypt_crt_batch_with, sign_batch_with, BatchOp, KeyedSession, RsaKeyPair,
-};
+use montgomery_systolic::rsa::{decrypt_crt, BatchOp, KeyedSession, RsaKeyPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn keypair(bits: usize, seed: u64) -> RsaKeyPair {
     let mut rng = StdRng::seed_from_u64(seed);
     RsaKeyPair::generate(&mut rng, bits, 12)
+}
+
+/// Scalar signatures: `m ^ D mod N` per message.
+fn scalar_signatures(key: &RsaKeyPair, ms: &[Ubig]) -> Vec<Ubig> {
+    ms.iter().map(|m| m.modpow(&key.d, &key.n)).collect()
 }
 
 #[test]
@@ -29,7 +32,7 @@ fn collector_is_bit_identical_to_decrypt_crt_batch_on_both_backends() {
         .map(|_| Ubig::random_below(&mut rng, &key.n))
         .collect();
     let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
-    let want = decrypt_crt_batch(&key, &cs);
+    let want: Vec<Ubig> = cs.iter().map(|c| decrypt_crt(&key, c)).collect();
     assert_eq!(want, ms, "oracle roundtrip");
     for kind in EngineKind::ALL {
         let session =
@@ -40,13 +43,7 @@ fn collector_is_bit_identical_to_decrypt_crt_batch_on_both_backends() {
         }
         assert_eq!(collector.full_shards(), 1, "70 requests = 1 full shard");
         let got = collector.flush().unwrap();
-        assert_eq!(
-            got,
-            decrypt_crt_batch_with(&key, &cs, kind),
-            "submission order, bit for bit ({})",
-            kind.name()
-        );
-        assert_eq!(got, want, "cross-backend agreement ({})", kind.name());
+        assert_eq!(got, want, "submission order, bit for bit ({})", kind.name());
     }
 }
 
@@ -65,7 +62,7 @@ fn collector_sign_flow_matches_batch_signing() {
             collector.submit(m.clone()).unwrap();
         }
         let sigs = collector.flush().unwrap();
-        assert_eq!(sigs, sign_batch_with(&key, &ms, kind), "{}", kind.name());
+        assert_eq!(sigs, scalar_signatures(&key, &ms), "{}", kind.name());
         assert!(session.verify(&ms, &sigs).unwrap().into_iter().all(|ok| ok));
     }
 }
@@ -94,7 +91,7 @@ fn session_honors_window_policy_and_shard_width() {
         .map(|_| Ubig::random_below(&mut rng, &key.n))
         .collect();
     let cs: Vec<Ubig> = ms.iter().map(|m| m.modpow(&key.e, &key.n)).collect();
-    let want = decrypt_crt_batch(&key, &cs);
+    let want: Vec<Ubig> = cs.iter().map(|c| decrypt_crt(&key, c)).collect();
     // Every window width and a narrow shard must change schedule and
     // fan-out, never results.
     for w in [1usize, 2, 4, 6] {
@@ -105,10 +102,7 @@ fn session_honors_window_policy_and_shard_width() {
             .unwrap();
         let session = KeyedSession::new(key.clone(), config).unwrap();
         assert_eq!(session.decrypt_crt(&cs).unwrap(), want, "w={w}");
-        assert_eq!(
-            session.sign(&ms).unwrap(),
-            sign_batch_with(&key, &ms, EngineKind::Cios)
-        );
+        assert_eq!(session.sign(&ms).unwrap(), scalar_signatures(&key, &ms));
     }
 }
 
