@@ -142,6 +142,36 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn batch_modexp_matches_ubig_modpow(
+        l in 16usize..48,
+        seed in any::<u64>(),
+        lanes in 1usize..20
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let params = random_safe_params(&mut rng, l);
+        let n = params.n().clone();
+        let ms: Vec<Ubig> = (0..lanes)
+            .map(|_| Ubig::random_below(&mut rng, &n))
+            .collect();
+        // Per-lane exponents of wildly different lengths (including 0).
+        let es: Vec<Ubig> = (0..lanes)
+            .map(|k| Ubig::random_bits(&mut rng, (k * 13) % (l + 1)))
+            .collect();
+        // Algorithm 3's square-and-multiply-always scan.
+        let mut me = BatchModExp::new(BitSlicedBatch::new(params.clone()));
+        let got = me
+            .try_modexp(&ms, ScalarSet::PerLane(&es), WindowPolicy::Fixed(1))
+            .unwrap();
+        for k in 0..lanes {
+            prop_assert_eq!(
+                &got[k],
+                &ms[k].modpow(&es[k], &n),
+                "lane {} (exponent bits {})", k, es[k].bit_len()
+            );
+        }
+    }
 }
 
 /// Deterministic regression: the windowed batched exponentiator at
