@@ -41,6 +41,9 @@
 //! lanes, which is what lets LLVM auto-vectorize it. Like the
 //! bit-sliced engine, the hot loop is a free function over `noalias`
 //! slice parameters and the whole path is allocation-free once warm.
+//! The rows entry ([`BatchMontMul::try_mont_mul_rows`], layout in
+//! [`crate::rows`]) takes operands already in this layout and runs on
+//! them in place, with no transpose either way.
 //!
 //! The SoA kernel costs a full 64-lane scan whatever the lane count,
 //! so a batch of at most `SCALAR_LANES` (32) live lanes takes the
@@ -70,6 +73,7 @@
 use crate::config::HardeningMode;
 use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
+use crate::rows::{check_below, check_shape, padded_limbs};
 use crate::traits::{BatchMontMul, MontMul};
 use mmm_bigint::ct::{ct_sub_if_ge, sbb_ct};
 use mmm_bigint::limbs::{adc, carrying_mul, mac_with_carry, Limb, LIMB_BITS};
@@ -140,6 +144,28 @@ impl LaneScratch {
     fn mont_mul(&mut self, geo: Geometry, n: &[Limb], x: &Ubig, y: &Ubig) -> &mut [Limb] {
         load_padded(x, &mut self.x);
         load_padded(y, &mut self.y);
+        self.run(geo, n)
+    }
+
+    /// One Algorithm-2 multiplication of lane `k` of the rows `x` and
+    /// `y`; returns the `sw` result limbs.
+    fn mont_mul_column(
+        &mut self,
+        geo: Geometry,
+        n: &[Limb],
+        x: &[Limb],
+        y: &[Limb],
+        k: usize,
+    ) -> &mut [Limb] {
+        for j in 0..geo.sw {
+            self.x[j] = x[j * MAX_LANES + k];
+            self.y[j] = y[j * MAX_LANES + k];
+        }
+        self.run(geo, n)
+    }
+
+    /// The scan on the loaded operands.
+    fn run(&mut self, geo: Geometry, n: &[Limb]) -> &mut [Limb] {
         self.t.fill(0);
         run_cios_scalar(geo, n, &self.x, &self.y, &mut self.t);
         &mut self.t[..geo.sw]
@@ -276,6 +302,8 @@ pub struct CiosBatch {
     geo: Geometry,
     /// Modulus padded to `sw` limbs (shared by every lane).
     n: Vec<Limb>,
+    /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
+    two_n: Vec<Limb>,
     /// SoA operands: `x[j·64 + k]` is limb `j` of lane `k`.
     x: Vec<Limb>,
     y: Vec<Limb>,
@@ -298,6 +326,7 @@ impl CiosBatch {
         let geo = Geometry::of(&params);
         CiosBatch {
             n: geo.padded_modulus(&params),
+            two_n: padded_limbs(&params.two_n(), geo.sw),
             x: vec![0; geo.sw * MAX_LANES],
             y: vec![0; geo.sw * MAX_LANES],
             t: vec![0; (geo.sw + 2) * MAX_LANES],
@@ -344,11 +373,8 @@ impl CiosBatch {
         } else {
             lanes_to_limbs_into(xs, sw, MAX_LANES, &mut self.x);
             lanes_to_limbs_into(ys, sw, MAX_LANES, &mut self.y);
-            self.t.fill(0);
-            run_cios_batch(self.geo, &self.n, &self.x, &self.y, &mut self.t);
-            if self.hardening.is_hardened() {
-                cond_sub_rows(&self.n, &mut self.t, sw);
-            }
+            let hardened = self.hardening.is_hardened();
+            run_soa(self.geo, &self.n, &self.x, &self.y, &mut self.t, hardened);
             MAX_LANES
         };
         limbs_to_lanes_into(&self.t[..sw * stride], sw, stride, xs.len(), out);
@@ -370,6 +396,29 @@ impl CiosBatch {
                 self.t[j * lanes + k] = limb;
             }
         }
+    }
+}
+
+/// The SoA kernel with its hardened canonicalization: `t` ends with
+/// the results in its first `sw` rows.
+fn run_soa(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb], hardened: bool) {
+    t.fill(0);
+    run_cios_batch(geo, n, x, y, t);
+    if hardened {
+        cond_sub_rows(n, t, geo.sw);
+    }
+}
+
+/// Copies the live columns `0..lanes` of the rows `src` into `dst`
+/// and zeroes the dead ones, so a partial batch feeds the SoA kernel
+/// zeros there whatever the caller left in them.
+fn copy_live_columns(src: &[Limb], lanes: usize, dst: &mut [Limb]) {
+    for (d, s) in dst
+        .chunks_exact_mut(MAX_LANES)
+        .zip(src.chunks_exact(MAX_LANES))
+    {
+        d[..lanes].copy_from_slice(&s[..lanes]);
+        d[lanes..].fill(0);
     }
 }
 
@@ -599,6 +648,45 @@ impl BatchMontMul for CiosBatch {
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
         CiosBatch::mont_mul_batch_into(self, xs, ys, out);
+    }
+
+    /// The rows entry in place: at most `SCALAR_LANES` (32) live lanes
+    /// run the scalar scan on each lane's column; wider batches run
+    /// the SoA kernel straight on `x` and `y` (a partial batch first
+    /// copies its live columns, so dead ones hold zeros).
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        let sw = self.geo.sw;
+        check_shape(sw, x, y, lanes, out)?;
+        check_below(&self.two_n, x, y, lanes)?;
+        let hardened = self.hardening.is_hardened();
+        if lanes <= SCALAR_LANES {
+            for k in 0..lanes {
+                let r = self.lane.mont_mul_column(self.geo, &self.n, x, y, k);
+                if hardened {
+                    ct_sub_if_ge(r, &self.n);
+                }
+                for (j, &limb) in r.iter().enumerate() {
+                    out[j * MAX_LANES + k] = limb;
+                }
+            }
+        } else {
+            let (x, y) = if lanes == MAX_LANES {
+                (x, y)
+            } else {
+                copy_live_columns(x, lanes, &mut self.x);
+                copy_live_columns(y, lanes, &mut self.y);
+                (&self.x[..], &self.y[..])
+            };
+            run_soa(self.geo, &self.n, x, y, &mut self.t, hardened);
+            out.copy_from_slice(&self.t[..sw * MAX_LANES]);
+        }
+        Ok(())
     }
 
     fn set_hardening(&mut self, mode: HardeningMode) {

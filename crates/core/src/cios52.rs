@@ -65,6 +65,7 @@
 use crate::config::HardeningMode;
 use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
+use crate::rows::{check_below, check_shape, padded_limbs};
 use crate::traits::BatchMontMul;
 use mmm_bigint::limbs::{Limb, LIMB_BITS};
 use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
@@ -169,8 +170,10 @@ pub fn digits52_to_limbs(digits: &[u64], limbs: usize) -> Vec<u64> {
 
 /// Word-SoA → digit-SoA: for each digit row, gather bits
 /// `[52d, 52d + 52)` from the (at most two) straddled word rows, all
-/// `MAX_LANES` lanes at once.
-fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [Limb], s: usize) {
+/// `MAX_LANES` lanes at once. Columns `lanes..` of `digits` are
+/// zeroed, so the kernels see zeros in dead lanes whatever `words`
+/// holds there.
+fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [Limb], s: usize, lanes: usize) {
     for d in 0..s {
         let bit = d * DIGIT_BITS;
         let w = bit / LIMB_BITS;
@@ -188,6 +191,7 @@ fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [Limb], s: usiz
                 drow[k] = (wrow[k] >> b) & DIGIT_MASK;
             }
         }
+        drow[lanes..].fill(0);
     }
 }
 
@@ -302,6 +306,8 @@ pub struct Cios52Batch {
     /// hardened final subtraction compares the word-form output
     /// against.
     n_words: Vec<Limb>,
+    /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
+    two_n: Vec<Limb>,
     /// Word-domain SoA staging buffer (`sw` rows), reused for input
     /// transposes and the output conversion.
     wscratch: Vec<Limb>,
@@ -342,6 +348,7 @@ impl Cios52Batch {
         Cios52Batch {
             n: limbs_to_digits52(&n_words, geo.s),
             n_words,
+            two_n: padded_limbs(&params.two_n(), geo.sw),
             wscratch: vec![0; geo.sw * MAX_LANES],
             x: vec![0; geo.s * MAX_LANES],
             y: vec![0; geo.s * MAX_LANES],
@@ -405,32 +412,31 @@ impl Cios52Batch {
         out: &mut Vec<Ubig>,
     ) -> Result<(), MmmError> {
         validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        lanes_to_limbs_into(xs, self.geo.sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, self.geo.sw, &mut self.x, self.geo.s);
-        lanes_to_limbs_into(ys, self.geo.sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, self.geo.sw, &mut self.y, self.geo.s);
-        self.t.fill(0);
+        let (geo, lanes) = (self.geo, xs.len());
+        lanes_to_limbs_into(xs, geo.sw, MAX_LANES, &mut self.wscratch);
+        soa_words_to_digits52(&self.wscratch, geo.sw, &mut self.x, geo.s, lanes);
+        lanes_to_limbs_into(ys, geo.sw, MAX_LANES, &mut self.wscratch);
+        soa_words_to_digits52(&self.wscratch, geo.sw, &mut self.y, geo.s, lanes);
         self.run_kernel();
-        soa_digits52_to_words(&self.t, self.geo.s, &mut self.wscratch, self.geo.sw);
-        if self.hardening.is_hardened() {
-            crate::cios::cond_sub_rows(&self.n_words, &mut self.wscratch, self.geo.sw);
-        }
+        let hardened = self.hardening.is_hardened();
+        store_words(&self.t, geo, &self.n_words, hardened, &mut self.wscratch);
         limbs_to_lanes_into(
-            &self.wscratch[..self.geo.sw * MAX_LANES],
-            self.geo.sw,
+            &self.wscratch[..geo.sw * MAX_LANES],
+            geo.sw,
             MAX_LANES,
-            xs.len(),
+            lanes,
             out,
         );
         Ok(())
     }
 
-    /// Dispatches to the selected kernel. The SIMD kernels are
-    /// `unsafe` only because of their `#[target_feature]` contract —
-    /// [`Cios52Batch::with_kernel`] already proved the features are
-    /// present on this host.
+    /// Dispatches to the selected kernel on a zeroed accumulator. The
+    /// SIMD kernels are `unsafe` only because of their
+    /// `#[target_feature]` contract — [`Cios52Batch::with_kernel`]
+    /// already proved the features are present on this host.
     #[allow(unsafe_code)]
     fn run_kernel(&mut self) {
+        self.t.fill(0);
         match self.kernel {
             Cios52Kernel::Portable => {
                 run_cios52_portable(self.geo, &self.n, &self.x, &self.y, &mut self.t)
@@ -451,6 +457,15 @@ impl Cios52Batch {
     }
 }
 
+/// The digit accumulator `t` back to `geo.sw` word rows in `words`,
+/// canonicalized below `N` when hardened.
+fn store_words(t: &[Limb], geo: Geometry, n_words: &[Limb], hardened: bool, words: &mut [Limb]) {
+    soa_digits52_to_words(t, geo.s, words, geo.sw);
+    if hardened {
+        crate::cios::cond_sub_rows(n_words, words, geo.sw);
+    }
+}
+
 impl BatchMontMul for Cios52Batch {
     fn params(&self) -> &MontgomeryParams {
         &self.params
@@ -468,6 +483,31 @@ impl BatchMontMul for Cios52Batch {
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
         Cios52Batch::mont_mul_batch_into(self, xs, ys, out);
+    }
+
+    /// The rows entry in place: `x` and `y` convert straight to digit
+    /// rows and the result converts straight into `out`.
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        let geo = self.geo;
+        check_shape(geo.sw, x, y, lanes, out)?;
+        check_below(&self.two_n, x, y, lanes)?;
+        soa_words_to_digits52(x, geo.sw, &mut self.x, geo.s, lanes);
+        soa_words_to_digits52(y, geo.sw, &mut self.y, geo.s, lanes);
+        self.run_kernel();
+        store_words(
+            &self.t,
+            geo,
+            &self.n_words,
+            self.hardening.is_hardened(),
+            out,
+        );
+        Ok(())
     }
 
     fn demote_kernel(&mut self) -> bool {

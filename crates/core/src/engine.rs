@@ -34,6 +34,7 @@ use crate::config::EngineConfig;
 use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
 use crate::traits::BatchMontMul;
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 use std::str::FromStr;
 use std::sync::OnceLock;
@@ -242,6 +243,20 @@ impl BatchMontMul for AnyBatchEngine {
             AnyBatchEngine::Cios(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
             AnyBatchEngine::Cios52(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
             AnyBatchEngine::BitSliced(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
+        }
+    }
+
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        match self {
+            AnyBatchEngine::Cios(e) => e.try_mont_mul_rows(x, y, lanes, out),
+            AnyBatchEngine::Cios52(e) => e.try_mont_mul_rows(x, y, lanes, out),
+            AnyBatchEngine::BitSliced(e) => e.try_mont_mul_rows(x, y, lanes, out),
         }
     }
 

@@ -85,6 +85,7 @@ pub mod mmmc;
 pub mod modgen;
 pub mod montgomery;
 pub mod pool;
+pub mod rows;
 pub mod scan;
 pub mod traits;
 pub mod verify;

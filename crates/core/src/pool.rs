@@ -49,6 +49,7 @@ use crate::engine::{AnyBatchEngine, EngineKind};
 use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
 use crate::traits::BatchMontMul;
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -369,6 +370,16 @@ impl BatchMontMul for PooledEngine {
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
         self.engine_mut().mont_mul_batch_into(xs, ys, out);
+    }
+
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        self.engine_mut().try_mont_mul_rows(x, y, lanes, out)
     }
 
     fn consumed_cycles(&self) -> Option<u64> {

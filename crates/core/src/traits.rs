@@ -6,6 +6,7 @@
 use crate::config::HardeningMode;
 use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::{mont_mul_alg2, MontgomeryParams};
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 
 /// A Montgomery multiplication engine with the paper's contract:
@@ -67,6 +68,32 @@ pub trait BatchMontMul {
     /// The default delegates to `mont_mul_batch`.
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
         *out = self.mont_mul_batch(xs, ys);
+    }
+
+    /// One batch of Montgomery multiplications on operands already in
+    /// the engines' limb-row layout ([`crate::rows`]): limb `j` of lane
+    /// `k` at `[j·64 + k]`, `s = ⌈(l+2)/64⌉` rows, every buffer
+    /// `s · 64` limbs. Lanes `0..lanes` are live: their results land in
+    /// the same columns of `out`, bit-identical to
+    /// [`BatchMontMul::mont_mul_batch`] on the same lanes. Dead
+    /// columns of `x` and `y` are ignored; dead columns of `out` are
+    /// unspecified.
+    ///
+    /// Rejects `lanes` outside `1..=64`
+    /// ([`MmmError::EmptyBatch`], [`MmmError::BatchTooWide`]), a
+    /// buffer of the wrong length ([`MmmError::LengthMismatch`]) and a
+    /// live operand `≥ 2N` ([`MmmError::OperandOutOfRange`] naming its
+    /// lane). The default converts the live lanes to `Ubig`, runs
+    /// [`BatchMontMul::mont_mul_batch_into`] and converts back;
+    /// `CiosBatch` and `Cios52Batch` multiply the rows in place.
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        crate::rows::via_lanes(self, x, y, lanes, out)
     }
 
     /// Total simulated clock cycles consumed so far, if cycle-accurate.

@@ -8,6 +8,12 @@
 //! `dbl-2007-bl` / `add-2007-bl` chains, vectorized so that every
 //! field multiplication advances all lanes in **one engine call**.
 //!
+//! **Resident points.** `PointLanes` is the public boundary type. Inside,
+//! every formula, window table and scan accumulator works on points
+//! whose coordinates are resident [`FeRows`]: the engines' own limb
+//! rows. Each public method converts once at entry and once at exit,
+//! and a scan moves no lane through a `Ubig` between those two points.
+//!
 //! **Exception handling.** The solo code branches before the formulas
 //! (identity operands, equal points, inverse points); a batch cannot,
 //! because one lane's exception would stall 63 others. Instead:
@@ -15,11 +21,12 @@
 //! * doubling needs *no* patching — `Z3 = 2YZ` vanishes exactly when
 //!   the input is the identity (`Z ≡ 0`) or 2-torsion (`Y ≡ 0`), so the
 //!   degenerate lanes come out of the unified formula already correct;
-//! * addition runs the unified formula, then patches the (rare)
-//!   exceptional lanes with the scalar reference ops from
-//!   [`BatchFieldCtx`]: identity operands copy the other point, equal
-//!   points re-dispatch to a single-lane double, inverse points produce
-//!   the identity — the same case analysis as the solo `add`.
+//! * addition runs the unified formula, then flags the (rare)
+//!   exceptional lanes with three lane masks (either operand the
+//!   identity, `h ≡ 0`) and patches only those: identity operands copy
+//!   the other point's column, equal points re-dispatch to a
+//!   single-lane double on the context's scalar engine, inverse points
+//!   produce the identity — the same case analysis as the solo `add`.
 //!
 //! **Scalar multiplication** is fixed-window over the shared
 //! windowed-scan core (`mmm_core::scan`) that also drives the RSA
@@ -32,12 +39,17 @@
 //! drives both scalars through one scan, so each window's doublings
 //! are shared; a base given at one lane (the generator) keeps its
 //! table at one lane and is broadcast as its entries are gathered.
+//! Under engine hardening the gather sweeps every table entry with a
+//! lane mask instead of indexing the table by the secret digit.
 
-use crate::batch_field::BatchFieldCtx;
+use crate::batch_field::{BatchFieldCtx, FeRows};
 use crate::curve::Point;
 use crate::field::Fe;
+use mmm_bigint::ct::Choice;
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 use mmm_core::error::MmmError;
+use mmm_core::rows::ROW_LANES;
 use mmm_core::scan::{best_fixed_window_weighted, run_windowed_scan, ScalarSet, WindowScanClient};
 use mmm_core::traits::BatchMontMul;
 
@@ -113,6 +125,122 @@ impl PointLanes {
     }
 }
 
+/// Jacobian points resident in limb rows: the working form of every
+/// formula, window table and scan accumulator.
+#[derive(Debug, Clone)]
+struct PointRows {
+    x: FeRows,
+    y: FeRows,
+    z: FeRows,
+}
+
+impl PointRows {
+    /// `lanes` lanes of zeros (not yet a point).
+    fn zeros<E: BatchMontMul>(f: &BatchFieldCtx<E>, lanes: usize) -> Self {
+        PointRows {
+            x: f.zeros(lanes),
+            y: f.zeros(lanes),
+            z: f.zeros(lanes),
+        }
+    }
+
+    fn load<E: BatchMontMul>(f: &BatchFieldCtx<E>, p: &PointLanes) -> Self {
+        PointRows {
+            x: f.load(&p.x),
+            y: f.load(&p.y),
+            z: f.load(&p.z),
+        }
+    }
+
+    fn store<E: BatchMontMul>(&self, f: &BatchFieldCtx<E>) -> PointLanes {
+        PointLanes {
+            x: f.store(&self.x),
+            y: f.store(&self.y),
+            z: f.store(&self.z),
+        }
+    }
+
+    fn lanes(&self) -> usize {
+        self.x.lanes()
+    }
+
+    fn coords_mut(&mut self) -> [&mut FeRows; 3] {
+        [&mut self.x, &mut self.y, &mut self.z]
+    }
+
+    /// Lane `k` becomes column `col` of `src`.
+    fn copy_lane(&mut self, k: usize, src: &PointRows, col: usize) {
+        for (dst, src) in self.coords_mut().into_iter().zip([&src.x, &src.y, &src.z]) {
+            dst.copy_lane(k, src, col);
+        }
+    }
+
+    fn lane(&self, k: usize) -> Point {
+        Point {
+            x: self.x.lane(k),
+            y: self.y.lane(k),
+            z: self.z.lane(k),
+        }
+    }
+
+    fn set_lane(&mut self, k: usize, p: &Point) {
+        self.x.set_lane(k, &p.x);
+        self.y.set_lane(k, &p.y);
+        self.z.set_lane(k, &p.z);
+    }
+
+    /// Every one of `lanes` lanes becomes the identity `(1̄ : 1̄ : 0)`.
+    fn set_identity<E: BatchMontMul>(&mut self, f: &BatchFieldCtx<E>, lanes: usize) {
+        for c in self.coords_mut() {
+            c.clear(lanes);
+        }
+        for k in 0..lanes {
+            self.x.set_lane(k, f.one_bar());
+            self.y.set_lane(k, f.one_bar());
+        }
+    }
+}
+
+/// Lane `k` of `out` becomes entry `digits[k]` of `table`: its column
+/// `k`, or column 0 of a one-lane table. When `hardened`, every entry
+/// is read for every lane and the wanted one is kept by a lane mask
+/// (the `ConditionallySelectable` pattern across lanes), so which
+/// memory the gather touches does not depend on the secret digits.
+fn gather(table: &[PointRows], digits: &[usize], hardened: bool, out: &mut PointRows) {
+    let lanes = digits.len();
+    for c in out.coords_mut() {
+        c.clear(lanes);
+    }
+    if hardened {
+        let mut mask = [0 as Limb; ROW_LANES];
+        for (d, entry) in table.iter().enumerate() {
+            for (m, &dk) in mask.iter_mut().zip(digits) {
+                *m = Choice::ct_eq_usize(d, dk).mask();
+            }
+            let broadcast = entry.lanes() == 1;
+            let coords = out.coords_mut().into_iter();
+            for (dst, src) in coords.zip([&entry.x, &entry.y, &entry.z]) {
+                dst.or_lanes_masked(src, broadcast, &mask[..lanes]);
+            }
+        }
+    } else {
+        for (k, &d) in digits.iter().enumerate() {
+            let entry = &table[d];
+            out.copy_lane(k, entry, if entry.lanes() == 1 { 0 } else { k });
+        }
+    }
+}
+
+/// The temporaries of one point formula, reused across calls so a
+/// warm scan allocates nothing.
+struct Scratch([FeRows; 15]);
+
+impl Scratch {
+    fn new<E: BatchMontMul>(f: &BatchFieldCtx<E>) -> Self {
+        Scratch(std::array::from_fn(|_| f.zeros(0)))
+    }
+}
+
 /// A short-Weierstrass curve `y² = x³ + ax + b` for batched point
 /// arithmetic (coefficients in the Montgomery domain, like the solo
 /// [`Curve`](crate::curve::Curve)).
@@ -172,11 +300,7 @@ impl BatchCurve {
 
     /// A batch of identity elements.
     pub fn identity<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, lanes: usize) -> PointLanes {
-        PointLanes {
-            x: vec![f.one_bar().clone(); lanes],
-            y: vec![f.one_bar().clone(); lanes],
-            z: vec![Ubig::zero(); lanes],
-        }
+        PointLanes::splat(&self.identity_lane(f), lanes)
     }
 
     /// The single-lane identity element.
@@ -197,19 +321,16 @@ impl BatchCurve {
     ) -> Result<PointLanes, MmmError> {
         let xs: Vec<Ubig> = xy.iter().map(|(x, _)| x.clone()).collect();
         let ys: Vec<Ubig> = xy.iter().map(|(_, y)| y.clone()).collect();
-        let xm = f.to_mont(&xs);
-        let ym = f.to_mont(&ys);
-        let one = f.to_mont(&vec![Ubig::one(); xy.len()]);
-        let pts = PointLanes {
-            x: xm,
-            y: ym,
-            z: one,
+        let pts = PointRows {
+            x: f.load_mont(&xs),
+            y: f.load_mont(&ys),
+            z: f.load_mont(&vec![Ubig::one(); xy.len()]),
         };
-        let on = self.contains(f, &pts);
+        let on = self.contains_rows(f, &pts);
         if let Some(lane) = on.iter().position(|ok| !ok) {
             return Err(MmmError::PointNotOnCurve { lane });
         }
-        Ok(pts)
+        Ok(pts.store(f))
     }
 
     /// Lane-wise projective curve-equation check
@@ -219,23 +340,28 @@ impl BatchCurve {
         f: &mut BatchFieldCtx<E>,
         pts: &PointLanes,
     ) -> Vec<bool> {
-        let y2 = f.sqr(&pts.y);
-        let x2 = f.sqr(&pts.x);
-        let x3 = f.mul(&x2, &pts.x);
-        let z2 = f.sqr(&pts.z);
-        let z4 = f.sqr(&z2);
-        let z6 = f.mul(&z4, &z2);
-        let ax = f.mul_const(&pts.x, &self.a);
-        let axz4 = f.mul(&ax, &z4);
-        let bz6 = f.mul_const(&z6, &self.b);
-        let rhs = {
-            let t = f.add(&x3, &axz4);
-            f.add(&t, &bz6)
-        };
-        let lhs_plain = f.from_mont(&y2);
-        let rhs_plain = f.from_mont(&rhs);
-        (0..pts.lanes())
-            .map(|k| f.is_zero(&pts.z[k]) || lhs_plain[k] == rhs_plain[k])
+        self.contains_rows(f, &PointRows::load(f, pts))
+    }
+
+    fn contains_rows<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, p: &PointRows) -> Vec<bool> {
+        let mut ws = Scratch::new(f);
+        let [y2, x2, x3, z2, z4, z6, t0, t1, t2, lhs, rhs, ..] = &mut ws.0;
+        f.sqr_rows(&p.y, y2);
+        f.sqr_rows(&p.x, x2);
+        f.mul_rows(x2, &p.x, x3);
+        f.sqr_rows(&p.z, z2);
+        f.sqr_rows(z2, z4);
+        f.mul_rows(z4, z2, z6);
+        f.mul_const_rows(&p.x, &self.a, t0);
+        f.mul_rows(t0, z4, t1);
+        f.mul_const_rows(z6, &self.b, t0);
+        f.add_rows(x3, t1, t2);
+        f.add_rows(t2, t0, t1);
+        f.exit_mont_rows(y2, lhs);
+        f.exit_mont_rows(t1, rhs);
+        let identity = f.zero_lanes(&p.z);
+        (0..p.lanes())
+            .map(|k| identity >> k & 1 == 1 || lhs.lane_eq(rhs, k))
             .collect()
     }
 
@@ -243,50 +369,10 @@ impl BatchCurve {
     /// holding the identity (`Z ≡ 0`) or a 2-torsion point (`Y ≡ 0`)
     /// come out with `Z3 = 2YZ ≡ 0` — already the identity.
     pub fn double<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, p1: &PointLanes) -> PointLanes {
-        let xx = f.sqr(&p1.x);
-        let yy = f.sqr(&p1.y);
-        let yyyy = f.sqr(&yy);
-        let zz = f.sqr(&p1.z);
-        // S = 2((X+YY)² − XX − YYYY)
-        let s = {
-            let t = f.add(&p1.x, &yy);
-            let t = f.sqr(&t);
-            let t = f.sub(&t, &xx);
-            let t = f.sub(&t, &yyyy);
-            f.dbl(&t)
-        };
-        // M = 3XX + a·ZZ²
-        let m = {
-            let t3 = f.mul_small(&xx, 3);
-            let zz2 = f.sqr(&zz);
-            let azz2 = f.mul_const(&zz2, &self.a);
-            f.add(&t3, &azz2)
-        };
-        // X3 = M² − 2S
-        let x3 = {
-            let m2 = f.sqr(&m);
-            let s2 = f.dbl(&s);
-            f.sub(&m2, &s2)
-        };
-        // Y3 = M(S − X3) − 8·YYYY
-        let y3 = {
-            let t = f.sub(&s, &x3);
-            let t = f.mul(&m, &t);
-            let y8 = f.mul_small(&yyyy, 8);
-            f.sub(&t, &y8)
-        };
-        // Z3 = (Y+Z)² − YY − ZZ  (= 2YZ)
-        let z3 = {
-            let t = f.add(&p1.y, &p1.z);
-            let t = f.sqr(&t);
-            let t = f.sub(&t, &yy);
-            f.sub(&t, &zz)
-        };
-        PointLanes {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
+        let p = PointRows::load(f, p1);
+        let mut out = PointRows::zeros(f, p.lanes());
+        self.double_rows(f, &p, &mut out, &mut Scratch::new(f));
+        out.store(f)
     }
 
     /// Batched point addition (`add-2007-bl`) with per-lane exception
@@ -297,87 +383,128 @@ impl BatchCurve {
         p1: &PointLanes,
         p2: &PointLanes,
     ) -> PointLanes {
-        let z1z1 = f.sqr(&p1.z);
-        let z2z2 = f.sqr(&p2.z);
-        let u1 = f.mul(&p1.x, &z2z2);
-        let u2 = f.mul(&p2.x, &z1z1);
-        let s1 = {
-            let t = f.mul(&p1.y, &p2.z);
-            f.mul(&t, &z2z2)
-        };
-        let s2 = {
-            let t = f.mul(&p2.y, &p1.z);
-            f.mul(&t, &z1z1)
-        };
-        let h = f.sub(&u2, &u1);
-        let r_half = f.sub(&s2, &s1);
-        let i = {
-            let h2 = f.dbl(&h);
-            f.sqr(&h2)
-        };
-        let j = f.mul(&h, &i);
-        let r = f.dbl(&r_half);
-        let v = f.mul(&u1, &i);
-        // X3 = r² − J − 2V
-        let x3 = {
-            let r2 = f.sqr(&r);
-            let t = f.sub(&r2, &j);
-            let v2 = f.dbl(&v);
-            f.sub(&t, &v2)
-        };
-        // Y3 = r(V − X3) − 2·S1·J
-        let y3 = {
-            let t = f.sub(&v, &x3);
-            let t = f.mul(&r, &t);
-            let sj = f.mul(&s1, &j);
-            let sj2 = f.dbl(&sj);
-            f.sub(&t, &sj2)
-        };
-        // Z3 = ((Z1+Z2)² − Z1Z1 − Z2Z2)·H
-        let z3 = {
-            let t = f.add(&p1.z, &p2.z);
-            let t = f.sqr(&t);
-            let t = f.sub(&t, &z1z1);
-            let t = f.sub(&t, &z2z2);
-            f.mul(&t, &h)
-        };
-        let mut out = PointLanes {
-            x: x3,
-            y: y3,
-            z: z3,
-        };
-        // Patch the exceptional lanes — the same case analysis the solo
-        // `add` performs up front, applied after the fact to only the
-        // lanes that need it (scalar reference ops, bit-identical to
-        // the engines).
-        for k in 0..out.lanes() {
-            if f.is_zero(&p1.z[k]) {
-                out.set_lane(k, &p2.lane(k));
-            } else if f.is_zero(&p2.z[k]) {
-                out.set_lane(k, &p1.lane(k));
-            } else if f.is_zero(&h[k]) {
-                if f.is_zero(&r_half[k]) {
-                    let d = self.double_lane(f, &p1.lane(k));
-                    out.set_lane(k, &d);
-                } else {
-                    out.set_lane(k, &self.identity_lane(f));
-                }
-            }
-        }
-        out
+        let (a, b) = (PointRows::load(f, p1), PointRows::load(f, p2));
+        let mut out = PointRows::zeros(f, a.lanes());
+        self.add_rows(f, &a, &b, &mut out, &mut Scratch::new(f));
+        out.store(f)
     }
 
-    /// Single-lane doubling via the scalar reference multiplication —
-    /// the exception-patching companion of [`BatchCurve::double`],
-    /// running the identical `dbl-2007-bl` chain (same early-outs as
-    /// the solo curve).
-    pub fn double_lane<E: BatchMontMul>(&self, f: &BatchFieldCtx<E>, p1: &Point) -> Point {
+    /// `dbl-2007-bl` on resident points: `out = 2p`.
+    fn double_rows<E: BatchMontMul>(
+        &self,
+        f: &mut BatchFieldCtx<E>,
+        p: &PointRows,
+        out: &mut PointRows,
+        ws: &mut Scratch,
+    ) {
+        let [xx, yy, yyyy, zz, s, m, t0, t1, t2, ..] = &mut ws.0;
+        f.sqr_rows(&p.x, xx);
+        f.sqr_rows(&p.y, yy);
+        f.sqr_rows(yy, yyyy);
+        f.sqr_rows(&p.z, zz);
+        // S = 2((X+YY)² − XX − YYYY)
+        f.add_rows(&p.x, yy, t0);
+        f.sqr_rows(t0, t1);
+        f.sub_rows(t1, xx, t0);
+        f.sub_rows(t0, yyyy, t1);
+        f.dbl_rows(t1, s);
+        // M = 3XX + a·ZZ²
+        f.mul_small_rows(xx, 3, t0);
+        f.sqr_rows(zz, t1);
+        f.mul_const_rows(t1, &self.a, t2);
+        f.add_rows(t0, t2, m);
+        // X3 = M² − 2S
+        f.sqr_rows(m, t0);
+        f.dbl_rows(s, t1);
+        f.sub_rows(t0, t1, &mut out.x);
+        // Y3 = M(S − X3) − 8·YYYY
+        f.sub_rows(s, &out.x, t0);
+        f.mul_rows(m, t0, t1);
+        f.mul_small_rows(yyyy, 8, t0);
+        f.sub_rows(t1, t0, &mut out.y);
+        // Z3 = (Y+Z)² − YY − ZZ  (= 2YZ)
+        f.add_rows(&p.y, &p.z, t0);
+        f.sqr_rows(t0, t1);
+        f.sub_rows(t1, yy, t0);
+        f.sub_rows(t0, zz, &mut out.z);
+    }
+
+    /// `add-2007-bl` on resident points, `out = p1 + p2`, with the
+    /// exceptional lanes patched.
+    fn add_rows<E: BatchMontMul>(
+        &self,
+        f: &mut BatchFieldCtx<E>,
+        p1: &PointRows,
+        p2: &PointRows,
+        out: &mut PointRows,
+        ws: &mut Scratch,
+    ) {
+        let [z1z1, z2z2, u1, u2, s1, s2, h, r_half, i, j, r, v, t0, t1, t2] = &mut ws.0;
+        f.sqr_rows(&p1.z, z1z1);
+        f.sqr_rows(&p2.z, z2z2);
+        f.mul_rows(&p1.x, z2z2, u1);
+        f.mul_rows(&p2.x, z1z1, u2);
+        f.mul_rows(&p1.y, &p2.z, t0);
+        f.mul_rows(t0, z2z2, s1);
+        f.mul_rows(&p2.y, &p1.z, t0);
+        f.mul_rows(t0, z1z1, s2);
+        f.sub_rows(u2, u1, h);
+        f.sub_rows(s2, s1, r_half);
+        f.dbl_rows(h, t0);
+        f.sqr_rows(t0, i);
+        f.mul_rows(h, i, j);
+        f.dbl_rows(r_half, r);
+        f.mul_rows(u1, i, v);
+        // X3 = r² − J − 2V
+        f.sqr_rows(r, t0);
+        f.sub_rows(t0, j, t1);
+        f.dbl_rows(v, t0);
+        f.sub_rows(t1, t0, &mut out.x);
+        // Y3 = r(V − X3) − 2·S1·J
+        f.sub_rows(v, &out.x, t0);
+        f.mul_rows(r, t0, t1);
+        f.mul_rows(s1, j, t0);
+        f.dbl_rows(t0, t2);
+        f.sub_rows(t1, t2, &mut out.y);
+        // Z3 = ((Z1+Z2)² − Z1Z1 − Z2Z2)·H
+        f.add_rows(&p1.z, &p2.z, t0);
+        f.sqr_rows(t0, t1);
+        f.sub_rows(t1, z1z1, t0);
+        f.sub_rows(t0, z2z2, t1);
+        f.mul_rows(t1, h, &mut out.z);
+        // Patch the exceptional lanes — the same case analysis the solo
+        // `add` performs up front, applied after the fact to only the
+        // flagged lanes.
+        let (inf1, inf2, h0) = (f.zero_lanes(&p1.z), f.zero_lanes(&p2.z), f.zero_lanes(h));
+        let mut flagged = inf1 | inf2 | h0;
+        let r0 = if flagged == 0 {
+            0
+        } else {
+            f.zero_lanes(r_half)
+        };
+        while flagged != 0 {
+            let k = flagged.trailing_zeros() as usize;
+            flagged &= flagged - 1;
+            if inf1 >> k & 1 == 1 {
+                out.copy_lane(k, p2, k);
+            } else if inf2 >> k & 1 == 1 {
+                out.copy_lane(k, p1, k);
+            } else if r0 >> k & 1 == 1 {
+                let d = self.double_lane(f, &p1.lane(k));
+                out.set_lane(k, &d);
+            } else {
+                out.set_lane(k, &self.identity_lane(f));
+            }
+        }
+    }
+
+    /// Single-lane doubling on the context's scalar engine — the
+    /// exception-patching companion of [`BatchCurve::double`], running
+    /// the identical `dbl-2007-bl` chain (same early-outs as the solo
+    /// curve).
+    pub fn double_lane<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, p1: &Point) -> Point {
         if f.is_zero(&p1.z) || f.is_zero(&p1.y) {
-            return Point {
-                x: f.one_bar().clone(),
-                y: f.one_bar().clone(),
-                z: Ubig::zero(),
-            };
+            return self.identity_lane(f);
         }
         let xx = f.lane_sqr(&p1.x);
         let yy = f.lane_sqr(&p1.y);
@@ -424,8 +551,9 @@ impl BatchCurve {
     /// result is `[ks[k]]·P[k]`. Driven by the shared windowed-scan
     /// core; `window` forces a width (1..=8), `None` picks the
     /// cost-model optimum for the batch's maximum scalar length. Under
-    /// engine hardening the scan never skips all-zero windows, making
-    /// the double/add schedule scalar-independent.
+    /// engine hardening the scan never skips all-zero windows and the
+    /// table gather sweeps every entry, making the memory trace and the
+    /// double/add schedule scalar-independent.
     pub fn scalar_mul<E: BatchMontMul>(
         &self,
         f: &mut BatchFieldCtx<E>,
@@ -459,9 +587,9 @@ impl BatchCurve {
     /// every lane: its window table is built at one lane and its
     /// entries are gathered into each lane. `window` forces a width
     /// (1..=8); `None` picks [`scan_window`]'s optimum, pricing only
-    /// the full-width tables. Hardening disables window skipping as in
-    /// [`BatchCurve::scalar_mul`]. Every lane's affine result equals
-    /// `add(scalar_mul(u1, P1), scalar_mul(u2, P2))`.
+    /// the full-width tables. Hardening disables window skipping and
+    /// indexed gathers as in [`BatchCurve::scalar_mul`]. Every lane's
+    /// affine result equals `add(scalar_mul(u1, P1), scalar_mul(u2, P2))`.
     ///
     /// # Panics
     /// Panics if `u1` and `u2` differ in length or a base has neither
@@ -493,7 +621,7 @@ impl BatchCurve {
     }
 
     /// Runs the windowed scan of `sets[i]` against `bases[i]` over one
-    /// `lanes`-wide accumulator.
+    /// `lanes`-wide resident accumulator.
     fn scan<E: BatchMontMul>(
         &self,
         f: &mut BatchFieldCtx<E>,
@@ -512,25 +640,27 @@ impl BatchCurve {
             "window width {window} not in 1..=8"
         );
         let hardened = f.engine().hardening().is_hardened();
+        let mut ws = Scratch::new(f);
         let tables = if t == 0 {
             Vec::new()
         } else {
             bases
                 .iter()
-                .map(|base| self.window_table(f, base, window))
+                .map(|base| self.window_table(f, &PointRows::load(f, base), window, &mut ws))
                 .collect()
         };
         let mut client = PointScanClient {
             curve: self,
+            acc: PointRows::zeros(f, lanes),
+            next: PointRows::zeros(f, lanes),
+            gathered: PointRows::zeros(f, lanes),
             f,
             tables,
-            acc: None,
-            gather: None,
-            lanes,
+            ws,
+            hardened,
         };
         run_windowed_scan(&mut client, lanes, sets, window, hardened);
-        let acc = client.acc.take();
-        acc.unwrap_or_else(|| self.identity(f, lanes))
+        client.acc.store(client.f)
     }
 
     /// Table of `[d]P` lane batches for `d = 0 .. 2^w − 1`, at the
@@ -539,14 +669,18 @@ impl BatchCurve {
     fn window_table<E: BatchMontMul>(
         &self,
         f: &mut BatchFieldCtx<E>,
-        base: &PointLanes,
+        base: &PointRows,
         window: usize,
-    ) -> Vec<PointLanes> {
+        ws: &mut Scratch,
+    ) -> Vec<PointRows> {
+        let mut identity = PointRows::zeros(f, base.lanes());
+        identity.set_identity(f, base.lanes());
         let mut table = Vec::with_capacity(1 << window);
-        table.push(self.identity(f, base.lanes()));
+        table.push(identity);
         table.push(base.clone());
         for _ in 2..(1usize << window) {
-            let next = self.add(f, table.last().unwrap(), base);
+            let mut next = PointRows::zeros(f, base.lanes());
+            self.add_rows(f, table.last().unwrap(), base, &mut next, ws);
             table.push(next);
         }
         table
@@ -567,73 +701,68 @@ impl BatchCurve {
             .iter()
             .map(|o| o.clone().unwrap_or_else(|| f.one_bar().clone()))
             .collect();
-        let zi2 = f.sqr(&zi);
-        let zi3 = f.mul(&zi2, &zi);
-        let xm = f.mul(&pts.x, &zi2);
-        let ym = f.mul(&pts.y, &zi3);
-        let xs = f.from_mont(&xm);
-        let ys = f.from_mont(&ym);
+        let (zi, x, y) = (f.load(&zi), f.load(&pts.x), f.load(&pts.y));
+        let mut ws = Scratch::new(f);
+        let [zi2, zi3, xm, ym, xs, ys, ..] = &mut ws.0;
+        f.sqr_rows(&zi, zi2);
+        f.mul_rows(zi2, &zi, zi3);
+        f.mul_rows(&x, zi2, xm);
+        f.mul_rows(&y, zi3, ym);
+        f.exit_mont_rows(xm, xs);
+        f.exit_mont_rows(ym, ys);
         zinv.iter()
-            .zip(xs.into_iter().zip(ys))
-            .map(|(inv, (x, y))| inv.as_ref().map(|_| (x, y)))
+            .enumerate()
+            .map(|(k, inv)| inv.as_ref().map(|_| (xs.lane(k), ys.lane(k))))
             .collect()
     }
 }
 
 /// The scan client for batched point multiplication: the accumulator
-/// is a lane batch, "double" is a batched point doubling, "combine"
-/// gathers each lane's entry of one set's table by its window digit
-/// and performs one batched addition. Digit 0 gathers the identity,
-/// which the patched add turns into a copy — the point analogue of
-/// multiplying by 1̄.
+/// is a resident lane batch, "double" is a batched point doubling,
+/// "combine" gathers each lane's entry of one set's table by its window
+/// digit and performs one batched addition. Digit 0 gathers the
+/// identity, which the patched add turns into a copy — the point
+/// analogue of multiplying by 1̄.
 struct PointScanClient<'c, 'f, E: BatchMontMul> {
     curve: &'c BatchCurve,
     f: &'f mut BatchFieldCtx<E>,
     /// One window table per scalar set (empty when every scalar is
     /// zero); a one-lane table is broadcast to every lane.
-    tables: Vec<Vec<PointLanes>>,
-    acc: Option<PointLanes>,
-    gather: Option<PointLanes>,
-    lanes: usize,
-}
-
-impl<E: BatchMontMul> PointScanClient<'_, '_, E> {
-    fn gather_digits(&mut self, set: usize, digits: &[usize]) -> PointLanes {
-        let mut g = self
-            .gather
-            .take()
-            .unwrap_or_else(|| self.curve.identity(self.f, self.lanes));
-        for (k, &d) in digits.iter().enumerate() {
-            let entry = &self.tables[set][d];
-            let j = if entry.lanes() == 1 { 0 } else { k };
-            g.x[k].clone_from(&entry.x[j]);
-            g.y[k].clone_from(&entry.y[j]);
-            g.z[k].clone_from(&entry.z[j]);
-        }
-        g
-    }
+    tables: Vec<Vec<PointRows>>,
+    acc: PointRows,
+    /// The other half of the accumulator's ping-pong.
+    next: PointRows,
+    gathered: PointRows,
+    ws: Scratch,
+    hardened: bool,
 }
 
 impl<E: BatchMontMul> WindowScanClient for PointScanClient<'_, '_, E> {
     fn init(&mut self, digits: &[usize]) {
-        self.acc = Some(if self.tables.is_empty() {
+        if self.tables.is_empty() {
             // Zero-length scalars: everything is [0]P = ∞.
-            self.curve.identity(self.f, self.lanes)
+            self.acc.set_identity(self.f, digits.len());
         } else {
-            self.gather_digits(0, digits)
-        });
+            gather(&self.tables[0], digits, self.hardened, &mut self.acc);
+        }
     }
 
     fn double(&mut self) {
-        let acc = self.acc.take().expect("init runs first");
-        self.acc = Some(self.curve.double(self.f, &acc));
+        self.curve
+            .double_rows(self.f, &self.acc, &mut self.next, &mut self.ws);
+        std::mem::swap(&mut self.acc, &mut self.next);
     }
 
     fn combine(&mut self, set: usize, digits: &[usize]) {
-        let g = self.gather_digits(set, digits);
-        let acc = self.acc.take().expect("init runs first");
-        self.acc = Some(self.curve.add(self.f, &acc, &g));
-        self.gather = Some(g);
+        gather(&self.tables[set], digits, self.hardened, &mut self.gathered);
+        self.curve.add_rows(
+            self.f,
+            &self.acc,
+            &self.gathered,
+            &mut self.next,
+            &mut self.ws,
+        );
+        std::mem::swap(&mut self.acc, &mut self.next);
     }
 }
 
@@ -795,5 +924,51 @@ mod tests {
         lanes.x[2] = bf.to_mont(&[Ubig::from(5u64)])[0].clone();
         let on = bc.contains(&mut bf, &lanes);
         assert_eq!(on, vec![true, true, false]);
+    }
+
+    #[test]
+    fn swept_gather_equals_indexed_gather_for_every_digit() {
+        // Multi-row entries (P-256 width) with a distinct limb pattern
+        // per (digit, lane, coordinate); a one-lane table is broadcast.
+        let params = MontgomeryParams::hardware_safe(&crate::curves::p256().p);
+        let f = BatchFieldCtx::new(EngineKind::Cios.build(params));
+        let value = |d: usize, k: usize, c: usize| {
+            Ubig::from_limbs(vec![d as u64, k as u64, c as u64, (d << 8 | k) as u64, 1])
+        };
+        let (mut plain, mut swept) = (PointRows::zeros(&f, 64), PointRows::zeros(&f, 64));
+        for w in 1..=6usize {
+            for table_lanes in [1usize, 64] {
+                let table: Vec<PointRows> = (0..1 << w)
+                    .map(|d| {
+                        let coord = |c| {
+                            let vals: Vec<Fe> = (0..table_lanes).map(|k| value(d, k, c)).collect();
+                            f.load(&vals)
+                        };
+                        PointRows {
+                            x: coord(0),
+                            y: coord(1),
+                            z: coord(2),
+                        }
+                    })
+                    .collect();
+                for lanes in [1usize, 3, 64] {
+                    // Shifts stepping by the lane count put every digit
+                    // on some lane.
+                    for shift in (0..1usize << w).step_by(lanes) {
+                        let digits: Vec<usize> =
+                            (0..lanes).map(|k| (k + shift) % (1 << w)).collect();
+                        gather(&table, &digits, false, &mut plain);
+                        gather(&table, &digits, true, &mut swept);
+                        let what =
+                            format!("w={w} table lanes={table_lanes} lanes={lanes} shift={shift}");
+                        assert_eq!(plain.store(&f), swept.store(&f), "{what}");
+                        for (k, &d) in digits.iter().enumerate() {
+                            let col = if table_lanes == 1 { 0 } else { k };
+                            assert_eq!(plain.lane(k), table[d].lane(col), "{what} lane {k}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

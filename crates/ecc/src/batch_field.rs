@@ -1,54 +1,189 @@
 //! 64-lane GF(p) arithmetic routed through a [`BatchMontMul`] engine.
 //!
-//! The batch analogue of [`crate::field::FieldCtx`]: a lane vector is a
-//! struct-of-arrays `Vec<Fe>` with every element in the Montgomery
-//! domain under the Algorithm-2 residue bound (`x̄ < 2N`, never fully
-//! reduced between operations). Multiplications and squarings advance
-//! **all lanes in one engine call**; additions, subtractions and small
-//! constant multiples are host-side single-pass corrections, exactly
-//! the per-lane algorithm [`FieldCtx`](crate::field::FieldCtx) runs —
-//! so every lane is bit-identical to what the solo context produces on
-//! the same inputs.
+//! The batch analogue of [`crate::field::FieldCtx`]: every element is
+//! in the Montgomery domain under the Algorithm-2 residue bound
+//! (`x̄ < 2N`, never fully reduced between operations), and every lane
+//! is bit-identical to what the solo context produces on the same
+//! inputs.
+//!
+//! **Resident lanes.** The working form is [`FeRows`]: up to 64 lanes
+//! kept in the engines' own limb rows ([`mmm_core::rows`]), limb `j` of
+//! lane `k` at `[j·64 + k]`. A multiplication is one
+//! [`BatchMontMul::try_mont_mul_rows`] call on the rows as they stand,
+//! with no transpose and no allocation. Additions, subtractions,
+//! doublings and small-constant ladders are branchless passes over the
+//! live lanes of each row, computing the same function as the
+//! single-lane [`BatchFieldCtx::lane_add`], [`BatchFieldCtx::lane_sub`]
+//! and [`BatchFieldCtx::lane_mul_small`], bit for bit. Scratch rows are
+//! reused across operations, so a warm computation on rows never
+//! touches the heap. The `Vec<Fe>` methods (`mul`, `add`, …) are the
+//! boundary form: load, one rows operation, store.
 //!
 //! Inversion uses **Montgomery's simultaneous-inversion trick**: a
 //! prefix chain of Montgomery products, a *single* `modinv`, then a
 //! backward sweep — one field inversion amortized over the whole batch
 //! (the dominant cost of the batched affine conversion). The sweeps
-//! are a serial chain of single products, so they run on the scalar
-//! radix-2⁶⁴ [`CiosMont`] rather than the batch engine; it is
-//! bit-identical to every Algorithm-2 engine.
+//! are a serial chain of single products, so they run on the context's
+//! scalar radix-2⁶⁴ [`CiosMont`] rather than the batch engine.
 //!
-//! The exception-patching companion ops (`lane_*`) run the reference
-//! `mont_mul_alg2` on a single lane; the engines are bit-identical to
-//! it by contract, so patched lanes cannot be distinguished from
+//! The exception-patching companion ops (`lane_*`) run on that same
+//! [`CiosMont`]. It computes the Algorithm-2 function bit for bit, like
+//! every engine, so patched lanes cannot be distinguished from
 //! engine-computed ones.
 
 use crate::field::Fe;
+use mmm_bigint::limbs::{adc, sbb, Limb};
 use mmm_bigint::Ubig;
 use mmm_core::cios::CiosMont;
-use mmm_core::error::MmmError;
-use mmm_core::montgomery::{mont_mul_alg2, MontgomeryParams};
+use mmm_core::montgomery::MontgomeryParams;
+use mmm_core::rows::{padded_limbs, row_count, ROW_LANES};
 use mmm_core::traits::{BatchMontMul, MontMul};
 
+/// A resident lane vector: field elements of up to 64 lanes in limb
+/// rows (limb `j` of lane `k` at `[j·64 + k]`), plus the live-lane
+/// count. Dead columns hold no value: no operation reads them as an
+/// operand.
+#[derive(Debug, Clone)]
+pub struct FeRows {
+    limbs: Vec<Limb>,
+    lanes: usize,
+}
+
+impl FeRows {
+    /// A zeroed vector of `rows` rows and `lanes` live lanes.
+    fn zeros(rows: usize, lanes: usize) -> Self {
+        assert!(lanes <= ROW_LANES, "at most {ROW_LANES} lanes");
+        FeRows {
+            limbs: vec![0; rows * ROW_LANES],
+            lanes,
+        }
+    }
+
+    /// Number of live lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn rows(&self) -> usize {
+        self.limbs.len() / ROW_LANES
+    }
+
+    /// Reads lane `k` out as a field element.
+    pub(crate) fn lane(&self, k: usize) -> Fe {
+        assert!(k < self.lanes, "lane {k} of {}", self.lanes);
+        Ubig::from_limbs(
+            self.limbs
+                .iter()
+                .skip(k)
+                .step_by(ROW_LANES)
+                .copied()
+                .collect(),
+        )
+    }
+
+    /// Overwrites lane `k` with `v`.
+    ///
+    /// # Panics
+    /// Panics if `k` is not live or `v` does not fit the rows.
+    pub(crate) fn set_lane(&mut self, k: usize, v: &Fe) {
+        assert!(k < self.lanes, "lane {k} of {}", self.lanes);
+        let limbs = v.limbs();
+        assert!(limbs.len() <= self.rows(), "value wider than the rows");
+        for (j, slot) in self.limbs.iter_mut().skip(k).step_by(ROW_LANES).enumerate() {
+            *slot = limbs.get(j).copied().unwrap_or(0);
+        }
+    }
+
+    /// Copies column `col` of `src` into lane `k`.
+    pub(crate) fn copy_lane(&mut self, k: usize, src: &FeRows, col: usize) {
+        let rows = self.rows();
+        for j in 0..rows {
+            self.limbs[j * ROW_LANES + k] = src.limbs[j * ROW_LANES + col];
+        }
+    }
+
+    /// ORs `src` masked by `mask[k]` into every live lane `k`, taking
+    /// column 0 of `src` for every lane when `broadcast`: one entry of
+    /// a constant-time table sweep.
+    pub(crate) fn or_lanes_masked(&mut self, src: &FeRows, broadcast: bool, mask: &[Limb]) {
+        for (dst, src) in self
+            .limbs
+            .chunks_exact_mut(ROW_LANES)
+            .zip(src.limbs.chunks_exact(ROW_LANES))
+        {
+            for (k, (o, &m)) in dst.iter_mut().zip(mask).enumerate() {
+                *o |= if broadcast { src[0] } else { src[k] } & m;
+            }
+        }
+    }
+
+    /// Copies the live lanes of `src`, taking its live-lane count.
+    pub(crate) fn copy_lanes_from(&mut self, src: &FeRows) {
+        self.lanes = src.lanes;
+        for (dst, src) in self
+            .limbs
+            .chunks_exact_mut(ROW_LANES)
+            .zip(src.limbs.chunks_exact(ROW_LANES))
+        {
+            dst[..self.lanes].copy_from_slice(&src[..self.lanes]);
+        }
+    }
+
+    /// Zeroes the live lanes and sets the live-lane count to `lanes`.
+    pub(crate) fn clear(&mut self, lanes: usize) {
+        self.lanes = lanes;
+        for row in self.limbs.chunks_exact_mut(ROW_LANES) {
+            row[..lanes].fill(0);
+        }
+    }
+
+    /// Whether lanes `k` of `self` and `other` hold the same limbs.
+    pub(crate) fn lane_eq(&self, other: &FeRows, k: usize) -> bool {
+        (0..self.rows()).all(|j| self.limbs[j * ROW_LANES + k] == other.limbs[j * ROW_LANES + k])
+    }
+}
+
 /// Batch field context: a [`BatchMontMul`] engine plus the constants
-/// needed to enter/leave the Montgomery domain.
+/// needed to enter/leave the Montgomery domain, the scalar engine of
+/// the single-lane companions, and the scratch rows the operations
+/// reuse.
 #[derive(Debug)]
 pub struct BatchFieldCtx<E: BatchMontMul> {
     engine: E,
     two_n: Ubig,
     r2: Ubig,
     one_bar: Ubig,
+    /// Rows per resident vector, `⌈(l+2)/64⌉`.
+    rows: usize,
+    /// `p` and `2p` padded to `rows` limbs.
+    p_limbs: Vec<Limb>,
+    two_p_limbs: Vec<Limb>,
+    /// The scalar engine of the single-lane companions and inversion.
+    scalar: CiosMont,
+    /// Broadcast-constant operand of `mul_const_rows` and friends.
+    konst: FeRows,
+    /// The two working rows of the `mul_small_rows` ladder.
+    base: FeRows,
+    next: FeRows,
 }
 
 impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// Wraps an engine whose modulus is the field prime.
     pub fn new(engine: E) -> Self {
         let params = engine.params().clone();
-        let one_bar = params.r().rem(params.n());
+        let rows = row_count(&params);
+        let two_n = params.two_n();
         BatchFieldCtx {
-            two_n: params.two_n(),
+            p_limbs: padded_limbs(params.n(), rows),
+            two_p_limbs: padded_limbs(&two_n, rows),
+            two_n,
             r2: params.r2_mod_n(),
-            one_bar,
+            one_bar: params.r().rem(params.n()),
+            rows,
+            konst: FeRows::zeros(rows, 0),
+            base: FeRows::zeros(rows, 0),
+            next: FeRows::zeros(rows, 0),
+            scalar: CiosMont::new(params),
             engine,
         }
     }
@@ -90,60 +225,229 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         &self.engine
     }
 
+    // ------------------------------------------------------------------
+    // Resident lane vectors.
+    // ------------------------------------------------------------------
+
+    /// A zeroed resident vector of `lanes` lanes.
+    pub fn zeros(&self, lanes: usize) -> FeRows {
+        FeRows::zeros(self.rows, lanes)
+    }
+
+    /// Loads one element per lane into a resident vector.
+    ///
+    /// # Panics
+    /// Panics on more than 64 lanes or a value wider than the rows.
+    pub fn load(&self, vals: &[Fe]) -> FeRows {
+        let mut out = self.zeros(vals.len());
+        for (k, v) in vals.iter().enumerate() {
+            out.set_lane(k, v);
+        }
+        out
+    }
+
+    /// Stores a resident vector's live lanes, one element per lane.
+    pub fn store(&self, a: &FeRows) -> Vec<Fe> {
+        (0..a.lanes).map(|k| a.lane(k)).collect()
+    }
+
+    /// `out = a · b` lane-wise: one engine call on the rows.
+    ///
+    /// # Panics
+    /// Panics if the engine rejects the batch (lane counts differ, or
+    /// an operand is not `< 2p`).
+    pub fn mul_rows(&mut self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
+        assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
+        out.lanes = a.lanes;
+        self.engine
+            .try_mont_mul_rows(&a.limbs, &b.limbs, a.lanes, &mut out.limbs)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// `out = a²` lane-wise: one engine call.
+    pub(crate) fn sqr_rows(&mut self, a: &FeRows, out: &mut FeRows) {
+        self.mul_rows(a, a, out);
+    }
+
+    /// `out = a · c` lane-wise for one shared domain constant `c`: one
+    /// engine call.
+    pub(crate) fn mul_const_rows(&mut self, a: &FeRows, c: &Fe, out: &mut FeRows) {
+        self.broadcast(c, a.lanes);
+        out.lanes = a.lanes;
+        self.engine
+            .try_mont_mul_rows(&a.limbs, &self.konst.limbs, a.lanes, &mut out.limbs)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// `out = a + b`, less `2p` when the sum reaches `2p`: the function
+    /// of [`BatchFieldCtx::lane_add`] on every live lane.
+    pub fn add_rows(&self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
+        assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
+        out.lanes = a.lanes;
+        add_mod_rows(
+            &self.two_p_limbs,
+            &a.limbs,
+            &b.limbs,
+            a.lanes,
+            &mut out.limbs,
+        );
+    }
+
+    /// `out = a − b`, plus `2p` when it borrows: the function of
+    /// [`BatchFieldCtx::lane_sub`] on every live lane.
+    pub fn sub_rows(&self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
+        assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
+        out.lanes = a.lanes;
+        sub_mod_rows(
+            &self.two_p_limbs,
+            &a.limbs,
+            &b.limbs,
+            a.lanes,
+            &mut out.limbs,
+        );
+    }
+
+    /// `out = 2a` via [`BatchFieldCtx::add_rows`].
+    pub fn dbl_rows(&self, a: &FeRows, out: &mut FeRows) {
+        self.add_rows(a, a, out);
+    }
+
+    /// `out = k·a` by the add/double ladder of
+    /// [`BatchFieldCtx::lane_mul_small`], on every live lane.
+    pub fn mul_small_rows(&mut self, a: &FeRows, k: u64, out: &mut FeRows) {
+        let lanes = a.lanes;
+        if k == 0 {
+            out.clear(lanes);
+            return;
+        }
+        let two_p = &self.two_p_limbs;
+        self.base.copy_lanes_from(a);
+        for bit in 0..u64::BITS - k.leading_zeros() {
+            if bit > 0 {
+                let base = &self.base.limbs;
+                add_mod_rows(two_p, base, base, lanes, &mut self.next.limbs);
+                std::mem::swap(&mut self.base, &mut self.next);
+            }
+            if k >> bit & 1 == 0 {
+                continue;
+            }
+            if bit == k.trailing_zeros() {
+                // The ladder's first add is 0 + base = base (< 2p).
+                out.copy_lanes_from(&self.base);
+            } else {
+                let (acc, base) = (&out.limbs, &self.base.limbs);
+                add_mod_rows(two_p, acc, base, lanes, &mut self.next.limbs);
+                std::mem::swap(&mut out.limbs, &mut self.next.limbs);
+            }
+        }
+    }
+
+    /// Enters the Montgomery domain lane-wise into a resident vector:
+    /// `x ↦ x·R mod 2p`, one engine call.
+    pub(crate) fn load_mont(&mut self, xs: &[Ubig]) -> FeRows {
+        let reduced: Vec<Ubig> = xs.iter().map(|x| x.rem(self.p())).collect();
+        let a = self.load(&reduced);
+        let mut out = self.zeros(a.lanes);
+        let r2 = self.r2.clone();
+        self.mul_const_rows(&a, &r2, &mut out);
+        out
+    }
+
+    /// Leaves the domain lane-wise, fully reduced below `p`: one
+    /// engine call by 1, then a branchless conditional subtraction.
+    pub(crate) fn exit_mont_rows(&mut self, a: &FeRows, out: &mut FeRows) {
+        self.mul_const_rows(a, &Ubig::one(), out);
+        reduce_below_rows(&self.p_limbs, out.lanes, &mut out.limbs);
+    }
+
+    /// Bit `k` is set iff live lane `k` represents zero (`0` or `p`:
+    /// residues are bounded by `2p`).
+    pub(crate) fn zero_lanes(&self, a: &FeRows) -> u64 {
+        let mut zero_or = [0 as Limb; ROW_LANES];
+        let mut p_or = [0 as Limb; ROW_LANES];
+        for (row, &pj) in a.limbs.chunks_exact(ROW_LANES).zip(&self.p_limbs) {
+            for k in 0..a.lanes {
+                zero_or[k] |= row[k];
+                p_or[k] |= row[k] ^ pj;
+            }
+        }
+        (0..a.lanes).fold(0, |mask, k| {
+            mask | (u64::from(zero_or[k] == 0 || p_or[k] == 0) << k)
+        })
+    }
+
+    /// Fills the live lanes of the broadcast-constant rows with `c`.
+    fn broadcast(&mut self, c: &Fe, lanes: usize) {
+        let limbs = c.limbs();
+        self.konst.lanes = lanes;
+        for (j, row) in self.konst.limbs.chunks_exact_mut(ROW_LANES).enumerate() {
+            row[..lanes].fill(limbs.get(j).copied().unwrap_or(0));
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // `Vec<Fe>` boundary: load, one rows operation, store.
+    // ------------------------------------------------------------------
+
+    /// Runs `op` on resident copies of `a` and `b`.
+    fn on_rows(
+        &mut self,
+        a: &[Fe],
+        b: &[Fe],
+        op: impl FnOnce(&mut Self, &FeRows, &FeRows, &mut FeRows),
+    ) -> Vec<Fe> {
+        let (a, b) = (self.load(a), self.load(b));
+        let mut out = self.zeros(a.lanes);
+        op(self, &a, &b, &mut out);
+        self.store(&out)
+    }
+
     /// Enters the Montgomery domain lane-wise: `x ↦ x·R mod 2p`.
     pub fn to_mont(&mut self, xs: &[Ubig]) -> Vec<Fe> {
-        let reduced: Vec<Ubig> = xs.iter().map(|x| x.rem(self.p())).collect();
-        let r2s = vec![self.r2.clone(); xs.len()];
-        self.batch(&reduced, &r2s)
+        let a = self.load_mont(xs);
+        self.store(&a)
     }
 
     /// Leaves the domain lane-wise, returning fully reduced values
     /// `< p`.
     pub fn from_mont(&mut self, xs: &[Fe]) -> Vec<Ubig> {
-        let ones = vec![Ubig::one(); xs.len()];
-        let vs = self.batch(xs, &ones);
-        vs.into_iter()
-            .map(|v| if &v >= self.p() { v - self.p() } else { v })
-            .collect()
+        self.on_rows(xs, xs, |f, a, _, out| f.exit_mont_rows(a, out))
     }
 
     /// Lane-wise domain multiplication: one engine call.
     pub fn mul(&mut self, a: &[Fe], b: &[Fe]) -> Vec<Fe> {
-        self.batch(a, b)
+        self.on_rows(a, b, Self::mul_rows)
     }
 
     /// Lane-wise domain squaring: one engine call.
     pub fn sqr(&mut self, a: &[Fe]) -> Vec<Fe> {
-        self.batch(a, a)
+        self.on_rows(a, a, |f, a, _, out| f.sqr_rows(a, out))
     }
 
     /// Lane-wise multiplication by one shared domain constant.
     pub fn mul_const(&mut self, a: &[Fe], c: &Fe) -> Vec<Fe> {
-        let cs = vec![c.clone(); a.len()];
-        self.batch(a, &cs)
+        self.on_rows(a, a, |f, a, _, out| f.mul_const_rows(a, c, out))
     }
 
     /// Lane-wise domain addition with single conditional correction.
     pub fn add(&mut self, a: &[Fe], b: &[Fe]) -> Vec<Fe> {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(x, y)| self.lane_add(x, y)).collect()
+        self.on_rows(a, b, |f, a, b, out| f.add_rows(a, b, out))
     }
 
     /// Lane-wise domain subtraction (`a − b mod 2p`).
     pub fn sub(&mut self, a: &[Fe], b: &[Fe]) -> Vec<Fe> {
-        debug_assert_eq!(a.len(), b.len());
-        a.iter().zip(b).map(|(x, y)| self.lane_sub(x, y)).collect()
+        self.on_rows(a, b, |f, a, b, out| f.sub_rows(a, b, out))
     }
 
     /// Lane-wise domain doubling.
     pub fn dbl(&mut self, a: &[Fe]) -> Vec<Fe> {
-        a.iter().map(|x| self.lane_add(x, x)).collect()
+        self.on_rows(a, a, |f, a, _, out| f.dbl_rows(a, out))
     }
 
     /// Lane-wise multiplication by a small constant via repeated
     /// addition (same ladder as the solo context).
     pub fn mul_small(&mut self, a: &[Fe], k: u64) -> Vec<Fe> {
-        a.iter().map(|x| self.lane_mul_small(x, k)).collect()
+        self.on_rows(a, a, |f, a, _, out| f.mul_small_rows(a, k, out))
     }
 
     /// True iff lane `a` represents zero (`≡ 0 mod p`; residues are
@@ -157,34 +461,26 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     ///
     /// Cost: `3(k−1)` Montgomery multiplications plus **one** `modinv`
     /// for `k` nonzero lanes, instead of `k` inversions. The prefix and
-    /// backward sweeps run on a scalar [`CiosMont`], which computes the
-    /// Algorithm-2 function bit for bit, so the `< 2N` residue bound is
-    /// maintained throughout.
+    /// backward sweeps run on the context's scalar [`CiosMont`], which
+    /// computes the Algorithm-2 function bit for bit, so the `< 2N`
+    /// residue bound is maintained throughout.
     pub fn inv(&mut self, a: &[Fe]) -> Vec<Option<Fe>> {
         let nz: Vec<usize> = (0..a.len()).filter(|&k| !self.is_zero(&a[k])).collect();
         let mut out: Vec<Option<Fe>> = vec![None; a.len()];
         if nz.is_empty() {
             return out;
         }
-        let mut mont = CiosMont::new(self.engine.params().clone());
         // Prefix chain of Montgomery products over the nonzero lanes:
         // prefix[i] = ā₀·ā₁⋯āᵢ (Montgomery domain, < 2N).
         let mut prefix: Vec<Fe> = Vec::with_capacity(nz.len());
         let mut acc = a[nz[0]].clone();
         prefix.push(acc.clone());
         for &k in &nz[1..] {
-            acc = mont.mont_mul(&acc, &a[k]);
+            acc = self.scalar.mont_mul(&acc, &a[k]);
             prefix.push(acc.clone());
         }
         // One inversion of the total product.
-        let total_plain = {
-            let v = mont.mont_mul(&acc, &Ubig::one());
-            if &v >= self.p() {
-                v - self.p()
-            } else {
-                v
-            }
-        };
+        let total_plain = self.lane_from_mont(&acc);
         let Some(inv_plain) = total_plain.modinv(self.p()) else {
             // Non-prime modulus with a lane sharing a factor: fall back
             // to per-lane inversion so the batch still answers.
@@ -195,14 +491,14 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         };
         // Re-enter the domain, then sweep backwards stripping one lane
         // per step: u = (ā₀⋯āᵢ)⁻¹ before visiting lane i.
-        let mut u = mont.mont_mul(&inv_plain, &self.r2);
+        let mut u = self.scalar.mont_mul(&inv_plain, &self.r2);
         for i in (0..nz.len()).rev() {
             let k = nz[i];
             if i == 0 {
                 out[k] = Some(u.clone());
             } else {
-                out[k] = Some(mont.mont_mul(&u, &prefix[i - 1]));
-                u = mont.mont_mul(&u, &a[k]);
+                out[k] = Some(self.scalar.mont_mul(&u, &prefix[i - 1]));
+                u = self.scalar.mont_mul(&u, &a[k]);
             }
         }
         out
@@ -214,20 +510,20 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     }
 
     // ------------------------------------------------------------------
-    // Single-lane companions — the exception-patching ops. These run
-    // the reference Algorithm 2 (`mont_mul_alg2`), which every engine
-    // is bit-identical to, so a patched lane is indistinguishable from
-    // an engine-computed one.
+    // Single-lane companions — the exception-patching ops. The
+    // multiplications run on the context's scalar `CiosMont`, which
+    // every engine is bit-identical to, so a patched lane is
+    // indistinguishable from an engine-computed one.
     // ------------------------------------------------------------------
 
-    /// Single-lane domain multiplication via the reference algorithm.
-    pub fn lane_mul(&self, a: &Fe, b: &Fe) -> Fe {
-        mont_mul_alg2(self.engine.params(), a, b)
+    /// Single-lane domain multiplication.
+    pub fn lane_mul(&mut self, a: &Fe, b: &Fe) -> Fe {
+        self.scalar.mont_mul(a, b)
     }
 
-    /// Single-lane domain squaring via the reference algorithm.
-    pub fn lane_sqr(&self, a: &Fe) -> Fe {
-        mont_mul_alg2(self.engine.params(), a, a)
+    /// Single-lane domain squaring.
+    pub fn lane_sqr(&mut self, a: &Fe) -> Fe {
+        self.scalar.mont_mul(a, a)
     }
 
     /// Single-lane domain addition.
@@ -271,38 +567,88 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     }
 
     /// Single-lane field inversion (leaves and re-enters the domain).
-    pub fn lane_inv(&self, a: &Fe) -> Option<Fe> {
-        let params = self.engine.params();
-        let plain = {
-            let v = mont_mul_alg2(params, a, &Ubig::one());
-            if &v >= self.p() {
-                v - self.p()
-            } else {
-                v
-            }
-        };
-        let inv = plain.modinv(self.p())?;
-        Some(mont_mul_alg2(params, &inv, &self.r2))
+    pub fn lane_inv(&mut self, a: &Fe) -> Option<Fe> {
+        let inv = self.lane_from_mont(a).modinv(self.p())?;
+        Some(self.scalar.mont_mul(&inv, &self.r2))
     }
 
-    /// One engine call; panics on a malformed batch (callers validate
-    /// shard sizes up front).
-    fn batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        self.engine.mont_mul_batch(xs, ys)
+    /// Single-lane exit from the domain, fully reduced below `p`.
+    fn lane_from_mont(&mut self, a: &Fe) -> Ubig {
+        let v = self.scalar.mont_mul(a, &Ubig::one());
+        if &v >= self.p() {
+            v - self.p()
+        } else {
+            v
+        }
     }
+}
 
-    /// One engine call writing into a caller-provided buffer, for hot
-    /// loops that recycle lane allocations (the scan client's
-    /// double/combine steps).
-    pub fn mul_into(&mut self, xs: &[Fe], ys: &[Fe], out: &mut Vec<Fe>) {
-        self.engine.mont_mul_batch_into(xs, ys, out);
+/// Limb `j` of lane `k` in a rows buffer.
+#[inline(always)]
+fn at(j: usize, k: usize) -> usize {
+    j * ROW_LANES + k
+}
+
+/// Lane `k` of `out` less `m` when `take`, with the same instructions
+/// either way: the masked second pass of a branchless conditional
+/// subtraction.
+#[inline(always)]
+fn sub_masked(m: &[Limb], take: bool, k: usize, out: &mut [Limb]) {
+    let mask = Limb::from(take).wrapping_neg();
+    let mut borrow = false;
+    for (j, &mj) in m.iter().enumerate() {
+        let (d, b) = sbb(out[at(j, k)], mj & mask, borrow);
+        out[at(j, k)] = d;
+        borrow = b;
     }
+}
 
-    /// Fallible batch validation for serving entry points: checks the
-    /// lane count against the engine and every operand against the
-    /// `< 2N` bound without performing the multiplication.
-    pub fn try_check(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Result<(), MmmError> {
-        self.engine.try_mont_mul_batch(xs, ys).map(|_| ())
+/// `out = a + b`, less `2p` when the sum reaches `2p`, on lanes
+/// `..lanes`: a carry chain for the sum and a borrow chain deciding
+/// `sum ≥ 2p`, then a masked subtraction. Operands are below
+/// `2p < 2^{64·rows − 1}`, so the sum never carries out.
+fn add_mod_rows(two_p: &[Limb], a: &[Limb], b: &[Limb], lanes: usize, out: &mut [Limb]) {
+    for k in 0..lanes {
+        let (mut carry, mut borrow) = (false, false);
+        for (j, &pj) in two_p.iter().enumerate() {
+            let (s, c) = adc(a[at(j, k)], b[at(j, k)], carry);
+            out[at(j, k)] = s;
+            carry = c;
+            borrow = sbb(s, pj, borrow).1;
+        }
+        sub_masked(two_p, !borrow, k, out);
+    }
+}
+
+/// `out = a − b`, plus `2p` when it borrows, on lanes `..lanes`: the
+/// wrapped difference plus `2p` is the true value, which fits the rows.
+fn sub_mod_rows(two_p: &[Limb], a: &[Limb], b: &[Limb], lanes: usize, out: &mut [Limb]) {
+    for k in 0..lanes {
+        let mut borrow = false;
+        for j in 0..two_p.len() {
+            let (d, bo) = sbb(a[at(j, k)], b[at(j, k)], borrow);
+            out[at(j, k)] = d;
+            borrow = bo;
+        }
+        let mask = Limb::from(borrow).wrapping_neg();
+        let mut carry = false;
+        for (j, &pj) in two_p.iter().enumerate() {
+            let (s, c) = adc(out[at(j, k)], pj & mask, carry);
+            out[at(j, k)] = s;
+            carry = c;
+        }
+    }
+}
+
+/// Subtracts `p` from every live lane at or above it, so values below
+/// `2p` land below `p`.
+fn reduce_below_rows(p: &[Limb], lanes: usize, out: &mut [Limb]) {
+    for k in 0..lanes {
+        let mut borrow = false;
+        for (j, &pj) in p.iter().enumerate() {
+            borrow = sbb(out[at(j, k)], pj, borrow).1;
+        }
+        sub_masked(p, !borrow, k, out);
     }
 }
 
@@ -421,5 +767,15 @@ mod tests {
             assert_eq!(mul[k], bf.lane_mul(&xm[k], &ym[k]), "lane {k}");
             assert_eq!(sq[k], bf.lane_sqr(&xm[k]), "lane {k}");
         }
+    }
+
+    #[test]
+    fn zero_lanes_flags_both_representations() {
+        let bf = batch_ctx(97);
+        let vals: Vec<Ubig> = [0u64, 97, 1, 96, 193, 0]
+            .iter()
+            .map(|&v| Ubig::from(v))
+            .collect();
+        assert_eq!(bf.zero_lanes(&bf.load(&vals)), 0b100011);
     }
 }

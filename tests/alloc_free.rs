@@ -4,7 +4,10 @@
 //! reusable output buffers) further `mont_mul_batch_into` calls must
 //! perform **zero** heap operations — on the bit-sliced engine, the
 //! radix-2⁶⁴ CIOS engine (both its per-lane and its SoA path), and the
-//! radix-2⁵² carry-save engine alike.
+//! radix-2⁵² carry-save engine alike. The rows entry
+//! (`try_mont_mul_rows`) is held to the same bar on both CIOS engines,
+//! on every radix-2⁵² kernel and through a pooled engine, and a
+//! batched ECC scan's window loop must not allocate at all.
 //!
 //! Runs with `harness = false` (see the `[[test]]` entry in
 //! `Cargo.toml`): the libtest harness keeps its main thread alive
@@ -16,9 +19,15 @@
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::batch::BitSlicedBatch;
 use montgomery_systolic::core::cios::CiosBatch;
-use montgomery_systolic::core::cios52::Cios52Batch;
+use montgomery_systolic::core::cios52::{Cios52Batch, Cios52Kernel};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
-use montgomery_systolic::core::montgomery::mont_mul_alg2;
+use montgomery_systolic::core::montgomery::{mont_mul_alg2, MontgomeryParams};
+use montgomery_systolic::core::rows::{row_count, ROW_LANES};
+use montgomery_systolic::core::{pool, BatchMontMul, EngineKind};
+use montgomery_systolic::ecc::batch_curve::{BatchCurve, PointLanes};
+use montgomery_systolic::ecc::batch_field::BatchFieldCtx;
+use montgomery_systolic::ecc::curve::Point;
+use montgomery_systolic::ecc::curves::p256;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,7 +61,121 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn main() {
     warm_batch_multiplication_does_not_allocate();
-    println!("alloc_free: ok (all three engines' warm hot paths performed zero heap ops)");
+    warm_rows_multiplication_does_not_allocate();
+    ecc_scan_window_loop_does_not_allocate();
+    println!("alloc_free: ok (warm engine calls, rows calls and the ECC window loop performed zero heap ops)");
+}
+
+/// Heap operations performed by `f`.
+fn heap_ops(f: impl FnOnce()) -> u64 {
+    let before = HEAP_OPS.load(Ordering::SeqCst);
+    f();
+    HEAP_OPS.load(Ordering::SeqCst) - before
+}
+
+/// Warm rows-entry squaring chains at 1, 3, 32, 33 and 64 live lanes
+/// (both sides of the CIOS per-lane bound) make zero heap operations
+/// on `CiosBatch`, on `Cios52Batch` with every kernel, and through a
+/// pooled engine, whose forwarding must bypass the allocating default
+/// rows adapter. Each chain's results stay equal to Algorithm 2.
+fn warm_rows_multiplication_does_not_allocate() {
+    let mut rng = StdRng::seed_from_u64(0xA110D);
+    let params = random_safe_params(&mut rng, 256);
+    let rows = row_count(&params);
+    let xs: Vec<Ubig> = (0..64).map(|_| random_operand(&mut rng, &params)).collect();
+    let mut start = vec![0u64; rows * ROW_LANES];
+    for (k, x) in xs.iter().enumerate() {
+        for (j, &limb) in x.limbs().iter().enumerate() {
+            start[j * ROW_LANES + k] = limb;
+        }
+    }
+    let mut engines: Vec<(String, Box<dyn BatchMontMul>)> = vec![(
+        "cios".into(),
+        Box::new(CiosBatch::new(params.clone())) as Box<dyn BatchMontMul>,
+    )];
+    for &kernel in Cios52Kernel::available() {
+        engines.push((
+            format!("cios52/{}", kernel.name()),
+            Box::new(Cios52Batch::with_kernel(params.clone(), kernel)),
+        ));
+    }
+    for kind in [EngineKind::Cios, EngineKind::Cios52] {
+        engines.push((
+            format!("pooled {}", kind.name()),
+            Box::new(pool::global().checkout_kind(&params, kind)),
+        ));
+    }
+    for (name, engine) in engines.iter_mut() {
+        for lanes in [1usize, 3, 32, 33, 64] {
+            let (mut a, mut b) = (start.clone(), vec![0u64; rows * ROW_LANES]);
+            let mut square = |a: &mut Vec<u64>, b: &mut Vec<u64>| {
+                engine.try_mont_mul_rows(a, a, lanes, b).unwrap();
+                std::mem::swap(a, b);
+            };
+            square(&mut a, &mut b);
+            let ops = heap_ops(|| {
+                for _ in 0..8 {
+                    square(&mut a, &mut b);
+                }
+            });
+            assert_eq!(
+                ops, 0,
+                "warm {name} rows calls at {lanes} lanes must not touch the heap"
+            );
+            for (k, x) in xs.iter().enumerate().take(lanes) {
+                let mut want = x.clone();
+                for _ in 0..9 {
+                    want = mont_mul_alg2(&params, &want, &want);
+                }
+                let got = Ubig::from_limbs((0..rows).map(|j| a[j * ROW_LANES + k]).collect());
+                assert_eq!(got, want, "{name} at {lanes} lanes, lane {k}");
+            }
+        }
+    }
+}
+
+/// A 64-lane P-256 joint scan (ECDSA verify's `[u1]G + [u2]Q`, G at one
+/// lane) at a forced w = 5 makes exactly as many heap operations with
+/// 128-bit scalars as with 256-bit ones: the per-scan conversions and
+/// window tables cost the same either way, so the window loop, which
+/// runs twice as long at 256 bits, never allocates.
+fn ecc_scan_window_loop_does_not_allocate() {
+    let spec = p256();
+    let params = MontgomeryParams::hardware_safe(&spec.p);
+    let mut f = BatchFieldCtx::new(CiosBatch::new(params));
+    let curve = BatchCurve::try_new(&mut f, &spec.a, &spec.b).unwrap();
+    let m = f.to_mont(&[spec.gx.clone(), spec.gy.clone(), Ubig::one()]);
+    let g = Point {
+        x: m[0].clone(),
+        y: m[1].clone(),
+        z: m[2].clone(),
+    };
+    let ds: Vec<Ubig> = (2..66u64).map(Ubig::from).collect();
+    let q = curve.scalar_mul(&mut f, &ds, &PointLanes::splat(&g, 64), None);
+    let g1 = PointLanes::splat(&g, 1);
+    let mut rng = StdRng::seed_from_u64(0xA110E);
+    let mut scalars = |bits: usize| -> Vec<Ubig> {
+        (0..64)
+            .map(|_| {
+                let mut k = Ubig::random_bits(&mut rng, bits);
+                k.set_bit(bits - 1, true);
+                k
+            })
+            .collect()
+    };
+    let (u1_128, u2_128, u1_256, u2_256) = (scalars(128), scalars(128), scalars(256), scalars(256));
+    let mut scan = |u1: &[Ubig], u2: &[Ubig]| {
+        heap_ops(|| {
+            std::hint::black_box(curve.joint_scalar_mul(&mut f, u1, &g1, u2, &q, Some(5)));
+        })
+    };
+    scan(&u1_256, &u2_256);
+    let short = scan(&u1_128, &u2_128);
+    let long = scan(&u1_256, &u2_256);
+    assert_eq!(
+        short, long,
+        "a joint scan's heap operations must not grow with its window count"
+    );
 }
 
 fn warm_batch_multiplication_does_not_allocate() {

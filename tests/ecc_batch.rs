@@ -589,3 +589,64 @@ fn batch_layer_reports_typed_errors() {
     let err = BatchCurve::try_new(&mut bf, &Ubig::zero(), &Ubig::zero()).unwrap_err();
     assert!(matches!(err, MmmError::SingularCurve));
 }
+
+// ---------------------------------------------------------------------
+// Resident field operations: every rows op computes the function of
+// its single-lane companion, bit for bit, at the word-boundary primes,
+// on the edge operands 0, 1, p−1, p and 2p−1, at 1, 3, 63 and 64 live
+// lanes.
+// ---------------------------------------------------------------------
+
+#[test]
+fn rows_field_ops_match_lane_companions() {
+    for (name, p) in boundary_primes() {
+        let params = MontgomeryParams::hardware_safe(&p);
+        let mut f = BatchFieldCtx::new(EngineKind::default_kind().build(params));
+        let one = Ubig::one();
+        let edges = [
+            Ubig::zero(),
+            one.clone(),
+            &p - &one,
+            p.clone(),
+            &(&p + &p) - &one,
+        ];
+        let pairs: Vec<(&Ubig, &Ubig)> = edges
+            .iter()
+            .flat_map(|a| edges.iter().map(move |b| (a, b)))
+            .collect();
+        for lanes in [1usize, 3, 63, 64] {
+            // Offsets stepping by the lane count put every pair on a lane.
+            for offset in (0..pairs.len()).step_by(lanes) {
+                let pick = |k: usize| pairs[(offset + k) % pairs.len()];
+                let a: Vec<Ubig> = (0..lanes).map(|k| pick(k).0.clone()).collect();
+                let b: Vec<Ubig> = (0..lanes).map(|k| pick(k).1.clone()).collect();
+                let (ra, rb) = (f.load(&a), f.load(&b));
+                let mut out = f.zeros(lanes);
+                let what = |op: &str, k: usize| format!("{op} prime={name} lanes={lanes} lane {k}");
+                f.add_rows(&ra, &rb, &mut out);
+                for (k, got) in f.store(&out).iter().enumerate() {
+                    assert_eq!(*got, f.lane_add(&a[k], &b[k]), "{}", what("add", k));
+                }
+                f.sub_rows(&ra, &rb, &mut out);
+                for (k, got) in f.store(&out).iter().enumerate() {
+                    assert_eq!(*got, f.lane_sub(&a[k], &b[k]), "{}", what("sub", k));
+                }
+                f.dbl_rows(&ra, &mut out);
+                for (k, got) in f.store(&out).iter().enumerate() {
+                    assert_eq!(*got, f.lane_dbl(&a[k]), "{}", what("dbl", k));
+                }
+                for small in [0u64, 1, 2, 3, 5, 8, 13] {
+                    f.mul_small_rows(&ra, small, &mut out);
+                    for (k, got) in f.store(&out).iter().enumerate() {
+                        let op = format!("mul_small({small})");
+                        assert_eq!(*got, f.lane_mul_small(&a[k], small), "{}", what(&op, k));
+                    }
+                }
+                f.mul_rows(&ra, &rb, &mut out);
+                for (k, got) in f.store(&out).iter().enumerate() {
+                    assert_eq!(*got, f.lane_mul(&a[k], &b[k]), "{}", what("mul", k));
+                }
+            }
+        }
+    }
+}

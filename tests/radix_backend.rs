@@ -16,9 +16,10 @@ use montgomery_systolic::core::cios52::{
 use montgomery_systolic::core::expo_batch::{try_modexp_many, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::MontgomeryParams;
+use montgomery_systolic::core::rows::{row_count, ROW_LANES};
 use montgomery_systolic::core::wave_packed::PackedMmmc;
 use montgomery_systolic::core::{
-    BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
+    AnyBatchEngine, BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -237,7 +238,10 @@ fn cios_bit_identity_at_word_boundary_and_serving_widths() {
 /// random operands and the worst cases 0, N−1 and 2N−1. Each lane must
 /// equal Algorithm 2, a 64-lane CIOS call and every radix-2⁵² kernel
 /// (which always run all 64 lanes) — the raw `< 2N` representative
-/// when unhardened, the canonical `< N` residue when hardened.
+/// when unhardened, the canonical `< N` residue when hardened. The
+/// rows entry (`try_mont_mul_rows`) runs the same sweep on every
+/// backend and every radix-2⁵² kernel, with its dead columns filled
+/// with all-ones limbs that it must ignore.
 #[test]
 fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
     use montgomery_systolic::core::montgomery::mont_mul_alg2;
@@ -282,7 +286,13 @@ fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
                     kernel.name()
                 );
             }
+            let mut rows_engines = rows_engines(&params);
+            for e in rows_engines.iter_mut() {
+                e.set_hardening(mode);
+            }
+            let rows = row_count(&params);
             let mut out = Vec::new();
+            let mut out_rows = vec![0; rows * ROW_LANES];
             for lanes in (1..=32).flat_map(|i| [65 - i, i]) {
                 let idx: Vec<usize> = (0..lanes).map(|k| (7 * lanes + k) % 64).collect();
                 let lx: Vec<Ubig> = idx.iter().map(|&i| xs[i].clone()).collect();
@@ -293,8 +303,138 @@ fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
                     assert_eq!(out[k], want[i], "l={l} lanes={lanes} lane {k} ({mode:?})");
                     assert!(!mode.is_hardened() || out[k] < *params.n(), "not canonical");
                 }
+                let (rx, ry) = (to_rows(&lx, rows), to_rows(&ly, rows));
+                for e in rows_engines.iter_mut() {
+                    e.try_mont_mul_rows(&rx, &ry, lanes, &mut out_rows).unwrap();
+                    for (k, &i) in idx.iter().enumerate() {
+                        assert_eq!(
+                            lane_of(&out_rows, rows, k),
+                            want[i],
+                            "rows on {} l={l} lanes={lanes} lane {k} ({mode:?})",
+                            e.name()
+                        );
+                    }
+                }
             }
         }
+    }
+}
+
+/// One engine per backend and per radix-2⁵² kernel, for the rows-entry
+/// sweeps.
+fn rows_engines(params: &MontgomeryParams) -> Vec<AnyBatchEngine> {
+    let mut engines = vec![
+        EngineKind::Cios.build(params.clone()),
+        EngineKind::BitSliced.build(params.clone()),
+    ];
+    engines.extend(
+        Cios52Kernel::available()
+            .iter()
+            .map(|&k| AnyBatchEngine::Cios52(Cios52Batch::with_kernel(params.clone(), k))),
+    );
+    engines
+}
+
+/// `vals` in the rows layout: lane `k`'s limb `j` at `[j·64 + k]`, and
+/// all-ones limbs in every dead column.
+fn to_rows(vals: &[Ubig], rows: usize) -> Vec<u64> {
+    let mut out = vec![u64::MAX; rows * ROW_LANES];
+    for (k, v) in vals.iter().enumerate() {
+        for j in 0..rows {
+            out[j * ROW_LANES + k] = v.limbs().get(j).copied().unwrap_or(0);
+        }
+    }
+    out
+}
+
+/// Lane `k` of a rows buffer.
+fn lane_of(buf: &[u64], rows: usize, k: usize) -> Ubig {
+    Ubig::from_limbs((0..rows).map(|j| buf[j * ROW_LANES + k]).collect())
+}
+
+/// The rows entry's typed errors, on every backend, every radix-2⁵²
+/// kernel and through the pool: a live lane `≥ 2N` is named (on both
+/// sides of the CIOS per-lane bound, in either operand), a dead one is
+/// ignored, a buffer of the wrong length and a lane count outside
+/// `1..=64` are rejected.
+#[test]
+fn rows_entry_reports_typed_errors() {
+    use montgomery_systolic::core::{pool, MmmError, OperandBound};
+    let mut rng = StdRng::seed_from_u64(0xC109);
+    let params = random_safe_params(&mut rng, 130);
+    let rows = row_count(&params);
+    let good: Vec<Ubig> = (0..64).map(|_| random_operand(&mut rng, &params)).collect();
+    let mut engines: Vec<Box<dyn BatchMontMul>> = rows_engines(&params)
+        .into_iter()
+        .map(|e| Box::new(e) as Box<dyn BatchMontMul>)
+        .collect();
+    engines.push(Box::new(
+        pool::global().checkout_kind(&params, EngineKind::Cios),
+    ));
+    let out_of_range = |lane| {
+        Err(MmmError::OperandOutOfRange {
+            lane,
+            bound: OperandBound::TwoN,
+        })
+    };
+    for e in engines.iter_mut() {
+        let name = e.name();
+        let mut out = vec![0; rows * ROW_LANES];
+        for (lanes, bad) in [(3usize, 2usize), (40, 37), (64, 63)] {
+            let mut xs = good[..lanes].to_vec();
+            xs[bad] = params.two_n();
+            let (x, y) = (to_rows(&xs, rows), to_rows(&good[..lanes], rows));
+            assert_eq!(
+                e.try_mont_mul_rows(&x, &y, lanes, &mut out),
+                out_of_range(bad),
+                "{name} x"
+            );
+            assert_eq!(
+                e.try_mont_mul_rows(&y, &x, lanes, &mut out),
+                out_of_range(bad),
+                "{name} y"
+            );
+            // The same value in a dead column is not an operand.
+            assert_eq!(
+                e.try_mont_mul_rows(&x, &y, bad, &mut out),
+                Ok(()),
+                "{name} dead"
+            );
+        }
+        let x = to_rows(&good, rows);
+        let short = &x[..x.len() - 1];
+        let mismatch = Err(MmmError::LengthMismatch {
+            left: x.len() - 1,
+            right: x.len(),
+        });
+        assert_eq!(
+            e.try_mont_mul_rows(short, &x, 5, &mut out),
+            mismatch,
+            "{name}"
+        );
+        assert_eq!(
+            e.try_mont_mul_rows(&x, short, 5, &mut out),
+            mismatch,
+            "{name}"
+        );
+        assert_eq!(
+            e.try_mont_mul_rows(&x, &x, 5, &mut out[1..]),
+            mismatch,
+            "{name}"
+        );
+        assert_eq!(
+            e.try_mont_mul_rows(&x, &x, 0, &mut out),
+            Err(MmmError::EmptyBatch),
+            "{name}"
+        );
+        assert_eq!(
+            e.try_mont_mul_rows(&x, &x, 65, &mut out),
+            Err(MmmError::BatchTooWide {
+                lanes: 65,
+                max_lanes: 64
+            }),
+            "{name}"
+        );
     }
 }
 
