@@ -453,7 +453,7 @@ pub fn try_mont_mul_many(
             });
         }
     }
-    let width = config.shard_lanes().clamp(1, MAX_LANES);
+    let width = config.shard_lanes();
     let shards: Vec<(&[Ubig], &[Ubig])> = xs.chunks(width).zip(ys.chunks(width)).collect();
     Ok(shards
         .into_par_iter()

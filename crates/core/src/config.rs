@@ -45,7 +45,7 @@ use std::time::Duration;
 
 /// Default fill-or-deadline flush deadline of the serving front-end:
 /// a shard that has not filled its 64 lanes is flushed once its oldest
-/// request has waited this long, so a singleton request never waits
+/// request has sat in it this long, so a singleton request never waits
 /// unboundedly for 63 peers that may not exist.
 pub const DEFAULT_FLUSH_DEADLINE: Duration = Duration::from_millis(2);
 
@@ -160,7 +160,7 @@ pub struct EngineConfig {
 }
 
 impl PartialEq for EngineConfig {
-    /// Compares the configuration *values*. The corruption plan and
+    /// Compares the configuration *values*. The fault plan and
     /// quarantine ledger are shared instrumentation handles, not
     /// settings, and are deliberately excluded.
     fn eq(&self, other: &Self) -> bool {
@@ -225,7 +225,7 @@ impl EngineConfig {
 
     /// The serving front-end's fill-or-deadline flush deadline: a
     /// partially filled shard is flushed once its oldest request has
-    /// waited this long.
+    /// sat in it this long (counted from when a worker filed it).
     pub fn flush_deadline(&self) -> Duration {
         self.flush_deadline
     }
@@ -254,8 +254,10 @@ impl EngineConfig {
         self.hardening
     }
 
-    /// This config's corruption-injection plan (inert unless a test
-    /// armed it).
+    /// This config's fault-injection plan (inert unless a test armed
+    /// it): the engine and CRT corruption hooks, and the flush and
+    /// submit hooks of any [`Server`](crate::serve::Server) built
+    /// from this config.
     pub fn faults(&self) -> &Arc<CorruptionPlan> {
         &self.faults
     }
@@ -393,8 +395,8 @@ impl EngineConfig {
         self
     }
 
-    /// Substitutes the corruption-injection plan — how tests arm
-    /// injections on a session they are about to drive.
+    /// Substitutes the fault-injection plan — how tests arm
+    /// injections on a session or server they are about to drive.
     pub fn with_faults(mut self, faults: Arc<CorruptionPlan>) -> Self {
         self.faults = faults;
         self

@@ -50,7 +50,6 @@
 //! [`crate::pool`] — the many-client serving path under `mmm-rsa`'s
 //! `KeyedSession`.
 
-use crate::batch::MAX_LANES;
 use crate::config::{EngineConfig, WindowPolicy};
 use crate::error::{validate_reduced, MmmError};
 use crate::expo_window::best_fixed_window;
@@ -390,7 +389,7 @@ pub fn try_modexp_many(
     es: ScalarSet<'_>,
     config: &EngineConfig,
 ) -> Result<Vec<Ubig>, MmmError> {
-    let width = config.shard_lanes().clamp(1, MAX_LANES);
+    let width = config.shard_lanes();
     let shards: Vec<(&[Ubig], ScalarSet<'_>)> = match es {
         ScalarSet::PerLane(es) => {
             if ms.len() != es.len() {

@@ -41,10 +41,18 @@
 //!    mod-`m` residue self-checks on batch multiplications, a
 //!    backend-quarantine ledger with graceful degradation down the
 //!    [`EngineKind::weaker`](engine::EngineKind::weaker) chain, and
-//!    the corruption-injection harness ([`verify::faults`]) that
-//!    proves detection/retry/quarantine actually fire. The CRT
-//!    verify-before-release countermeasure built on it lives in
-//!    `mmm-rsa`. See `DESIGN.md` §11.
+//!    the one fault-injection plan ([`verify::faults`]) that proves
+//!    detection/retry/quarantine and the serving plane's failure
+//!    handling actually fire. The CRT verify-before-release
+//!    countermeasure built on it lives in `mmm-rsa`. See `DESIGN.md`
+//!    §11.
+//! 10. **Serving plane** ([`serve`]) — the workload-neutral batching
+//!     front-end every tenant plugs into through the
+//!     [`serve::ShardOp`] trait: one [`serve::Collector`] and one
+//!     multi-worker [`serve::Server`] with bounded-queue backpressure,
+//!     fill-or-deadline flushing, panic isolation and shutdown drain.
+//!     `mmm-rsa` and `mmm-ecc` implement its traits. See `DESIGN.md`
+//!     §10.
 //!
 //! [`montgomery`] holds the word-independent reference algorithms
 //! (Algorithm 1 with final subtraction and Algorithm 2 without), and
@@ -87,6 +95,7 @@ pub mod montgomery;
 pub mod pool;
 pub mod rows;
 pub mod scan;
+pub mod serve;
 pub mod traits;
 pub mod verify;
 pub mod wave;

@@ -65,7 +65,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 /// propagating it (`.expect("poisoned")`) would let one panicked
 /// checkout — e.g. a fault-injected serving worker — brick the
 /// process-global pool and cascade the failure to every other key and
-/// caller. The serving layer (`mmm-rsa::serve`) makes the same
+/// caller. The serving plane ([`crate::serve`]) makes the same
 /// argument for its own locks and reuses this helper.
 pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)

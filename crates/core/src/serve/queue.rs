@@ -9,7 +9,7 @@
 //!
 //! * **Bounded admission** — [`BoundedQueue::try_push`] refuses with
 //!   [`PushError::Full`] instead of growing, the raw material of the
-//!   [`MmmError::Overloaded`](mmm_core::MmmError::Overloaded)
+//!   [`MmmError::Overloaded`](crate::MmmError::Overloaded)
 //!   backpressure signal; [`BoundedQueue::push_timeout`] blocks for at
 //!   most the caller's budget.
 //! * **Drain-then-stop close** — after [`BoundedQueue::close`],
@@ -24,7 +24,7 @@
 //! Waits use `Condvar::wait_timeout` against caller-supplied
 //! deadlines; spurious wakeups simply re-check the predicate.
 
-use mmm_core::pool::lock_unpoisoned;
+use crate::pool::lock_unpoisoned;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};

@@ -15,38 +15,38 @@
 //! load generator can measure submit→resolve latency without a side
 //! channel.
 
-use mmm_bigint::Ubig;
-use mmm_core::pool::lock_unpoisoned;
-use mmm_core::MmmError;
+use crate::pool::lock_unpoisoned;
+use crate::MmmError;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The shared slot: `None` until resolved, then the result plus its
 /// arrival time.
 #[derive(Debug)]
-struct Cell {
-    slot: Mutex<Option<(Result<Ubig, MmmError>, Instant)>>,
+struct Cell<T> {
+    slot: Mutex<Option<(Result<T, MmmError>, Instant)>>,
     ready: Condvar,
 }
 
 /// The caller's half of a submitted request: a one-shot receiver for
-/// the response. Obtained from `Server::try_submit` / `Server::submit`
-/// ([`crate::serve::Server`]); resolved exactly once, even if the
-/// serving worker handling the request panics.
+/// its response of type `T`. Obtained from
+/// [`Server::try_submit`](super::Server::try_submit) /
+/// [`Server::submit`](super::Server::submit); resolved exactly once,
+/// even if the serving worker handling the request panics.
 #[derive(Debug)]
-pub struct Ticket {
-    cell: Arc<Cell>,
+pub struct Ticket<T> {
+    cell: Arc<Cell<T>>,
 }
 
 /// The worker's half: fulfills the ticket, or — if dropped unfulfilled
 /// — resolves it with [`MmmError::WorkerPanicked`].
 #[derive(Debug)]
-pub(crate) struct Responder {
-    cell: Option<Arc<Cell>>,
+pub(crate) struct Responder<T> {
+    cell: Option<Arc<Cell<T>>>,
 }
 
 /// A fresh unresolved ticket/responder pair.
-pub(crate) fn channel() -> (Ticket, Responder) {
+pub(crate) fn channel<T>() -> (Ticket<T>, Responder<T>) {
     let cell = Arc::new(Cell {
         slot: Mutex::new(None),
         ready: Condvar::new(),
@@ -59,8 +59,8 @@ pub(crate) fn channel() -> (Ticket, Responder) {
     )
 }
 
-impl Responder {
-    fn fill(cell: &Cell, result: Result<Ubig, MmmError>) {
+impl<T> Responder<T> {
+    fn fill(cell: &Cell<T>, result: Result<T, MmmError>) {
         let mut slot = lock_unpoisoned(&cell.slot);
         // First write wins; a double-resolve bug must not clobber the
         // answer a caller may already be reading.
@@ -72,14 +72,14 @@ impl Responder {
     }
 
     /// Resolves the ticket with `result` and consumes the responder.
-    pub(crate) fn fulfill(mut self, result: Result<Ubig, MmmError>) {
+    pub(crate) fn fulfill(mut self, result: Result<T, MmmError>) {
         if let Some(cell) = self.cell.take() {
             Self::fill(&cell, result);
         }
     }
 }
 
-impl Drop for Responder {
+impl<T> Drop for Responder<T> {
     fn drop(&mut self) {
         if let Some(cell) = self.cell.take() {
             Self::fill(&cell, Err(MmmError::WorkerPanicked));
@@ -87,7 +87,7 @@ impl Drop for Responder {
     }
 }
 
-impl Ticket {
+impl<T> Ticket<T> {
     /// True once the response has landed ([`Ticket::wait`] will not
     /// block).
     pub fn is_ready(&self) -> bool {
@@ -95,7 +95,7 @@ impl Ticket {
     }
 
     /// Blocks until the response arrives and returns it.
-    pub fn wait(self) -> Result<Ubig, MmmError> {
+    pub fn wait(self) -> Result<T, MmmError> {
         self.wait_timed().0
     }
 
@@ -103,7 +103,7 @@ impl Ticket {
     /// [`Instant`] the worker resolved the request — the load
     /// generator's latency probe (latency = resolve instant minus the
     /// caller's own submit timestamp).
-    pub fn wait_timed(self) -> (Result<Ubig, MmmError>, Instant) {
+    pub fn wait_timed(self) -> (Result<T, MmmError>, Instant) {
         let mut slot = lock_unpoisoned(&self.cell.slot);
         loop {
             if let Some(done) = slot.take() {
@@ -121,7 +121,7 @@ impl Ticket {
     /// is handed back unresolved (`Err(ticket)`) so the caller can
     /// keep waiting or park it — the response itself is never
     /// discarded by a timeout.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<Ubig, MmmError>, Ticket> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Result<T, MmmError>, Ticket<T>> {
         let deadline = Instant::now().checked_add(timeout);
         let mut slot = lock_unpoisoned(&self.cell.slot);
         loop {
@@ -154,6 +154,7 @@ impl Ticket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmm_bigint::Ubig;
 
     #[test]
     fn fulfill_resolves_wait() {
@@ -166,7 +167,7 @@ mod tests {
 
     #[test]
     fn dropped_responder_resolves_with_worker_panicked() {
-        let (ticket, responder) = channel();
+        let (ticket, responder) = channel::<Ubig>();
         // Simulate a panic unwinding through a worker that owned the
         // responder: the caller still gets an answer.
         let _ = std::panic::catch_unwind(move || {

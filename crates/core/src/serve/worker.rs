@@ -4,38 +4,40 @@
 //!
 //! ## Panic isolation, two layers
 //!
-//! 1. **Per-flush** — the batch computation runs inside
+//! 1. **Per-flush** — [`ShardOp::run_batch`] runs inside
 //!    `catch_unwind`: a panicking engine poisons nothing (every lock
 //!    in the serving stack recovers via
-//!    [`lock_unpoisoned`](mmm_core::pool::lock_unpoisoned)), the
+//!    [`lock_unpoisoned`](crate::pool::lock_unpoisoned)), the
 //!    shard's requests are answered with
 //!    [`MmmError::WorkerPanicked`], and the worker keeps serving.
 //! 2. **Whole-worker** — [`run`] wraps the serve loop itself in
 //!    `catch_unwind` and restarts it on any escape (including
-//!    injected panics from [`super::faults`], which deliberately fire
+//!    injected panics from the fault plan, which deliberately fire
 //!    outside the per-flush net). Requests in flight at that moment
 //!    are still answered: their [`Responder`]s resolve the tickets
 //!    from `Drop` as the unwind tears the batch down.
 //!
 //! ## Deadline scheduling
 //!
+//! A shard's deadline runs from the instant a worker *filed* its
+//! oldest request (took it off the queue), not from its submission:
+//! anchored at submission, a request that sat behind a queue backlog
+//! would already be due when filed and would flush alone.
 //! Workers park on the queue with a timeout equal to the earliest
 //! pending shard deadline, capped at [`MAX_PARK`] — the cap covers
 //! the race where a worker computed "nothing pending" and parked just
-//! before a peer accepted the first request of a new shard. Any
-//! worker that wakes flushes *all* due shards (the take-under-lock
-//! makes concurrent flushers safe), so a singleton request is
-//! answered at most `flush_deadline + MAX_PARK` after submission even
-//! if its accepting worker then stalls.
+//! before a peer filed the first request of a new shard. Any worker
+//! that wakes flushes *all* due shards (the take-under-lock makes
+//! concurrent flushers safe), so a filed singleton is answered at
+//! most `flush_deadline + MAX_PARK` later even if its filing worker
+//! then stalls.
 
-use super::faults::FaultPlan;
 use super::queue::{BoundedQueue, Pop};
 use super::ticket::Responder;
-use super::ServeStats;
-use crate::server::{BatchOp, KeyedSession};
-use mmm_bigint::Ubig;
-use mmm_core::pool::lock_unpoisoned;
-use mmm_core::{MmmError, Quarantine};
+use super::{ServeStats, ShardOp};
+use crate::pool::lock_unpoisoned;
+use crate::verify::faults::CorruptionPlan;
+use crate::{MmmError, Quarantine};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,36 +50,28 @@ const MAX_PARK: Duration = Duration::from_millis(25);
 
 /// One accepted request traveling through the queue.
 #[derive(Debug)]
-pub(crate) struct Request {
+pub(crate) struct Request<O: ShardOp> {
     pub(crate) key: usize,
-    pub(crate) op: BatchOp,
-    pub(crate) value: Ubig,
-    pub(crate) responder: Responder,
+    pub(crate) op: O,
+    pub(crate) request: O::Request,
+    pub(crate) responder: Responder<O::Response>,
 }
 
 /// Requests aggregated toward one flush of one `(key, op)` shard.
 #[derive(Debug)]
-struct PendingShard {
-    values: Vec<Ubig>,
-    responders: Vec<Responder>,
-    /// Submission instant of the oldest queued request — the anchor
-    /// of the fill-or-deadline policy.
+struct PendingShard<O: ShardOp> {
+    requests: Vec<O::Request>,
+    responders: Vec<Responder<O::Response>>,
+    /// When a worker filed the shard's first request — the anchor of
+    /// the fill-or-deadline policy (see the module docs for why it is
+    /// not the submission instant).
     oldest: Instant,
 }
 
-impl PendingShard {
-    fn take(&mut self) -> (Vec<Ubig>, Vec<Responder>) {
-        (
-            std::mem::take(&mut self.values),
-            std::mem::take(&mut self.responders),
-        )
-    }
-}
-
-impl Default for PendingShard {
+impl<O: ShardOp> Default for PendingShard<O> {
     fn default() -> Self {
         PendingShard {
-            values: Vec::new(),
+            requests: Vec::new(),
             responders: Vec::new(),
             oldest: Instant::now(),
         }
@@ -133,11 +127,12 @@ impl Counters {
 
 /// Everything the workers and the submit path share.
 #[derive(Debug)]
-pub(crate) struct Shared {
-    pub(crate) queue: BoundedQueue<Request>,
-    pub(crate) sessions: Vec<KeyedSession>,
-    shards: Mutex<HashMap<(usize, BatchOp), PendingShard>>,
-    pub(crate) faults: FaultPlan,
+pub(crate) struct Shared<O: ShardOp> {
+    pub(crate) queue: BoundedQueue<Request<O>>,
+    pub(crate) sessions: Vec<O::Session>,
+    shards: Mutex<HashMap<(usize, O), PendingShard<O>>>,
+    /// The server config's fault plan (inert unless a test armed it).
+    pub(crate) faults: Arc<CorruptionPlan>,
     pub(crate) counters: Counters,
     /// The integrity ledger the sessions' configs dispatch through;
     /// [`Counters::snapshot`] folds its violation/correction/
@@ -147,23 +142,17 @@ pub(crate) struct Shared {
     pub(crate) flush_deadline: Duration,
 }
 
-impl Shared {
-    pub(crate) fn new(
-        sessions: Vec<KeyedSession>,
-        queue_bound: usize,
-        quarantine: Arc<Quarantine>,
-        shard_lanes: usize,
-        flush_deadline: Duration,
-    ) -> Self {
+impl<O: ShardOp> Shared<O> {
+    pub(crate) fn new(sessions: Vec<O::Session>, config: &crate::EngineConfig) -> Self {
         Shared {
-            queue: BoundedQueue::new(queue_bound),
+            queue: BoundedQueue::new(config.queue_bound()),
             sessions,
             shards: Mutex::new(HashMap::new()),
-            faults: FaultPlan::default(),
+            faults: Arc::clone(config.faults()),
             counters: Counters::default(),
-            quarantine,
-            shard_lanes,
-            flush_deadline,
+            quarantine: Arc::clone(config.quarantine()),
+            shard_lanes: config.shard_lanes(),
+            flush_deadline: config.flush_deadline(),
         }
     }
 
@@ -172,7 +161,7 @@ impl Shared {
         let shards = lock_unpoisoned(&self.shards);
         shards
             .values()
-            .filter(|s| !s.values.is_empty())
+            .filter(|s| !s.requests.is_empty())
             .map(|s| s.oldest + self.flush_deadline)
             .min()
     }
@@ -181,14 +170,14 @@ impl Shared {
     pub(crate) fn pending_len(&self) -> usize {
         lock_unpoisoned(&self.shards)
             .values()
-            .map(|s| s.values.len())
+            .map(|s| s.requests.len())
             .sum()
     }
 }
 
 /// The worker entry point: a supervisor loop that restarts the serve
 /// loop whenever a panic escapes it, until clean shutdown.
-pub(crate) fn run(shared: &Shared) {
+pub(crate) fn run<O: ShardOp>(shared: &Shared<O>) {
     loop {
         match catch_unwind(AssertUnwindSafe(|| serve_until_closed(shared))) {
             Ok(()) => return,
@@ -197,7 +186,7 @@ pub(crate) fn run(shared: &Shared) {
     }
 }
 
-fn serve_until_closed(shared: &Shared) {
+fn serve_until_closed<O: ShardOp>(shared: &Shared<O>) {
     loop {
         let park_cap = Instant::now() + MAX_PARK;
         let until = match shared.next_flush_deadline() {
@@ -220,17 +209,17 @@ fn serve_until_closed(shared: &Shared) {
 
 /// Files one request into its `(key, op)` shard and flushes the shard
 /// if that filled it.
-fn accept(shared: &Shared, req: Request) {
+fn accept<O: ShardOp>(shared: &Shared<O>, req: Request<O>) {
     let filled = {
         let mut shards = lock_unpoisoned(&shared.shards);
         let shard = shards.entry((req.key, req.op)).or_default();
-        if shard.values.is_empty() {
+        if shard.requests.is_empty() {
             shard.oldest = Instant::now();
         }
-        shard.values.push(req.value);
+        shard.requests.push(req.request);
         shard.responders.push(req.responder);
-        if shard.values.len() >= shared.shard_lanes {
-            Some((req.key, req.op, shard.take()))
+        if shard.requests.len() >= shared.shard_lanes {
+            Some((req.key, req.op, std::mem::take(shard)))
         } else {
             None
         }
@@ -241,15 +230,15 @@ fn accept(shared: &Shared, req: Request) {
     }
 }
 
-/// Flushes every shard whose oldest request has waited past the
+/// Flushes every shard whose oldest request has sat in it past the
 /// deadline. Batches are taken under the lock, flushed outside it.
-fn flush_due(shared: &Shared, now: Instant) {
+fn flush_due<O: ShardOp>(shared: &Shared<O>, now: Instant) {
     let due: Vec<_> = {
         let mut shards = lock_unpoisoned(&shared.shards);
         shards
             .iter_mut()
-            .filter(|(_, s)| !s.values.is_empty() && now >= s.oldest + shared.flush_deadline)
-            .map(|(&(key, op), s)| (key, op, s.take()))
+            .filter(|(_, s)| !s.requests.is_empty() && now >= s.oldest + shared.flush_deadline)
+            .map(|(&(key, op), s)| (key, op, std::mem::take(s)))
             .collect()
     };
     for (key, op, batch) in due {
@@ -261,13 +250,13 @@ fn flush_due(shared: &Shared, now: Instant) {
 /// Shutdown path: flushes everything still pending, regardless of
 /// fill level or deadline. Safe to run from several workers at once —
 /// the take-under-lock hands each batch to exactly one flusher.
-fn flush_remaining(shared: &Shared) {
+fn flush_remaining<O: ShardOp>(shared: &Shared<O>) {
     let remaining: Vec<_> = {
         let mut shards = lock_unpoisoned(&shared.shards);
         shards
             .iter_mut()
-            .filter(|(_, s)| !s.values.is_empty())
-            .map(|(&(key, op), s)| (key, op, s.take()))
+            .filter(|(_, s)| !s.requests.is_empty())
+            .map(|(&(key, op), s)| (key, op, std::mem::take(s)))
             .collect()
     };
     for (key, op, batch) in remaining {
@@ -276,7 +265,7 @@ fn flush_remaining(shared: &Shared) {
     }
 }
 
-/// Runs one batch through its session and resolves every ticket.
+/// Runs one batch through its operation and resolves every ticket.
 ///
 /// The fault hook fires *before* the per-flush `catch_unwind`: an
 /// injected panic unwinds the whole worker, and the batch's
@@ -284,19 +273,15 @@ fn flush_remaining(shared: &Shared) {
 /// `Drop`. A panic from the computation itself is caught here, turned
 /// into per-request [`MmmError::WorkerPanicked`] responses, and the
 /// worker carries on without restarting.
-fn flush_batch(shared: &Shared, key: usize, op: BatchOp, batch: (Vec<Ubig>, Vec<Responder>)) {
-    let (values, responders) = batch;
+fn flush_batch<O: ShardOp>(shared: &Shared<O>, key: usize, op: O, batch: PendingShard<O>) {
+    let responders = batch.responders;
     shared.faults.on_flush();
     let session = &shared.sessions[key];
-    let outcome = catch_unwind(AssertUnwindSafe(|| match op {
-        BatchOp::Sign => session.sign(&values),
-        BatchOp::Decrypt => session.decrypt(&values),
-        BatchOp::DecryptCrt => session.decrypt_crt(&values),
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| op.run_batch(session, &batch.requests)));
     match outcome {
         Ok(Ok(outs)) => {
-            // Submission validated every value, so lengths agree; if a
-            // future bug breaks that, the zip under-iterates and the
+            // Submission validated every request, so lengths agree; if
+            // a future bug breaks that, the zip under-iterates and the
             // leftover responders still answer via Drop.
             debug_assert_eq!(outs.len(), responders.len());
             for (responder, out) in responders.into_iter().zip(outs) {

@@ -1,13 +1,15 @@
-//! Engine-level corruption injection: deterministic switches that make
-//! the *arithmetic* integrity layer ([`crate::verify`]) testable, the
-//! way [`mmm-rsa`'s serving fault plan] makes the serving layer's
-//! failure modes testable.
+//! Fault injection: one inert-by-default plan of deterministic
+//! switches that make the stack's failure handling testable — the
+//! arithmetic integrity layer ([`crate::verify`]) and the serving
+//! plane ([`crate::serve`]).
 //!
-//! A verification layer that has never seen a corrupted value is
-//! decoration. Every [`EngineConfig`](crate::config::EngineConfig)
-//! carries one [`CorruptionPlan`] (a fresh, inert plan per config;
-//! reachable via `config.faults()`); tests arm it to produce the three
-//! silent-data-corruption shapes the integrity layer must catch:
+//! A verification layer that has never seen a corrupted value, or a
+//! robustness layer that has never seen a failure, is decoration.
+//! Every [`EngineConfig`](crate::config::EngineConfig) carries one
+//! [`CorruptionPlan`] (a fresh, inert plan per config; reachable via
+//! `config.faults()`), and a [`Server`](crate::serve::Server) serves
+//! with its config's plan (`server.faults()`). Tests arm it to produce
+//! the silent-data-corruption shapes the integrity layer must catch:
 //!
 //! * **A flipped digit in one lane of a batch multiplication**
 //!   ([`CorruptionPlan::inject_mont_mul_flip`]) — the next `n` batch
@@ -30,21 +32,50 @@
 //!   in a pooled engine's cached constants producing a wrong
 //!   reduction. Also caught by verify-before-release.
 //!
+//! …and the three production failure shapes the serving plane must
+//! absorb:
+//!
+//! * **Worker panics** ([`CorruptionPlan::inject_flush_panics`]) — the
+//!   next `n` flushes panic *outside* the per-flush `catch_unwind`, so
+//!   the panic unwinds the whole worker thread. This exercises the
+//!   outermost safety nets at once: the worker supervisor loop
+//!   restarts the thread, and the in-flight shard's responders
+//!   resolve their tickets with
+//!   [`MmmError::WorkerPanicked`](crate::MmmError::WorkerPanicked)
+//!   from `Drop` — every caller is answered.
+//! * **Flush stalls** ([`CorruptionPlan::inject_flush_stalls`]) — the
+//!   next `n` flushes sleep before computing, simulating a slow or
+//!   wedged backend; deadline-driven flushing and queue backpressure
+//!   must absorb the stall without losing or reordering responses.
+//! * **Queue-full storms** ([`CorruptionPlan::inject_queue_full`]) —
+//!   the next `n` submissions are refused as if the bounded queue were
+//!   full, producing `MmmError::Overloaded` bursts without needing to
+//!   actually saturate a queue.
+//!
 //! The plan is **inert by default**: the hot path pays one atomic
 //! load per hook when nothing is armed. Switches are compiled in
-//! unconditionally so integration tests drive them through the public
-//! API without a feature flag; arming is scoped to the plan instance
-//! (each `EngineConfig::default()` gets its own), so parallel tests
-//! never interfere.
+//! unconditionally so integration tests and examples drive them
+//! through the public API without a feature flag; arming is scoped to
+//! the plan instance (each `EngineConfig::default()` gets its own), so
+//! parallel tests never interfere.
 //!
-//! [`mmm-rsa`'s serving fault plan]: ../../../mmm_rsa/serve/faults/index.html
+//! ## Atomic-ordering convention
+//!
+//! **Arming switches** are a handoff protocol, so they keep
+//! `fetch_update(AcqRel, Acquire)` (the armer's writes — the lane and
+//! bit of a flip, the stall duration — must be visible to the thread
+//! that wins the slot); **fired counters** are monotone diagnostics
+//! read after the fact, so they are `u64` tallies updated and read
+//! with `Relaxed` ordering, like the serving counters.
 
 use mmm_bigint::Ubig;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-/// Per-config engine-corruption switches. See the module docs; all
-/// methods are thread-safe and may be called mid-serving.
+/// Per-config fault switches for the engines, the CRT path and the
+/// serving plane. See the module docs; all methods are thread-safe
+/// and may be called mid-serving.
 #[derive(Debug, Default)]
 pub struct CorruptionPlan {
     /// Remaining batch multiplications that must corrupt a lane.
@@ -63,15 +94,26 @@ pub struct CorruptionPlan {
     param_faults: AtomicUsize,
     /// Lane index for the next param perturbation (mod shard width).
     param_lane: AtomicUsize,
+    /// Remaining serving flushes that must panic.
+    panic_flushes: AtomicUsize,
+    /// Remaining serving flushes that must stall.
+    stall_flushes: AtomicUsize,
+    /// Stall length, microseconds.
+    stall_us: AtomicU64,
+    /// Remaining submissions that must see a full queue.
+    full_submits: AtomicUsize,
     /// Observability: injections that actually fired (monotone
-    /// tallies — relaxed ordering by the workspace convention).
+    /// tallies — relaxed ordering by the convention above).
     mont_flips_fired: AtomicU64,
     half_faults_fired: AtomicU64,
     param_faults_fired: AtomicU64,
+    panics_fired: AtomicU64,
+    stalls_fired: AtomicU64,
+    fulls_fired: AtomicU64,
 }
 
 /// Decrements `counter` if it is positive; true when this caller won
-/// one of the armed slots (same pattern as the serving fault plan).
+/// one of the armed slots.
 fn take_one(counter: &AtomicUsize) -> bool {
     counter
         .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
@@ -121,11 +163,36 @@ impl CorruptionPlan {
         self.param_faults.fetch_add(n, Ordering::AcqRel);
     }
 
+    /// Arms the next `n` serving flushes (across all workers of every
+    /// server built from this plan's config) to panic.
+    pub fn inject_flush_panics(&self, n: usize) {
+        self.panic_flushes.fetch_add(n, Ordering::AcqRel);
+    }
+
+    /// Arms the next `n` serving flushes to sleep for `stall` before
+    /// running.
+    pub fn inject_flush_stalls(&self, stall: Duration, n: usize) {
+        self.stall_us.store(
+            stall.as_micros().min(u64::MAX as u128) as u64,
+            Ordering::Release,
+        );
+        self.stall_flushes.fetch_add(n, Ordering::AcqRel);
+    }
+
+    /// Arms the next `n` server submissions to be refused as
+    /// overloaded.
+    pub fn inject_queue_full(&self, n: usize) {
+        self.full_submits.fetch_add(n, Ordering::AcqRel);
+    }
+
     /// Disarms every pending injection (fired counters are kept).
     pub fn reset(&self) {
         self.mont_flips.store(0, Ordering::Release);
         self.half_faults.store(0, Ordering::Release);
         self.param_faults.store(0, Ordering::Release);
+        self.panic_flushes.store(0, Ordering::Release);
+        self.stall_flushes.store(0, Ordering::Release);
+        self.full_submits.store(0, Ordering::Release);
     }
 
     /// Mont-mul lane flips that actually fired.
@@ -141,6 +208,21 @@ impl CorruptionPlan {
     /// Param perturbations that actually fired.
     pub fn param_faults_fired(&self) -> u64 {
         self.param_faults_fired.load(Ordering::Relaxed)
+    }
+
+    /// Injected flush panics that actually fired.
+    pub fn panics_fired(&self) -> u64 {
+        self.panics_fired.load(Ordering::Relaxed)
+    }
+
+    /// Injected flush stalls that actually fired.
+    pub fn stalls_fired(&self) -> u64 {
+        self.stalls_fired.load(Ordering::Relaxed)
+    }
+
+    /// Injected queue-full refusals that actually fired.
+    pub fn fulls_fired(&self) -> u64 {
+        self.fulls_fired.load(Ordering::Relaxed)
     }
 
     /// Engine-side hook, called on every batch-multiplication output
@@ -182,6 +264,32 @@ impl CorruptionPlan {
         self.param_faults_fired.fetch_add(1, Ordering::Relaxed);
         true
     }
+
+    /// Serving-worker hook, called at the top of every flush. Applies
+    /// an armed stall, then an armed panic.
+    ///
+    /// # Panics
+    /// Panics (by design) when a flush panic is armed.
+    pub(crate) fn on_flush(&self) {
+        if take_one(&self.stall_flushes) {
+            self.stalls_fired.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(Duration::from_micros(self.stall_us.load(Ordering::Acquire)));
+        }
+        if take_one(&self.panic_flushes) {
+            self.panics_fired.fetch_add(1, Ordering::Relaxed);
+            panic!("injected worker panic (mmm_core::verify::faults)");
+        }
+    }
+
+    /// Submit-side hook: true when this submission must be refused as
+    /// overloaded.
+    pub(crate) fn on_submit(&self) -> bool {
+        if !take_one(&self.full_submits) {
+            return false;
+        }
+        self.fulls_fired.fetch_add(1, Ordering::Relaxed);
+        true
+    }
 }
 
 #[cfg(test)]
@@ -196,9 +304,18 @@ mod tests {
         assert!(!plan.corrupt_crt_half(&mut outs, &Ubig::from(13u64)));
         assert!(!plan.corrupt_param_residue(&mut outs, &Ubig::from(13u64)));
         assert_eq!(outs[0], Ubig::from(5u64));
-        assert_eq!(plan.mont_flips_fired(), 0);
-        assert_eq!(plan.half_faults_fired(), 0);
-        assert_eq!(plan.param_faults_fired(), 0);
+        plan.on_flush();
+        assert!(!plan.on_submit());
+        for fired in [
+            plan.mont_flips_fired(),
+            plan.half_faults_fired(),
+            plan.param_faults_fired(),
+            plan.panics_fired(),
+            plan.stalls_fired(),
+            plan.fulls_fired(),
+        ] {
+            assert_eq!(fired, 0);
+        }
     }
 
     #[test]
@@ -238,6 +355,41 @@ mod tests {
         plan.reset();
         assert!(!plan.corrupt_param_residue(&mut rs, &p), "reset disarms");
         assert_eq!(plan.param_faults_fired(), 1);
+    }
+
+    #[test]
+    fn armed_panic_fires_exactly_n_times() {
+        let plan = CorruptionPlan::default();
+        plan.inject_flush_panics(2);
+        for _ in 0..2 {
+            let r = std::panic::catch_unwind(|| plan.on_flush());
+            assert!(r.is_err(), "armed flush must panic");
+        }
+        plan.on_flush(); // disarmed again
+        assert_eq!(plan.panics_fired(), 2);
+    }
+
+    #[test]
+    fn armed_stall_sleeps() {
+        let plan = CorruptionPlan::default();
+        plan.inject_flush_stalls(Duration::from_millis(15), 1);
+        let t0 = std::time::Instant::now();
+        plan.on_flush();
+        assert!(t0.elapsed() >= Duration::from_millis(15));
+        let t1 = std::time::Instant::now();
+        plan.on_flush();
+        assert!(t1.elapsed() < Duration::from_millis(15), "one-shot stall");
+        assert_eq!(plan.stalls_fired(), 1);
+    }
+
+    #[test]
+    fn queue_full_storm_and_reset() {
+        let plan = CorruptionPlan::default();
+        plan.inject_queue_full(3);
+        assert!(plan.on_submit());
+        plan.reset();
+        assert!(!plan.on_submit(), "reset disarms the storm");
+        assert_eq!(plan.fulls_fired(), 1);
     }
 
     #[test]

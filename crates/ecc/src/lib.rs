@@ -29,8 +29,10 @@
 //! * [`serve`] — the serving surface: batched ECDSA verification and
 //!   ECDH shared-secret derivation through the typed
 //!   [`MmmError`](mmm_core::error::MmmError) /
-//!   [`EngineConfig`](mmm_core::config::EngineConfig) API, with
-//!   request collectors mirroring the RSA front-end.
+//!   [`EngineConfig`](mmm_core::config::EngineConfig) API, and the
+//!   two operations ([`EcdsaVerify`], [`Ecdh`]) that the serving plane
+//!   of `mmm_core::serve` — the same `Collector` and multi-worker
+//!   `Server` RSA uses — batches for this tenant.
 //!
 //! Every batched lane is bit-identical to what the solo [`curve`]
 //! path produces on the same inputs — the engines share one
@@ -53,6 +55,6 @@ pub use batch_field::BatchFieldCtx;
 pub use curve::{Curve, Point};
 pub use curves::CurveSpec;
 pub use field::FieldCtx;
-pub use serve::{CurveSession, EcdhCollector, EcdhRequest, EcdsaCollector, EcdsaRequest};
+pub use serve::{CurveSession, Ecdh, EcdhRequest, EcdsaRequest, EcdsaVerify};
 
 pub use mmm_core::traits::{BatchMontMul, MontMul};

@@ -11,11 +11,12 @@
 //! `Result<_, MmmError>` so one malformed request bounces that *call*
 //! with the offending lane named, never the process.
 //!
-//! [`EcdsaCollector`] / [`EcdhCollector`] mirror
-//! `mmm_rsa::BatchCollector`: individually submitted requests are
-//! validated immediately (a bad request bounces without poisoning the
-//! queue), aggregated toward full shards, and answered in submission
-//! order on `flush`.
+//! [`EcdsaVerify`] and [`Ecdh`] are the ECC operations of the serving
+//! plane ([`mmm_core::serve`]), with [`CurveSession`] as their
+//! [`Session`], so ECC requests get the same `Collector` and the same
+//! multi-worker `Server` as RSA: validation on submit, backpressure,
+//! panic isolation, fill-or-deadline flushing, shutdown drain and
+//! counters.
 //!
 //! **Semantics note.** An ECDSA signature that is merely *invalid*
 //! (bad `r`/`s` range, wrong signer) is a `false` result — a verdict,
@@ -27,10 +28,10 @@ use crate::batch_curve::{BatchCurve, PointLanes};
 use crate::batch_field::BatchFieldCtx;
 use crate::curves::CurveSpec;
 use mmm_bigint::Ubig;
-use mmm_core::batch::MAX_LANES;
 use mmm_core::error::MmmError;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
+use mmm_core::serve::{Session, ShardOp};
 use mmm_core::traits::BatchMontMul;
 use mmm_core::{EngineConfig, EngineKind};
 use rayon::prelude::*;
@@ -156,7 +157,7 @@ impl CurveSession {
             return Ok(Vec::new());
         }
         let reduced: Vec<Ubig> = ks.iter().map(|k| k.rem(&self.spec.order)).collect();
-        let shards: Vec<&[Ubig]> = reduced.chunks(self.shard_width()).collect();
+        let shards: Vec<&[Ubig]> = reduced.chunks(self.config.shard_lanes()).collect();
         type ShardAffine = Vec<Option<(Ubig, Ubig)>>;
         let results: Result<Vec<ShardAffine>, MmmError> = shards
             .into_par_iter()
@@ -181,9 +182,7 @@ impl CurveSession {
         }
         // Structural validation up front, with global lane indices.
         for (lane, req) in reqs.iter().enumerate() {
-            if !self.spec.on_curve(&req.qx, &req.qy) {
-                return Err(MmmError::PointNotOnCurve { lane });
-            }
+            EcdsaVerify.validate(self, lane, req)?;
         }
         let n = &self.spec.order;
         // Per-request scalar precomputation (plain arithmetic): w =
@@ -218,7 +217,7 @@ impl CurveSession {
                 },
             })
             .collect();
-        let width = self.shard_width();
+        let width = self.config.shard_lanes();
         let shards: Vec<(&[EcdsaRequest], &[Prepared])> =
             reqs.chunks(width).zip(prepared.chunks(width)).collect();
         let results: Result<Vec<Vec<bool>>, MmmError> = shards
@@ -266,14 +265,9 @@ impl CurveSession {
             return Ok(Vec::new());
         }
         for (lane, req) in reqs.iter().enumerate() {
-            if req.scalar.is_zero() || req.scalar >= self.spec.order {
-                return Err(MmmError::ScalarOutOfRange { lane });
-            }
-            if !self.spec.on_curve(&req.qx, &req.qy) {
-                return Err(MmmError::PointNotOnCurve { lane });
-            }
+            Ecdh.validate(self, lane, req)?;
         }
-        let width = self.shard_width();
+        let width = self.config.shard_lanes();
         let shards: Vec<(usize, &[EcdhRequest])> = reqs
             .chunks(width)
             .enumerate()
@@ -300,26 +294,6 @@ impl CurveSession {
             })
             .collect();
         Ok(results?.into_iter().flatten().collect())
-    }
-
-    /// A fresh [`EcdsaCollector`] bound to this session.
-    pub fn ecdsa_collector(&self) -> EcdsaCollector<'_> {
-        EcdsaCollector {
-            session: self,
-            pending: Vec::new(),
-        }
-    }
-
-    /// A fresh [`EcdhCollector`] bound to this session.
-    pub fn ecdh_collector(&self) -> EcdhCollector<'_> {
-        EcdhCollector {
-            session: self,
-            pending: Vec::new(),
-        }
-    }
-
-    fn shard_width(&self) -> usize {
-        self.config.shard_lanes().clamp(1, MAX_LANES)
     }
 
     /// One warm engine out of the pool, wrapped as a field context,
@@ -387,132 +361,84 @@ fn batch_modinv(xs: &[Option<&Ubig>], n: &Ubig) -> Vec<Option<Ubig>> {
     out
 }
 
-/// Aggregates individually submitted [`EcdsaRequest`]s toward full
-/// shards; results come back in submission order on
-/// [`EcdsaCollector::flush`]. Submission validates the public key
-/// immediately (the error's `lane` is the id the request would have
-/// had); range-invalid `r`/`s` are accepted and verdict `false`.
-#[derive(Debug)]
-pub struct EcdsaCollector<'s> {
-    session: &'s CurveSession,
-    pending: Vec<EcdsaRequest>,
-}
+impl Session for CurveSession {
+    type Key = CurveSpec;
 
-impl EcdsaCollector<'_> {
-    /// Queues one request. A public key off the curve is rejected with
-    /// [`MmmError::PointNotOnCurve`] and leaves the queue untouched.
-    /// Returns the request id — the index of this request's verdict in
-    /// the next [`EcdsaCollector::flush`].
-    pub fn submit(&mut self, req: EcdsaRequest) -> Result<usize, MmmError> {
-        if !self.session.spec.on_curve(&req.qx, &req.qy) {
-            return Err(MmmError::PointNotOnCurve {
-                lane: self.pending.len(),
-            });
-        }
-        self.pending.push(req);
-        Ok(self.pending.len() - 1)
+    fn open(spec: CurveSpec, config: EngineConfig) -> Result<Self, MmmError> {
+        CurveSession::new(spec, config)
     }
 
-    /// Requests queued for the next flush.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// How many **full** shards the queue currently fills at the
-    /// session's configured shard width — the flush-scheduling hint.
-    pub fn full_shards(&self) -> usize {
-        self.pending.len() / self.session.shard_width()
-    }
-
-    /// Removes and returns every queued request with its submission
-    /// id, leaving the collector empty — the shutdown escape hatch.
-    pub fn drain(&mut self) -> Vec<(usize, EcdsaRequest)> {
-        self.pending.drain(..).enumerate().collect()
-    }
-
-    /// Drains the queue through the session: one verdict per request,
-    /// in submission order. An empty queue is
-    /// [`MmmError::EmptyBatch`]; on error the queue is left intact.
-    pub fn flush(&mut self) -> Result<Vec<bool>, MmmError> {
-        if self.pending.is_empty() {
-            return Err(MmmError::EmptyBatch);
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let result = self.session.verify_ecdsa(&pending);
-        if result.is_err() {
-            self.pending = pending;
-        }
-        result
+    fn config(&self) -> &EngineConfig {
+        &self.config
     }
 }
 
-/// Aggregates individually submitted [`EcdhRequest`]s toward full
-/// shards; shared secrets come back in submission order on
-/// [`EcdhCollector::flush`]. Submission validates scalar range and
-/// peer key immediately.
-#[derive(Debug)]
-pub struct EcdhCollector<'s> {
-    session: &'s CurveSession,
-    pending: Vec<EcdhRequest>,
-}
+/// ECDSA verification as a serving-plane operation: one
+/// [`EcdsaRequest`] in, one verdict out
+/// ([`CurveSession::verify_ecdsa`]). Admission rejects a public key
+/// off the curve; range-invalid `r`/`s` are admitted and verdict
+/// `false`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct EcdsaVerify;
 
-impl EcdhCollector<'_> {
-    /// Queues one request, validating it immediately: a scalar outside
-    /// `[1, order)` is [`MmmError::ScalarOutOfRange`], a peer key off
-    /// the curve is [`MmmError::PointNotOnCurve`] (the `lane` is the
-    /// id the request would have had); both leave the queue untouched.
-    /// Returns the request id.
-    pub fn submit(&mut self, req: EcdhRequest) -> Result<usize, MmmError> {
-        let lane = self.pending.len();
-        if req.scalar.is_zero() || req.scalar >= self.session.spec.order {
-            return Err(MmmError::ScalarOutOfRange { lane });
-        }
-        if !self.session.spec.on_curve(&req.qx, &req.qy) {
+impl ShardOp for EcdsaVerify {
+    type Session = CurveSession;
+    type Request = EcdsaRequest;
+    type Response = bool;
+
+    fn validate(
+        self,
+        session: &CurveSession,
+        lane: usize,
+        req: &EcdsaRequest,
+    ) -> Result<(), MmmError> {
+        if !session.spec.on_curve(&req.qx, &req.qy) {
             return Err(MmmError::PointNotOnCurve { lane });
         }
-        self.pending.push(req);
-        Ok(lane)
+        Ok(())
     }
 
-    /// Requests queued for the next flush.
-    pub fn len(&self) -> usize {
-        self.pending.len()
+    fn run_batch(
+        self,
+        session: &CurveSession,
+        reqs: &[EcdsaRequest],
+    ) -> Result<Vec<bool>, MmmError> {
+        session.verify_ecdsa(reqs)
     }
+}
 
-    /// True when no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
+/// ECDH as a serving-plane operation: one [`EcdhRequest`] in, one
+/// shared secret out ([`CurveSession::ecdh`]). Admission rejects a
+/// scalar outside `[1, order)` and a peer key off the curve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Ecdh;
 
-    /// How many **full** shards the queue currently fills.
-    pub fn full_shards(&self) -> usize {
-        self.pending.len() / self.session.shard_width()
-    }
+impl ShardOp for Ecdh {
+    type Session = CurveSession;
+    type Request = EcdhRequest;
+    type Response = Ubig;
 
-    /// Removes and returns every queued request with its submission
-    /// id, leaving the collector empty.
-    pub fn drain(&mut self) -> Vec<(usize, EcdhRequest)> {
-        self.pending.drain(..).enumerate().collect()
-    }
-
-    /// Drains the queue through the session: one shared secret per
-    /// request, in submission order. An empty queue is
-    /// [`MmmError::EmptyBatch`]; on error the queue is left intact.
-    pub fn flush(&mut self) -> Result<Vec<Ubig>, MmmError> {
-        if self.pending.is_empty() {
-            return Err(MmmError::EmptyBatch);
+    fn validate(
+        self,
+        session: &CurveSession,
+        lane: usize,
+        req: &EcdhRequest,
+    ) -> Result<(), MmmError> {
+        if req.scalar.is_zero() || req.scalar >= session.spec.order {
+            return Err(MmmError::ScalarOutOfRange { lane });
         }
-        let pending = std::mem::take(&mut self.pending);
-        let result = self.session.ecdh(&pending);
-        if result.is_err() {
-            self.pending = pending;
+        if !session.spec.on_curve(&req.qx, &req.qy) {
+            return Err(MmmError::PointNotOnCurve { lane });
         }
-        result
+        Ok(())
+    }
+
+    fn run_batch(
+        self,
+        session: &CurveSession,
+        reqs: &[EcdhRequest],
+    ) -> Result<Vec<Ubig>, MmmError> {
+        session.ecdh(reqs)
     }
 }
 
@@ -520,6 +446,7 @@ impl EcdhCollector<'_> {
 mod tests {
     use super::*;
     use crate::curves::p256;
+    use mmm_core::serve::Collector;
 
     /// The solo fixture as a spec: y² = x³ + 2x + 3 over GF(97),
     /// G = (3, 6), with the order of G brute-forced from the affine
@@ -700,7 +627,7 @@ mod tests {
             .into_iter()
             .map(Option::unwrap)
             .collect();
-        let mut c = session.ecdh_collector();
+        let mut c = Collector::new(&session, Ecdh);
         assert!(matches!(c.flush(), Err(MmmError::EmptyBatch)));
         for (i, (qx, qy)) in pts.iter().enumerate() {
             let id = c

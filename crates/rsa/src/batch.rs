@@ -14,7 +14,6 @@
 
 use crate::keys::RsaKeyPair;
 use mmm_bigint::Ubig;
-use mmm_core::batch::MAX_LANES;
 use mmm_core::error::OperandBound;
 use mmm_core::expo_batch::try_modexp_many;
 use mmm_core::montgomery::MontgomeryParams;
@@ -138,7 +137,7 @@ fn crt_halves(
     // Fan out over (shard × prime half): the mod-p and mod-q runs of
     // a shard are independent, so they parallelize too — a queue of
     // ≤ 64 ciphertexts still fills two cores instead of one.
-    let width = plan.config.shard_lanes().clamp(1, MAX_LANES);
+    let width = plan.config.shard_lanes();
     let shards: Vec<&[Ubig]> = cs.chunks(width).collect();
     let half_runs: Vec<(&[Ubig], &MontgomeryParams, &Ubig)> = shards
         .iter()

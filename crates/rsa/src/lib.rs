@@ -9,15 +9,16 @@
 //! behavioral wave model, or the gate-level MMMC simulation.
 //!
 //! Server-shaped callers should start from the typed serving API in
-//! [`server`]: a fallible per-key [`KeyedSession`] handle plus the
-//! [`BatchCollector`] request aggregator, configured through one
-//! [`EngineConfig`] value. On top of that sits [`serve`]: the
-//! fault-tolerant multi-worker front-end ([`Server`]) with
+//! [`server`]: a fallible per-key [`KeyedSession`] handle whose
+//! operations ([`BatchOp`]) plug into the workload-neutral serving
+//! plane of `mmm_core::serve` — its `Collector` request aggregator,
+//! and its fault-tolerant multi-worker front-end, instantiated for
+//! RSA in [`serve`] ([`Server`], [`ServerBuilder`], [`Ticket`]) with
 //! deadline-driven flushing, bounded-queue backpressure, panic
-//! isolation, and a fault-injection harness ([`serve::faults`]).
-//! Every batched operation — sign, verify, full-width and CRT
-//! decryption — goes through a session; there are no free-function
-//! batch entry points.
+//! isolation and one fault-injection plan, all configured through one
+//! [`EngineConfig`] value. Every batched operation — sign, verify,
+//! full-width and CRT decryption — goes through a session; there are
+//! no free-function batch entry points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,8 +33,8 @@ pub mod signing;
 
 pub use cipher::{decrypt, decrypt_crt, encrypt};
 pub use keys::RsaKeyPair;
-pub use serve::{FaultPlan, KeyId, ServeStats, Server, ServerBuilder, Ticket};
-pub use server::{BatchCollector, BatchOp, KeyedSession};
+pub use serve::{KeyId, ServeStats, Server, ServerBuilder, Ticket};
+pub use server::{BatchOp, KeyedSession};
 pub use signing::{decrypt_blinded, sign, verify};
 
 pub use blinding::{BlindingState, BlindingTicket, EntropySource, OsEntropy};

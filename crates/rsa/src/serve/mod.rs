@@ -1,37 +1,8 @@
-//! The fault-tolerant multi-worker serving front-end: the layer that
-//! pumps [`BatchCollector`](crate::server::BatchCollector)-style
-//! aggregation under real traffic.
-//!
-//! Modeled on the Quad-Core RSA Processor's shape — several cores fed
-//! from one shared request queue — a [`Server`] owns `N` worker
-//! threads ([`EngineConfig::workers`], default = available
-//! parallelism) pulling from a **bounded** MPSC queue into per-
-//! `(key, op)` shards, flushing each shard on **fill-or-deadline**:
-//! a shard goes to the batch engines the moment it fills its 64 lanes
-//! *or* once its oldest request has waited
-//! [`EngineConfig::flush_deadline`] — so a singleton request is never
-//! parked indefinitely waiting for 63 peers that may not exist.
-//!
-//! The point of this module, though, is what happens when things go
-//! wrong. A front-end for "millions of users" meets every one of
-//! these failure modes; each has a designed answer here, and each is
-//! exercised by the fault-injection harness in [`faults`]:
-//!
-//! | failure | behavior |
-//! |---|---|
-//! | overload | bounded queue; [`Server::try_submit`] returns [`MmmError::Overloaded`], blocking [`Server::submit`] waits at most the caller's timeout then returns [`MmmError::DeadlineExceeded`] — the process never OOMs on a backlog |
-//! | stalled batch | deadline-driven flushing; any free worker flushes any due shard, so one slow flush delays only its own shard |
-//! | worker death | panics are caught per-flush (shard answered with [`MmmError::WorkerPanicked`], worker keeps serving); panics escaping the serve loop restart the worker, and the in-flight shard's tickets are still resolved by [`Responder` drops](Ticket) |
-//! | poisoned global state | every lock in the stack — including `mmm-core`'s process-wide engine pool — recovers via [`lock_unpoisoned`] instead of cascading the panic |
-//! | shutdown | [`Server::shutdown`] (and `Drop`) closes the queue, drains everything already admitted, answers it, then joins the workers — in-flight requests are never dropped |
-//!
-//! The end-to-end guarantee, asserted across every
-//! [`EngineKind`](mmm_core::EngineKind) backend by
-//! `tests/serve_faults.rs` and `tests/serve_stress.rs`: **every
-//! admitted request receives exactly one response** — a bit-exact
-//! result or a typed [`MmmError`] — under injected panics, stalls,
-//! and queue-full storms; never a wrong answer, a deadlock, or a
-//! lost response.
+//! The RSA tenant of the serving plane ([`mmm_core::serve`]):
+//! [`KeyedSession`] is its [`Session`] and [`BatchOp`] its
+//! [`ShardOp`]. Admission bounces a value `≥ N`; a shard runs through
+//! the session method its [`BatchOp`] names, so CRT decryption keeps
+//! verify-before-release and blinding inside the flush.
 //!
 //! ```
 //! use mmm_bigint::Ubig;
@@ -67,288 +38,59 @@
 //! # Ok(()) }
 //! ```
 
-pub mod faults;
-mod queue;
-mod ticket;
-mod worker;
-
-pub use faults::FaultPlan;
-pub use ticket::Ticket;
-
 use crate::keys::RsaKeyPair;
 use crate::server::{BatchOp, KeyedSession};
 use mmm_bigint::Ubig;
 use mmm_core::error::OperandBound;
-use mmm_core::pool::lock_unpoisoned;
+use mmm_core::serve::{self, Session, ShardOp};
 use mmm_core::{EngineConfig, MmmError};
-use queue::PushError;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-use worker::{Request, Shared};
 
-/// Handle to a key registered with a [`Server`] (returned by
-/// [`ServerBuilder::add_key`]); names the key on every submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct KeyId(usize);
+pub use mmm_core::serve::{KeyId, ServeStats};
 
-/// Diagnostic counters of a running [`Server`] (a relaxed snapshot —
-/// counters from in-flight operations may lag by a few units).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Requests admitted into the queue.
-    pub submitted: u64,
-    /// Submissions refused with [`MmmError::Overloaded`].
-    pub overloaded: u64,
-    /// Blocking submissions that gave up with
-    /// [`MmmError::DeadlineExceeded`].
-    pub submit_timeouts: u64,
-    /// Submissions bounced at validation (e.g. operand `≥ N`).
-    pub rejected_invalid: u64,
-    /// Requests answered with a result.
-    pub completed_ok: u64,
-    /// Requests answered with a typed error by an explicit fulfill
-    /// (responses delivered by `Drop` during a worker restart are
-    /// *not* counted here — see `worker_restarts`).
-    pub completed_err: u64,
-    /// Flushes triggered by a full shard.
-    pub fill_flushes: u64,
-    /// Flushes triggered by the deadline.
-    pub deadline_flushes: u64,
-    /// Flushes performed by the shutdown drain.
-    pub drain_flushes: u64,
-    /// Flush panics caught by the per-flush isolation net.
-    pub flush_panics: u64,
-    /// Worker serve-loops restarted after an escaped panic.
-    pub worker_restarts: u64,
-    /// Lanes on which the arithmetic integrity layer detected a
-    /// corrupted result before release (see
-    /// [`mmm_core::verify`]).
-    pub integrity_violations: u64,
-    /// Detected-then-corrected lanes: answered with a verified retry
-    /// instead of an error.
-    pub integrity_corrected: u64,
-    /// Backends currently benched by the quarantine ledger this
-    /// server dispatches through.
-    pub backends_quarantined: u64,
-}
+/// The multi-worker RSA front-end: the serving plane's
+/// [`Server`](mmm_core::serve::Server) over [`BatchOp`]s.
+pub type Server = serve::Server<BatchOp>;
 
-/// Builds a [`Server`]: collect keys, then spawn the workers.
-#[derive(Debug)]
-pub struct ServerBuilder {
-    config: EngineConfig,
-    sessions: Vec<KeyedSession>,
-}
+/// Builds an RSA [`Server`]; its `add_key` takes an [`RsaKeyPair`].
+pub type ServerBuilder = serve::ServerBuilder<BatchOp>;
 
-impl ServerBuilder {
-    /// An empty builder over `config` (which supplies the backend,
-    /// window policy, shard width, flush deadline, queue bound, and
-    /// worker count).
-    pub fn new(config: EngineConfig) -> Self {
-        ServerBuilder {
-            config,
-            sessions: Vec::new(),
-        }
+/// The caller's half of one submitted RSA request.
+pub type Ticket = serve::Ticket<Ubig>;
+
+impl Session for KeyedSession {
+    type Key = RsaKeyPair;
+
+    fn open(key: RsaKeyPair, config: EngineConfig) -> Result<Self, MmmError> {
+        KeyedSession::new(key, config)
     }
 
-    /// Registers a key: builds (and pre-warms) its [`KeyedSession`]
-    /// under the builder's config. The returned [`KeyId`] names the
-    /// key on every submission.
-    pub fn add_key(&mut self, key: RsaKeyPair) -> Result<KeyId, MmmError> {
-        let session = KeyedSession::new(key, self.config.clone())?;
-        Ok(self.add_session(session))
-    }
-
-    /// Registers a pre-built session (e.g. one configured differently
-    /// from the server's own config).
-    pub fn add_session(&mut self, session: KeyedSession) -> KeyId {
-        self.sessions.push(session);
-        KeyId(self.sessions.len() - 1)
-    }
-
-    /// Spawns the worker threads and starts serving. Fails with
-    /// [`MmmError::Config`] if no key was registered or a worker
-    /// thread cannot be spawned.
-    pub fn build(self) -> Result<Server, MmmError> {
-        if self.sessions.is_empty() {
-            return Err(MmmError::Config(
-                "server needs at least one registered key".to_string(),
-            ));
-        }
-        let shared = Arc::new(Shared::new(
-            self.sessions,
-            self.config.queue_bound(),
-            Arc::clone(self.config.quarantine()),
-            self.config.shard_lanes(),
-            self.config.flush_deadline(),
-        ));
-        let mut handles = Vec::with_capacity(self.config.workers());
-        for i in 0..self.config.workers() {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("mmm-serve-{i}"))
-                .spawn(move || worker::run(&shared))
-                .map_err(|e| MmmError::Config(format!("failed to spawn serving worker: {e}")))?;
-            handles.push(handle);
-        }
-        Ok(Server {
-            shared,
-            workers: Mutex::new(handles),
-        })
+    fn config(&self) -> &EngineConfig {
+        KeyedSession::config(self)
     }
 }
 
-/// The multi-worker serving front-end. See the module docs for the
-/// dispatch shape and the failure-mode table; construct via
-/// [`Server::builder`].
-#[derive(Debug)]
-pub struct Server {
-    shared: Arc<Shared>,
-    /// Worker handles, taken (and joined) exactly once at shutdown.
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
+impl ShardOp for BatchOp {
+    type Session = KeyedSession;
+    type Request = Ubig;
+    type Response = Ubig;
 
-impl Server {
-    /// A fresh [`ServerBuilder`] over `config`.
-    pub fn builder(config: EngineConfig) -> ServerBuilder {
-        ServerBuilder::new(config)
-    }
-
-    /// Non-blocking submission: validates the request, then either
-    /// admits it (returning the [`Ticket`] its response will arrive
-    /// on) or refuses immediately — [`MmmError::Overloaded`] when the
-    /// bounded queue is full (the backpressure signal),
-    /// [`MmmError::Stopped`] after shutdown,
-    /// [`MmmError::OperandOutOfRange`] for a value `≥ N`, or
-    /// [`MmmError::Config`] for an unknown [`KeyId`].
-    pub fn try_submit(&self, key: KeyId, op: BatchOp, value: Ubig) -> Result<Ticket, MmmError> {
-        self.submit_inner(key, op, value, None)
-    }
-
-    /// Blocking submission with a caller budget: like
-    /// [`Server::try_submit`] but waits up to `timeout` for a queue
-    /// slot, then gives up with [`MmmError::DeadlineExceeded`].
-    pub fn submit(
-        &self,
-        key: KeyId,
-        op: BatchOp,
-        value: Ubig,
-        timeout: Duration,
-    ) -> Result<Ticket, MmmError> {
-        self.submit_inner(key, op, value, Some(timeout))
-    }
-
-    fn submit_inner(
-        &self,
-        key: KeyId,
-        op: BatchOp,
-        value: Ubig,
-        timeout: Option<Duration>,
-    ) -> Result<Ticket, MmmError> {
-        let counters = &self.shared.counters;
-        let session =
-            self.shared.sessions.get(key.0).ok_or_else(|| {
-                MmmError::Config(format!("unknown key id {} on this server", key.0))
-            })?;
-        // Validate at admission, like `BatchCollector::submit`: a bad
-        // request bounces without ever entering a shard.
-        if value >= session.key().n {
-            counters.bump(&counters.rejected_invalid);
+    /// Rejects a value `≥ N` with [`MmmError::OperandOutOfRange`].
+    fn validate(self, session: &KeyedSession, lane: usize, value: &Ubig) -> Result<(), MmmError> {
+        if *value >= session.key().n {
             return Err(MmmError::OperandOutOfRange {
-                lane: 0,
+                lane,
                 bound: OperandBound::N,
             });
         }
-        if self.shared.faults.on_submit() {
-            counters.bump(&counters.overloaded);
-            return Err(MmmError::Overloaded {
-                capacity: self.shared.queue.capacity(),
-            });
+        Ok(())
+    }
+
+    fn run_batch(self, session: &KeyedSession, values: &[Ubig]) -> Result<Vec<Ubig>, MmmError> {
+        match self {
+            BatchOp::Sign => session.sign(values),
+            BatchOp::Decrypt => session.decrypt(values),
+            BatchOp::DecryptCrt => session.decrypt_crt(values),
         }
-        let (ticket, responder) = ticket::channel();
-        let request = Request {
-            key: key.0,
-            op,
-            value,
-            responder,
-        };
-        let pushed = match timeout {
-            None => self.shared.queue.try_push(request),
-            Some(t) => self.shared.queue.push_timeout(request, t),
-        };
-        match pushed {
-            Ok(()) => {
-                counters.bump(&counters.submitted);
-                Ok(ticket)
-            }
-            Err(PushError::Full(_)) => {
-                counters.bump(&counters.overloaded);
-                Err(MmmError::Overloaded {
-                    capacity: self.shared.queue.capacity(),
-                })
-            }
-            Err(PushError::TimedOut(_)) => {
-                counters.bump(&counters.submit_timeouts);
-                Err(MmmError::DeadlineExceeded)
-            }
-            Err(PushError::Closed(_)) => Err(MmmError::Stopped),
-        }
-    }
-
-    /// The session serving `key`, if registered.
-    pub fn session(&self, key: KeyId) -> Option<&KeyedSession> {
-        self.shared.sessions.get(key.0)
-    }
-
-    /// Requests sitting in the admission queue right now (excludes
-    /// requests already aggregated into shards; see
-    /// [`Server::pending_depth`]).
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue.len()
-    }
-
-    /// Requests accepted into shards but not yet flushed.
-    pub fn pending_depth(&self) -> usize {
-        self.shared.pending_len()
-    }
-
-    /// This server's fault-injection switches (inert unless armed).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.shared.faults
-    }
-
-    /// A snapshot of the diagnostic counters — serve tallies plus the
-    /// integrity ledger — read in one place rather than ad-hoc loads.
-    pub fn stats(&self) -> ServeStats {
-        self.shared.counters.snapshot(&self.shared.quarantine)
-    }
-
-    /// Graceful drain-then-stop: refuses new submissions, lets the
-    /// workers drain and answer everything already admitted, then
-    /// joins them. Dropping the server does the same; the explicit
-    /// method exists so callers can sequence "no more traffic" before
-    /// inspecting final [`Server::stats`]... which remain readable
-    /// through the binding only until the server is consumed, hence
-    /// the `self` receiver mirrors the one-way nature of shutdown.
-    pub fn shutdown(self) {
-        self.shutdown_impl();
-    }
-
-    fn shutdown_impl(&self) {
-        self.shared.queue.close();
-        let handles = std::mem::take(&mut *lock_unpoisoned(&self.workers));
-        for handle in handles {
-            // A worker that somehow died with an unjoinable panic has
-            // already answered its tickets via responder drops; there
-            // is nothing useful to do with the join error.
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.shutdown_impl();
     }
 }
 
@@ -357,42 +99,17 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn keypair(bits: usize, seed: u64) -> RsaKeyPair {
-        let mut rng = StdRng::seed_from_u64(seed);
-        RsaKeyPair::generate(&mut rng, bits, 12)
-    }
-
-    fn tiny_config() -> EngineConfig {
-        EngineConfig::default()
-            .with_workers(2)
-            .unwrap()
-            .with_flush_deadline(Duration::from_millis(1))
-    }
-
-    #[test]
-    fn builder_rejects_empty_and_unknown_keys() {
-        assert!(matches!(
-            Server::builder(tiny_config()).build(),
-            Err(MmmError::Config(_))
-        ));
-        let key = keypair(32, 50);
-        let mut builder = Server::builder(tiny_config());
-        let id = builder.add_key(key).unwrap();
-        assert_eq!(id, KeyId(0));
-        let server = builder.build().unwrap();
-        let bogus = KeyId(7);
-        assert!(matches!(
-            server.try_submit(bogus, BatchOp::Sign, Ubig::one()),
-            Err(MmmError::Config(_))
-        ));
-        server.shutdown();
-    }
+    use std::time::Duration;
 
     #[test]
     fn roundtrip_and_validation() {
-        let key = keypair(32, 51);
-        let mut builder = Server::builder(tiny_config());
+        let mut rng = StdRng::seed_from_u64(51);
+        let key = RsaKeyPair::generate(&mut rng, 32, 12);
+        let config = EngineConfig::default()
+            .with_workers(2)
+            .unwrap()
+            .with_flush_deadline(Duration::from_millis(1));
+        let mut builder = Server::builder(config);
         let id = builder.add_key(key.clone()).unwrap();
         let server = builder.build().unwrap();
         let m = Ubig::from(99u64);
@@ -412,22 +129,6 @@ mod tests {
         assert_eq!(stats.submitted, 1);
         assert_eq!(stats.rejected_invalid, 1);
         assert_eq!(stats.completed_ok, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn submit_after_shutdown_is_stopped() {
-        let key = keypair(32, 52);
-        let mut builder = Server::builder(tiny_config());
-        let id = builder.add_key(key).unwrap();
-        let server = builder.build().unwrap();
-        server.shared.queue.close();
-        assert_eq!(
-            server
-                .try_submit(id, BatchOp::Sign, Ubig::one())
-                .unwrap_err(),
-            MmmError::Stopped
-        );
         server.shutdown();
     }
 }

@@ -1,23 +1,24 @@
 //! The typed serving API — the one entry point for batched RSA: a
-//! per-key session handle and a request aggregator.
+//! per-key session handle and the operations it serves.
 //!
 //! Real traffic is *millions of independent clients* each submitting
-//! one request against a long-lived key, which needs two things:
+//! one request against a long-lived key. [`KeyedSession`] is one
+//! handle owning the key **and** its pooled Montgomery parameters
+//! (`N`, and the CRT primes `p`/`q`) plus the engine configuration,
+//! built once and reused for every request. No threading
+//! `&RsaKeyPair` + [`EngineKind`] through every call, and no panics:
+//! every method returns `Result<_, MmmError>`, so one client's
+//! unreduced message bounces that request instead of aborting the
+//! process.
 //!
-//! * [`KeyedSession`] — one handle owning the key **and** its pooled
-//!   Montgomery parameters (`N`, and the CRT primes `p`/`q`) plus the
-//!   engine configuration, built once and reused for every request.
-//!   No threading `&RsaKeyPair` + [`EngineKind`] through every call,
-//!   and no panics: every method returns `Result<_, MmmError>`, so one
-//!   client's unreduced message bounces that request instead of
-//!   aborting the process.
-//! * [`BatchCollector`] — accepts **individually submitted** requests,
-//!   aggregates them toward full 64-lane shards, and returns
-//!   per-request results in submission order on
-//!   [`BatchCollector::flush`] — the aggregation step between
-//!   independent clients and a batch. Results are bit-identical to
-//!   calling the corresponding session method on the same inputs
-//!   (asserted by `tests/serving_api.rs` on every backend).
+//! [`BatchOp`] names the single-input operations; it is the RSA
+//! [`ShardOp`](mmm_core::serve::ShardOp), so the serving plane's
+//! [`Collector`](mmm_core::serve::Collector) aggregates individually
+//! submitted requests into shards and answers them in submission
+//! order, bit-identical to calling the session method on the same
+//! inputs (asserted by `tests/serving_api.rs` on every backend), and
+//! its [`Server`](crate::serve::Server) does the same under real
+//! traffic.
 //!
 //! Backend, window policy, pool capacity and shard width all come
 //! from one validated [`EngineConfig`] value; use
@@ -226,43 +227,16 @@ impl KeyedSession {
         ticket.unblind(&mut ms, &self.key.n);
         Ok(ms)
     }
-
-    /// A fresh [`BatchCollector`] aggregating individually submitted
-    /// requests for `op` against this session.
-    pub fn collector(&self, op: BatchOp) -> BatchCollector<'_> {
-        BatchCollector {
-            session: self,
-            op,
-            pending: Vec::new(),
-        }
-    }
 }
 
-/// Which single-input operation a [`BatchCollector`] aggregates.
-/// (Verification takes message *and* signature per request, so it
-/// stays on [`KeyedSession::verify`].) `Hash` because the serving
-/// dispatcher ([`crate::serve`]) shards pending requests by
-/// `(key, op)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BatchOp {
-    /// `m ^ D mod N` per request ([`KeyedSession::sign`]).
-    Sign,
-    /// Full-width `c ^ D mod N` per request ([`KeyedSession::decrypt`]).
-    Decrypt,
-    /// CRT decryption per request ([`KeyedSession::decrypt_crt`]) —
-    /// the serving flagship.
-    DecryptCrt,
-}
-
-/// Aggregates **individually submitted** requests into full batch
-/// shards: clients call [`BatchCollector::submit`] one request at a
-/// time (validated immediately, so a bad request bounces without
-/// poisoning the batch), and [`BatchCollector::flush`] runs the whole
-/// queue through the session, returning results **in submission
-/// order** — `results[id]` answers the submit that returned `id`.
+/// Which single-input operation a request asks of its
+/// [`KeyedSession`] — the RSA [`ShardOp`](mmm_core::serve::ShardOp)
+/// (see [`crate::serve`]). Verification takes message *and* signature
+/// per request, so it stays on [`KeyedSession::verify`].
 ///
 /// ```
 /// use mmm_bigint::Ubig;
+/// use mmm_core::serve::Collector;
 /// use mmm_core::{EngineConfig, MmmError};
 /// use mmm_rsa::{BatchOp, KeyedSession, RsaKeyPair};
 /// use rand::rngs::StdRng;
@@ -275,7 +249,7 @@ pub enum BatchOp {
 ///
 /// // Independent clients trickle in ciphertexts one at a time...
 /// let messages = vec![Ubig::from(5u64), Ubig::from(900u64), Ubig::from(31u64)];
-/// let mut collector = session.collector(BatchOp::DecryptCrt);
+/// let mut collector = Collector::new(&session, BatchOp::DecryptCrt);
 /// for m in &messages {
 ///     let c = m.modpow(&session.key().e, &session.key().n);
 ///     let id = collector.submit(c)?;
@@ -288,91 +262,22 @@ pub enum BatchOp {
 /// assert!(collector.is_empty());
 /// # Ok(()) }
 /// ```
-#[derive(Debug)]
-pub struct BatchCollector<'s> {
-    session: &'s KeyedSession,
-    op: BatchOp,
-    pending: Vec<Ubig>,
-}
-
-impl BatchCollector<'_> {
-    /// The operation this collector aggregates.
-    pub fn op(&self) -> BatchOp {
-        self.op
-    }
-
-    /// Queues one request, validating it immediately: a value `≥ N`
-    /// is rejected with [`MmmError::OperandOutOfRange`] (its `lane`
-    /// is the id the request *would* have had) and leaves the queue
-    /// untouched. Returns the request id — the index of this
-    /// request's result in the next [`BatchCollector::flush`].
-    pub fn submit(&mut self, request: Ubig) -> Result<usize, MmmError> {
-        if request >= self.session.key.n {
-            return Err(MmmError::OperandOutOfRange {
-                lane: self.pending.len(),
-                bound: OperandBound::N,
-            });
-        }
-        self.pending.push(request);
-        Ok(self.pending.len() - 1)
-    }
-
-    /// Requests queued for the next flush.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// How many **full** shards the queue currently fills at the
-    /// session's configured shard width — a scheduling hint: flushing
-    /// on a full shard maximizes lane utilization, flushing earlier
-    /// trades throughput for latency.
-    pub fn full_shards(&self) -> usize {
-        self.pending.len() / self.session.config.shard_lanes()
-    }
-
-    /// Removes and returns every queued-but-unflushed request together
-    /// with its submission id, leaving the collector empty. This is
-    /// the shutdown/error escape hatch: a dispatcher that is stopping
-    /// (or whose flush path is failing) can recover the tail of the
-    /// queue and answer each caller individually — e.g. with a typed
-    /// error — instead of silently dropping it. The ids are the values
-    /// the corresponding [`BatchCollector::submit`] calls returned;
-    /// after a drain the next submit starts from id 0 again.
-    pub fn drain(&mut self) -> Vec<(usize, Ubig)> {
-        self.pending.drain(..).enumerate().collect()
-    }
-
-    /// Drains the queue through the session and returns one result
-    /// per request, in submission order (`results[id]` belongs to the
-    /// submit that returned `id`). An empty queue is
-    /// [`MmmError::EmptyBatch`]. On error the queue is left intact,
-    /// so no request is silently dropped.
-    pub fn flush(&mut self) -> Result<Vec<Ubig>, MmmError> {
-        if self.pending.is_empty() {
-            return Err(MmmError::EmptyBatch);
-        }
-        let pending = std::mem::take(&mut self.pending);
-        let result = match self.op {
-            BatchOp::Sign => self.session.sign(&pending),
-            BatchOp::Decrypt => self.session.decrypt(&pending),
-            BatchOp::DecryptCrt => self.session.decrypt_crt(&pending),
-        };
-        if result.is_err() {
-            self.pending = pending;
-        }
-        result
-    }
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BatchOp {
+    /// `m ^ D mod N` per request ([`KeyedSession::sign`]).
+    Sign,
+    /// Full-width `c ^ D mod N` per request ([`KeyedSession::decrypt`]).
+    Decrypt,
+    /// CRT decryption per request ([`KeyedSession::decrypt_crt`]) —
+    /// the serving flagship.
+    DecryptCrt,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cipher::decrypt_crt;
+    use mmm_core::serve::Collector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -387,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_legacy_entry_points_on_both_backends() {
+    fn session_matches_scalar_oracles_on_every_backend() {
         let key = keypair(48, 90);
         let mut rng = StdRng::seed_from_u64(91);
         let ms: Vec<Ubig> = (0..9)
@@ -453,7 +358,7 @@ mod tests {
         let ms: Vec<Ubig> = (0..5)
             .map(|_| Ubig::random_below(&mut rng, &key.n))
             .collect();
-        let mut collector = session.collector(BatchOp::Sign);
+        let mut collector = Collector::new(&session, BatchOp::Sign);
         assert_eq!(collector.op(), BatchOp::Sign);
         for (want_id, m) in ms.iter().enumerate() {
             assert_eq!(collector.submit(m.clone()).unwrap(), want_id);
@@ -479,7 +384,7 @@ mod tests {
     fn drain_returns_the_unflushed_tail_with_ids() {
         let key = keypair(32, 96);
         let session = session_for(EngineKind::Cios, &key);
-        let mut collector = session.collector(BatchOp::Sign);
+        let mut collector = Collector::new(&session, BatchOp::Sign);
         let ms = [Ubig::from(7u64), Ubig::from(11u64), Ubig::from(13u64)];
         for m in &ms {
             collector.submit(m.clone()).unwrap();
@@ -504,7 +409,7 @@ mod tests {
         let key = keypair(32, 95);
         let config = EngineConfig::default().with_shard_lanes(2).unwrap();
         let session = KeyedSession::new(key.clone(), config).unwrap();
-        let mut collector = session.collector(BatchOp::Decrypt);
+        let mut collector = Collector::new(&session, BatchOp::Decrypt);
         assert_eq!(collector.full_shards(), 0);
         for i in 0..5 {
             collector.submit(Ubig::from(i as u64)).unwrap();

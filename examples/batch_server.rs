@@ -1,5 +1,6 @@
 //! Arrival-rate-sweep load generator for the fault-tolerant serving
-//! front-end (`mmm_rsa::serve`).
+//! front-end (`mmm_core::serve`, in its RSA instantiation
+//! `mmm_rsa::serve`).
 //!
 //! Independent paced arrivals are submitted to a running [`Server`]
 //! at a sweep of offered rates around the host's measured capacity;

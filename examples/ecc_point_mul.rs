@@ -2,8 +2,10 @@
 //! work (§5) — with every field multiplication routed through the
 //! cycle-accurate Montgomery engine, so the example also reports the
 //! hardware cycle budget of a scalar multiplication. Then the same
-//! workload as the batch engines serve it: a P-256 `CurveSession`
-//! verifying an RFC 6979 test-vector signature 64 lanes at a time.
+//! workload as the batch engines serve it: 64 P-256 ECDSA verify
+//! requests (an RFC 6979 test-vector signature, one copy forged)
+//! submitted one ticket at a time to the serving plane's `Server`,
+//! which batches them into one 64-lane shard.
 //!
 //! ```sh
 //! cargo run --release --example ecc_point_mul
@@ -11,11 +13,13 @@
 
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::montgomery::MontgomeryParams;
+use montgomery_systolic::core::serve::Server;
 use montgomery_systolic::core::wave::WaveMmmc;
 use montgomery_systolic::core::EngineConfig;
 use montgomery_systolic::ecc::curves::p256;
-use montgomery_systolic::ecc::serve::{CurveSession, EcdsaRequest};
+use montgomery_systolic::ecc::serve::{EcdsaRequest, EcdsaVerify};
 use montgomery_systolic::ecc::{Curve, FieldCtx};
+use std::time::Duration;
 
 fn main() {
     // A 61-bit prime field (fits the demo; the architecture is
@@ -59,11 +63,18 @@ fn main() {
     assert!(curve.contains(&mut f, &kg), "result stays on the curve");
     println!("group-law check [k]G + G = [k+1]G ✓");
 
-    // The serving shape (DESIGN.md §13): the same curve arithmetic,
-    // 64 lanes wide on the batch engines. Verify the RFC 6979 §A.2.5
-    // P-256/SHA-256 "sample" signature across a full shard.
-    let session = CurveSession::new(p256(), EngineConfig::from_env().expect("clean MMM_* env"))
-        .expect("P-256 session");
+    // The serving shape (DESIGN.md §10, §13): the same curve
+    // arithmetic, 64 lanes wide on the batch engines, behind the
+    // serving plane. Each request is its own ticket; the server files
+    // them into one shard and flushes it when it fills (the 5 s
+    // deadline only makes sure the shard is full before it is due).
+    let config = EngineConfig::from_env()
+        .expect("clean MMM_* env")
+        .with_flush_deadline(Duration::from_secs(5));
+    let mut builder = Server::<EcdsaVerify>::builder(config);
+    let curve = builder.add_key(p256()).expect("P-256 session");
+    let server = builder.build().expect("serving workers");
+    let session = server.session(curve).expect("registered");
     let hex = |s: &str| Ubig::from_hex(s).unwrap();
     let req = EcdsaRequest {
         z: hex("AF2BDBE1AA9B6EC1E2ADE1D694F41FC71A831D0268E9891562113D8A62ADD1BF"),
@@ -76,14 +87,29 @@ fn main() {
     forged.s = forged.s.modadd(&Ubig::one(), &session.spec().order);
     let mut batch = vec![req; 63];
     batch.push(forged);
-    let verdicts = session.verify_ecdsa(&batch).expect("well-formed requests");
+    let tickets: Vec<_> = batch
+        .into_iter()
+        .map(|r| {
+            server
+                .try_submit(curve, EcdsaVerify, r)
+                .expect("well-formed request admitted")
+        })
+        .collect();
+    let verdicts: Vec<bool> = tickets
+        .into_iter()
+        .map(|t| t.wait().expect("verdict"))
+        .collect();
     assert!(
         verdicts[..63].iter().all(|&v| v),
         "genuine signature verifies"
     );
     assert!(!verdicts[63], "forged signature rejected");
+    let stats = server.stats();
+    assert_eq!(stats.fill_flushes, 1, "one full 64-lane shard");
     println!(
-        "batched ECDSA (P-256, {} backend): 63 genuine + 1 forged verified in one 64-lane shard ✓",
-        session.backend().name()
+        "served ECDSA (P-256, {} backend): 63 genuine + 1 forged verified as 64 tickets, {} shard flush ✓",
+        session.backend().name(),
+        stats.fill_flushes
     );
+    server.shutdown();
 }

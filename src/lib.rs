@@ -23,9 +23,11 @@
 //!   multiplication, high-radix iteration models),
 //! * [`rsa`] and [`ecc`] — the two public-key applications the paper
 //!   targets, including batched many-client sign/verify and the typed
-//!   serving API (`rsa::server`: fallible `KeyedSession` +
-//!   `BatchCollector` request aggregation, configured through
-//!   `core::config::EngineConfig`).
+//!   serving API (fallible `rsa::KeyedSession` and
+//!   `ecc::CurveSession`, configured through
+//!   `core::config::EngineConfig`), both served through one serving
+//!   plane (`core::serve`: the `Collector` request aggregator and the
+//!   multi-worker `Server`).
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for
 //! paper-vs-measured results. Start with `examples/quickstart.rs`.

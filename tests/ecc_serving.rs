@@ -1,14 +1,16 @@
 //! The ECC serving surface end to end: batched ECDSA verification
 //! against an independent known-answer vector and an in-test affine
-//! signer, ECDH round trips, collector ordering/error semantics, and
-//! cross-backend result identity. Honors `MMM_ENGINE` through
+//! signer, ECDH round trips, the serving plane's collector ordering
+//! and error semantics for both ECC operations, and cross-backend
+//! result identity. Honors `MMM_ENGINE` through
 //! `EngineConfig::from_env` so the CI backend sweep drives the same
 //! assertions on every engine.
 
 use montgomery_systolic::bigint::Ubig;
+use montgomery_systolic::core::serve::Collector;
 use montgomery_systolic::core::{EngineConfig, EngineKind, HardeningMode, MmmError};
 use montgomery_systolic::ecc::curves::{p256, CurveSpec};
-use montgomery_systolic::ecc::serve::{CurveSession, EcdhRequest, EcdsaRequest};
+use montgomery_systolic::ecc::serve::{CurveSession, Ecdh, EcdhRequest, EcdsaRequest, EcdsaVerify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -330,7 +332,7 @@ fn ecdsa_collector_orders_validates_and_drains() {
     let spec = p256();
     let session = CurveSession::new(spec.clone(), config()).unwrap();
     let good = rfc6979_sample_request();
-    let mut c = session.ecdsa_collector();
+    let mut c = Collector::new(&session, EcdsaVerify);
     assert!(c.is_empty());
     assert!(matches!(c.flush(), Err(MmmError::EmptyBatch)));
     let mut tampered = good.clone();
@@ -390,7 +392,7 @@ fn ecdh_collector_matches_direct_calls_across_shards() {
         })
         .collect();
     let direct = session.ecdh(&reqs).unwrap();
-    let mut c = session.ecdh_collector();
+    let mut c = Collector::new(&session, Ecdh);
     for (i, r) in reqs.iter().enumerate() {
         assert_eq!(c.submit(r.clone()).unwrap(), i);
     }

@@ -1,12 +1,13 @@
-//! The serving layer end to end: `KeyedSession` + `BatchCollector`
-//! against the scalar entry points (`decrypt_crt`, `modpow`) — results
-//! must be bit-identical in submission order on **every** backend, and
-//! the aggregation bookkeeping (ids, shard fill, error recovery) must
-//! behave like a server can rely on.
+//! The serving layer end to end: `KeyedSession` + the serving plane's
+//! `Collector` against the scalar entry points (`decrypt_crt`,
+//! `modpow`) — results must be bit-identical in submission order on
+//! **every** backend, and the aggregation bookkeeping (ids, shard
+//! fill, error recovery) must behave like a server can rely on.
 
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::config::{EngineConfig, WindowPolicy};
 use montgomery_systolic::core::error::MmmError;
+use montgomery_systolic::core::serve::Collector;
 use montgomery_systolic::core::EngineKind;
 use montgomery_systolic::rsa::{decrypt_crt, BatchOp, KeyedSession, RsaKeyPair};
 use rand::rngs::StdRng;
@@ -23,7 +24,7 @@ fn scalar_signatures(key: &RsaKeyPair, ms: &[Ubig]) -> Vec<Ubig> {
 }
 
 #[test]
-fn collector_is_bit_identical_to_decrypt_crt_batch_on_both_backends() {
+fn collector_is_bit_identical_to_decrypt_crt_on_every_backend() {
     let key = keypair(64, 601);
     let mut rng = StdRng::seed_from_u64(602);
     // 70 singleton submissions: crosses the 64-lane shard boundary,
@@ -37,7 +38,7 @@ fn collector_is_bit_identical_to_decrypt_crt_batch_on_both_backends() {
     for kind in EngineKind::ALL {
         let session =
             KeyedSession::new(key.clone(), EngineConfig::default().with_backend(kind)).unwrap();
-        let mut collector = session.collector(BatchOp::DecryptCrt);
+        let mut collector = Collector::new(&session, BatchOp::DecryptCrt);
         for (want_id, c) in cs.iter().enumerate() {
             assert_eq!(collector.submit(c.clone()).unwrap(), want_id);
         }
@@ -57,7 +58,7 @@ fn collector_sign_flow_matches_batch_signing() {
     for kind in EngineKind::ALL {
         let session =
             KeyedSession::new(key.clone(), EngineConfig::default().with_backend(kind)).unwrap();
-        let mut collector = session.collector(BatchOp::Sign);
+        let mut collector = Collector::new(&session, BatchOp::Sign);
         for m in &ms {
             collector.submit(m.clone()).unwrap();
         }
@@ -71,7 +72,7 @@ fn collector_sign_flow_matches_batch_signing() {
 fn collector_flush_drains_and_can_refill() {
     let key = keypair(32, 605);
     let session = KeyedSession::new(key.clone(), EngineConfig::default()).unwrap();
-    let mut collector = session.collector(BatchOp::DecryptCrt);
+    let mut collector = Collector::new(&session, BatchOp::DecryptCrt);
     assert_eq!(collector.flush().unwrap_err(), MmmError::EmptyBatch);
     let m = Ubig::from(12345u64).rem(&key.n);
     let c = m.modpow(&key.e, &key.n);
