@@ -87,8 +87,9 @@ pub const MAX_LANES: usize = crate::batch::MAX_LANES;
 /// Widest batch [`CiosBatch`] serves on the per-lane scalar path;
 /// wider batches run the 64-lane SoA kernel. The largest lane count at
 /// which the per-lane path was no slower at l = 256, 512 and 1024
-/// (DESIGN.md §7 "SoA lane layout" has the measured table).
-const SCALAR_LANES: usize = 32;
+/// (DESIGN.md §7 "SoA lane layout" has the measured table). Published
+/// as [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound).
+pub(crate) const SCALAR_LANES: usize = 32;
 
 /// Shared per-width geometry of the radix-2⁶⁴ scan over `R = 2^{l+2}`.
 #[derive(Debug, Clone, Copy)]

@@ -43,10 +43,14 @@ use std::env::VarError;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default fill-or-deadline flush deadline of the serving front-end:
-/// a shard that has not filled its 64 lanes is flushed once its oldest
-/// request has sat in it this long, so a singleton request never waits
-/// unboundedly for 63 peers that may not exist.
+/// Default flush deadline of the serving front-end: a shard that has
+/// not filled its 64 lanes is flushed once its oldest request has sat
+/// in it this long, so a singleton request never waits unboundedly for
+/// 63 peers that may not exist. An idle worker flushes a shard at or
+/// below its backend's
+/// [`per_lane_bound`](crate::EngineKind::per_lane_bound) at once, so
+/// the deadline bounds the shards above that bound, and every shard
+/// while the workers are busy.
 pub const DEFAULT_FLUSH_DEADLINE: Duration = Duration::from_millis(2);
 
 /// Default bound on the serving front-end's request queue. A full
@@ -223,9 +227,11 @@ impl EngineConfig {
         self.shard_lanes
     }
 
-    /// The serving front-end's fill-or-deadline flush deadline: a
-    /// partially filled shard is flushed once its oldest request has
-    /// sat in it this long (counted from when a worker filed it).
+    /// The serving front-end's flush deadline: a partially filled
+    /// shard is flushed once its oldest request has sat in it this
+    /// long (counted from when a worker filed it). Shards at or below
+    /// the backend's per-lane bound usually go sooner, when a worker
+    /// finds the queue empty (see [`DEFAULT_FLUSH_DEADLINE`]).
     pub fn flush_deadline(&self) -> Duration {
         self.flush_deadline
     }
@@ -335,7 +341,11 @@ impl EngineConfig {
 
     /// Sets the serving flush deadline (infallible — any duration is
     /// meaningful: `Duration::ZERO` flushes every request immediately,
-    /// the pure-latency end of the latency/throughput knob).
+    /// the pure-latency end of the latency/throughput knob). It bounds
+    /// the wait of shards above the backend's
+    /// [`per_lane_bound`](crate::EngineKind::per_lane_bound), and of
+    /// every shard while the workers are busy; an idle worker flushes
+    /// a shard at or below that bound without waiting for it.
     pub fn with_flush_deadline(mut self, deadline: Duration) -> Self {
         self.flush_deadline = deadline;
         self

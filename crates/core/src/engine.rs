@@ -104,6 +104,21 @@ impl EngineKind {
         }
     }
 
+    /// The widest batch this backend runs one lane at a time, so that
+    /// a call costs in proportion to its live lanes: up to this many
+    /// lanes, a batch that waits for more peers pays the same per lane
+    /// as one run at once. [`EngineKind::Cios`] returns the lane bound
+    /// of `CiosBatch`'s per-lane path (32, the constant that path
+    /// reads); the other backends have no per-lane path, every call
+    /// costs a full-width scan, and they return 0. The serving plane's
+    /// idle flush reads it (DESIGN.md §10).
+    pub fn per_lane_bound(self) -> usize {
+        match self {
+            EngineKind::Cios => crate::cios::SCALAR_LANES,
+            EngineKind::Cios52 | EngineKind::BitSliced => 0,
+        }
+    }
+
     /// The next-weaker backend in the graceful-degradation chain used
     /// by the integrity layer ([`crate::verify::Quarantine`]): the
     /// SIMD-heavy radix-2⁵² scan degrades to the word-serial CIOS
@@ -369,6 +384,13 @@ mod tests {
                 assert!(steps <= EngineKind::ALL.len(), "chain must terminate");
             }
         }
+    }
+
+    #[test]
+    fn per_lane_bound_is_the_cios_scalar_path_width() {
+        assert_eq!(EngineKind::Cios.per_lane_bound(), 32);
+        assert_eq!(EngineKind::Cios52.per_lane_bound(), 0);
+        assert_eq!(EngineKind::BitSliced.per_lane_bound(), 0);
     }
 
     #[test]

@@ -50,7 +50,8 @@
 //!     front-end every tenant plugs into through the
 //!     [`serve::ShardOp`] trait: one [`serve::Collector`] and one
 //!     multi-worker [`serve::Server`] with bounded-queue backpressure,
-//!     fill-or-deadline flushing, panic isolation and shutdown drain.
+//!     fill, idle and deadline flushing, panic isolation and shutdown
+//!     drain.
 //!     `mmm-rsa` and `mmm-ecc` implement its traits. See `DESIGN.md`
 //!     §10.
 //!

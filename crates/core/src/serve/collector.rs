@@ -11,8 +11,9 @@ use crate::MmmError;
 /// [`Collector::flush`] answers the whole queue with one
 /// [`ShardOp::run_batch`] call, **in submission order** —
 /// `results[id]` answers the submit that returned `id`. The
-/// [`Server`](super::Server) is the multi-threaded, deadline-driven
-/// version of the same step.
+/// [`Server`](super::Server) is the multi-threaded version of the same
+/// step, which decides for itself when to flush: on fill, when a
+/// worker goes idle, or on the deadline.
 #[derive(Debug)]
 pub struct Collector<'s, O: ShardOp> {
     session: &'s O::Session,

@@ -7,16 +7,26 @@
 //! operation. On top sit the two ways to batch: [`Collector`], a
 //! single-threaded aggregator flushed by its owner, and [`Server`],
 //! modeled on the Quad-Core RSA Processor's shape —
-//! several cores fed from one shared request queue. A server owns `N`
+//! several cores fed from one shared request queue, where a free core
+//! takes the next request instead of idling. A server owns `N`
 //! worker threads ([`EngineConfig::workers`], default = available
 //! parallelism) pulling from a **bounded** MPMC queue into per-
-//! `(key, op)` shards, flushing each shard on **fill-or-deadline**: a
-//! shard goes to [`ShardOp::run_batch`] the moment it fills its
-//! [`EngineConfig::shard_lanes`] lanes *or* once the oldest request
-//! in it has sat there for [`EngineConfig::flush_deadline`] (counted
-//! from when a worker filed it, not from its submission) — so a
-//! singleton request is never parked indefinitely waiting for 63
-//! peers that may not exist.
+//! `(key, op)` shards. A shard goes to [`ShardOp::run_batch`] for one
+//! of four causes, each counted in [`ServeStats`]:
+//!
+//! * **fill** — it holds [`EngineConfig::shard_lanes`] requests;
+//! * **idle** — a worker found the queue empty and the shard is at or
+//!   below the per-lane bound of its session's backend
+//!   ([`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)):
+//!   there the backend runs one lane at a time, so waiting for peers
+//!   would add latency and save nothing;
+//! * **deadline** — its oldest request has sat there for
+//!   [`EngineConfig::flush_deadline`] (counted from when a worker filed
+//!   it, not from its submission), which bounds shards above the
+//!   per-lane bound and every shard while the workers are busy — so a
+//!   singleton request is never parked indefinitely waiting for 63
+//!   peers that may not exist;
+//! * **drain** — the server is shutting down.
 //!
 //! The point of the server, though, is what happens when things go
 //! wrong. Each failure mode has a designed answer, the same for every
@@ -27,7 +37,7 @@
 //! |---|---|
 //! | overload | bounded queue; [`Server::try_submit`] returns [`MmmError::Overloaded`], blocking [`Server::submit`] waits at most the caller's timeout then returns [`MmmError::DeadlineExceeded`] — the process never OOMs on a backlog |
 //! | invalid request | [`ShardOp::validate`] at admission; the error goes to that caller only and nothing enters a shard |
-//! | stalled batch | deadline-driven flushing; any free worker flushes any due shard, so one slow flush delays only its own shard |
+//! | stalled batch | any free worker flushes any due or idle-flushable shard, so one slow flush delays only its own shard |
 //! | worker death | panics are caught per-flush (shard answered with [`MmmError::WorkerPanicked`], worker keeps serving); panics escaping the serve loop restart the worker, and the in-flight shard's tickets are still resolved by [`Ticket`] responder drops |
 //! | poisoned global state | every lock in the stack — including the process-wide engine pool — recovers via [`lock_unpoisoned`] instead of cascading the panic |
 //! | shutdown | [`Server::shutdown`] (and `Drop`) closes the queue, drains everything already admitted, answers it, then joins the workers — in-flight requests are never dropped |
@@ -112,7 +122,9 @@ pub trait ShardOp: Copy + Eq + Hash + Debug + Send + Sync + 'static {
 pub struct KeyId(usize);
 
 /// Diagnostic counters of a running [`Server`] (a relaxed snapshot —
-/// counters from in-flight operations may lag by a few units).
+/// counters from in-flight operations may lag by a few units). Every
+/// flush counts under exactly one of its four causes: fill, idle,
+/// deadline or drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Requests admitted into the queue.
@@ -132,6 +144,10 @@ pub struct ServeStats {
     pub completed_err: u64,
     /// Flushes triggered by a full shard.
     pub fill_flushes: u64,
+    /// Flushes by a worker that found the queue empty, of a shard at
+    /// or below its backend's
+    /// [`per_lane_bound`](crate::EngineKind::per_lane_bound).
+    pub idle_flushes: u64,
     /// Flushes triggered by the deadline.
     pub deadline_flushes: u64,
     /// Flushes performed by the shutdown drain.
@@ -338,9 +354,11 @@ impl<O: ShardOp> Server<O> {
     /// joins them. Dropping the server does the same; the explicit
     /// method exists so callers can sequence "no more traffic" before
     /// the server goes away, and its `self` receiver mirrors the
-    /// one-way nature of shutdown.
-    pub fn shutdown(self) {
+    /// one-way nature of shutdown. Returns the final counters, read
+    /// after every worker has joined, so they include the drain.
+    pub fn shutdown(self) -> ServeStats {
         self.shutdown_impl();
+        self.stats()
     }
 
     fn shutdown_impl(&self) {

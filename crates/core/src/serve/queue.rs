@@ -93,6 +93,13 @@ impl<T> BoundedQueue<T> {
         lock_unpoisoned(&self.state).items.len()
     }
 
+    /// True when nothing is queued — the worker's idle test. A racy
+    /// snapshot too: an item pushed right after is popped by a worker,
+    /// which tests again after filing it.
+    pub(crate) fn is_empty(&self) -> bool {
+        lock_unpoisoned(&self.state).items.is_empty()
+    }
+
     /// Non-blocking push: refused immediately when full or closed.
     pub(crate) fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut st = lock_unpoisoned(&self.state);
@@ -202,7 +209,9 @@ mod tests {
         assert!(matches!(q.pop_deadline(None), Pop::Item(1)));
         q.try_push(3).unwrap();
         assert!(matches!(q.pop_deadline(None), Pop::Item(2)));
+        assert!(!q.is_empty());
         assert!(matches!(q.pop_deadline(None), Pop::Item(3)));
+        assert!(q.is_empty());
     }
 
     #[test]

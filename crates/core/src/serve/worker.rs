@@ -1,6 +1,7 @@
 //! Worker threads: pull requests off the shared bounded queue into
-//! per-`(key, op)` shards, flush each shard on **fill-or-deadline**,
-//! and isolate every failure to the shard that caused it.
+//! per-`(key, op)` shards, flush each shard for one of four causes —
+//! **fill, idle, deadline or drain** — and isolate every failure to the
+//! shard that caused it.
 //!
 //! ## Panic isolation, two layers
 //!
@@ -16,6 +17,28 @@
 //!    outside the per-flush net). Requests in flight at that moment
 //!    are still answered: their [`Responder`]s resolve the tickets
 //!    from `Drop` as the unwind tears the batch down.
+//!
+//! ## The flush rule
+//!
+//! After every pop (a filed request, a timeout or the close), the
+//! worker runs one flush pass. [`flush_cause`] decides each pending
+//! shard, in this order:
+//!
+//! 1. **fill** — the shard holds `shard_lanes` requests;
+//! 2. **drain** — the queue is closed (and, as `pop_deadline` reports
+//!    `Closed` only then, empty): everything left is answered;
+//! 3. **deadline** — the shard's oldest request has waited
+//!    `flush_deadline`;
+//! 4. **idle** — the queue is empty, so the worker is about to park,
+//!    and the shard's lanes are at or below the per-lane bound of its
+//!    session's backend
+//!    ([`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)).
+//!    Up to that bound the backend runs one lane at a time, so waiting
+//!    for peers costs latency and saves no work per lane.
+//!
+//! The idle rule never fires while the queue holds requests, so under
+//! load shards still grow toward `shard_lanes`, bounded by the
+//! deadline; a backend with bound 0 keeps pure fill-or-deadline.
 //!
 //! ## Deadline scheduling
 //!
@@ -34,7 +57,7 @@
 
 use super::queue::{BoundedQueue, Pop};
 use super::ticket::Responder;
-use super::{ServeStats, ShardOp};
+use super::{ServeStats, Session, ShardOp};
 use crate::pool::lock_unpoisoned;
 use crate::verify::faults::CorruptionPlan;
 use crate::{MmmError, Quarantine};
@@ -63,8 +86,8 @@ struct PendingShard<O: ShardOp> {
     requests: Vec<O::Request>,
     responders: Vec<Responder<O::Response>>,
     /// When a worker filed the shard's first request — the anchor of
-    /// the fill-or-deadline policy (see the module docs for why it is
-    /// not the submission instant).
+    /// the deadline (see the module docs for why it is not the
+    /// submission instant).
     oldest: Instant,
 }
 
@@ -89,6 +112,7 @@ pub(crate) struct Counters {
     pub(crate) completed_ok: AtomicU64,
     pub(crate) completed_err: AtomicU64,
     pub(crate) fill_flushes: AtomicU64,
+    pub(crate) idle_flushes: AtomicU64,
     pub(crate) deadline_flushes: AtomicU64,
     pub(crate) drain_flushes: AtomicU64,
     pub(crate) flush_panics: AtomicU64,
@@ -98,6 +122,16 @@ pub(crate) struct Counters {
 impl Counters {
     pub(crate) fn bump(&self, c: &AtomicU64) {
         c.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counter of flushes with `cause`.
+    fn flushes(&self, cause: Cause) -> &AtomicU64 {
+        match cause {
+            Cause::Fill => &self.fill_flushes,
+            Cause::Idle => &self.idle_flushes,
+            Cause::Deadline => &self.deadline_flushes,
+            Cause::Drain => &self.drain_flushes,
+        }
     }
 
     /// The single place counters are read for export: folds the serve
@@ -114,6 +148,7 @@ impl Counters {
             completed_ok: self.completed_ok.load(Ordering::Relaxed),
             completed_err: self.completed_err.load(Ordering::Relaxed),
             fill_flushes: self.fill_flushes.load(Ordering::Relaxed),
+            idle_flushes: self.idle_flushes.load(Ordering::Relaxed),
             deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed),
             drain_flushes: self.drain_flushes.load(Ordering::Relaxed),
             flush_panics: self.flush_panics.load(Ordering::Relaxed),
@@ -175,6 +210,51 @@ impl<O: ShardOp> Shared<O> {
     }
 }
 
+/// Why a shard is flushed; every flush counts under exactly one cause
+/// in [`ServeStats`].
+#[derive(Debug, Clone, Copy)]
+enum Cause {
+    /// The shard reached its width.
+    Fill,
+    /// The queue is empty and the shard is within its backend's
+    /// per-lane bound.
+    Idle,
+    /// The shard's oldest request has waited out the deadline.
+    Deadline,
+    /// The server is closing.
+    Drain,
+}
+
+/// The flush rule (see the module docs): why a shard of `lanes`
+/// requests in a server of shard width `width` flushes now, if it
+/// does. `bound` is the per-lane bound of the shard's backend,
+/// `queue_empty` whether the worker found the request queue empty,
+/// `age` how long the shard's oldest request has waited against the
+/// flush `deadline`, and `closing` whether the queue is closed.
+fn flush_cause(
+    lanes: usize,
+    width: usize,
+    bound: usize,
+    queue_empty: bool,
+    age: Duration,
+    deadline: Duration,
+    closing: bool,
+) -> Option<Cause> {
+    if lanes == 0 {
+        None
+    } else if lanes >= width {
+        Some(Cause::Fill)
+    } else if closing {
+        Some(Cause::Drain)
+    } else if age >= deadline {
+        Some(Cause::Deadline)
+    } else if queue_empty && lanes <= bound {
+        Some(Cause::Idle)
+    } else {
+        None
+    }
+}
+
 /// The worker entry point: a supervisor loop that restarts the serve
 /// loop whenever a panic escapes it, until clean shutdown.
 pub(crate) fn run<O: ShardOp>(shared: &Shared<O>) {
@@ -193,74 +273,59 @@ fn serve_until_closed<O: ShardOp>(shared: &Shared<O>) {
             Some(d) => d.min(park_cap),
             None => park_cap,
         };
-        match shared.queue.pop_deadline(Some(until)) {
-            Pop::Item(req) => accept(shared, req),
-            Pop::TimedOut => {}
-            Pop::Closed => break,
+        // Drain-then-stop: `pop_deadline` delivers queued items before
+        // ever reporting `Closed`, so by then everything admitted has
+        // been filed, and the last pass answers whatever is pending.
+        let (req, closing) = match shared.queue.pop_deadline(Some(until)) {
+            Pop::Item(req) => (Some(req), false),
+            Pop::TimedOut => (None, false),
+            Pop::Closed => (None, true),
+        };
+        flush(shared, req, closing);
+        if closing {
+            return;
         }
-        flush_due(shared, Instant::now());
-    }
-    // Drain-then-stop: the queue is closed and (as observed by this
-    // worker) empty — `pop_deadline` delivers queued items before ever
-    // reporting `Closed`, so everything admitted has been accepted
-    // into shards. Answer whatever is still pending, deadline or not.
-    flush_remaining(shared);
-}
-
-/// Files one request into its `(key, op)` shard and flushes the shard
-/// if that filled it.
-fn accept<O: ShardOp>(shared: &Shared<O>, req: Request<O>) {
-    let filled = {
-        let mut shards = lock_unpoisoned(&shared.shards);
-        let shard = shards.entry((req.key, req.op)).or_default();
-        if shard.requests.is_empty() {
-            shard.oldest = Instant::now();
-        }
-        shard.requests.push(req.request);
-        shard.responders.push(req.responder);
-        if shard.requests.len() >= shared.shard_lanes {
-            Some((req.key, req.op, std::mem::take(shard)))
-        } else {
-            None
-        }
-    };
-    if let Some((key, op, batch)) = filled {
-        shared.counters.bump(&shared.counters.fill_flushes);
-        flush_batch(shared, key, op, batch);
     }
 }
 
-/// Flushes every shard whose oldest request has sat in it past the
-/// deadline. Batches are taken under the lock, flushed outside it.
-fn flush_due<O: ShardOp>(shared: &Shared<O>, now: Instant) {
-    let due: Vec<_> = {
+/// The one flush path. Under one hold of the shard lock it files `req`
+/// (when the pop delivered one) into its `(key, op)` shard and takes
+/// every shard that [`flush_cause`] gives a cause — so no shard ever
+/// grows past its width — then counts and flushes each outside the
+/// lock. Safe to run from several workers at once: the take-under-lock
+/// hands each batch to exactly one flusher.
+fn flush<O: ShardOp>(shared: &Shared<O>, req: Option<Request<O>>, closing: bool) {
+    let queue_empty = shared.queue.is_empty();
+    let taken: Vec<_> = {
         let mut shards = lock_unpoisoned(&shared.shards);
+        let now = Instant::now();
+        if let Some(req) = req {
+            let shard = shards.entry((req.key, req.op)).or_default();
+            if shard.requests.is_empty() {
+                shard.oldest = now;
+            }
+            shard.requests.push(req.request);
+            shard.responders.push(req.responder);
+        }
         shards
             .iter_mut()
-            .filter(|(_, s)| !s.requests.is_empty() && now >= s.oldest + shared.flush_deadline)
-            .map(|(&(key, op), s)| (key, op, std::mem::take(s)))
+            .filter_map(|(&(key, op), s)| {
+                let bound = shared.sessions[key].config().backend().per_lane_bound();
+                let cause = flush_cause(
+                    s.requests.len(),
+                    shared.shard_lanes,
+                    bound,
+                    queue_empty,
+                    now.saturating_duration_since(s.oldest),
+                    shared.flush_deadline,
+                    closing,
+                )?;
+                Some((cause, key, op, std::mem::take(s)))
+            })
             .collect()
     };
-    for (key, op, batch) in due {
-        shared.counters.bump(&shared.counters.deadline_flushes);
-        flush_batch(shared, key, op, batch);
-    }
-}
-
-/// Shutdown path: flushes everything still pending, regardless of
-/// fill level or deadline. Safe to run from several workers at once —
-/// the take-under-lock hands each batch to exactly one flusher.
-fn flush_remaining<O: ShardOp>(shared: &Shared<O>) {
-    let remaining: Vec<_> = {
-        let mut shards = lock_unpoisoned(&shared.shards);
-        shards
-            .iter_mut()
-            .filter(|(_, s)| !s.requests.is_empty())
-            .map(|(&(key, op), s)| (key, op, std::mem::take(s)))
-            .collect()
-    };
-    for (key, op, batch) in remaining {
-        shared.counters.bump(&shared.counters.drain_flushes);
+    for (cause, key, op, batch) in taken {
+        shared.counters.bump(shared.counters.flushes(cause));
         flush_batch(shared, key, op, batch);
     }
 }
@@ -300,6 +365,48 @@ fn flush_batch<O: ShardOp>(shared: &Shared<O>, key: usize, op: O, batch: Pending
             for responder in responders {
                 shared.counters.bump(&shared.counters.completed_err);
                 responder.fulfill(Err(MmmError::WorkerPanicked));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flush_cause_table() {
+        const WIDTH: usize = 64;
+        let deadline = Duration::from_millis(2);
+        // One letter per (closing, due, queue_empty) combination, in
+        // binary order from (no, no, no) to (yes, yes, yes): F fill,
+        // I idle, D deadline, R drain, - keep waiting.
+        for bound in [0, 32] {
+            let rows = [
+                (1, if bound == 0 { "--DDRRRR" } else { "-IDDRRRR" }),
+                (bound, if bound == 0 { "--------" } else { "-IDDRRRR" }),
+                (bound + 1, "--DDRRRR"),
+                (WIDTH, "FFFFFFFF"),
+            ];
+            for (lanes, want) in rows {
+                for (i, letter) in want.chars().enumerate() {
+                    let (closing, due, queue_empty) = (i & 4 != 0, i & 2 != 0, i & 1 != 0);
+                    let age = if due { deadline } else { deadline / 2 };
+                    let cause =
+                        flush_cause(lanes, WIDTH, bound, queue_empty, age, deadline, closing);
+                    let got = match cause {
+                        Some(Cause::Fill) => 'F',
+                        Some(Cause::Idle) => 'I',
+                        Some(Cause::Deadline) => 'D',
+                        Some(Cause::Drain) => 'R',
+                        None => '-',
+                    };
+                    assert_eq!(
+                        got, letter,
+                        "lanes {lanes}, bound {bound}, closing {closing}, due {due}, \
+                         queue empty {queue_empty}"
+                    );
+                }
             }
         }
     }

@@ -45,8 +45,10 @@
 //!   from `Drop` — every caller is answered.
 //! * **Flush stalls** ([`CorruptionPlan::inject_flush_stalls`]) — the
 //!   next `n` flushes sleep before computing, simulating a slow or
-//!   wedged backend; deadline-driven flushing and queue backpressure
+//!   wedged backend; any-worker flushing and queue backpressure
 //!   must absorb the stall without losing or reordering responses.
+//!   [`CorruptionPlan::reset`] ends a stall in progress, so a test can
+//!   hold a worker for exactly as long as it needs.
 //! * **Queue-full storms** ([`CorruptionPlan::inject_queue_full`]) —
 //!   the next `n` submissions are refused as if the bounded queue were
 //!   full, producing `MmmError::Overloaded` bursts without needing to
@@ -68,10 +70,11 @@
 //! read after the fact, so they are `u64` tallies updated and read
 //! with `Relaxed` ordering, like the serving counters.
 
+use crate::pool::lock_unpoisoned;
 use mmm_bigint::Ubig;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Per-config fault switches for the engines, the CRT path and the
 /// serving plane. See the module docs; all methods are thread-safe
@@ -100,6 +103,11 @@ pub struct CorruptionPlan {
     stall_flushes: AtomicUsize,
     /// Stall length, microseconds.
     stall_us: AtomicU64,
+    /// Bumped by [`CorruptionPlan::reset`]: a stall in progress ends
+    /// when it changes.
+    stall_epoch: Mutex<u64>,
+    /// Wakes stalls in progress on a reset.
+    stall_ended: Condvar,
     /// Remaining submissions that must see a full queue.
     full_submits: AtomicUsize,
     /// Observability: injections that actually fired (monotone
@@ -185,8 +193,12 @@ impl CorruptionPlan {
         self.full_submits.fetch_add(n, Ordering::AcqRel);
     }
 
-    /// Disarms every pending injection (fired counters are kept).
+    /// Disarms every pending injection and ends any flush stall in
+    /// progress (fired counters are kept). A test that holds a worker
+    /// in a long stall releases it here, at a point of its choosing.
     pub fn reset(&self) {
+        *lock_unpoisoned(&self.stall_epoch) += 1;
+        self.stall_ended.notify_all();
         self.mont_flips.store(0, Ordering::Release);
         self.half_faults.store(0, Ordering::Release);
         self.param_faults.store(0, Ordering::Release);
@@ -272,8 +284,24 @@ impl CorruptionPlan {
     /// Panics (by design) when a flush panic is armed.
     pub(crate) fn on_flush(&self) {
         if take_one(&self.stall_flushes) {
+            let until =
+                Instant::now() + Duration::from_micros(self.stall_us.load(Ordering::Acquire));
+            let mut epoch = lock_unpoisoned(&self.stall_epoch);
+            let armed_in = *epoch;
+            // Counted under the lock, so a reset by a thread that saw
+            // this stall fire always ends it.
             self.stalls_fired.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_micros(self.stall_us.load(Ordering::Acquire)));
+            while *epoch == armed_in {
+                let left = until.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
+                }
+                epoch = self
+                    .stall_ended
+                    .wait_timeout(epoch, left)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
         }
         if take_one(&self.panic_flushes) {
             self.panics_fired.fetch_add(1, Ordering::Relaxed);
@@ -379,6 +407,24 @@ mod tests {
         let t1 = std::time::Instant::now();
         plan.on_flush();
         assert!(t1.elapsed() < Duration::from_millis(15), "one-shot stall");
+        assert_eq!(plan.stalls_fired(), 1);
+    }
+
+    #[test]
+    fn reset_ends_a_stall_in_progress() {
+        let plan = Arc::new(CorruptionPlan::default());
+        plan.inject_flush_stalls(Duration::from_secs(600), 1);
+        let t0 = Instant::now();
+        let stalled = {
+            let plan = Arc::clone(&plan);
+            std::thread::spawn(move || plan.on_flush())
+        };
+        while plan.stalls_fired() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        plan.reset();
+        stalled.join().unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(60), "released early");
         assert_eq!(plan.stalls_fired(), 1);
     }
 

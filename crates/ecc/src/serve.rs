@@ -15,8 +15,8 @@
 //! plane ([`mmm_core::serve`]), with [`CurveSession`] as their
 //! [`Session`], so ECC requests get the same `Collector` and the same
 //! multi-worker `Server` as RSA: validation on submit, backpressure,
-//! panic isolation, fill-or-deadline flushing, shutdown drain and
-//! counters.
+//! panic isolation, fill, idle and deadline flushing, shutdown drain
+//! and counters.
 //!
 //! **Semantics note.** An ECDSA signature that is merely *invalid*
 //! (bad `r`/`s` range, wrong signer) is a `false` result — a verdict,

@@ -14,7 +14,7 @@
 //! plane of `mmm_core::serve` — its `Collector` request aggregator,
 //! and its fault-tolerant multi-worker front-end, instantiated for
 //! RSA in [`serve`] ([`Server`], [`ServerBuilder`], [`Ticket`]) with
-//! deadline-driven flushing, bounded-queue backpressure, panic
+//! fill, idle and deadline flushing, bounded-queue backpressure, panic
 //! isolation and one fault-injection plan, all configured through one
 //! [`EngineConfig`] value. Every batched operation — sign, verify,
 //! full-width and CRT decryption — goes through a session; there are

@@ -9,14 +9,19 @@
 //!   (y² = x³ + 2x + 3 over GF(97), G = (3, 6) of order 5); the
 //!   expected answer of every request is what a direct
 //!   `verify_ecdsa` / `ecdh` call on the server's session returns.
+//!
+//! [`submit_held`] queues a whole shard behind a held worker, so a
+//! flush-cause test never depends on how fast the test thread submits.
 
 use montgomery_systolic::bigint::Ubig;
-use montgomery_systolic::core::serve::{Session, ShardOp};
+use montgomery_systolic::core::config::EngineConfig;
+use montgomery_systolic::core::serve::{KeyId, ServeStats, Server, Session, ShardOp, Ticket};
 use montgomery_systolic::ecc::curves::CurveSpec;
 use montgomery_systolic::ecc::serve::{CurveSession, Ecdh, EcdhRequest, EcdsaRequest, EcdsaVerify};
 use montgomery_systolic::rsa::{decrypt_crt, BatchOp, KeyedSession, RsaKeyPair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::time::{Duration, Instant};
 
 /// One tenant of the serving plane, as the suites drive it.
 pub trait Tenant: ShardOp<Request: Clone, Response: Clone + PartialEq> {
@@ -37,6 +42,66 @@ pub trait Tenant: ShardOp<Request: Clone, Response: Clone + PartialEq> {
         seed: u64,
         count: usize,
     ) -> Vec<(Self::Request, Self::Response)>;
+}
+
+/// A server for tenant `T` under `config`, with the key `T` derives
+/// from `seed`.
+pub fn serve<T: Tenant>(config: EngineConfig, seed: u64) -> (Server<T>, KeyId) {
+    let mut builder = Server::builder(config);
+    let id = builder.add_key(T::key(seed)).unwrap();
+    (builder.build().unwrap(), id)
+}
+
+/// The flush counts as `(fill, idle, deadline, drain)`.
+pub fn flushes(stats: &ServeStats) -> (u64, u64, u64, u64) {
+    (
+        stats.fill_flushes,
+        stats.idle_flushes,
+        stats.deadline_flushes,
+        stats.drain_flushes,
+    )
+}
+
+/// Queues `requests` on a one-worker server so that the worker files
+/// every one of them before it next finds the queue empty, however
+/// fast this thread submits. The worker is first held in a stalled
+/// flush of `blocker`: the idle rule flushes that singleton at once,
+/// so the key's backend must have a per-lane bound above 0, and the
+/// blocker adds one idle flush to the server's stats. The requests are
+/// queued while the worker waits there, then `reset` ends the stall.
+/// Checks the blocker's answer and returns the tickets of `requests`.
+pub fn submit_held<T: Tenant>(
+    server: &Server<T>,
+    id: KeyId,
+    blocker: (T::Request, T::Response),
+    requests: &[(T::Request, T::Response)],
+) -> Vec<Ticket<T::Response>> {
+    let faults = server.faults();
+    let fired = faults.stalls_fired();
+    faults.inject_flush_stalls(Duration::from_secs(600), 1);
+    let blocked = server.try_submit(id, T::OP, blocker.0).unwrap();
+    let t0 = Instant::now();
+    while faults.stalls_fired() == fired && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let held = faults.stalls_fired() > fired;
+    let submitted: Vec<_> = requests
+        .iter()
+        .map(|(req, _)| server.try_submit(id, T::OP, req.clone()))
+        .collect();
+    // Release the worker before any assertion can fail: a server
+    // dropped with its worker in the stall would wait the stall out.
+    faults.reset();
+    assert!(
+        held,
+        "{}: the worker never reached the blocker's flush",
+        T::NAME
+    );
+    assert_eq!(blocked.wait(), Ok(blocker.1), "{}: blocker", T::NAME);
+    submitted
+        .into_iter()
+        .map(|t| t.expect("queued behind the held worker"))
+        .collect()
 }
 
 impl Tenant for BatchOp {

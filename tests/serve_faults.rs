@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::Tenant;
+use common::{flushes, serve, submit_held, Tenant};
 use montgomery_systolic::core::config::EngineConfig;
 use montgomery_systolic::core::error::MmmError;
 use montgomery_systolic::core::serve::{KeyId, Server};
@@ -16,14 +16,6 @@ use montgomery_systolic::core::EngineKind;
 use montgomery_systolic::ecc::EcdsaVerify;
 use montgomery_systolic::rsa::BatchOp;
 use std::time::{Duration, Instant};
-
-/// A server for tenant `T` under `config`, with the key `T` derives
-/// from `seed`.
-fn serve<T: Tenant>(config: EngineConfig, seed: u64) -> (Server<T>, KeyId) {
-    let mut builder = Server::builder(config);
-    let id = builder.add_key(T::key(seed)).unwrap();
-    (builder.build().unwrap(), id)
-}
 
 fn server_on<T: Tenant>(kind: EngineKind, seed: u64) -> (Server<T>, KeyId) {
     let config = EngineConfig::default()
@@ -237,20 +229,48 @@ fn real_queue_saturation_backpressures_both_submit_paths() {
 fn shutdown_drains_pending_shards_and_answers_in_flight() {
     fn scenario<T: Tenant>() {
         for kind in EngineKind::ALL {
-            // A deadline far beyond the test's lifetime: only the
-            // shutdown drain can explain these tickets resolving.
+            // A deadline far beyond the test's lifetime, and a pending
+            // shard above the backend's per-lane bound, so neither the
+            // deadline nor the idle rule can flush it: only the
+            // shutdown drain can explain these tickets resolving. Where
+            // the bound is 0, any two workers file six requests; where
+            // it is not, bound + 1 requests are queued behind one held
+            // worker, so it files them all before it finds the queue
+            // empty.
+            let bound = kind.per_lane_bound();
+            let held = bound > 0;
             let config = EngineConfig::default()
                 .with_backend(kind)
-                .with_workers(2)
+                .with_workers(if held { 1 } else { 2 })
                 .unwrap()
                 .with_flush_deadline(Duration::from_secs(600));
             let (server, id) = serve::<T>(config, 840);
-            let requests = traffic(&server, id, 841, 6);
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|(req, _)| server.try_submit(id, T::OP, req.clone()).unwrap())
-                .collect();
-            server.shutdown();
+            let (tickets, requests) = if held {
+                let mut requests = traffic(&server, id, 841, bound + 2);
+                let blocker = requests.pop().unwrap();
+                (submit_held(&server, id, blocker, &requests), requests)
+            } else {
+                let requests = traffic(&server, id, 841, 6);
+                let tickets = requests
+                    .iter()
+                    .map(|(req, _)| server.try_submit(id, T::OP, req.clone()).unwrap())
+                    .collect();
+                (tickets, requests)
+            };
+            // Wait until every request is filed: two workers could
+            // otherwise race the close, one draining the shard while
+            // the other files the last request into a second one.
+            let t0 = Instant::now();
+            while server.pending_depth() < requests.len() {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(10),
+                    "requests never filed ({} {})",
+                    T::NAME,
+                    kind.name()
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let stats = server.shutdown();
             for (ticket, (_, want)) in tickets.into_iter().zip(&requests) {
                 assert_eq!(
                     ticket.wait(),
@@ -260,6 +280,14 @@ fn shutdown_drains_pending_shards_and_answers_in_flight() {
                     kind.name()
                 );
             }
+            // A held schedule's blocker is its one idle flush.
+            assert_eq!(
+                flushes(&stats),
+                (0, u64::from(held), 0, 1),
+                "one drain flush ({} {})",
+                T::NAME,
+                kind.name()
+            );
         }
     }
     scenario::<BatchOp>();

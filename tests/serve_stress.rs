@@ -15,12 +15,17 @@
 //!   every producer);
 //! * **order independence** — shards are keyed by `(key, op)`, so
 //!   interleaved traffic for different keys must never cross-talk.
+//!
+//! The flush-cause tests pin each of the four causes (fill, idle,
+//! deadline, drain — the last in `serve_faults`) on every backend and
+//! tenant, each with a schedule where it is the only cause that can
+//! fire.
 
 mod common;
 
-use common::Tenant;
+use common::{flushes, serve, submit_held, Tenant};
 use montgomery_systolic::core::config::EngineConfig;
-use montgomery_systolic::core::serve::{KeyId, Server};
+use montgomery_systolic::core::serve::{KeyId, Server, Ticket};
 use montgomery_systolic::core::EngineKind;
 use montgomery_systolic::ecc::{Ecdh, EcdsaVerify};
 use montgomery_systolic::rsa::BatchOp;
@@ -29,12 +34,40 @@ use std::time::{Duration, Instant};
 const PRODUCERS: usize = 4;
 const PER_PRODUCER: usize = 24;
 
-/// A server for tenant `T` under `config`, with the key `T` derives
-/// from `seed`.
-fn serve<T: Tenant>(config: EngineConfig, seed: u64) -> (Server<T>, KeyId) {
-    let mut builder = Server::builder(config);
-    let id = builder.add_key(T::key(seed)).unwrap();
-    (builder.build().unwrap(), id)
+/// A one-worker server for tenant `T` on backend `kind` with shard
+/// width `lanes` and flush `deadline`.
+fn one_worker<T: Tenant>(
+    kind: EngineKind,
+    lanes: usize,
+    deadline: Duration,
+    seed: u64,
+) -> (Server<T>, KeyId) {
+    let config = EngineConfig::default()
+        .with_backend(kind)
+        .with_workers(1)
+        .unwrap()
+        .with_shard_lanes(lanes)
+        .unwrap()
+        .with_flush_deadline(deadline);
+    serve(config, seed)
+}
+
+/// Checks every ticket against its expected answer.
+fn check_answers<T: Tenant>(
+    tickets: Vec<Ticket<T::Response>>,
+    requests: &[(T::Request, T::Response)],
+    kind: EngineKind,
+) {
+    assert_eq!(tickets.len(), requests.len());
+    for (ticket, (_, want)) in tickets.into_iter().zip(requests) {
+        assert_eq!(
+            ticket.wait(),
+            Ok(want.clone()),
+            "{} {}",
+            T::NAME,
+            kind.name()
+        );
+    }
 }
 
 #[test]
@@ -114,8 +147,9 @@ fn concurrent_producers_rotating_keys_both_paths_all_backends() {
             assert_eq!(stats.completed_err, 0, "{at}");
             assert_eq!(stats.rejected_invalid, 0, "{at}");
             assert_eq!(stats.worker_restarts, 0, "{at}");
+            let (fill, idle, deadline, drain) = flushes(&stats);
             assert!(
-                stats.fill_flushes + stats.deadline_flushes + stats.drain_flushes > 0,
+                fill + idle + deadline + drain > 0,
                 "something must have flushed ({at})"
             );
             server.shutdown();
@@ -128,17 +162,21 @@ fn concurrent_producers_rotating_keys_both_paths_all_backends() {
 
 #[test]
 fn singleton_is_flushed_by_deadline_not_starved() {
-    // One lonely request must not wait for 63 shard peers: the
-    // deadline flush answers it in deadline + MAX_PARK + epsilon, far
-    // below the multi-second starvation a fill-only policy would show.
+    // One lonely request must not wait for 63 shard peers. Where the
+    // backend has a per-lane bound, the idle worker answers it at once:
+    // under a 600 s deadline only the idle rule can explain a prompt
+    // answer. Where the bound is 0, the deadline flush answers it in
+    // deadline + MAX_PARK + epsilon. Either way it is far below the
+    // multi-second starvation a fill-only policy would show.
     fn scenario<T: Tenant>() {
         for kind in EngineKind::ALL {
-            let config = EngineConfig::default()
-                .with_backend(kind)
-                .with_workers(1)
-                .unwrap()
-                .with_flush_deadline(Duration::from_millis(5));
-            let (server, id) = serve::<T>(config, 710);
+            let idle = kind.per_lane_bound() > 0;
+            let deadline = if idle {
+                Duration::from_secs(600)
+            } else {
+                Duration::from_millis(5)
+            };
+            let (server, id) = one_worker::<T>(kind, 64, deadline, 710);
             let (req, want) = T::traffic(server.session(id).unwrap(), 4242, 1)
                 .pop()
                 .unwrap();
@@ -152,9 +190,15 @@ fn singleton_is_flushed_by_deadline_not_starved() {
                 T::NAME,
                 kind.name()
             );
-            let stats = server.stats();
-            assert_eq!(stats.deadline_flushes, 1, "flushed by deadline");
-            assert_eq!(stats.fill_flushes, 0);
+            let want = if idle { (0, 1, 0, 0) } else { (0, 0, 1, 0) };
+            assert_eq!(
+                flushes(&server.stats()),
+                want,
+                "one {} flush ({} {})",
+                if idle { "idle" } else { "deadline" },
+                T::NAME,
+                kind.name()
+            );
             server.shutdown();
         }
     }
@@ -166,35 +210,101 @@ fn singleton_is_flushed_by_deadline_not_starved() {
 #[test]
 fn full_shard_flushes_on_fill_without_waiting_for_deadline() {
     // With a deliberately huge deadline, only the fill trigger can
-    // explain a prompt answer for a full shard of requests.
+    // explain a prompt answer for a full shard of requests. Where the
+    // backend has a per-lane bound, the shard is queued behind a held
+    // worker: otherwise the worker could catch up with this thread,
+    // find the queue empty and idle-flush part of the shard.
     fn scenario<T: Tenant>() {
         let lanes = 4;
         for kind in EngineKind::ALL {
-            let config = EngineConfig::default()
-                .with_backend(kind)
-                .with_workers(1)
-                .unwrap()
-                .with_shard_lanes(lanes)
-                .unwrap()
-                .with_flush_deadline(Duration::from_secs(600));
-            let (server, id) = serve::<T>(config, 711);
-            let requests = T::traffic(server.session(id).unwrap(), 712, lanes);
-            let tickets: Vec<_> = requests
-                .iter()
-                .map(|(req, _)| server.try_submit(id, T::OP, req.clone()).unwrap())
-                .collect();
-            for (ticket, (_, want)) in tickets.into_iter().zip(&requests) {
+            let held = kind.per_lane_bound() > 0;
+            let (server, id) = one_worker::<T>(kind, lanes, Duration::from_secs(600), 711);
+            let mut requests = T::traffic(server.session(id).unwrap(), 712, lanes + 1);
+            let blocker = requests.pop().unwrap();
+            let tickets = if held {
+                submit_held(&server, id, blocker, &requests)
+            } else {
+                requests
+                    .iter()
+                    .map(|(req, _)| server.try_submit(id, T::OP, req.clone()).unwrap())
+                    .collect()
+            };
+            check_answers::<T>(tickets, &requests, kind);
+            // The blocker of a held schedule is one idle flush.
+            assert_eq!(
+                flushes(&server.stats()),
+                (1, u64::from(held), 0, 0),
+                "one full-shard flush, deadline never fired ({} {})",
+                T::NAME,
+                kind.name()
+            );
+            server.shutdown();
+        }
+    }
+    scenario::<BatchOp>();
+    scenario::<EcdsaVerify>();
+    scenario::<Ecdh>();
+}
+
+#[test]
+fn idle_worker_flushes_a_queued_shard_at_or_below_the_bound() {
+    // k queued requests, k at most the per-lane bound, under a 600 s
+    // deadline and a 64-lane width: the worker files all k, finds the
+    // queue empty and answers them with one k-lane idle flush.
+    fn scenario<T: Tenant>() {
+        for kind in EngineKind::ALL {
+            let bound = kind.per_lane_bound();
+            if bound == 0 {
+                continue;
+            }
+            for k in [2, bound] {
+                let (server, id) = one_worker::<T>(kind, 64, Duration::from_secs(600), 713);
+                let mut requests = T::traffic(server.session(id).unwrap(), 714, k + 1);
+                let blocker = requests.pop().unwrap();
+                let tickets = submit_held(&server, id, blocker, &requests);
+                check_answers::<T>(tickets, &requests, kind);
+                let stats = server.stats();
                 assert_eq!(
-                    ticket.wait(),
-                    Ok(want.clone()),
-                    "{} {}",
+                    flushes(&stats),
+                    (0, 2, 0, 0),
+                    "the blocker's and one {k}-lane idle flush ({} {})",
                     T::NAME,
                     kind.name()
                 );
+                assert_eq!(stats.completed_ok, k as u64 + 1);
+                server.shutdown();
             }
-            let stats = server.stats();
-            assert_eq!(stats.fill_flushes, 1, "one full-shard flush");
-            assert_eq!(stats.deadline_flushes, 0, "deadline never fired");
+        }
+    }
+    scenario::<BatchOp>();
+    scenario::<EcdsaVerify>();
+    scenario::<Ecdh>();
+}
+
+#[test]
+fn deadline_flushes_a_shard_above_the_per_lane_bound() {
+    // bound + 1 queued requests: too many for the idle rule, too few to
+    // fill 64 lanes, so the deadline flushes them as one shard. The
+    // deadline leaves the worker ample time to file all of them first.
+    // (Where the bound is 0, this is the singleton test above.)
+    fn scenario<T: Tenant>() {
+        for kind in EngineKind::ALL {
+            let bound = kind.per_lane_bound();
+            if bound == 0 {
+                continue;
+            }
+            let (server, id) = one_worker::<T>(kind, 64, Duration::from_millis(500), 715);
+            let mut requests = T::traffic(server.session(id).unwrap(), 716, bound + 2);
+            let blocker = requests.pop().unwrap();
+            let tickets = submit_held(&server, id, blocker, &requests);
+            check_answers::<T>(tickets, &requests, kind);
+            assert_eq!(
+                flushes(&server.stats()),
+                (0, 1, 1, 0),
+                "the blocker's idle flush and one deadline flush ({} {})",
+                T::NAME,
+                kind.name()
+            );
             server.shutdown();
         }
     }
