@@ -231,3 +231,36 @@ fn word_boundary_widths_all_partial_batch_sizes() {
         }
     }
 }
+
+/// Batched CRT decryption fanned out from inside a parallel map: each
+/// of four ciphertext groups is decrypted by a `decrypt_crt` call that
+/// fans its own halves out, nested in the outer `par_iter`, on every
+/// backend.
+#[test]
+fn crt_decrypt_nested_in_par_iter_matches_scalar_crt() {
+    use rayon::prelude::*;
+    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+    let kp = RsaKeyPair::generate(&mut rng, 128, 8);
+    let groups: Vec<Vec<Ubig>> = [1usize, 3, 2, 5]
+        .iter()
+        .map(|&lanes| {
+            (0..lanes)
+                .map(|_| Ubig::random_below(&mut rng, &kp.n))
+                .collect()
+        })
+        .collect();
+    for &kind in EngineKind::available() {
+        let session =
+            KeyedSession::new(kp.clone(), EngineConfig::default().with_backend(kind)).unwrap();
+        let got: Vec<Vec<Ubig>> = groups
+            .par_iter()
+            .map(|cs| session.decrypt_crt(cs).unwrap())
+            .collect();
+        for (g, (cs, ms)) in groups.iter().zip(&got).enumerate() {
+            assert_eq!(ms.len(), cs.len(), "{kind:?} group {g}");
+            for (k, (c, m)) in cs.iter().zip(ms).enumerate() {
+                assert_eq!(m, &decrypt_crt(&kp, c), "{kind:?} group {g} lane {k}");
+            }
+        }
+    }
+}
