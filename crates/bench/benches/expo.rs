@@ -6,7 +6,6 @@ use mmm_baselines::blum_paar::{bp_modexp, BlumPaarEngine};
 use mmm_bench::table1::balanced_exponent;
 use mmm_bigint::Ubig;
 use mmm_core::expo::ModExp;
-use mmm_core::expo_window::WindowedModExp;
 use mmm_core::modgen::random_safe_params;
 use mmm_core::traits::SoftwareEngine;
 use mmm_core::wave::WaveMmmc;
@@ -35,13 +34,6 @@ fn bench_expo(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("bigint_modpow", l), &l, |b, _| {
             b.iter(|| black_box(&m).modpow(black_box(&e), params.n()))
-        });
-
-        group.bench_with_input(BenchmarkId::new("windowed_w5", l), &l, |b, _| {
-            b.iter(|| {
-                let mut me = WindowedModExp::new(SoftwareEngine::new(params.clone()), 5);
-                me.modexp(black_box(&m), black_box(&e))
-            })
         });
 
         group.bench_with_input(BenchmarkId::new("blum_paar", l), &l, |b, _| {

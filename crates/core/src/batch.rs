@@ -46,7 +46,7 @@
 //! [`crate::wave_packed::PackedMmmc`] run — asserted by the module
 //! tests and by `tests/batch_engine.rs` at the workspace root. For
 //! workloads wider than 64 lanes, [`try_mont_mul_many`] shards across
-//! engines with rayon.
+//! pooled engines through [`pool::try_sharded`].
 
 use crate::config::{EngineConfig, HardeningMode};
 use crate::error::{validate_mont_batch, MmmError};
@@ -55,7 +55,6 @@ use crate::pool;
 use crate::traits::{BatchMontMul, MontMul};
 use mmm_bigint::transpose::{lanes_to_slices_into, slices_to_lanes_into};
 use mmm_bigint::Ubig;
-use rayon::prelude::*;
 
 /// Lanes one engine advances per simulated cycle (bits in a word).
 pub const MAX_LANES: usize = 64;
@@ -414,16 +413,18 @@ impl<E: MontMul> BatchMontMul for SequentialBatch<E> {
 }
 
 /// Montgomery-multiplies any number of lane pairs, driven by an
-/// [`EngineConfig`]: the pairs are sharded into
-/// [`EngineConfig::shard_lanes`]-wide batches fanned out across cores
-/// with rayon (results keep input order), each on a warm engine of the
-/// configured backend checked out of the process-wide [`pool`] keyed by
-/// `params`, so repeated calls stop rebuilding parameters and
-/// reallocating lane state. Every backend returns bit-identical
-/// results. Under [`HardeningMode::Hardened`] every checked-out engine
-/// runs its branchless canonicalizing final subtraction, so results
-/// are the canonical `< N` representatives (the same residues; `Off`
-/// returns the raw Algorithm-2 `< 2N` values).
+/// [`EngineConfig`]: the pairs run through [`pool::try_sharded`],
+/// [`EngineConfig::shard_lanes`]-wide and fanned out across cores
+/// (results keep input order), each shard on a warm engine of
+/// [`EngineConfig::run_kind`] — the configured backend unless the
+/// quarantine has benched it — checked out of the process-wide
+/// [`pool`] keyed by `params`, so repeated calls stop rebuilding
+/// parameters and reallocating lane state. Every backend returns
+/// bit-identical results. Under [`HardeningMode::Hardened`] every
+/// checked-out engine runs its branchless canonicalizing final
+/// subtraction, so results are the canonical `< N` representatives
+/// (the same residues; `Off` returns the raw Algorithm-2 `< 2N`
+/// values).
 ///
 /// Every input rejection — length mismatch, an operand `≥ 2N`
 /// (reported with its index in `xs`/`ys`, not shard-local), a
@@ -444,7 +445,6 @@ pub fn try_mont_mul_many(
         });
     }
     config.backend().ensure_supports(params)?;
-    let pool = pool::try_global()?;
     for (k, (x, y)) in xs.iter().zip(ys).enumerate() {
         if !(params.check_operand(x) && params.check_operand(y)) {
             return Err(MmmError::OperandOutOfRange {
@@ -453,19 +453,10 @@ pub fn try_mont_mul_many(
             });
         }
     }
-    let width = config.shard_lanes();
-    let shards: Vec<(&[Ubig], &[Ubig])> = xs.chunks(width).zip(ys.chunks(width)).collect();
-    Ok(shards
-        .into_par_iter()
-        .map(|(sx, sy)| {
-            let mut engine = pool.checkout_kind(params, config.backend());
-            engine.set_hardening(config.hardening());
-            engine.mont_mul_batch(sx, sy)
-        })
-        .collect::<Vec<Vec<Ubig>>>()
-        .into_iter()
-        .flatten()
-        .collect())
+    let kind = config.run_kind(params);
+    pool::try_sharded(params, kind, config, xs.len(), |mut engine, lanes| {
+        Ok(engine.mont_mul_batch(&xs[lanes.clone()], &ys[lanes]))
+    })
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 //!
 //! * [`EngineConfig`] is an ordinary value with builder-style setters
 //!   ([`EngineConfig::with_backend`], [`EngineConfig::with_window`],
-//!   [`EngineConfig::with_pool_capacity`],
 //!   [`EngineConfig::with_shard_lanes`]) — construct one per session,
 //!   per test, per request class;
 //! * [`EngineConfig::from_env`] is the **single** place environment
@@ -36,6 +35,7 @@
 use crate::batch::MAX_LANES;
 use crate::engine::EngineKind;
 use crate::error::MmmError;
+use crate::montgomery::MontgomeryParams;
 use crate::pool::DEFAULT_MAX_KEYS;
 use crate::verify::faults::CorruptionPlan;
 use crate::verify::{Quarantine, VerifyContext, VerifyPolicy};
@@ -145,9 +145,9 @@ impl std::fmt::Display for HardeningMode {
 }
 
 /// Every serving-path knob as one typed, validated value: multiplier
-/// backend, window policy, pool capacity, and shard width. See the
-/// module docs for the relationship to the `MMM_*` environment
-/// variables.
+/// backend, window policy, shard width and the serving, integrity and
+/// hardening settings. See the module docs for the relationship to the
+/// `MMM_*` environment variables.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     backend: EngineKind,
@@ -217,8 +217,10 @@ impl EngineConfig {
         self.window
     }
 
-    /// The configured engine-pool key capacity.
-    pub fn pool_capacity(&self) -> usize {
+    /// The engine-pool key capacity (`MMM_POOL_KEYS`), read once when
+    /// [`pool::try_global`](crate::pool::try_global) builds the
+    /// process-wide pool.
+    pub(crate) fn pool_capacity(&self) -> usize {
         self.pool_capacity
     }
 
@@ -274,6 +276,14 @@ impl EngineConfig {
         &self.quarantine
     }
 
+    /// The backend a batched operation on `params` runs on: the
+    /// configured one unless the quarantine ledger has benched it, in
+    /// which case the strongest healthy backend that supports `params`
+    /// ([`Quarantine::effective_kind`]).
+    pub fn run_kind(&self, params: &MontgomeryParams) -> EngineKind {
+        self.quarantine.effective_kind(self.backend, params)
+    }
+
     /// Bundles the three verification handles for the dispatch paths.
     pub fn verify_context(&self) -> VerifyContext {
         VerifyContext {
@@ -301,27 +311,6 @@ impl EngineConfig {
             }
         }
         self.window = window;
-        Ok(self)
-    }
-
-    /// Sets the pool key capacity; rejects zero with
-    /// [`MmmError::Config`].
-    ///
-    /// **Scope.** This knob takes effect where a pool is *built* from
-    /// the config: the process-wide [`pool::global`][crate::pool::global]
-    /// (sized once from [`EngineConfig::from_env`]) or an explicit
-    /// [`EnginePool::from_config`][crate::pool::EnginePool::from_config].
-    /// Session and `try_*_many` calls check their engines out of the
-    /// process-wide pool, so a per-session capacity does **not**
-    /// resize it — cap a process's key population via `MMM_POOL_KEYS`
-    /// or by building a dedicated `EnginePool`.
-    pub fn with_pool_capacity(mut self, capacity: usize) -> Result<Self, MmmError> {
-        if capacity == 0 {
-            return Err(MmmError::Config(
-                "pool capacity must be at least 1".to_string(),
-            ));
-        }
-        self.pool_capacity = capacity;
         Ok(self)
     }
 
@@ -615,13 +604,10 @@ mod tests {
             .with_backend(EngineKind::BitSliced)
             .with_window(WindowPolicy::Fixed(5))
             .unwrap()
-            .with_pool_capacity(7)
-            .unwrap()
             .with_shard_lanes(16)
             .unwrap();
         assert_eq!(c.backend(), EngineKind::BitSliced);
         assert_eq!(c.window(), WindowPolicy::Fixed(5));
-        assert_eq!(c.pool_capacity(), 7);
         assert_eq!(c.shard_lanes(), 16);
 
         assert_eq!(
@@ -632,10 +618,6 @@ mod tests {
             EngineConfig::default().with_window(WindowPolicy::Fixed(9)),
             Err(MmmError::WindowOutOfRange { window: 9 })
         );
-        assert!(matches!(
-            EngineConfig::default().with_pool_capacity(0),
-            Err(MmmError::Config(_))
-        ));
         assert!(matches!(
             EngineConfig::default().with_shard_lanes(0),
             Err(MmmError::Config(_))

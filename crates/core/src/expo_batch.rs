@@ -44,10 +44,10 @@
 //! (`mmm-rsa`'s session decryption) layers on top for defense in
 //! depth.
 //!
-//! [`try_modexp_many`] extends the batch to arbitrarily many lanes by
-//! sharding into [`EngineConfig::shard_lanes`]-wide groups fanned out
-//! with rayon, each shard on a warm engine from the per-key
-//! [`crate::pool`] — the many-client serving path under `mmm-rsa`'s
+//! [`try_modexp_many`] extends the batch to arbitrarily many lanes
+//! through the one shard fan-out, [`crate::pool::try_sharded`]: each
+//! [`EngineConfig::shard_lanes`]-wide shard runs on a warm engine from
+//! the per-key pool — the many-client serving path under `mmm-rsa`'s
 //! `KeyedSession`.
 
 use crate::config::{EngineConfig, WindowPolicy};
@@ -61,7 +61,6 @@ use crate::verify::VerifiedEngine;
 use mmm_bigint::ct::{or_assign_masked, Choice};
 use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
-use rayon::prelude::*;
 
 /// Constant-time selection of `table[d][k]` into `buf`: zeroes the
 /// buffer, then visits **every** row of the batched power table,
@@ -365,16 +364,15 @@ impl<E: BatchMontMul> BatchModExp<E> {
 }
 
 /// Modular exponentiation for any number of lanes, driven by an
-/// [`EngineConfig`]: `ms[k] ^ es[k] mod N`, sharded into
-/// [`EngineConfig::shard_lanes`]-wide batches fanned out across cores
-/// with rayon, each shard on a warm engine of the configured backend
-/// checked out of the per-key [`pool`] and scanned by
-/// [`BatchModExp::try_modexp`] with the configured window policy.
-/// Results keep input order and are bit-identical across backends.
+/// [`EngineConfig`]: `ms[k] ^ es[k] mod N`, run through
+/// [`pool::try_sharded`] in [`EngineConfig::shard_lanes`]-wide shards
+/// fanned out across cores, each shard on a warm engine checked out of
+/// the per-key [`pool`] and scanned by [`BatchModExp::try_modexp`] with
+/// the configured window policy. Results keep input order and are
+/// bit-identical across backends.
 ///
-/// Dispatch is quarantine-aware
-/// ([`Quarantine::effective_kind`](crate::verify::Quarantine::effective_kind)),
-/// every shard engine runs behind the policy-gated [`VerifiedEngine`]
+/// Dispatch is quarantine-aware ([`EngineConfig::run_kind`]), every
+/// shard engine runs behind the policy-gated [`VerifiedEngine`]
 /// self-check, and under
 /// [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
 /// each shard engine canonicalizes and the scan runs its constant-time
@@ -389,40 +387,29 @@ pub fn try_modexp_many(
     es: ScalarSet<'_>,
     config: &EngineConfig,
 ) -> Result<Vec<Ubig>, MmmError> {
-    let width = config.shard_lanes();
-    let shards: Vec<(&[Ubig], ScalarSet<'_>)> = match es {
-        ScalarSet::PerLane(es) => {
-            if ms.len() != es.len() {
-                return Err(MmmError::LengthMismatch {
-                    left: ms.len(),
-                    right: es.len(),
-                });
-            }
-            ms.chunks(width)
-                .zip(es.chunks(width))
-                .map(|(sm, se)| (sm, ScalarSet::PerLane(se)))
-                .collect()
+    if let ScalarSet::PerLane(es) = es {
+        if ms.len() != es.len() {
+            return Err(MmmError::LengthMismatch {
+                left: ms.len(),
+                right: es.len(),
+            });
         }
-        ScalarSet::Shared(_) => ms.chunks(width).map(|sm| (sm, es)).collect(),
-    };
+    }
     config.backend().ensure_supports(params)?;
-    let pool = pool::try_global()?;
     validate_reduced(params.n(), ms)?;
     let ctx = config.verify_context();
-    let kind = ctx.quarantine.effective_kind(config.backend(), params);
-    let outs: Vec<Vec<Ubig>> = shards
-        .into_par_iter()
-        .map(|(sm, se)| {
-            let mut engine = pool.checkout_kind(params, kind);
-            engine.set_hardening(config.hardening());
-            BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone())).try_modexp(
-                sm,
-                se,
-                config.window(),
-            )
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(outs.into_iter().flatten().collect())
+    let kind = config.run_kind(params);
+    pool::try_sharded(params, kind, config, ms.len(), |engine, lanes| {
+        let es = match es {
+            ScalarSet::PerLane(es) => ScalarSet::PerLane(&es[lanes.clone()]),
+            shared => shared,
+        };
+        BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone())).try_modexp(
+            &ms[lanes],
+            es,
+            config.window(),
+        )
+    })
 }
 
 #[cfg(test)]

@@ -19,7 +19,8 @@
 //! 5. **Bit-sliced batch engine** ([`batch`]) — 64 *independent*
 //!    multiplications per simulated cycle in transposed (lane-sliced)
 //!    state, with [`expo_batch`] running Algorithm 3 over all lanes at
-//!    once and rayon sharding for wider workloads. See `DESIGN.md` §5.
+//!    once and one shard dispatcher ([`pool::try_sharded`]) for wider
+//!    workloads. See `DESIGN.md` §5.
 //! 6. **Radix-2⁶⁴ CIOS production backend** ([`cios`]) — the same
 //!    Algorithm-2 contract executed word-serially (~(l/64)² u64 MACs
 //!    per multiplication instead of ~l² bit-cell updates), selected by

@@ -194,11 +194,6 @@ impl MontgomeryParams {
         Self::new(n, n.bit_len().max(3))
     }
 
-    /// Fallible [`MontgomeryParams::tight`].
-    pub fn try_tight(n: &Ubig) -> Result<Self, MmmError> {
-        Self::try_new(n, n.bit_len().max(3))
-    }
-
     /// Parameters at the smallest width that is **hardware-safe** for
     /// this modulus (see [`MontgomeryParams::is_hardware_safe`]).
     pub fn hardware_safe(n: &Ubig) -> Self {

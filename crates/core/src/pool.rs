@@ -42,7 +42,10 @@
 //! [`EnginePool::clear`]ed — this workspace is a throughput simulator,
 //! not a hardened key store; nothing here is zeroized.
 //!
-//! The process-wide instance is [`global`].
+//! The process-wide instance is [`global`], and [`try_sharded`] is the
+//! one shard fan-out every batched operation runs through: it splits
+//! the lanes into shard-wide ranges and checks one engine out of
+//! [`global`] per range.
 
 use crate::config::EngineConfig;
 use crate::engine::{AnyBatchEngine, EngineKind};
@@ -51,7 +54,9 @@ use crate::montgomery::MontgomeryParams;
 use crate::traits::BatchMontMul;
 use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
+use rayon::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -168,12 +173,6 @@ impl EnginePool {
     /// The key-entry cap this pool was built with.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Creates an empty pool sized from an [`EngineConfig`] (the
-    /// builder validated the capacity, so this cannot panic).
-    pub fn from_config(config: &EngineConfig) -> Self {
-        EnginePool::with_capacity(config.pool_capacity())
     }
 
     /// Looks up (or creates) the entry for modulus `n` at width `l`,
@@ -439,9 +438,11 @@ pub fn global() -> &'static EnginePool {
 /// The parse runs once; the cached result is shared with [`global`].
 pub fn try_global() -> Result<&'static EnginePool, MmmError> {
     static POOL: OnceLock<Result<EnginePool, MmmError>> = OnceLock::new();
-    POOL.get_or_init(|| EngineConfig::from_env().map(|c| EnginePool::from_config(&c)))
-        .as_ref()
-        .map_err(Clone::clone)
+    POOL.get_or_init(|| {
+        EngineConfig::from_env().map(|c| EnginePool::with_capacity(c.pool_capacity()))
+    })
+    .as_ref()
+    .map_err(Clone::clone)
 }
 
 /// Counters of the process-wide pool ([`PoolStats`]: key hits/misses,
@@ -452,6 +453,46 @@ pub fn try_global() -> Result<&'static EnginePool, MmmError> {
 /// Fails like [`try_global`] on a broken `MMM_*` environment.
 pub fn global_stats() -> Result<PoolStats, MmmError> {
     try_global().map(EnginePool::stats)
+}
+
+/// The one shard fan-out of every batched operation: splits `0..lanes`
+/// into [`EngineConfig::shard_lanes`]-wide ranges, checks out one warm
+/// engine of backend `kind` per range from the process-wide pool in
+/// `config`'s hardening mode, runs `job(engine, range)` on every range
+/// in parallel, and joins the outputs in range order.
+///
+/// Callers pass [`EngineConfig::run_kind`] as `kind`, so dispatch
+/// follows the quarantine ledger. One range runs on the calling thread
+/// with no fan-out; zero lanes return `Ok(vec![])` without running
+/// `job`. The first error in range order is returned: a job's own, or
+/// [`MmmError::HardwareUnsafeWidth`] when `kind` cannot run `params`,
+/// or the [`MmmError::Config`] of a broken `MMM_*` environment.
+pub fn try_sharded<T, F>(
+    params: &MontgomeryParams,
+    kind: EngineKind,
+    config: &EngineConfig,
+    lanes: usize,
+    job: F,
+) -> Result<Vec<T>, MmmError>
+where
+    T: Send,
+    F: Fn(PooledEngine, Range<usize>) -> Result<Vec<T>, MmmError> + Sync,
+{
+    let pool = try_global()?;
+    let width = config.shard_lanes();
+    let ranges: Vec<Range<usize>> = (0..lanes)
+        .step_by(width)
+        .map(|start| start..lanes.min(start + width))
+        .collect();
+    let outs = ranges
+        .into_par_iter()
+        .map(|range| {
+            let mut engine = pool.try_checkout_kind(params, kind)?;
+            engine.set_hardening(config.hardening());
+            job(engine, range)
+        })
+        .collect::<Result<Vec<Vec<T>>, MmmError>>()?;
+    Ok(outs.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -787,9 +828,52 @@ mod tests {
     }
 
     #[test]
-    fn from_config_sizes_the_pool() {
-        let config = EngineConfig::default().with_pool_capacity(3).unwrap();
-        assert_eq!(EnginePool::from_config(&config).capacity(), 3);
+    fn try_sharded_tiles_the_lanes_in_order_on_the_run_kind() {
+        use crate::config::HardeningMode;
+        use crate::verify::{Quarantine, QUARANTINE_THRESHOLD};
+        let mut rng = StdRng::seed_from_u64(412);
+        let p = random_safe_params(&mut rng, 20);
+        // Cios52 is benched, so a Cios52 config runs on Cios.
+        let quarantine = Arc::new(Quarantine::new());
+        for _ in 0..QUARANTINE_THRESHOLD {
+            quarantine.record_violation(EngineKind::Cios52);
+        }
+        for backend in EngineKind::ALL {
+            for hardening in [HardeningMode::Off, HardeningMode::Hardened] {
+                for width in [1usize, 2, 64] {
+                    let config = EngineConfig::default()
+                        .with_backend(backend)
+                        .with_hardening(hardening)
+                        .with_quarantine(Arc::clone(&quarantine))
+                        .with_shard_lanes(width)
+                        .unwrap();
+                    let kind = config.run_kind(&p);
+                    let want = match backend {
+                        EngineKind::Cios52 => EngineKind::Cios,
+                        other => other,
+                    };
+                    assert_eq!(kind, want, "{backend:?}");
+                    for lanes in [0usize, 1, 63, 64, 65, 129] {
+                        let ranges = try_sharded(&p, kind, &config, lanes, |engine, range| {
+                            assert_eq!(engine.kind(), kind);
+                            assert_eq!(engine.hardening(), hardening);
+                            Ok(vec![range])
+                        })
+                        .unwrap();
+                        let what = format!("{backend:?} {hardening} width={width} lanes={lanes}");
+                        assert_eq!(ranges.len(), lanes.div_ceil(width), "{what}");
+                        let mut next = 0;
+                        for range in ranges {
+                            assert_eq!(range.start, next, "{what}");
+                            assert!(range.end > range.start, "{what}");
+                            assert!(range.len() <= width, "{what}");
+                            next = range.end;
+                        }
+                        assert_eq!(next, lanes, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

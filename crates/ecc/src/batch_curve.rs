@@ -4,7 +4,7 @@
 //! A [`PointLanes`] is a struct-of-arrays batch of Jacobian points:
 //! lane `k` is `(X[k] : Y[k] : Z[k])` in the Montgomery domain, with
 //! `Z ≡ 0` marking the identity, exactly as in the solo
-//! [`Curve`](crate::curve::Curve). The formulas are the same
+//! [`Curve`]. The formulas are the same
 //! `dbl-2007-bl` / `add-2007-bl` chains, vectorized so that every
 //! field multiplication advances all lanes in **one engine call**.
 //!
@@ -24,9 +24,10 @@
 //! * addition runs the unified formula, then flags the (rare)
 //!   exceptional lanes with three lane masks (either operand the
 //!   identity, `h ≡ 0`) and patches only those: identity operands copy
-//!   the other point's column, equal points re-dispatch to a
-//!   single-lane double on the context's scalar engine, inverse points
-//!   produce the identity — the same case analysis as the solo `add`.
+//!   the other point's column, equal points re-dispatch to the solo
+//!   [`Curve::double`] on the context's solo field
+//!   ([`BatchFieldCtx::solo`]), inverse points take the solo
+//!   [`Curve::identity`] — the same case analysis as the solo `add`.
 //!
 //! **Scalar multiplication** is fixed-window over the shared
 //! windowed-scan core (`mmm_core::scan`) that also drives the RSA
@@ -43,7 +44,7 @@
 //! lane mask instead of indexing the table by the secret digit.
 
 use crate::batch_field::{BatchFieldCtx, FeRows};
-use crate::curve::Point;
+use crate::curve::{Curve, Point};
 use crate::field::Fe;
 use mmm_bigint::ct::Choice;
 use mmm_bigint::limbs::Limb;
@@ -241,39 +242,24 @@ impl Scratch {
     }
 }
 
-/// A short-Weierstrass curve `y² = x³ + ax + b` for batched point
-/// arithmetic (coefficients in the Montgomery domain, like the solo
-/// [`Curve`](crate::curve::Curve)).
+/// The solo [`Curve`] lifted to batched point arithmetic: the same
+/// short-Weierstrass curve `y² = x³ + ax + b`, its coefficients in the
+/// Montgomery domain, with every formula run across lanes.
 #[derive(Debug, Clone)]
 pub struct BatchCurve {
-    /// Coefficient `a` (Montgomery domain).
-    pub a: Fe,
-    /// Coefficient `b` (Montgomery domain).
-    pub b: Fe,
+    curve: Curve,
 }
 
 impl BatchCurve {
-    /// Builds a curve from plain (non-Montgomery) coefficients,
-    /// rejecting singular curves with a typed error.
+    /// Builds a curve from plain (non-Montgomery) coefficients through
+    /// [`Curve::try_new`] on the context's solo field, rejecting
+    /// singular curves with a typed error.
     pub fn try_new<E: BatchMontMul>(
         f: &mut BatchFieldCtx<E>,
         a_plain: &Ubig,
         b_plain: &Ubig,
     ) -> Result<BatchCurve, MmmError> {
-        let p = f.p().clone();
-        let a3 = a_plain.modpow(&Ubig::from(3u64), &p);
-        let b2 = b_plain.modmul(b_plain, &p);
-        let disc = Ubig::from(4u64)
-            .modmul(&a3, &p)
-            .modadd(&Ubig::from(27u64).modmul(&b2, &p), &p);
-        if disc.is_zero() {
-            return Err(MmmError::SingularCurve);
-        }
-        let coeffs = f.to_mont(&[a_plain.clone(), b_plain.clone()]);
-        Ok(BatchCurve {
-            a: coeffs[0].clone(),
-            b: coeffs[1].clone(),
-        })
+        Curve::try_new(f.solo(), a_plain, b_plain).map(|curve| BatchCurve { curve })
     }
 
     /// Builds a curve from plain coefficients.
@@ -289,27 +275,20 @@ impl BatchCurve {
         Self::try_new(f, a_plain, b_plain).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Adopts a solo [`Curve`](crate::curve::Curve)'s Montgomery-domain
-    /// coefficients (they are engine-independent for a fixed modulus).
-    pub fn from_solo(c: &crate::curve::Curve) -> BatchCurve {
-        BatchCurve {
-            a: c.a.clone(),
-            b: c.b.clone(),
-        }
+    /// Lifts a solo [`Curve`] (its Montgomery-domain coefficients are
+    /// engine-independent for a fixed modulus).
+    pub fn from_solo(c: &Curve) -> BatchCurve {
+        BatchCurve { curve: c.clone() }
+    }
+
+    /// The solo curve this one lifts.
+    pub fn solo(&self) -> &Curve {
+        &self.curve
     }
 
     /// A batch of identity elements.
     pub fn identity<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, lanes: usize) -> PointLanes {
-        PointLanes::splat(&self.identity_lane(f), lanes)
-    }
-
-    /// The single-lane identity element.
-    pub fn identity_lane<E: BatchMontMul>(&self, f: &BatchFieldCtx<E>) -> Point {
-        Point {
-            x: f.one_bar().clone(),
-            y: f.one_bar().clone(),
-            z: Ubig::zero(),
-        }
+        PointLanes::splat(&self.curve.identity(f.solo()), lanes)
     }
 
     /// Lifts affine plain coordinate pairs onto the curve, reporting
@@ -352,9 +331,9 @@ impl BatchCurve {
         f.sqr_rows(&p.z, z2);
         f.sqr_rows(z2, z4);
         f.mul_rows(z4, z2, z6);
-        f.mul_const_rows(&p.x, &self.a, t0);
+        f.mul_const_rows(&p.x, &self.curve.a, t0);
         f.mul_rows(t0, z4, t1);
-        f.mul_const_rows(z6, &self.b, t0);
+        f.mul_const_rows(z6, &self.curve.b, t0);
         f.add_rows(x3, t1, t2);
         f.add_rows(t2, t0, t1);
         f.exit_mont_rows(y2, lhs);
@@ -411,7 +390,7 @@ impl BatchCurve {
         // M = 3XX + a·ZZ²
         f.mul_small_rows(xx, 3, t0);
         f.sqr_rows(zz, t1);
-        f.mul_const_rows(t1, &self.a, t2);
+        f.mul_const_rows(t1, &self.curve.a, t2);
         f.add_rows(t0, t2, m);
         // X3 = M² − 2S
         f.sqr_rows(m, t0);
@@ -474,7 +453,7 @@ impl BatchCurve {
         f.mul_rows(t1, h, &mut out.z);
         // Patch the exceptional lanes — the same case analysis the solo
         // `add` performs up front, applied after the fact to only the
-        // flagged lanes.
+        // flagged lanes, on the solo curve and field.
         let (inf1, inf2, h0) = (f.zero_lanes(&p1.z), f.zero_lanes(&p2.z), f.zero_lanes(h));
         let mut flagged = inf1 | inf2 | h0;
         let r0 = if flagged == 0 {
@@ -490,60 +469,11 @@ impl BatchCurve {
             } else if inf2 >> k & 1 == 1 {
                 out.copy_lane(k, p1, k);
             } else if r0 >> k & 1 == 1 {
-                let d = self.double_lane(f, &p1.lane(k));
+                let d = self.curve.double(f.solo(), &p1.lane(k));
                 out.set_lane(k, &d);
             } else {
-                out.set_lane(k, &self.identity_lane(f));
+                out.set_lane(k, &self.curve.identity(f.solo()));
             }
-        }
-    }
-
-    /// Single-lane doubling on the context's scalar engine — the
-    /// exception-patching companion of [`BatchCurve::double`], running
-    /// the identical `dbl-2007-bl` chain (same early-outs as the solo
-    /// curve).
-    pub fn double_lane<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, p1: &Point) -> Point {
-        if f.is_zero(&p1.z) || f.is_zero(&p1.y) {
-            return self.identity_lane(f);
-        }
-        let xx = f.lane_sqr(&p1.x);
-        let yy = f.lane_sqr(&p1.y);
-        let yyyy = f.lane_sqr(&yy);
-        let zz = f.lane_sqr(&p1.z);
-        let s = {
-            let t = f.lane_add(&p1.x, &yy);
-            let t = f.lane_sqr(&t);
-            let t = f.lane_sub(&t, &xx);
-            let t = f.lane_sub(&t, &yyyy);
-            f.lane_dbl(&t)
-        };
-        let m = {
-            let t3 = f.lane_mul_small(&xx, 3);
-            let zz2 = f.lane_sqr(&zz);
-            let azz2 = f.lane_mul(&self.a, &zz2);
-            f.lane_add(&t3, &azz2)
-        };
-        let x3 = {
-            let m2 = f.lane_sqr(&m);
-            let s2 = f.lane_dbl(&s);
-            f.lane_sub(&m2, &s2)
-        };
-        let y3 = {
-            let t = f.lane_sub(&s, &x3);
-            let t = f.lane_mul(&m, &t);
-            let y8 = f.lane_mul_small(&yyyy, 8);
-            f.lane_sub(&t, &y8)
-        };
-        let z3 = {
-            let t = f.lane_add(&p1.y, &p1.z);
-            let t = f.lane_sqr(&t);
-            let t = f.lane_sub(&t, &yy);
-            f.lane_sub(&t, &zz)
-        };
-        Point {
-            x: x3,
-            y: y3,
-            z: z3,
         }
     }
 
@@ -563,20 +493,6 @@ impl BatchCurve {
     ) -> PointLanes {
         assert_eq!(ks.len(), base.lanes(), "one scalar per lane");
         self.scan(f, base.lanes(), &[ScalarSet::PerLane(ks)], &[base], window)
-    }
-
-    /// Batched scalar multiplication with one scalar shared by every
-    /// lane — `[k]·P[j]` for each lane `j` (the ECDH server's shape
-    /// when one ephemeral key meets many peer points is the transpose;
-    /// this one serves fixed-base multi-point workloads).
-    pub fn scalar_mul_shared<E: BatchMontMul>(
-        &self,
-        f: &mut BatchFieldCtx<E>,
-        k: &Ubig,
-        base: &PointLanes,
-        window: Option<usize>,
-    ) -> PointLanes {
-        self.scan(f, base.lanes(), &[ScalarSet::Shared(k)], &[base], window)
     }
 
     /// Batched joint scalar multiplication (Straus–Shamir): lane `k` of
@@ -769,7 +685,6 @@ impl<E: BatchMontMul> WindowScanClient for PointScanClient<'_, '_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::curve::Curve;
     use crate::field::FieldCtx;
     use mmm_core::engine::EngineKind;
     use mmm_core::montgomery::MontgomeryParams;
@@ -794,13 +709,12 @@ mod tests {
 
     #[test]
     fn batch_coefficients_match_solo() {
-        let (bf, bc, _, sc, _) = setup();
-        let _ = bf;
-        assert_eq!(bc.a, sc.a);
-        assert_eq!(bc.b, sc.b);
+        let (_, bc, _, sc, _) = setup();
+        assert_eq!(bc.solo().a, sc.a);
+        assert_eq!(bc.solo().b, sc.b);
         let via = BatchCurve::from_solo(&sc);
-        assert_eq!(via.a, bc.a);
-        assert_eq!(via.b, bc.b);
+        assert_eq!(via.solo().a, sc.a);
+        assert_eq!(via.solo().b, sc.b);
     }
 
     #[test]
@@ -889,17 +803,6 @@ mod tests {
         let got = bc.scalar_mul(&mut bf, &ks, &base, None);
         let aff = bc.to_affine(&mut bf, &got);
         assert!(aff.iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn shared_scalar_matches_per_lane() {
-        let (mut bf, bc, _, _, g) = setup();
-        let k = Ubig::from(29u64);
-        let base = PointLanes::splat(&g, 4);
-        let shared = bc.scalar_mul_shared(&mut bf, &k, &base, None);
-        let ks = vec![k.clone(); 4];
-        let per = bc.scalar_mul(&mut bf, &ks, &base, None);
-        assert_eq!(bc.to_affine(&mut bf, &shared), bc.to_affine(&mut bf, &per));
     }
 
     #[test]

@@ -12,32 +12,33 @@
 //! [`BatchMontMul::try_mont_mul_rows`] call on the rows as they stand,
 //! with no transpose and no allocation. Additions, subtractions,
 //! doublings and small-constant ladders are branchless passes over the
-//! live lanes of each row, computing the same function as the
-//! single-lane [`BatchFieldCtx::lane_add`], [`BatchFieldCtx::lane_sub`]
-//! and [`BatchFieldCtx::lane_mul_small`], bit for bit. Scratch rows are
-//! reused across operations, so a warm computation on rows never
-//! touches the heap. The `Vec<Fe>` methods (`mul`, `add`, …) are the
-//! boundary form: load, one rows operation, store.
+//! live lanes of each row, computing the same function as the solo
+//! [`FieldCtx::add`], [`FieldCtx::sub`] and [`FieldCtx::mul_small`],
+//! bit for bit. Scratch rows are reused across operations, so a warm
+//! computation on rows never touches the heap. The `Vec<Fe>` methods
+//! (`mul`, `add`, …) are the boundary form: load, one rows operation,
+//! store.
 //!
 //! Inversion uses **Montgomery's simultaneous-inversion trick**: a
 //! prefix chain of Montgomery products, a *single* `modinv`, then a
 //! backward sweep — one field inversion amortized over the whole batch
 //! (the dominant cost of the batched affine conversion). The sweeps
 //! are a serial chain of single products, so they run on the context's
+//! solo reference ([`BatchFieldCtx::solo`]): a [`FieldCtx`] over the
 //! scalar radix-2⁶⁴ [`CiosMont`] rather than the batch engine.
 //!
-//! The exception-patching companion ops (`lane_*`) run on that same
-//! [`CiosMont`]. It computes the Algorithm-2 function bit for bit, like
-//! every engine, so patched lanes cannot be distinguished from
-//! engine-computed ones.
+//! The batch curve layer patches its exceptional lanes on that same
+//! solo context. [`CiosMont`] computes the Algorithm-2 function bit for
+//! bit, like every engine, so patched lanes cannot be distinguished
+//! from engine-computed ones.
 
-use crate::field::Fe;
+use crate::field::{Fe, FieldCtx};
 use mmm_bigint::limbs::{adc, sbb, Limb};
 use mmm_bigint::Ubig;
 use mmm_core::cios::CiosMont;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::rows::{padded_limbs, row_count, ROW_LANES};
-use mmm_core::traits::{BatchMontMul, MontMul};
+use mmm_core::traits::BatchMontMul;
 
 /// A resident lane vector: field elements of up to 64 lanes in limb
 /// rows (limb `j` of lane `k` at `[j·64 + k]`), plus the live-lane
@@ -144,22 +145,20 @@ impl FeRows {
 }
 
 /// Batch field context: a [`BatchMontMul`] engine plus the constants
-/// needed to enter/leave the Montgomery domain, the scalar engine of
-/// the single-lane companions, and the scratch rows the operations
-/// reuse.
+/// needed to enter/leave the Montgomery domain, the solo reference for
+/// single-lane work, and the scratch rows the operations reuse.
 #[derive(Debug)]
 pub struct BatchFieldCtx<E: BatchMontMul> {
     engine: E,
-    two_n: Ubig,
-    r2: Ubig,
+    /// The solo reference on the scalar radix-2⁶⁴ engine: inversion
+    /// sweeps and exception patches.
+    solo: FieldCtx<CiosMont>,
     one_bar: Ubig,
     /// Rows per resident vector, `⌈(l+2)/64⌉`.
     rows: usize,
     /// `p` and `2p` padded to `rows` limbs.
     p_limbs: Vec<Limb>,
     two_p_limbs: Vec<Limb>,
-    /// The scalar engine of the single-lane companions and inversion.
-    scalar: CiosMont,
     /// Broadcast-constant operand of `mul_const_rows` and friends.
     konst: FeRows,
     /// The two working rows of the `mul_small_rows` ladder.
@@ -170,20 +169,17 @@ pub struct BatchFieldCtx<E: BatchMontMul> {
 impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// Wraps an engine whose modulus is the field prime.
     pub fn new(engine: E) -> Self {
-        let params = engine.params().clone();
-        let rows = row_count(&params);
-        let two_n = params.two_n();
+        let params = engine.params();
+        let rows = row_count(params);
         BatchFieldCtx {
             p_limbs: padded_limbs(params.n(), rows),
-            two_p_limbs: padded_limbs(&two_n, rows),
-            two_n,
-            r2: params.r2_mod_n(),
-            one_bar: params.r().rem(params.n()),
+            two_p_limbs: padded_limbs(&params.two_n(), rows),
+            one_bar: params.r_mod_n(),
             rows,
             konst: FeRows::zeros(rows, 0),
             base: FeRows::zeros(rows, 0),
             next: FeRows::zeros(rows, 0),
-            scalar: CiosMont::new(params),
+            solo: FieldCtx::new(CiosMont::new(params.clone())),
             engine,
         }
     }
@@ -203,11 +199,6 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         self.engine.max_lanes()
     }
 
-    /// Engine name, for reports.
-    pub fn engine_name(&self) -> &'static str {
-        self.engine.name()
-    }
-
     /// The Montgomery representation of 1 (`R mod p`) — the domain's
     /// multiplicative identity.
     pub fn one_bar(&self) -> &Fe {
@@ -223,6 +214,14 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// A shared borrow of the underlying engine.
     pub fn engine(&self) -> &E {
         &self.engine
+    }
+
+    /// The solo reference the context's single-lane work runs on: a
+    /// [`FieldCtx`] over the scalar radix-2⁶⁴ [`CiosMont`], which every
+    /// batch engine matches bit for bit. The inversion sweeps and the
+    /// batch curve layer's exception patches use it.
+    pub fn solo(&mut self) -> &mut FieldCtx<CiosMont> {
+        &mut self.solo
     }
 
     // ------------------------------------------------------------------
@@ -280,7 +279,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     }
 
     /// `out = a + b`, less `2p` when the sum reaches `2p`: the function
-    /// of [`BatchFieldCtx::lane_add`] on every live lane.
+    /// of [`FieldCtx::add`] on every live lane.
     pub fn add_rows(&self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
         assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
         out.lanes = a.lanes;
@@ -294,7 +293,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     }
 
     /// `out = a − b`, plus `2p` when it borrows: the function of
-    /// [`BatchFieldCtx::lane_sub`] on every live lane.
+    /// [`FieldCtx::sub`] on every live lane.
     pub fn sub_rows(&self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
         assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
         out.lanes = a.lanes;
@@ -313,7 +312,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     }
 
     /// `out = k·a` by the add/double ladder of
-    /// [`BatchFieldCtx::lane_mul_small`], on every live lane.
+    /// [`FieldCtx::mul_small`], on every live lane.
     pub fn mul_small_rows(&mut self, a: &FeRows, k: u64, out: &mut FeRows) {
         let lanes = a.lanes;
         if k == 0 {
@@ -348,7 +347,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         let reduced: Vec<Ubig> = xs.iter().map(|x| x.rem(self.p())).collect();
         let a = self.load(&reduced);
         let mut out = self.zeros(a.lanes);
-        let r2 = self.r2.clone();
+        let r2 = self.params().r2_mod_n();
         self.mul_const_rows(&a, &r2, &mut out);
         out
     }
@@ -424,11 +423,6 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         self.on_rows(a, a, |f, a, _, out| f.sqr_rows(a, out))
     }
 
-    /// Lane-wise multiplication by one shared domain constant.
-    pub fn mul_const(&mut self, a: &[Fe], c: &Fe) -> Vec<Fe> {
-        self.on_rows(a, a, |f, a, _, out| f.mul_const_rows(a, c, out))
-    }
-
     /// Lane-wise domain addition with single conditional correction.
     pub fn add(&mut self, a: &[Fe], b: &[Fe]) -> Vec<Fe> {
         self.on_rows(a, b, |f, a, b, out| f.add_rows(a, b, out))
@@ -461,44 +455,46 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     ///
     /// Cost: `3(k−1)` Montgomery multiplications plus **one** `modinv`
     /// for `k` nonzero lanes, instead of `k` inversions. The prefix and
-    /// backward sweeps run on the context's scalar [`CiosMont`], which
-    /// computes the Algorithm-2 function bit for bit, so the `< 2N`
-    /// residue bound is maintained throughout.
+    /// backward sweeps run on the solo reference
+    /// ([`BatchFieldCtx::solo`]), which computes the Algorithm-2
+    /// function bit for bit, so the `< 2N` residue bound is maintained
+    /// throughout.
     pub fn inv(&mut self, a: &[Fe]) -> Vec<Option<Fe>> {
         let nz: Vec<usize> = (0..a.len()).filter(|&k| !self.is_zero(&a[k])).collect();
         let mut out: Vec<Option<Fe>> = vec![None; a.len()];
         if nz.is_empty() {
             return out;
         }
+        let f = &mut self.solo;
         // Prefix chain of Montgomery products over the nonzero lanes:
         // prefix[i] = ā₀·ā₁⋯āᵢ (Montgomery domain, < 2N).
         let mut prefix: Vec<Fe> = Vec::with_capacity(nz.len());
         let mut acc = a[nz[0]].clone();
         prefix.push(acc.clone());
         for &k in &nz[1..] {
-            acc = self.scalar.mont_mul(&acc, &a[k]);
+            acc = f.mul(&acc, &a[k]);
             prefix.push(acc.clone());
         }
         // One inversion of the total product.
-        let total_plain = self.lane_from_mont(&acc);
-        let Some(inv_plain) = total_plain.modinv(self.p()) else {
+        let total_plain = f.from_mont(&acc);
+        let Some(inv_plain) = total_plain.modinv(f.p()) else {
             // Non-prime modulus with a lane sharing a factor: fall back
             // to per-lane inversion so the batch still answers.
             for &k in &nz {
-                out[k] = self.lane_inv(&a[k]);
+                out[k] = f.inv(&a[k]);
             }
             return out;
         };
         // Re-enter the domain, then sweep backwards stripping one lane
         // per step: u = (ā₀⋯āᵢ)⁻¹ before visiting lane i.
-        let mut u = self.scalar.mont_mul(&inv_plain, &self.r2);
+        let mut u = f.to_mont(&inv_plain);
         for i in (0..nz.len()).rev() {
             let k = nz[i];
             if i == 0 {
                 out[k] = Some(u.clone());
             } else {
-                out[k] = Some(self.scalar.mont_mul(&u, &prefix[i - 1]));
-                u = self.scalar.mont_mul(&u, &a[k]);
+                out[k] = Some(f.mul(&u, &prefix[i - 1]));
+                u = f.mul(&u, &a[k]);
             }
         }
         out
@@ -507,79 +503,6 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// Cycle count consumed by the engine so far, if cycle-accurate.
     pub fn consumed_cycles(&self) -> Option<u64> {
         self.engine.consumed_cycles()
-    }
-
-    // ------------------------------------------------------------------
-    // Single-lane companions — the exception-patching ops. The
-    // multiplications run on the context's scalar `CiosMont`, which
-    // every engine is bit-identical to, so a patched lane is
-    // indistinguishable from an engine-computed one.
-    // ------------------------------------------------------------------
-
-    /// Single-lane domain multiplication.
-    pub fn lane_mul(&mut self, a: &Fe, b: &Fe) -> Fe {
-        self.scalar.mont_mul(a, b)
-    }
-
-    /// Single-lane domain squaring.
-    pub fn lane_sqr(&mut self, a: &Fe) -> Fe {
-        self.scalar.mont_mul(a, a)
-    }
-
-    /// Single-lane domain addition.
-    pub fn lane_add(&self, a: &Fe, b: &Fe) -> Fe {
-        let s = a + b;
-        if s >= self.two_n {
-            s - &self.two_n
-        } else {
-            s
-        }
-    }
-
-    /// Single-lane domain subtraction.
-    pub fn lane_sub(&self, a: &Fe, b: &Fe) -> Fe {
-        if a >= b {
-            a - b
-        } else {
-            &(a + &self.two_n) - b
-        }
-    }
-
-    /// Single-lane domain doubling.
-    pub fn lane_dbl(&self, a: &Fe) -> Fe {
-        self.lane_add(a, a)
-    }
-
-    /// Single-lane multiplication by a small constant (same ladder as
-    /// the solo context, so representatives agree bit for bit).
-    pub fn lane_mul_small(&self, a: &Fe, k: u64) -> Fe {
-        let mut acc = Ubig::zero();
-        let mut base = a.clone();
-        let mut k = k;
-        while k > 0 {
-            if k & 1 == 1 {
-                acc = self.lane_add(&acc, &base);
-            }
-            base = self.lane_dbl(&base);
-            k >>= 1;
-        }
-        acc
-    }
-
-    /// Single-lane field inversion (leaves and re-enters the domain).
-    pub fn lane_inv(&mut self, a: &Fe) -> Option<Fe> {
-        let inv = self.lane_from_mont(a).modinv(self.p())?;
-        Some(self.scalar.mont_mul(&inv, &self.r2))
-    }
-
-    /// Single-lane exit from the domain, fully reduced below `p`.
-    fn lane_from_mont(&mut self, a: &Fe) -> Ubig {
-        let v = self.scalar.mont_mul(a, &Ubig::one());
-        if &v >= self.p() {
-            v - self.p()
-        } else {
-            v
-        }
     }
 }
 
@@ -725,7 +648,7 @@ mod tests {
             match (&invs[k], &solo) {
                 (Some(got), Some(want)) => {
                     // Same residue; check via the product being 1.
-                    let prod = bf.lane_mul(&lanes[k], got);
+                    let prod = bf.solo().mul(&lanes[k], got);
                     assert_eq!(bf.from_mont(&[prod])[0], Ubig::one(), "lane {k}");
                     let prod_solo = sf.mul(&xm, want);
                     assert_eq!(sf.from_mont(&prod_solo), Ubig::one(), "solo lane {k}");
@@ -750,12 +673,12 @@ mod tests {
         assert!(invs[0].is_some());
         assert!(invs[1].is_none(), "gcd(7, 91) > 1");
         assert!(invs[2].is_some());
-        let prod = bf.lane_mul(&lanes[0], invs[0].as_ref().unwrap());
+        let prod = bf.solo().mul(&lanes[0], invs[0].as_ref().unwrap());
         assert_eq!(bf.from_mont(&[prod])[0], Ubig::one());
     }
 
     #[test]
-    fn lane_companions_match_batch_ops() {
+    fn solo_field_matches_batch_ops() {
         let mut bf = batch_ctx(97);
         let xs: Vec<Ubig> = (0..8u64).map(|v| Ubig::from(v * 11 % 97)).collect();
         let ys: Vec<Ubig> = (0..8u64).map(|v| Ubig::from(v * 29 % 97)).collect();
@@ -764,8 +687,8 @@ mod tests {
         let mul = bf.mul(&xm, &ym);
         let sq = bf.sqr(&xm);
         for k in 0..xs.len() {
-            assert_eq!(mul[k], bf.lane_mul(&xm[k], &ym[k]), "lane {k}");
-            assert_eq!(sq[k], bf.lane_sqr(&xm[k]), "lane {k}");
+            assert_eq!(mul[k], bf.solo().mul(&xm[k], &ym[k]), "lane {k}");
+            assert_eq!(sq[k], bf.solo().sqr(&xm[k]), "lane {k}");
         }
     }
 

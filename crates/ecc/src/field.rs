@@ -32,10 +32,9 @@ pub struct FieldCtx<E: MontMul> {
 impl<E: MontMul> FieldCtx<E> {
     /// Wraps an engine whose modulus is the field prime.
     pub fn new(engine: E) -> Self {
-        let params = engine.params().clone();
         FieldCtx {
-            two_n: params.two_n(),
-            r2: params.r2_mod_n(),
+            two_n: engine.params().two_n(),
+            r2: engine.params().r2_mod_n(),
             engine,
         }
     }

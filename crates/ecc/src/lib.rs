@@ -36,9 +36,10 @@
 //!
 //! Every batched lane is bit-identical to what the solo [`curve`]
 //! path produces on the same inputs — the engines share one
-//! Algorithm-2 contract, and the batch layer patches exceptional
-//! lanes (identity, equal points, inverse points) with the scalar
-//! reference multiplication.
+//! Algorithm-2 contract, and the batch layer does its single-lane work
+//! (exceptional lanes: identity, equal points, inverse points; the
+//! inversion sweeps) through the solo reference itself, a [`Curve`]
+//! over the [`FieldCtx`] each batch context owns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,12 +4,14 @@
 //!
 //! [`CurveSession`] mirrors `mmm_rsa::KeyedSession`: one handle owning
 //! the curve group, its pooled Montgomery parameters and the engine
-//! configuration, built once (validating the curve and pre-warming one
-//! engine) and reused for every request. Requests fan out across cores
-//! in `shard_lanes`-wide chunks, each shard checking a warm engine out
-//! of the process-wide pool; every method returns
-//! `Result<_, MmmError>` so one malformed request bounces that *call*
-//! with the offending lane named, never the process.
+//! configuration, built once (validating the curve and base point and
+//! pre-warming one engine) and reused for every request. Requests run
+//! through the one shard fan-out, [`pool::try_sharded`]:
+//! `shard_lanes`-wide shards across cores, each on a warm engine of
+//! the quarantine's effective backend ([`EngineConfig::run_kind`]), as
+//! RSA's are. Every method returns `Result<_, MmmError>` so one
+//! malformed request bounces that *call* with the offending lane
+//! named, never the process.
 //!
 //! [`EcdsaVerify`] and [`Ecdh`] are the ECC operations of the serving
 //! plane ([`mmm_core::serve`]), with [`CurveSession`] as their
@@ -26,15 +28,16 @@
 
 use crate::batch_curve::{BatchCurve, PointLanes};
 use crate::batch_field::BatchFieldCtx;
+use crate::curve::{Curve, Point};
 use crate::curves::CurveSpec;
+use crate::field::FieldCtx;
 use mmm_bigint::Ubig;
+use mmm_core::cios::CiosMont;
 use mmm_core::error::MmmError;
 use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
 use mmm_core::serve::{Session, ShardOp};
-use mmm_core::traits::BatchMontMul;
 use mmm_core::{EngineConfig, EngineKind};
-use rayon::prelude::*;
 
 /// One ECDSA verification request: message digest (already truncated
 /// to the order's bit length per FIPS 186-4 §6.4), signature pair and
@@ -66,10 +69,11 @@ pub struct EcdhRequest {
 }
 
 /// A serving session bound to one curve group: owns the
-/// [`CurveSpec`], its pooled Montgomery parameters and the engine
-/// configuration. Construction validates the group (non-singular
-/// curve, base point on it, order > 1) and pre-warms one engine of
-/// the configured backend in the process-wide pool.
+/// [`CurveSpec`], its pooled Montgomery parameters, the engine
+/// configuration, and the curve and base point in the Montgomery
+/// domain. Construction validates the group once (non-singular curve,
+/// base point on it, order > 1) and pre-warms one engine of the
+/// configured backend in the process-wide pool.
 ///
 /// ```
 /// use mmm_bigint::Ubig;
@@ -93,6 +97,9 @@ pub struct CurveSession {
     spec: CurveSpec,
     config: EngineConfig,
     params: MontgomeryParams,
+    curve: BatchCurve,
+    /// The base point, in the Montgomery domain.
+    g: Point,
 }
 
 impl CurveSession {
@@ -106,30 +113,31 @@ impl CurveSession {
     /// the pooled parameters (which hardware-safe widths never
     /// trigger).
     pub fn new(spec: CurveSpec, config: EngineConfig) -> Result<Self, MmmError> {
-        let p = &spec.p;
-        let disc = Ubig::from(4u64)
-            .modmul(&spec.a.modpow(&Ubig::from(3u64), p), p)
-            .modadd(&Ubig::from(27u64).modmul(&spec.b.modmul(&spec.b, p), p), p);
-        if disc.is_zero() {
-            return Err(MmmError::SingularCurve);
-        }
-        if !spec.on_curve(&spec.gx, &spec.gy) {
+        let pool = pool::try_global()?;
+        let params = pool.params_for(&spec.p);
+        // The one validation of the group, on the solo reference; every
+        // shard reuses its Montgomery-domain curve and base point.
+        let mut f = FieldCtx::new(CiosMont::new(params.clone()));
+        let curve = Curve::try_new(&mut f, &spec.a, &spec.b)?;
+        // G's coordinates must be reduced, like a request key's.
+        if spec.gx >= spec.p || spec.gy >= spec.p {
             return Err(MmmError::PointNotOnCurve { lane: 0 });
         }
+        let g = curve.try_point(&mut f, &spec.gx, &spec.gy)?;
         if spec.order <= Ubig::one() {
             return Err(MmmError::Config(format!(
                 "curve {:?} order must exceed 1",
                 spec.name
             )));
         }
-        let pool = pool::try_global()?;
-        let params = pool.params_for(&spec.p);
         config.backend().ensure_supports(&params)?;
         drop(pool.try_checkout_kind(&params, config.backend())?);
         Ok(CurveSession {
             spec,
             config,
             params,
+            curve: BatchCurve::from_solo(&curve),
+            g,
         })
     }
 
@@ -153,22 +161,20 @@ impl CurveSession {
     /// The building block under key generation and the doctest above;
     /// scalars are reduced mod the group order.
     pub fn scalar_mul_base(&self, ks: &[Ubig]) -> Result<Vec<Option<(Ubig, Ubig)>>, MmmError> {
-        if ks.is_empty() {
-            return Ok(Vec::new());
-        }
         let reduced: Vec<Ubig> = ks.iter().map(|k| k.rem(&self.spec.order)).collect();
-        let shards: Vec<&[Ubig]> = reduced.chunks(self.config.shard_lanes()).collect();
-        type ShardAffine = Vec<Option<(Ubig, Ubig)>>;
-        let results: Result<Vec<ShardAffine>, MmmError> = shards
-            .into_par_iter()
-            .map(|ks| {
-                let (mut f, curve, g) = self.checkout()?;
-                let base = PointLanes::splat(&g, ks.len());
-                let acc = curve.scalar_mul(&mut f, ks, &base, None);
-                Ok(curve.to_affine(&mut f, &acc))
-            })
-            .collect();
-        Ok(results?.into_iter().flatten().collect())
+        let kind = self.config.run_kind(&self.params);
+        pool::try_sharded(
+            &self.params,
+            kind,
+            &self.config,
+            ks.len(),
+            |engine, lanes| {
+                let mut f = BatchFieldCtx::new(engine);
+                let base = PointLanes::splat(&self.g, lanes.len());
+                let acc = self.curve.scalar_mul(&mut f, &reduced[lanes], &base, None);
+                Ok(self.curve.to_affine(&mut f, &acc))
+            },
+        )
     }
 
     /// Batched ECDSA verification (FIPS 186-4 §6.4): one verdict per
@@ -177,9 +183,6 @@ impl CurveSession {
     /// [`MmmError::PointNotOnCurve`] naming the request index. Empty
     /// input is `Ok(vec![])`.
     pub fn verify_ecdsa(&self, reqs: &[EcdsaRequest]) -> Result<Vec<bool>, MmmError> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
         // Structural validation up front, with global lane indices.
         for (lane, req) in reqs.iter().enumerate() {
             EcdsaVerify.validate(self, lane, req)?;
@@ -217,24 +220,26 @@ impl CurveSession {
                 },
             })
             .collect();
-        let width = self.config.shard_lanes();
-        let shards: Vec<(&[EcdsaRequest], &[Prepared])> =
-            reqs.chunks(width).zip(prepared.chunks(width)).collect();
-        let results: Result<Vec<Vec<bool>>, MmmError> = shards
-            .into_par_iter()
-            .map(|(sreqs, sprep)| {
-                let (mut f, curve, g) = self.checkout()?;
+        let kind = self.config.run_kind(&self.params);
+        pool::try_sharded(
+            &self.params,
+            kind,
+            &self.config,
+            reqs.len(),
+            |engine, lanes| {
+                let mut f = BatchFieldCtx::new(engine);
+                let (sreqs, sprep) = (&reqs[lanes.clone()], &prepared[lanes]);
                 let xy: Vec<(Ubig, Ubig)> =
                     sreqs.iter().map(|r| (r.qx.clone(), r.qy.clone())).collect();
                 // Pre-validated above; an error here would be an
                 // engine-level fault and is surfaced as-is.
-                let q = curve.try_points(&mut f, &xy)?;
+                let q = self.curve.try_points(&mut f, &xy)?;
                 let u1: Vec<Ubig> = sprep.iter().map(|p| p.u1.clone()).collect();
                 let u2: Vec<Ubig> = sprep.iter().map(|p| p.u2.clone()).collect();
                 // [u1]G + [u2]Q in one scan; G stays at one lane.
-                let g = PointLanes::splat(&g, 1);
-                let sum = curve.joint_scalar_mul(&mut f, &u1, &g, &u2, &q, None);
-                let affine = curve.to_affine(&mut f, &sum);
+                let g = PointLanes::splat(&self.g, 1);
+                let sum = self.curve.joint_scalar_mul(&mut f, &u1, &g, &u2, &q, None);
+                let affine = self.curve.to_affine(&mut f, &sum);
                 Ok(sreqs
                     .iter()
                     .zip(sprep)
@@ -243,9 +248,8 @@ impl CurveSession {
                         prep.live && aff.map(|(x, _)| x.rem(n) == req.r).unwrap_or(false)
                     })
                     .collect())
-            })
-            .collect();
-        Ok(results?.into_iter().flatten().collect())
+            },
+        )
     }
 
     /// Batched ECDH (SP 800-56A style): the shared secret is the
@@ -261,28 +265,25 @@ impl CurveSession {
     /// also [`MmmError::ScalarOutOfRange`]. Empty input is
     /// `Ok(vec![])`.
     pub fn ecdh(&self, reqs: &[EcdhRequest]) -> Result<Vec<Ubig>, MmmError> {
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
         for (lane, req) in reqs.iter().enumerate() {
             Ecdh.validate(self, lane, req)?;
         }
-        let width = self.config.shard_lanes();
-        let shards: Vec<(usize, &[EcdhRequest])> = reqs
-            .chunks(width)
-            .enumerate()
-            .map(|(i, c)| (i * width, c))
-            .collect();
-        let results: Result<Vec<Vec<Ubig>>, MmmError> = shards
-            .into_par_iter()
-            .map(|(start, sreqs)| {
-                let (mut f, curve, _) = self.checkout()?;
+        let kind = self.config.run_kind(&self.params);
+        pool::try_sharded(
+            &self.params,
+            kind,
+            &self.config,
+            reqs.len(),
+            |engine, lanes| {
+                let mut f = BatchFieldCtx::new(engine);
+                let start = lanes.start;
+                let sreqs = &reqs[lanes];
                 let xy: Vec<(Ubig, Ubig)> =
                     sreqs.iter().map(|r| (r.qx.clone(), r.qy.clone())).collect();
-                let q = curve.try_points(&mut f, &xy)?;
+                let q = self.curve.try_points(&mut f, &xy)?;
                 let ks: Vec<Ubig> = sreqs.iter().map(|r| r.scalar.clone()).collect();
-                let acc = curve.scalar_mul(&mut f, &ks, &q, None);
-                let affine = curve.to_affine(&mut f, &acc);
+                let acc = self.curve.scalar_mul(&mut f, &ks, &q, None);
+                let affine = self.curve.to_affine(&mut f, &acc);
                 affine
                     .into_iter()
                     .enumerate()
@@ -291,37 +292,8 @@ impl CurveSession {
                             .ok_or(MmmError::ScalarOutOfRange { lane: start + k })
                     })
                     .collect()
-            })
-            .collect();
-        Ok(results?.into_iter().flatten().collect())
-    }
-
-    /// One warm engine out of the pool, wrapped as a field context,
-    /// with the session's curve and Montgomery-domain base point.
-    fn checkout(
-        &self,
-    ) -> Result<
-        (
-            BatchFieldCtx<pool::PooledEngine>,
-            BatchCurve,
-            crate::curve::Point,
-        ),
-        MmmError,
-    > {
-        let pool = pool::try_global()?;
-        let mut engine = pool.try_checkout_kind(&self.params, self.config.backend())?;
-        engine.set_hardening(self.config.hardening());
-        let mut f = BatchFieldCtx::new(engine);
-        let curve = BatchCurve::try_new(&mut f, &self.spec.a, &self.spec.b)?;
-        let g = {
-            let m = f.to_mont(&[self.spec.gx.clone(), self.spec.gy.clone(), Ubig::one()]);
-            crate::curve::Point {
-                x: m[0].clone(),
-                y: m[1].clone(),
-                z: m[2].clone(),
-            }
-        };
-        Ok((f, curve, g))
+            },
+        )
     }
 }
 

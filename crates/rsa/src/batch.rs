@@ -20,8 +20,8 @@ use mmm_core::montgomery::MontgomeryParams;
 use mmm_core::pool;
 use mmm_core::verify::faults::inert_plan;
 use mmm_core::{
-    BatchModExp, BatchMontMul, EngineConfig, EngineKind, MmmError, ScalarSet, VerifiedEngine,
-    VerifyContext, VerifyPolicy,
+    BatchModExp, EngineConfig, EngineKind, MmmError, ScalarSet, VerifiedEngine, VerifyContext,
+    VerifyPolicy,
 };
 use rayon::prelude::*;
 
@@ -51,9 +51,8 @@ struct CrtPlan<'a> {
 /// never as a key-leaking faulty plaintext.
 ///
 /// Dispatch is quarantine-aware: a backend benched by earlier
-/// violations is replaced by
-/// [`Quarantine::effective_kind`](mmm_core::verify::Quarantine::effective_kind)
-/// before the run starts.
+/// violations is replaced by [`EngineConfig::run_kind`] before the run
+/// starts.
 pub(crate) fn decrypt_crt_core(
     key: &RsaKeyPair,
     pparams: &MontgomeryParams,
@@ -81,7 +80,7 @@ pub(crate) fn decrypt_crt_core(
         pool,
     };
     let ctx = config.verify_context();
-    let run_kind = ctx.quarantine.effective_kind(kind, pparams);
+    let run_kind = config.run_kind(pparams);
     let run_kind = if run_kind.ensure_supports(qparams).is_ok() {
         run_kind
     } else {
@@ -122,56 +121,42 @@ pub(crate) fn decrypt_crt_core(
     Ok(ms)
 }
 
-/// Computes the CRT plaintexts on `kind` engines: per shard, two
-/// half-width shared-exponent batch scans (mod `p` and mod `q`) and a
-/// per-lane Garner recombination. The engine layer runs behind
-/// [`VerifiedEngine`] (policy-gated residue self-checks), and the
-/// corruption-injection hooks for the pooled-param and CRT-half fault
-/// models are applied here — inert outside tests.
+/// Computes the CRT plaintexts on `kind` engines: two half-width
+/// shared-exponent batch scans (mod `p` and mod `q`), each sharded by
+/// [`pool::try_sharded`], and a per-lane Garner recombination. The
+/// engine layer runs behind [`VerifiedEngine`] (policy-gated residue
+/// self-checks), and the corruption-injection hooks for the
+/// pooled-param and CRT-half fault models are applied here — inert
+/// outside tests.
 fn crt_halves(
     plan: &CrtPlan<'_>,
     cs: &[Ubig],
     kind: EngineKind,
     ctx: &VerifyContext,
 ) -> Result<Vec<Ubig>, MmmError> {
-    // Fan out over (shard × prime half): the mod-p and mod-q runs of
-    // a shard are independent, so they parallelize too — a queue of
-    // ≤ 64 ciphertexts still fills two cores instead of one.
-    let width = plan.config.shard_lanes();
-    let shards: Vec<&[Ubig]> = cs.chunks(width).collect();
-    let half_runs: Vec<(&[Ubig], &MontgomeryParams, &Ubig)> = shards
-        .iter()
-        .flat_map(|&shard| {
-            [
-                (shard, plan.pparams, &plan.key.dp),
-                (shard, plan.qparams, &plan.key.dq),
-            ]
-        })
-        .collect();
-    let halves: Vec<Vec<Ubig>> = half_runs
+    // The mod-p and mod-q runs are independent, so they fan out too —
+    // a one-lane shard still fills two cores instead of one.
+    let halves = vec![(plan.pparams, &plan.key.dp), (plan.qparams, &plan.key.dq)];
+    let halves: Vec<Vec<Ubig>> = halves
         .into_par_iter()
-        .map(|(shard, params, d)| {
-            let mut residues: Vec<Ubig> = shard.iter().map(|c| c.rem(params.n())).collect();
-            ctx.faults.corrupt_param_residue(&mut residues, params.n());
-            let mut engine = plan.pool.checkout_kind(params, kind);
-            // Under MMM_HARDENED the half-width scans run the
-            // constant-time schedule (full-table sweeps, no skips,
-            // canonicalizing engines) — see DESIGN.md §12.
-            engine.set_hardening(plan.config.hardening());
-            let mut half = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()))
-                .try_modexp(&residues, ScalarSet::Shared(d), plan.config.window())?;
-            ctx.faults.corrupt_crt_half(&mut half, params.n());
-            Ok(half)
+        .map(|(params, d)| {
+            pool::try_sharded(params, kind, plan.config, cs.len(), |engine, lanes| {
+                let mut residues: Vec<Ubig> = cs[lanes].iter().map(|c| c.rem(params.n())).collect();
+                ctx.faults.corrupt_param_residue(&mut residues, params.n());
+                // Under MMM_HARDENED the half-width scans run the
+                // constant-time schedule (full-table sweeps, no skips,
+                // canonicalizing engines) — see DESIGN.md §12.
+                let mut half = BatchModExp::new(VerifiedEngine::new(engine, kind, ctx.clone()))
+                    .try_modexp(&residues, ScalarSet::Shared(d), plan.config.window())?;
+                ctx.faults.corrupt_crt_half(&mut half, params.n());
+                Ok(half)
+            })
         })
         .collect::<Result<_, MmmError>>()?;
-    Ok(halves
-        .chunks(2)
-        .flat_map(|pair| {
-            let (mps, mqs) = (&pair[0], &pair[1]);
-            mps.iter()
-                .zip(mqs)
-                .map(|(mp, mq)| crate::cipher::garner(plan.key, mp, mq))
-        })
+    Ok(halves[0]
+        .iter()
+        .zip(&halves[1])
+        .map(|(mp, mq)| crate::cipher::garner(plan.key, mp, mq))
         .collect())
 }
 

@@ -196,10 +196,6 @@ fn bad_config_strings_and_values_are_typed() {
         MmmError::WindowOutOfRange { window: 9 }
     );
     assert!(matches!(
-        EngineConfig::default().with_pool_capacity(0).unwrap_err(),
-        MmmError::Config(_)
-    ));
-    assert!(matches!(
         EngineConfig::default().with_shard_lanes(65).unwrap_err(),
         MmmError::Config(_)
     ));

@@ -566,7 +566,7 @@ fn simultaneous_inversion_at_word_boundaries() {
             if plain[k].is_zero() {
                 assert!(inv.is_none(), "prime={name} lane {k}");
             } else {
-                let prod = bf.lane_mul(&lanes[k], inv.as_ref().unwrap());
+                let prod = bf.solo().mul(&lanes[k], inv.as_ref().unwrap());
                 let back = bf.from_mont(&[prod]);
                 assert_eq!(back[0], Ubig::one(), "prime={name} lane {k}");
             }
@@ -592,13 +592,13 @@ fn batch_layer_reports_typed_errors() {
 
 // ---------------------------------------------------------------------
 // Resident field operations: every rows op computes the function of
-// its single-lane companion, bit for bit, at the word-boundary primes,
+// the solo field op, bit for bit, at the word-boundary primes,
 // on the edge operands 0, 1, p−1, p and 2p−1, at 1, 3, 63 and 64 live
 // lanes.
 // ---------------------------------------------------------------------
 
 #[test]
-fn rows_field_ops_match_lane_companions() {
+fn rows_field_ops_match_solo_field() {
     for (name, p) in boundary_primes() {
         let params = MontgomeryParams::hardware_safe(&p);
         let mut f = BatchFieldCtx::new(EngineKind::default_kind().build(params));
@@ -625,26 +625,26 @@ fn rows_field_ops_match_lane_companions() {
                 let what = |op: &str, k: usize| format!("{op} prime={name} lanes={lanes} lane {k}");
                 f.add_rows(&ra, &rb, &mut out);
                 for (k, got) in f.store(&out).iter().enumerate() {
-                    assert_eq!(*got, f.lane_add(&a[k], &b[k]), "{}", what("add", k));
+                    assert_eq!(*got, f.solo().add(&a[k], &b[k]), "{}", what("add", k));
                 }
                 f.sub_rows(&ra, &rb, &mut out);
                 for (k, got) in f.store(&out).iter().enumerate() {
-                    assert_eq!(*got, f.lane_sub(&a[k], &b[k]), "{}", what("sub", k));
+                    assert_eq!(*got, f.solo().sub(&a[k], &b[k]), "{}", what("sub", k));
                 }
                 f.dbl_rows(&ra, &mut out);
                 for (k, got) in f.store(&out).iter().enumerate() {
-                    assert_eq!(*got, f.lane_dbl(&a[k]), "{}", what("dbl", k));
+                    assert_eq!(*got, f.solo().dbl(&a[k]), "{}", what("dbl", k));
                 }
                 for small in [0u64, 1, 2, 3, 5, 8, 13] {
                     f.mul_small_rows(&ra, small, &mut out);
                     for (k, got) in f.store(&out).iter().enumerate() {
                         let op = format!("mul_small({small})");
-                        assert_eq!(*got, f.lane_mul_small(&a[k], small), "{}", what(&op, k));
+                        assert_eq!(*got, f.solo().mul_small(&a[k], small), "{}", what(&op, k));
                     }
                 }
                 f.mul_rows(&ra, &rb, &mut out);
                 for (k, got) in f.store(&out).iter().enumerate() {
-                    assert_eq!(*got, f.lane_mul(&a[k], &b[k]), "{}", what("mul", k));
+                    assert_eq!(*got, f.solo().mul(&a[k], &b[k]), "{}", what("mul", k));
                 }
             }
         }

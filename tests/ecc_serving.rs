@@ -7,12 +7,19 @@
 //! assertions on every engine.
 
 use montgomery_systolic::bigint::Ubig;
+use montgomery_systolic::core::batch::try_mont_mul_many;
+use montgomery_systolic::core::montgomery::{mont_mul_alg2, MontgomeryParams};
 use montgomery_systolic::core::serve::Collector;
+use montgomery_systolic::core::traits::SoftwareEngine;
+use montgomery_systolic::core::verify::{Quarantine, QUARANTINE_THRESHOLD};
 use montgomery_systolic::core::{EngineConfig, EngineKind, HardeningMode, MmmError};
+use montgomery_systolic::ecc::curve::Curve;
 use montgomery_systolic::ecc::curves::{p256, CurveSpec};
+use montgomery_systolic::ecc::field::FieldCtx;
 use montgomery_systolic::ecc::serve::{CurveSession, Ecdh, EcdhRequest, EcdsaRequest, EcdsaVerify};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn config() -> EngineConfig {
     EngineConfig::from_env().expect("clean MMM_* environment")
@@ -321,6 +328,102 @@ fn hardened_session_is_result_identical() {
         plain.scalar_mul_base(&ks).unwrap(),
         hardened.scalar_mul_base(&ks).unwrap()
     );
+}
+
+#[test]
+fn benched_backend_reroutes_ecc_and_mont_mul_many() {
+    // Three strikes on the configured backend in a private ledger: the
+    // ECC operations and `try_mont_mul_many` must run on the next
+    // weaker backend, as RSA's CRT dispatch does, and still match a
+    // healthy session, the direct oracle and the solo curve. Shard
+    // width 2 puts every call across several shards.
+    let spec = tiny_spec();
+    let (p, a, n) = (&spec.p, &spec.a, &spec.order);
+    let g = Some((spec.gx.clone(), spec.gy.clone()));
+    let params = MontgomeryParams::hardware_safe(p);
+    let mut solo = FieldCtx::new(SoftwareEngine::new(params.clone()));
+    let curve = Curve::try_new(&mut solo, a, &spec.b).unwrap();
+    let mut verify_reqs = Vec::new();
+    let mut ecdh_reqs = Vec::new();
+    for d in 1..5u64 {
+        let (qx, qy) = aff_mul(p, a, &Ubig::from(d), &g).unwrap();
+        for k in 1..5u64 {
+            let (rx, _) = aff_mul(p, a, &Ubig::from(k), &g).unwrap();
+            let (z, r) = (Ubig::from(d + k), rx.rem(n));
+            let s =
+                inv_mod(&Ubig::from(k), n).modmul(&z.modadd(&r.modmul(&Ubig::from(d), n), n), n);
+            // Every third request carries a tampered s.
+            let s = if (d + k) % 3 == 0 {
+                s.modadd(&Ubig::one(), n)
+            } else {
+                s
+            };
+            let (qx, qy) = (qx.clone(), qy.clone());
+            verify_reqs.push(EcdsaRequest {
+                z,
+                r,
+                s,
+                qx: qx.clone(),
+                qy: qy.clone(),
+            });
+            ecdh_reqs.push(EcdhRequest {
+                scalar: Ubig::from(k),
+                qx,
+                qy,
+            });
+        }
+    }
+    let verdicts: Vec<bool> = verify_reqs
+        .iter()
+        .map(|req| ecdsa_verify_reference(&spec, req))
+        .collect();
+    assert!(verdicts.iter().any(|&v| v) && verdicts.iter().any(|&v| !v));
+    let secrets: Vec<Ubig> = ecdh_reqs
+        .iter()
+        .map(|req| {
+            let q = curve.point(&mut solo, &req.qx, &req.qy);
+            let dq = curve.scalar_mul(&mut solo, &req.scalar, &q);
+            curve.to_affine(&mut solo, &dq).unwrap().0
+        })
+        .collect();
+    let xs: Vec<Ubig> = (0..9u64).map(|k| Ubig::from(k * 23 % 194)).collect();
+    let ys: Vec<Ubig> = (0..9u64).map(|k| Ubig::from(193 - k * 41 % 194)).collect();
+    let products: Vec<Ubig> = xs
+        .iter()
+        .zip(&ys)
+        .map(|(x, y)| mont_mul_alg2(&params, x, y))
+        .collect();
+    for kind in EngineKind::ALL {
+        let quarantine = Arc::new(Quarantine::new());
+        for _ in 0..QUARANTINE_THRESHOLD {
+            quarantine.record_violation(kind);
+        }
+        let healthy = EngineConfig::default()
+            .with_backend(kind)
+            .with_shard_lanes(2)
+            .unwrap();
+        let benched = healthy.clone().with_quarantine(quarantine);
+        assert_eq!(
+            benched.run_kind(&params),
+            kind.weaker().unwrap_or(kind),
+            "{kind:?}"
+        );
+        let got = try_mont_mul_many(&params, &xs, &ys, &benched).unwrap();
+        assert_eq!(got, products, "{kind:?}");
+        assert_eq!(
+            got,
+            try_mont_mul_many(&params, &xs, &ys, &healthy).unwrap(),
+            "{kind:?}"
+        );
+        let session = CurveSession::new(spec.clone(), benched).unwrap();
+        let direct = CurveSession::new(spec.clone(), healthy).unwrap();
+        let got = session.verify_ecdsa(&verify_reqs).unwrap();
+        assert_eq!(got, verdicts, "{kind:?}");
+        assert_eq!(got, direct.verify_ecdsa(&verify_reqs).unwrap(), "{kind:?}");
+        let got = session.ecdh(&ecdh_reqs).unwrap();
+        assert_eq!(got, secrets, "{kind:?}");
+        assert_eq!(got, direct.ecdh(&ecdh_reqs).unwrap(), "{kind:?}");
+    }
 }
 
 // ---------------------------------------------------------------------
