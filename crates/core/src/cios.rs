@@ -1,6 +1,8 @@
 //! Radix-2⁶⁴ CIOS (coarsely-integrated operand scanning) Montgomery
-//! multiplication — the word-serial production backend, with the
-//! bit-serial systolic simulation retained as its fidelity oracle.
+//! multiplication — the word-serial scan: the production backend on
+//! hosts without an AVX2 or IFMA kernel, and the per-lane path of both
+//! batch engines everywhere, with the bit-serial systolic simulation
+//! retained as its fidelity oracle.
 //!
 //! ## Same contract, different radix
 //!
@@ -51,7 +53,10 @@
 //! once per lane, on that lane's own limbs. It has no SoA transposes
 //! and no dead lanes, computes the same function, and is also
 //! allocation-free once warm. The crossover is measured, not modelled
-//! (DESIGN.md §7 "SoA lane layout").
+//! (DESIGN.md §7 "SoA lane layout"). The path is one crate-private
+//! type, `PerLane`, which [`CiosBatch`] and the radix-2⁵² engine
+//! ([`crate::cios52::Cios52Batch`]) both embed, so a narrow call runs
+//! the same scan on either backend.
 //!
 //! ## Constant-time status
 //!
@@ -84,11 +89,14 @@ use mmm_bigint::Ubig;
 /// [`crate::batch::MAX_LANES`] so sharding logic is engine-agnostic).
 pub const MAX_LANES: usize = crate::batch::MAX_LANES;
 
-/// Widest batch [`CiosBatch`] serves on the per-lane scalar path;
-/// wider batches run the 64-lane SoA kernel. The largest lane count at
-/// which the per-lane path was no slower at l = 256, 512 and 1024
-/// (DESIGN.md §7 "SoA lane layout" has the measured table). Published
-/// as [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound).
+/// Widest batch the batch engines serve on the per-lane path
+/// ([`PerLane`]); wider batches run their 64-lane kernels. The largest
+/// lane count at which the per-lane path was no slower than
+/// [`CiosBatch`]'s SoA kernel at l = 256, 512 and 1024, and the
+/// [`Cios52Batch`](crate::cios52::Cios52Batch) SIMD kernels beat that
+/// SoA kernel at every width above it (DESIGN.md §7 "SoA lane layout"
+/// and §9 have the measured tables). Published as
+/// [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound).
 pub(crate) const SCALAR_LANES: usize = 32;
 
 /// Shared per-width geometry of the radix-2⁶⁴ scan over `R = 2^{l+2}`.
@@ -114,62 +122,110 @@ impl Geometry {
             n0_inv: params.word_n0_inv(),
         }
     }
-
-    fn padded_modulus(&self, params: &MontgomeryParams) -> Vec<Limb> {
-        let mut n = params.n().limbs().to_vec();
-        n.resize(self.sw, 0);
-        n
-    }
 }
 
-/// Reusable buffers of one scalar scan: the padded operands (`sw`
-/// limbs each) and the `sw + 2` accumulator.
+/// The per-lane path: the scalar radix-2⁶⁴ scan run one lane at a
+/// time, on that lane's own limbs, each result canonicalized by
+/// [`ct_sub_if_ge`] when hardened. A call costs in proportion to its
+/// live lanes, where the 64-lane kernels of [`CiosBatch`] and
+/// [`Cios52Batch`](crate::cios52::Cios52Batch) cost a full scan
+/// whatever the lane count, so both engines embed one and run a batch
+/// of at most [`SCALAR_LANES`] live lanes on it; [`CiosMont`] wraps
+/// one for single multiplications. It owns the geometry, the padded
+/// modulus and one lane's buffers. The `Vec<Ubig>` entry stages its
+/// results in a buffer the engine lends it, so the warm path
+/// allocates nothing.
 #[derive(Debug, Clone)]
-struct LaneScratch {
+pub(crate) struct PerLane {
+    geo: Geometry,
+    /// Modulus padded to `sw` limbs.
+    n: Vec<Limb>,
+    /// One lane's operands, padded to `sw` limbs each.
     x: Vec<Limb>,
     y: Vec<Limb>,
+    /// One lane's `sw + 2` limb accumulator.
     t: Vec<Limb>,
 }
 
-impl LaneScratch {
-    fn new(geo: Geometry) -> Self {
-        LaneScratch {
+impl PerLane {
+    pub(crate) fn new(params: &MontgomeryParams) -> Self {
+        let geo = Geometry::of(params);
+        let mut n = params.n().limbs().to_vec();
+        n.resize(geo.sw, 0);
+        PerLane {
+            n,
             x: vec![0; geo.sw],
             y: vec![0; geo.sw],
             t: vec![0; geo.sw + 2],
+            geo,
+        }
+    }
+
+    /// The modulus padded to `sw = ⌈(l+2)/64⌉` limbs.
+    pub(crate) fn modulus(&self) -> &[Limb] {
+        &self.n
+    }
+
+    /// The `Vec<Ubig>` entry on validated operands (at most
+    /// [`SCALAR_LANES`] lanes): lane `k`'s result limb `j` is staged at
+    /// `stage[j·lanes + k]`, which [`limbs_to_lanes_into`] gathers at
+    /// stride `lanes` into `out`. `stage` must hold `sw·lanes` limbs.
+    pub(crate) fn mont_mul_batch_into(
+        &mut self,
+        xs: &[Ubig],
+        ys: &[Ubig],
+        hardened: bool,
+        stage: &mut [Limb],
+        out: &mut Vec<Ubig>,
+    ) {
+        let (sw, lanes) = (self.geo.sw, xs.len());
+        for (k, (x, y)) in xs.iter().zip(ys).enumerate() {
+            for (j, &limb) in self.mont_mul(x, y, hardened).iter().enumerate() {
+                stage[j * lanes + k] = limb;
+            }
+        }
+        limbs_to_lanes_into(&stage[..sw * lanes], sw, lanes, lanes, out);
+    }
+
+    /// The rows entry on validated rows: each live lane's column of `x`
+    /// and `y` in, its result into the same column of `out`.
+    pub(crate) fn mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        hardened: bool,
+        out: &mut [Limb],
+    ) {
+        for k in 0..lanes {
+            for j in 0..self.geo.sw {
+                self.x[j] = x[j * MAX_LANES + k];
+                self.y[j] = y[j * MAX_LANES + k];
+            }
+            for (j, &limb) in self.run(hardened).iter().enumerate() {
+                out[j * MAX_LANES + k] = limb;
+            }
         }
     }
 
     /// One Algorithm-2 multiplication of `x, y < 2N`, read straight
     /// from their limbs; returns the `sw` result limbs.
-    fn mont_mul(&mut self, geo: Geometry, n: &[Limb], x: &Ubig, y: &Ubig) -> &mut [Limb] {
+    fn mont_mul(&mut self, x: &Ubig, y: &Ubig, hardened: bool) -> &[Limb] {
         load_padded(x, &mut self.x);
         load_padded(y, &mut self.y);
-        self.run(geo, n)
+        self.run(hardened)
     }
 
-    /// One Algorithm-2 multiplication of lane `k` of the rows `x` and
-    /// `y`; returns the `sw` result limbs.
-    fn mont_mul_column(
-        &mut self,
-        geo: Geometry,
-        n: &[Limb],
-        x: &[Limb],
-        y: &[Limb],
-        k: usize,
-    ) -> &mut [Limb] {
-        for j in 0..geo.sw {
-            self.x[j] = x[j * MAX_LANES + k];
-            self.y[j] = y[j * MAX_LANES + k];
-        }
-        self.run(geo, n)
-    }
-
-    /// The scan on the loaded operands.
-    fn run(&mut self, geo: Geometry, n: &[Limb]) -> &mut [Limb] {
+    /// The scan on the loaded operands, canonicalized below `N` when
+    /// `hardened`; returns the `sw` result limbs.
+    fn run(&mut self, hardened: bool) -> &[Limb] {
         self.t.fill(0);
-        run_cios_scalar(geo, n, &self.x, &self.y, &mut self.t);
-        &mut self.t[..geo.sw]
+        run_cios_scalar(self.geo, &self.n, &self.x, &self.y, &mut self.t);
+        let r = &mut self.t[..self.geo.sw];
+        if hardened {
+            ct_sub_if_ge(r, &self.n);
+        }
+        r
     }
 }
 
@@ -178,10 +234,7 @@ impl LaneScratch {
 #[derive(Debug, Clone)]
 pub struct CiosMont {
     params: MontgomeryParams,
-    geo: Geometry,
-    /// Modulus padded to `sw` limbs.
-    n: Vec<Limb>,
-    lane: LaneScratch,
+    scan: PerLane,
 }
 
 impl CiosMont {
@@ -189,12 +242,9 @@ impl CiosMont {
     /// has no hardware-safety requirement: it is a software scan, so
     /// any valid `MontgomeryParams` (e.g. `tight` widths) works.
     pub fn new(params: MontgomeryParams) -> Self {
-        let geo = Geometry::of(&params);
         CiosMont {
-            n: geo.padded_modulus(&params),
-            lane: LaneScratch::new(geo),
+            scan: PerLane::new(&params),
             params,
-            geo,
         }
     }
 }
@@ -209,7 +259,7 @@ impl MontMul for CiosMont {
             self.params.check_operand(x) && self.params.check_operand(y),
             "operands must be < 2N"
         );
-        let out = Ubig::from_limbs(self.lane.mont_mul(self.geo, &self.n, x, y).to_vec());
+        let out = Ubig::from_limbs(self.scan.mont_mul(x, y, false).to_vec());
         debug_assert!(self.params.check_operand(&out), "Walter bound violated");
         out
     }
@@ -300,19 +350,17 @@ fn run_cios_scalar(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [L
 #[derive(Debug, Clone)]
 pub struct CiosBatch {
     params: MontgomeryParams,
-    geo: Geometry,
-    /// Modulus padded to `sw` limbs (shared by every lane).
-    n: Vec<Limb>,
+    /// The per-lane path of batches of at most [`SCALAR_LANES`] lanes;
+    /// its geometry and padded modulus serve the SoA kernel too.
+    per_lane: PerLane,
     /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
     two_n: Vec<Limb>,
     /// SoA operands: `x[j·64 + k]` is limb `j` of lane `k`.
     x: Vec<Limb>,
     y: Vec<Limb>,
-    /// SoA accumulator, `sw + 2` limb rows. The per-lane path reuses
-    /// its head as a `lanes`-stride view of the results.
+    /// SoA accumulator, `sw + 2` limb rows. The per-lane path stages
+    /// its results in its head.
     t: Vec<Limb>,
-    /// Scalar-scan scratch of the per-lane path.
-    lane: LaneScratch,
     /// Constant-time mode: when hardened, every result is canonicalized
     /// `< N` by [`cond_sub_rows`] (SoA path) or [`ct_sub_if_ge`]
     /// (per-lane path).
@@ -324,16 +372,15 @@ impl CiosBatch {
     /// the array engines) any valid parameters are accepted — there is
     /// no carry cell to overflow in a word-level scan.
     pub fn new(params: MontgomeryParams) -> Self {
-        let geo = Geometry::of(&params);
+        let per_lane = PerLane::new(&params);
+        let sw = per_lane.geo.sw;
         CiosBatch {
-            n: geo.padded_modulus(&params),
-            two_n: padded_limbs(&params.two_n(), geo.sw),
-            x: vec![0; geo.sw * MAX_LANES],
-            y: vec![0; geo.sw * MAX_LANES],
-            t: vec![0; (geo.sw + 2) * MAX_LANES],
-            lane: LaneScratch::new(geo),
+            two_n: padded_limbs(&params.two_n(), sw),
+            x: vec![0; sw * MAX_LANES],
+            y: vec![0; sw * MAX_LANES],
+            t: vec![0; (sw + 2) * MAX_LANES],
+            per_lane,
             params,
-            geo,
             hardening: HardeningMode::Off,
         }
     }
@@ -367,36 +414,19 @@ impl CiosBatch {
         out: &mut Vec<Ubig>,
     ) -> Result<(), MmmError> {
         validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        let sw = self.geo.sw;
-        let stride = if xs.len() <= SCALAR_LANES {
-            self.run_per_lane(xs, ys);
-            xs.len()
+        let hardened = self.hardening.is_hardened();
+        if xs.len() <= SCALAR_LANES {
+            self.per_lane
+                .mont_mul_batch_into(xs, ys, hardened, &mut self.t, out);
         } else {
-            lanes_to_limbs_into(xs, sw, MAX_LANES, &mut self.x);
-            lanes_to_limbs_into(ys, sw, MAX_LANES, &mut self.y);
-            let hardened = self.hardening.is_hardened();
-            run_soa(self.geo, &self.n, &self.x, &self.y, &mut self.t, hardened);
-            MAX_LANES
-        };
-        limbs_to_lanes_into(&self.t[..sw * stride], sw, stride, xs.len(), out);
-        Ok(())
-    }
-
-    /// The per-lane path for narrow batches: one scalar scan per live
-    /// lane, canonicalized by [`ct_sub_if_ge`] when hardened. Lane
-    /// `k`'s result limb `j` lands in `t[j·lanes + k]`, the SoA view
-    /// [`limbs_to_lanes_into`] reads at stride `lanes`.
-    fn run_per_lane(&mut self, xs: &[Ubig], ys: &[Ubig]) {
-        let lanes = xs.len();
-        for (k, (x, y)) in xs.iter().zip(ys).enumerate() {
-            let r = self.lane.mont_mul(self.geo, &self.n, x, y);
-            if self.hardening.is_hardened() {
-                ct_sub_if_ge(r, &self.n);
-            }
-            for (j, &limb) in r.iter().enumerate() {
-                self.t[j * lanes + k] = limb;
-            }
+            let (geo, n) = (self.per_lane.geo, &self.per_lane.n);
+            lanes_to_limbs_into(xs, geo.sw, MAX_LANES, &mut self.x);
+            lanes_to_limbs_into(ys, geo.sw, MAX_LANES, &mut self.y);
+            run_soa(geo, n, &self.x, &self.y, &mut self.t, hardened);
+            let head = &self.t[..geo.sw * MAX_LANES];
+            limbs_to_lanes_into(head, geo.sw, MAX_LANES, xs.len(), out);
         }
+        Ok(())
     }
 }
 
@@ -652,7 +682,7 @@ impl BatchMontMul for CiosBatch {
     }
 
     /// The rows entry in place: at most `SCALAR_LANES` (32) live lanes
-    /// run the scalar scan on each lane's column; wider batches run
+    /// run the per-lane path on each lane's column; wider batches run
     /// the SoA kernel straight on `x` and `y` (a partial batch first
     /// copies its live columns, so dead ones hold zeros).
     fn try_mont_mul_rows(
@@ -662,20 +692,12 @@ impl BatchMontMul for CiosBatch {
         lanes: usize,
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
-        let sw = self.geo.sw;
-        check_shape(sw, x, y, lanes, out)?;
+        let (geo, n) = (self.per_lane.geo, &self.per_lane.n);
+        check_shape(geo.sw, x, y, lanes, out)?;
         check_below(&self.two_n, x, y, lanes)?;
         let hardened = self.hardening.is_hardened();
         if lanes <= SCALAR_LANES {
-            for k in 0..lanes {
-                let r = self.lane.mont_mul_column(self.geo, &self.n, x, y, k);
-                if hardened {
-                    ct_sub_if_ge(r, &self.n);
-                }
-                for (j, &limb) in r.iter().enumerate() {
-                    out[j * MAX_LANES + k] = limb;
-                }
-            }
+            self.per_lane.mont_mul_rows(x, y, lanes, hardened, out);
         } else {
             let (x, y) = if lanes == MAX_LANES {
                 (x, y)
@@ -684,8 +706,8 @@ impl BatchMontMul for CiosBatch {
                 copy_live_columns(y, lanes, &mut self.y);
                 (&self.x[..], &self.y[..])
             };
-            run_soa(self.geo, &self.n, x, y, &mut self.t, hardened);
-            out.copy_from_slice(&self.t[..sw * MAX_LANES]);
+            run_soa(geo, n, x, y, &mut self.t, hardened);
+            out.copy_from_slice(&self.t[..geo.sw * MAX_LANES]);
         }
         Ok(())
     }

@@ -1,5 +1,6 @@
 //! Radix-2⁵² carry-save CIOS Montgomery multiplication — the
-//! vector-unit-shaped production backend.
+//! vector-unit-shaped production backend, the default on every host
+//! with an AVX2 or IFMA kernel.
 //!
 //! ## Why 52-bit digits
 //!
@@ -31,6 +32,19 @@
 //! kernel computes the identical function, asserted lane-for-lane by
 //! the unit tests below and the cross-engine suites.
 //!
+//! ## The per-lane floor
+//!
+//! Every kernel sweeps all 64 lanes whatever the live lane count, so a
+//! one-lane call would cost a full 64-lane scan. A batch of at most
+//! `SCALAR_LANES` (32) live lanes therefore runs the per-lane scalar
+//! scan the radix-2⁶⁴ engine uses for the same batches (`PerLane` in
+//! [`crate::cios`]), on both entry points; wider batches run the
+//! selected kernel. Which path runs depends only on the public lane
+//! count, and both compute the same function bit for bit, so the
+//! engine's cost per call rises with its live lanes up to the bound
+//! and [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)
+//! is 32 on both CIOS backends. DESIGN.md §9 has the measurements.
+//!
 //! ## Same contract, third radix
 //!
 //! Like the radix-2⁶⁴ scan ([`crate::cios`]), this engine implements
@@ -59,9 +73,11 @@
 //! canonicalizing final subtraction as the radix-2⁶⁴ backend
 //! (`cios::cond_sub_rows`) — one decision borrow chain plus
 //! one masked subtraction per lane, so hardened outputs are `< N` on
-//! every kernel with a value-independent schedule. DESIGN.md §12 has
-//! the full per-path table.
+//! every kernel with a value-independent schedule. The per-lane floor
+//! ends each lane with `ct_sub_if_ge`, as on the radix-2⁶⁴ engine.
+//! DESIGN.md §12 has the full per-path table.
 
+use crate::cios::{PerLane, SCALAR_LANES};
 use crate::config::HardeningMode;
 use crate::error::{validate_mont_batch, MmmError};
 use crate::montgomery::MontgomeryParams;
@@ -82,6 +98,14 @@ pub const DIGIT_BITS: usize = 52;
 
 /// Mask selecting one digit's payload bits.
 pub const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
+
+/// The carry-headroom budget of DESIGN.md §9: between two
+/// normalizations a digit holds its normalized value plus one low and
+/// one deferred high half from each of two passes — below 5·2⁵², or
+/// 7·2⁵² + 2²⁸ with the AVX2 kernel's redundant split — so it stays
+/// below 2⁵⁵. All three kernels `debug_assert` it on every digit row
+/// before each normalization.
+const TRANSIENT_BITS: u32 = 55;
 
 /// Per-width geometry of the radix-2⁵² scan over `R = 2^{l+2}`: the
 /// digit-domain view from `MontgomeryParams::radix52` plus the word
@@ -302,14 +326,15 @@ pub struct Cios52Batch {
     kernel: Cios52Kernel,
     /// Modulus as `s` normalized 52-bit digits (shared by all lanes).
     n: Vec<Limb>,
-    /// Modulus in 64-bit word form padded to `sw` limbs — what the
-    /// hardened final subtraction compares the word-form output
-    /// against.
-    n_words: Vec<Limb>,
+    /// The per-lane path of batches of at most [`SCALAR_LANES`] lanes.
+    /// Its padded word-form modulus is what the hardened final
+    /// subtraction of the kernels' output compares against.
+    per_lane: PerLane,
     /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
     two_n: Vec<Limb>,
     /// Word-domain SoA staging buffer (`sw` rows), reused for input
-    /// transposes and the output conversion.
+    /// transposes, the output conversion and the per-lane path's
+    /// results.
     wscratch: Vec<Limb>,
     /// Digit-domain SoA operands: `x[d·64 + k]` is digit `d`, lane `k`.
     x: Vec<Limb>,
@@ -343,11 +368,10 @@ impl Cios52Batch {
             kernel.name()
         );
         let geo = Geometry::of(&params);
-        let mut n_words = params.n().limbs().to_vec();
-        n_words.resize(geo.sw, 0);
+        let per_lane = PerLane::new(&params);
         Cios52Batch {
-            n: limbs_to_digits52(&n_words, geo.s),
-            n_words,
+            n: limbs_to_digits52(per_lane.modulus(), geo.s),
+            per_lane,
             two_n: padded_limbs(&params.two_n(), geo.sw),
             wscratch: vec![0; geo.sw * MAX_LANES],
             x: vec![0; geo.s * MAX_LANES],
@@ -404,7 +428,9 @@ impl Cios52Batch {
     }
 
     /// [`Self::mont_mul_batch_into`] returning every input rejection
-    /// as a typed [`MmmError`] instead of panicking.
+    /// as a typed [`MmmError`] instead of panicking. At most 32 lanes
+    /// (the per-lane bound) run the per-lane scalar scan; wider batches
+    /// run the selected kernel.
     pub fn try_mont_mul_batch_into(
         &mut self,
         xs: &[Ubig],
@@ -413,13 +439,19 @@ impl Cios52Batch {
     ) -> Result<(), MmmError> {
         validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
         let (geo, lanes) = (self.geo, xs.len());
+        let hardened = self.hardening.is_hardened();
+        if lanes <= SCALAR_LANES {
+            self.per_lane
+                .mont_mul_batch_into(xs, ys, hardened, &mut self.wscratch, out);
+            return Ok(());
+        }
         lanes_to_limbs_into(xs, geo.sw, MAX_LANES, &mut self.wscratch);
         soa_words_to_digits52(&self.wscratch, geo.sw, &mut self.x, geo.s, lanes);
         lanes_to_limbs_into(ys, geo.sw, MAX_LANES, &mut self.wscratch);
         soa_words_to_digits52(&self.wscratch, geo.sw, &mut self.y, geo.s, lanes);
         self.run_kernel();
-        let hardened = self.hardening.is_hardened();
-        store_words(&self.t, geo, &self.n_words, hardened, &mut self.wscratch);
+        let n_words = self.per_lane.modulus();
+        store_words(&self.t, geo, n_words, hardened, &mut self.wscratch);
         limbs_to_lanes_into(
             &self.wscratch[..geo.sw * MAX_LANES],
             geo.sw,
@@ -485,8 +517,10 @@ impl BatchMontMul for Cios52Batch {
         Cios52Batch::mont_mul_batch_into(self, xs, ys, out);
     }
 
-    /// The rows entry in place: `x` and `y` convert straight to digit
-    /// rows and the result converts straight into `out`.
+    /// The rows entry in place: at most `SCALAR_LANES` (32) live lanes
+    /// run the per-lane path on each lane's column; wider batches
+    /// convert `x` and `y` straight to digit rows and the result
+    /// straight into `out`.
     fn try_mont_mul_rows(
         &mut self,
         x: &[Limb],
@@ -497,16 +531,15 @@ impl BatchMontMul for Cios52Batch {
         let geo = self.geo;
         check_shape(geo.sw, x, y, lanes, out)?;
         check_below(&self.two_n, x, y, lanes)?;
+        let hardened = self.hardening.is_hardened();
+        if lanes <= SCALAR_LANES {
+            self.per_lane.mont_mul_rows(x, y, lanes, hardened, out);
+            return Ok(());
+        }
         soa_words_to_digits52(x, geo.sw, &mut self.x, geo.s, lanes);
         soa_words_to_digits52(y, geo.sw, &mut self.y, geo.s, lanes);
         self.run_kernel();
-        store_words(
-            &self.t,
-            geo,
-            &self.n_words,
-            self.hardening.is_hardened(),
-            out,
-        );
+        store_words(&self.t, geo, self.per_lane.modulus(), hardened, out);
         Ok(())
     }
 
@@ -556,6 +589,12 @@ fn row_mut(soa: &mut [Limb], j: usize) -> &mut LaneRow {
 /// `< 2⁵²`. This is the *only* carry chain in the whole scan.
 #[inline(always)]
 fn normalize52(t: &mut [Limb], top: usize) {
+    debug_assert!(
+        t[..(top + 1) * MAX_LANES]
+            .iter()
+            .all(|&v| v >> TRANSIENT_BITS == 0),
+        "digit reached 2^55 before normalization"
+    );
     let mut c: LaneRow = [0; MAX_LANES];
     for j in 0..=top {
         let tj = row_mut(t, j);
@@ -729,6 +768,24 @@ fn run_cios52_portable(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mu
     );
 }
 
+/// Whether every lane of `d` is below 2⁵⁵ ([`TRANSIENT_BITS`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn ifma_within_budget(d: core::arch::x86_64::__m512i) -> bool {
+    use core::arch::x86_64::*;
+    let over = _mm512_srli_epi64(d, TRANSIENT_BITS);
+    _mm512_test_epi64_mask(over, over) == 0
+}
+
+/// Whether every lane of `d` is below 2⁵⁵ ([`TRANSIENT_BITS`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx2_within_budget(d: core::arch::x86_64::__m256i) -> bool {
+    use core::arch::x86_64::*;
+    let over = _mm256_srli_epi64(d, TRANSIENT_BITS as i32);
+    _mm256_testz_si256(over, over) == 1
+}
+
 /// The AVX-512-IFMA kernel: 8 lanes per `__m512i`, so the 64-lane
 /// batch is 8 vector columns; each column runs the whole scan before
 /// the next starts (the working set of one column — `(s+2)·64` bytes
@@ -804,10 +861,9 @@ unsafe fn run_cios52_ifma(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: 
             // The one normalization of this outer step.
             let mut cv = zero;
             for j in 0..=s {
-                let v = _mm512_add_epi64(
-                    _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
+                let d = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
+                debug_assert!(ifma_within_budget(d), "digit reached 2^55");
+                let v = _mm512_add_epi64(d, cv);
                 _mm512_storeu_si512(
                     tp.add(j * MAX_LANES + off) as *mut _,
                     _mm512_and_si512(v, mask52),
@@ -856,10 +912,9 @@ unsafe fn run_cios52_ifma(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: 
             // Normalize rows 0..=s+1, then shift right by rem bits.
             let mut cv = zero;
             for j in 0..=s + 1 {
-                let v = _mm512_add_epi64(
-                    _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
+                let d = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
+                debug_assert!(ifma_within_budget(d), "digit reached 2^55");
+                let v = _mm512_add_epi64(d, cv);
                 _mm512_storeu_si512(
                     tp.add(j * MAX_LANES + off) as *mut _,
                     _mm512_and_si512(v, mask52),
@@ -1001,10 +1056,9 @@ unsafe fn run_cios52_avx2(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: 
             // The one normalization of this outer step.
             let mut cv = zero;
             for j in 0..=s {
-                let v = _mm256_add_epi64(
-                    _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
+                let d = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
+                debug_assert!(avx2_within_budget(d), "digit reached 2^55");
+                let v = _mm256_add_epi64(d, cv);
                 _mm256_storeu_si256(
                     tp.add(j * MAX_LANES + off) as *mut _,
                     _mm256_and_si256(v, mask52),
@@ -1069,10 +1123,9 @@ unsafe fn run_cios52_avx2(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: 
             // Normalize rows 0..=s+1, then shift right by rem bits.
             let mut cv = zero;
             for j in 0..=s + 1 {
-                let v = _mm256_add_epi64(
-                    _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _),
-                    cv,
-                );
+                let d = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
+                debug_assert!(avx2_within_budget(d), "digit reached 2^55");
+                let v = _mm256_add_epi64(d, cv);
                 _mm256_storeu_si256(
                     tp.add(j * MAX_LANES + off) as *mut _,
                     _mm256_and_si256(v, mask52),
@@ -1148,10 +1201,11 @@ mod tests {
 
     #[test]
     fn demotion_walks_down_to_portable_and_stays_correct() {
+        // Wider than the per-lane bound, so every tier's kernel runs.
         let mut rng = StdRng::seed_from_u64(705);
         let p = random_safe_params(&mut rng, 64);
-        let xs: Vec<Ubig> = (0..4).map(|_| random_operand(&mut rng, &p)).collect();
-        let ys: Vec<Ubig> = (0..4).map(|_| random_operand(&mut rng, &p)).collect();
+        let xs: Vec<Ubig> = (0..40).map(|_| random_operand(&mut rng, &p)).collect();
+        let ys: Vec<Ubig> = (0..40).map(|_| random_operand(&mut rng, &p)).collect();
         let want: Vec<Ubig> = xs
             .iter()
             .zip(&ys)
@@ -1181,17 +1235,21 @@ mod tests {
     #[test]
     fn every_available_kernel_matches_alg2_exhaustive_small() {
         // N = 13, l = 4 (full = 0, rem = 6): every x, y < 2N, and the
-        // non-canonical < 2N representative must match exactly.
+        // non-canonical < 2N representative must match exactly. Each
+        // call pairs x and 25 − x with every y: 52 lanes, above the
+        // per-lane bound, so the kernel itself runs.
         let p = MontgomeryParams::new(&Ubig::from(13u64), 4);
+        let ys: Vec<Ubig> = (0..52u64).map(|i| Ubig::from(i % 26)).collect();
         for &kernel in Cios52Kernel::available() {
             let mut e = Cios52Batch::with_kernel(p.clone(), kernel);
-            for x in 0u64..26 {
-                let xs: Vec<Ubig> = (0..26u64).map(Ubig::from).collect();
-                let xx: Vec<Ubig> = (0..26).map(|_| Ubig::from(x)).collect();
-                let got = e.mont_mul_batch(&xx, &xs);
-                for y in 0u64..26 {
-                    let want = mont_mul_alg2(&p, &Ubig::from(x), &Ubig::from(y));
-                    assert_eq!(got[y as usize], want, "{} x={x} y={y}", kernel.name());
+            for x in 0u64..13 {
+                let xs: Vec<Ubig> = (0..52)
+                    .map(|i| Ubig::from(if i < 26 { x } else { 25 - x }))
+                    .collect();
+                let got = e.mont_mul_batch(&xs, &ys);
+                for (k, (xk, yk)) in xs.iter().zip(&ys).enumerate() {
+                    let want = mont_mul_alg2(&p, xk, yk);
+                    assert_eq!(got[k], want, "{} x={xk} y={yk}", kernel.name());
                 }
             }
         }
@@ -1237,17 +1295,20 @@ mod tests {
             }
             let p = MontgomeryParams::tight(&n);
             assert!(!p.is_hardware_safe(), "bits={bits}");
-            let xs: Vec<Ubig> = (0..8).map(|_| random_operand(&mut rng, &p)).collect();
-            for &kernel in Cios52Kernel::available() {
-                let mut e = Cios52Batch::with_kernel(p.clone(), kernel);
-                let got = e.mont_mul_batch(&xs, &xs);
-                for k in 0..8 {
-                    assert_eq!(
-                        got[k],
-                        mont_mul_alg2(&p, &xs[k], &xs[k]),
-                        "{} bits={bits} lane {k}",
-                        kernel.name()
-                    );
+            // 8 lanes run the per-lane path, 64 the kernel.
+            for lanes in [8, MAX_LANES] {
+                let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
+                for &kernel in Cios52Kernel::available() {
+                    let mut e = Cios52Batch::with_kernel(p.clone(), kernel);
+                    let got = e.mont_mul_batch(&xs, &xs);
+                    for k in 0..lanes {
+                        assert_eq!(
+                            got[k],
+                            mont_mul_alg2(&p, &xs[k], &xs[k]),
+                            "{} bits={bits} lanes={lanes} lane {k}",
+                            kernel.name()
+                        );
+                    }
                 }
             }
         }
@@ -1275,10 +1336,11 @@ mod tests {
 
     #[test]
     fn outputs_feed_back_as_inputs() {
-        // The Algorithm-2 closure property on every available kernel.
+        // The Algorithm-2 closure property on every available kernel
+        // (48 lanes, above the per-lane bound).
         let mut rng = StdRng::seed_from_u64(705);
         let p = random_safe_params(&mut rng, 70);
-        let xs: Vec<Ubig> = (0..16).map(|_| random_operand(&mut rng, &p)).collect();
+        let xs: Vec<Ubig> = (0..48).map(|_| random_operand(&mut rng, &p)).collect();
         for &kernel in Cios52Kernel::available() {
             let mut batch = Cios52Batch::with_kernel(p.clone(), kernel);
             let mut a = batch.mont_mul_batch(&xs, &xs);

@@ -11,7 +11,9 @@
 //! * [`EngineConfig`] is an ordinary value with builder-style setters
 //!   ([`EngineConfig::with_backend`], [`EngineConfig::with_window`],
 //!   [`EngineConfig::with_shard_lanes`]) — construct one per session,
-//!   per test, per request class;
+//!   per test, per request class. [`EngineConfig::default`] picks the
+//!   backend from the host's CPU features: the radix-2⁵² scan where
+//!   an AVX2 or IFMA kernel exists, the radix-2⁶⁴ scan elsewhere;
 //! * [`EngineConfig::from_env`] is the **single** place environment
 //!   variables are parsed, returning `Result<_, MmmError>` instead of
 //!   panicking — the process-global defaults
@@ -33,6 +35,7 @@
 //! ```
 
 use crate::batch::MAX_LANES;
+use crate::cios52::Cios52Kernel;
 use crate::engine::EngineKind;
 use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
@@ -183,13 +186,18 @@ impl PartialEq for EngineConfig {
 impl Eq for EngineConfig {}
 
 impl Default for EngineConfig {
-    /// The production defaults: CIOS backend, auto-tuned window,
-    /// [`DEFAULT_MAX_KEYS`] pool entries, full 64-lane shards. Note
-    /// this ignores the environment — use [`EngineConfig::from_env`]
-    /// for the env-respecting variant.
+    /// The production defaults: the host's backend, auto-tuned window,
+    /// [`DEFAULT_MAX_KEYS`] pool entries, full 64-lane shards. The
+    /// backend is [`EngineKind::Cios52`] when
+    /// [`Cios52Kernel::active`] is the AVX2 or IFMA kernel and
+    /// [`EngineKind::Cios`] otherwise: both run narrow batches on the
+    /// same per-lane scan, the SIMD kernels beat the radix-2⁶⁴ SoA
+    /// kernel on wide ones, and the portable radix-2⁵² kernel does not
+    /// (DESIGN.md §9). Note this ignores the environment — use
+    /// [`EngineConfig::from_env`] for the env-respecting variant.
     fn default() -> Self {
         EngineConfig {
-            backend: EngineKind::Cios,
+            backend: host_backend(),
             window: WindowPolicy::Auto,
             pool_capacity: DEFAULT_MAX_KEYS,
             shard_lanes: MAX_LANES,
@@ -293,8 +301,8 @@ impl EngineConfig {
         }
     }
 
-    /// Selects the multiplier backend (infallible — both backends are
-    /// always valid choices at configuration time; a bit-sliced
+    /// Selects the multiplier backend (infallible — every backend is a
+    /// valid choice at configuration time; a bit-sliced
     /// checkout on hardware-unsafe parameters is rejected at session /
     /// checkout time with [`MmmError::HardwareUnsafeWidth`]).
     pub fn with_backend(mut self, backend: EngineKind) -> Self {
@@ -418,7 +426,7 @@ impl EngineConfig {
     /// workspace that parses these variables; an unrecognized or
     /// unreadable value is an [`MmmError::Config`] naming the variable
     /// — never a silent fallback, so a typo cannot turn an A/B
-    /// comparison into CIOS-vs-CIOS.
+    /// comparison into default-vs-default.
     pub fn from_env() -> Result<Self, MmmError> {
         Self::default().override_from_env()
     }
@@ -475,6 +483,14 @@ fn env_override<T>(
     }
 }
 
+/// The production backend of this host (see [`EngineConfig::default`]).
+fn host_backend() -> EngineKind {
+    match Cios52Kernel::active() {
+        Cios52Kernel::Avx2 | Cios52Kernel::Ifma => EngineKind::Cios52,
+        Cios52Kernel::Portable => EngineKind::Cios,
+    }
+}
+
 /// Default serving worker count: the host's available parallelism
 /// (one worker per core, the quad-core-RSA-processor shape), falling
 /// back to 1 if the host cannot report it.
@@ -488,10 +504,20 @@ fn default_workers() -> usize {
 mod tests {
     use super::*;
 
+    /// The host rule of [`EngineConfig::default`]: the radix-2⁵² scan
+    /// exactly when a SIMD kernel exists.
+    fn host_rule() -> EngineKind {
+        if Cios52Kernel::active() == Cios52Kernel::Portable {
+            EngineKind::Cios
+        } else {
+            EngineKind::Cios52
+        }
+    }
+
     #[test]
     fn default_matches_production_defaults() {
         let c = EngineConfig::default();
-        assert_eq!(c.backend(), EngineKind::Cios);
+        assert_eq!(c.backend(), host_rule());
         assert_eq!(c.window(), WindowPolicy::Auto);
         assert_eq!(c.pool_capacity(), DEFAULT_MAX_KEYS);
         assert_eq!(c.shard_lanes(), MAX_LANES);
@@ -697,15 +723,17 @@ mod tests {
     #[test]
     fn from_env_without_overrides_is_default() {
         // The test environment leaves MMM_ENGINE / MMM_POOL_KEYS unset
-        // (or, in the CI engine-override jobs, MMM_ENGINE=bitsliced /
-        // cios52 — which from_env must follow, like default_kind does).
+        // (or, in the CI engine-override jobs, MMM_ENGINE=cios /
+        // cios52 / bitsliced — which from_env must follow, like
+        // default_kind does).
         let c = EngineConfig::from_env().expect("clean environment parses");
         match std::env::var("MMM_ENGINE").as_deref() {
             Ok("bitsliced") | Ok("bit-sliced") => {
                 assert_eq!(c.backend(), EngineKind::BitSliced)
             }
             Ok("cios52") => assert_eq!(c.backend(), EngineKind::Cios52),
-            _ => assert_eq!(c.backend(), EngineKind::Cios),
+            Ok("cios") => assert_eq!(c.backend(), EngineKind::Cios),
+            _ => assert_eq!(c.backend(), host_rule()),
         }
         assert_eq!(c.window(), WindowPolicy::Auto);
     }

@@ -7,24 +7,31 @@
 //! `tests/radix_backend.rs`), so dispatch is purely a performance
 //! decision:
 //!
-//! * [`EngineKind::Cios`] — the radix-2⁶⁴ word-serial scan
-//!   ([`crate::cios::CiosBatch`]), the production default (~2·(l/64)²
-//!   u64 MACs per multiplication);
 //! * [`EngineKind::Cios52`] — the radix-2⁵² carry-save scan
 //!   ([`crate::cios52::Cios52Batch`]) with explicit AVX2 /
 //!   AVX-512-IFMA kernels selected at runtime
 //!   ([`Cios52Kernel::available`]) and a portable auto-vectorizing
-//!   fallback;
+//!   fallback; the production default on every host with an AVX2 or
+//!   IFMA kernel;
+//! * [`EngineKind::Cios`] — the radix-2⁶⁴ word-serial scan
+//!   ([`crate::cios::CiosBatch`], ~2·(l/64)² u64 MACs per
+//!   multiplication); the production default on hosts without one,
+//!   where it beats the portable radix-2⁵² kernel, and the first step
+//!   down the quarantine chain;
 //! * [`EngineKind::BitSliced`] — the bit-serial systolic-array
 //!   simulation ([`crate::batch::BitSlicedBatch`]), retained as the
 //!   cycle-accurate fidelity oracle and for wave-model experiments
 //!   (~l² single-bit cell updates per multiplication).
 //!
-//! The process-wide default is [`EngineKind::default_kind`]: CIOS,
-//! overridable once per process with `MMM_ENGINE=bitsliced`,
-//! `MMM_ENGINE=cios52` (or `MMM_ENGINE=cios`) — useful for A/B runs of
-//! the full serving path without touching call sites. Call-site
-//! selection uses the `*_with` variants of the entry points or
+//! Both CIOS scans run a batch of at most 32 live lanes on one shared
+//! per-lane scalar scan, so a narrow call costs the same on either
+//! ([`EngineKind::per_lane_bound`]); they differ only in the kernel of
+//! wider calls. The process-wide default is
+//! [`EngineKind::default_kind`]: the host's pick
+//! ([`EngineConfig::default`]), overridable once per process with
+//! `MMM_ENGINE=cios`, `MMM_ENGINE=cios52` or `MMM_ENGINE=bitsliced` —
+//! useful for A/B runs of the full serving path without touching call
+//! sites. Call-site selection uses [`EngineConfig::with_backend`] or
 //! [`EnginePool::checkout_kind`][crate::pool::EnginePool::checkout_kind].
 
 use crate::batch::BitSlicedBatch;
@@ -39,14 +46,17 @@ use mmm_bigint::Ubig;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-/// Which batch Montgomery multiplication backend to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Which batch Montgomery multiplication backend to run. There is no
+/// `Default`: the default backend depends on the host's CPU features,
+/// and [`EngineConfig::default`] is the one place that picks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// Radix-2⁶⁴ CIOS word scan — the production serving backend.
-    #[default]
+    /// Radix-2⁶⁴ CIOS word scan — the production backend on hosts
+    /// without an AVX2 or IFMA kernel.
     Cios,
     /// Radix-2⁵² carry-save CIOS scan with explicit SIMD kernels
-    /// (portable / AVX2 / AVX-512-IFMA, chosen at runtime).
+    /// (portable / AVX2 / AVX-512-IFMA, chosen at runtime) — the
+    /// production backend on hosts with an AVX2 or IFMA kernel.
     Cios52,
     /// Bit-sliced systolic-array simulation — the cycle-accurate
     /// fidelity oracle (requires hardware-safe parameters).
@@ -82,9 +92,9 @@ impl EngineKind {
         }
     }
 
-    /// The process-wide default backend: [`EngineKind::Cios`], unless
-    /// the `MMM_ENGINE` environment variable selects otherwise
-    /// (`cios` / `cios52` / `bitsliced`). The environment is parsed **once** per
+    /// The process-wide default backend: the host's pick (see
+    /// [`EngineConfig::default`]), unless the `MMM_ENGINE` environment
+    /// variable selects otherwise (`cios` / `cios52` / `bitsliced`). The environment is parsed **once** per
     /// process through [`EngineConfig::from_env`] — the single home of
     /// all `MMM_*` parsing — and the parse *result* is what gets
     /// cached, so an invalid environment produces the same clean panic
@@ -94,7 +104,7 @@ impl EngineKind {
     /// # Panics
     /// Panics on an invalid `MMM_*` environment (the
     /// [`MmmError::Config`] text) — a typo must not silently turn an
-    /// A/B comparison into CIOS-vs-CIOS. Fallible callers should use
+    /// A/B comparison into default-vs-default. Fallible callers should use
     /// [`EngineConfig::from_env`] directly.
     pub fn default_kind() -> EngineKind {
         static FROM_ENV: OnceLock<Result<EngineKind, MmmError>> = OnceLock::new();
@@ -107,15 +117,16 @@ impl EngineKind {
     /// The widest batch this backend runs one lane at a time, so that
     /// a call costs in proportion to its live lanes: up to this many
     /// lanes, a batch that waits for more peers pays the same per lane
-    /// as one run at once. [`EngineKind::Cios`] returns the lane bound
-    /// of `CiosBatch`'s per-lane path (32, the constant that path
-    /// reads); the other backends have no per-lane path, every call
-    /// costs a full-width scan, and they return 0. The serving plane's
-    /// idle flush reads it (DESIGN.md §10).
+    /// as one run at once. [`EngineKind::Cios`] and
+    /// [`EngineKind::Cios52`] return the lane bound of the per-lane
+    /// path both engines share (32, the constant that path reads); the
+    /// bit-sliced backend has none, every call costs a full-width
+    /// scan, and it returns 0. The serving plane's idle flush reads it
+    /// for the backend a shard runs on (DESIGN.md §10).
     pub fn per_lane_bound(self) -> usize {
         match self {
-            EngineKind::Cios => crate::cios::SCALAR_LANES,
-            EngineKind::Cios52 | EngineKind::BitSliced => 0,
+            EngineKind::Cios | EngineKind::Cios52 => crate::cios::SCALAR_LANES,
+            EngineKind::BitSliced => 0,
         }
     }
 
@@ -324,18 +335,20 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn default_kind_is_cios_unless_env_overrides() {
-        // Pin the actual dispatch default (not just the derive): with
-        // MMM_ENGINE unset — the CI case — default_kind() must be the
-        // word-serial production backend; under the documented A/B
-        // override it must follow the variable.
+    fn default_kind_follows_the_host_unless_env_overrides() {
+        // Pin the actual dispatch default: with MMM_ENGINE unset — the
+        // CI case — default_kind() must be the host's production
+        // backend, the radix-2⁵² scan exactly when a SIMD kernel
+        // exists; under the documented A/B override it must follow the
+        // variable.
         let want = match std::env::var("MMM_ENGINE").as_deref() {
             Ok("bitsliced") | Ok("bit-sliced") => EngineKind::BitSliced,
             Ok("cios52") => EngineKind::Cios52,
-            _ => EngineKind::Cios,
+            Ok("cios") => EngineKind::Cios,
+            _ if Cios52Kernel::active() == Cios52Kernel::Portable => EngineKind::Cios,
+            _ => EngineKind::Cios52,
         };
         assert_eq!(EngineKind::default_kind(), want);
-        assert_eq!(EngineKind::default(), EngineKind::Cios, "derive default");
     }
 
     #[test]
@@ -387,9 +400,9 @@ mod tests {
     }
 
     #[test]
-    fn per_lane_bound_is_the_cios_scalar_path_width() {
+    fn per_lane_bound_is_the_shared_scalar_path_width() {
         assert_eq!(EngineKind::Cios.per_lane_bound(), 32);
-        assert_eq!(EngineKind::Cios52.per_lane_bound(), 0);
+        assert_eq!(EngineKind::Cios52.per_lane_bound(), 32);
         assert_eq!(EngineKind::BitSliced.per_lane_bound(), 0);
     }
 
@@ -421,7 +434,7 @@ mod tests {
             "bit-sliced".parse::<EngineKind>(),
             Ok(EngineKind::BitSliced)
         );
-        // The typo-must-not-become-CIOS-vs-CIOS guarantee, now as a
+        // The typo-must-not-become-default-vs-default guarantee, now as a
         // returned error instead of a OnceLock panic.
         let err = "coos".parse::<EngineKind>().unwrap_err();
         assert!(matches!(err, MmmError::Config(_)), "{err}");

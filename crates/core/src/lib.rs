@@ -21,11 +21,12 @@
 //!    state, with [`expo_batch`] running Algorithm 3 over all lanes at
 //!    once and one shard dispatcher ([`pool::try_sharded`]) for wider
 //!    workloads. See `DESIGN.md` §5.
-//! 6. **Radix-2⁶⁴ CIOS production backend** ([`cios`]) — the same
-//!    Algorithm-2 contract executed word-serially (~(l/64)² u64 MACs
-//!    per multiplication instead of ~l² bit-cell updates), selected by
-//!    default through the backend-dispatch layer ([`engine`]) with the
-//!    bit-sliced array retained as the fidelity oracle. See
+//! 6. **Radix-2⁶⁴ CIOS backend** ([`cios`]) — the same Algorithm-2
+//!    contract executed word-serially (~(l/64)² u64 MACs per
+//!    multiplication instead of ~l² bit-cell updates), dispatched
+//!    through the backend layer ([`engine`]) with the bit-sliced array
+//!    retained as the fidelity oracle; its per-lane scalar scan serves
+//!    every batch of at most 32 lanes on both CIOS backends. See
 //!    `DESIGN.md` §7.
 //! 7. **Typed serving surface** ([`error`], [`config`]) — one
 //!    fallible entry point per batch operation
@@ -37,7 +38,8 @@
 //! 8. **Radix-2⁵² carry-save SIMD backend** ([`cios52`]) — the same
 //!    Algorithm-2 contract over 52-bit digits with deferred carries,
 //!    with explicit AVX2 / AVX-512-IFMA kernels selected at runtime
-//!    and a portable auto-vectorizing fallback. See `DESIGN.md` §9.
+//!    and a portable auto-vectorizing fallback; the default backend
+//!    wherever an AVX2 or IFMA kernel exists. See `DESIGN.md` §9.
 //! 9. **Arithmetic integrity layer** ([`verify`]) — policy-gated
 //!    mod-`m` residue self-checks on batch multiplications, a
 //!    backend-quarantine ledger with graceful degradation down the

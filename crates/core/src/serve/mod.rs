@@ -16,8 +16,9 @@
 //!
 //! * **fill** — it holds [`EngineConfig::shard_lanes`] requests;
 //! * **idle** — a worker found the queue empty and the shard is at or
-//!   below the per-lane bound of its session's backend
-//!   ([`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)):
+//!   below the per-lane bound of the backend it will run on
+//!   ([`Session::run_kind`], then
+//!   [`EngineKind::per_lane_bound`]):
 //!   there the backend runs one lane at a time, so waiting for peers
 //!   would add latency and save nothing;
 //! * **deadline** — its oldest request has sat there for
@@ -43,7 +44,7 @@
 //! | shutdown | [`Server::shutdown`] (and `Drop`) closes the queue, drains everything already admitted, answers it, then joins the workers — in-flight requests are never dropped |
 //!
 //! The end-to-end guarantee, asserted per tenant across every
-//! [`EngineKind`](crate::EngineKind) backend by `tests/serve_faults.rs`
+//! [`EngineKind`] backend by `tests/serve_faults.rs`
 //! and `tests/serve_stress.rs`: **every admitted request receives
 //! exactly one response** — a bit-exact result or a typed
 //! [`MmmError`] — under injected panics, stalls, and queue-full
@@ -60,7 +61,7 @@ pub use ticket::Ticket;
 
 use crate::pool::lock_unpoisoned;
 use crate::verify::faults::CorruptionPlan;
-use crate::{EngineConfig, MmmError};
+use crate::{EngineConfig, EngineKind, MmmError};
 use queue::PushError;
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -82,6 +83,13 @@ pub trait Session: Debug + Send + Sync + Sized + 'static {
     /// The session's engine configuration (its shard width drives
     /// [`Collector::full_shards`]).
     fn config(&self) -> &EngineConfig;
+
+    /// The backend the session's next shard runs on: its config's
+    /// [`run_kind`](EngineConfig::run_kind) at its parameters, which is
+    /// the configured backend unless the quarantine has benched it.
+    /// The idle flush reads this backend's
+    /// [`per_lane_bound`](EngineKind::per_lane_bound).
+    fn run_kind(&self) -> EngineKind;
 }
 
 /// One batched operation of a tenant — the contract the [`Collector`]
@@ -146,7 +154,7 @@ pub struct ServeStats {
     pub fill_flushes: u64,
     /// Flushes by a worker that found the queue empty, of a shard at
     /// or below its backend's
-    /// [`per_lane_bound`](crate::EngineKind::per_lane_bound).
+    /// [`per_lane_bound`](EngineKind::per_lane_bound).
     pub idle_flushes: u64,
     /// Flushes triggered by the deadline.
     pub deadline_flushes: u64,
@@ -403,6 +411,10 @@ mod tests {
 
         fn config(&self) -> &EngineConfig {
             &self.config
+        }
+
+        fn run_kind(&self) -> EngineKind {
+            self.config.backend()
         }
     }
 

@@ -30,9 +30,10 @@
 //! 3. **deadline** — the shard's oldest request has waited
 //!    `flush_deadline`;
 //! 4. **idle** — the queue is empty, so the worker is about to park,
-//!    and the shard's lanes are at or below the per-lane bound of its
-//!    session's backend
-//!    ([`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)).
+//!    and the shard's lanes are at or below the per-lane bound
+//!    ([`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound))
+//!    of the backend the shard will run on ([`Session::run_kind`]: the
+//!    configured one unless the quarantine has benched it).
 //!    Up to that bound the backend runs one lane at a time, so waiting
 //!    for peers costs latency and saves no work per lane.
 //!
@@ -310,7 +311,7 @@ fn flush<O: ShardOp>(shared: &Shared<O>, req: Option<Request<O>>, closing: bool)
         shards
             .iter_mut()
             .filter_map(|(&(key, op), s)| {
-                let bound = shared.sessions[key].config().backend().per_lane_bound();
+                let bound = shared.sessions[key].run_kind().per_lane_bound();
                 let cause = flush_cause(
                     s.requests.len(),
                     shared.shard_lanes,

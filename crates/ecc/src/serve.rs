@@ -151,7 +151,8 @@ impl CurveSession {
         &self.config
     }
 
-    /// The multiplier backend this session runs on.
+    /// The configured multiplier backend (a shard runs on a weaker one
+    /// while the quarantine has benched it).
     pub fn backend(&self) -> EngineKind {
         self.config.backend()
     }
@@ -342,6 +343,10 @@ impl Session for CurveSession {
 
     fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    fn run_kind(&self) -> EngineKind {
+        self.config.run_kind(&self.params)
     }
 }
 

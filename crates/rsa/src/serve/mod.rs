@@ -43,7 +43,7 @@ use crate::server::{BatchOp, KeyedSession};
 use mmm_bigint::Ubig;
 use mmm_core::error::OperandBound;
 use mmm_core::serve::{self, Session, ShardOp};
-use mmm_core::{EngineConfig, MmmError};
+use mmm_core::{EngineConfig, EngineKind, MmmError};
 
 pub use mmm_core::serve::{KeyId, ServeStats};
 
@@ -66,6 +66,10 @@ impl Session for KeyedSession {
 
     fn config(&self) -> &EngineConfig {
         KeyedSession::config(self)
+    }
+
+    fn run_kind(&self) -> EngineKind {
+        KeyedSession::run_kind(self)
     }
 }
 

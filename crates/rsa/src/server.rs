@@ -126,9 +126,19 @@ impl KeyedSession {
         &self.config
     }
 
-    /// The multiplier backend this session runs on.
+    /// The configured multiplier backend (a batch runs on a weaker one
+    /// while the quarantine has benched it).
     pub fn backend(&self) -> EngineKind {
         self.config.backend()
+    }
+
+    /// The backend the next batch runs on: the configured one unless
+    /// the quarantine has benched it. The pooled parameters of `N`,
+    /// `p` and `q` are all hardware-safe, so the pick is the same for
+    /// every operation; it is read at the CRT primes' parameters, as
+    /// `decrypt_crt` does.
+    pub(crate) fn run_kind(&self) -> EngineKind {
+        self.config.run_kind(&self.pparams)
     }
 
     /// Signs every message: `s_k = m_k ^ D mod N`. Lanes beyond the

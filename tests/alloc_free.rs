@@ -3,8 +3,9 @@
 //! after two warm-up batches (which size the lane state and the
 //! reusable output buffers) further `mont_mul_batch_into` calls must
 //! perform **zero** heap operations — on the bit-sliced engine, the
-//! radix-2⁶⁴ CIOS engine (both its per-lane and its SoA path), and the
-//! radix-2⁵² carry-save engine alike. The rows entry
+//! radix-2⁶⁴ CIOS engine and the radix-2⁵² carry-save engine on every
+//! kernel alike, on both the per-lane path and the 64-lane kernels of
+//! the two CIOS engines. The rows entry
 //! (`try_mont_mul_rows`) is held to the same bar on both CIOS engines,
 //! on every radix-2⁵² kernel and through a pooled engine, and a
 //! batched ECC scan's window loop must not allocate at all.
@@ -223,68 +224,55 @@ fn warm_batch_multiplication_does_not_allocate() {
     }
     assert_eq!(a, want, "hot-path results must stay bit-identical");
 
-    // Same discipline for the radix-2^64 CIOS batch engine, on both of
-    // its paths: batches of up to 32 lanes (its per-lane bound) run one
-    // scalar scan per lane, wider ones the 64-lane SoA kernel. The
-    // window alternates 1-, 3-, 32- and 64-lane squaring chains on one
-    // engine. Each chain ping-pongs its own pair of output buffers,
-    // since shrinking a Vec<Ubig> would drop its lanes' limb buffers.
-    let mut cios = CiosBatch::new(params.clone());
-    let mut chains: Vec<(Vec<Ubig>, Vec<Ubig>)> = [1usize, 3, 32, 64]
-        .iter()
-        .map(|&lanes| {
-            let (mut ca, mut cb) = (Vec::new(), Vec::new());
-            cios.mont_mul_batch_into(&xs[..lanes], &ys[..lanes], &mut ca);
-            cios.mont_mul_batch_into(&ca, &ca, &mut cb);
-            (cb, ca)
-        })
-        .collect();
-
-    let before = HEAP_OPS.load(Ordering::SeqCst);
-    for _ in 0..8 {
-        for (ca, cb) in chains.iter_mut() {
-            cios.mont_mul_batch_into(ca, ca, cb);
-            std::mem::swap(ca, cb);
+    // Same discipline for the radix-2^64 CIOS batch engine and the
+    // radix-2^52 engine on every kernel, on both of their paths: batches
+    // of up to 32 lanes (the per-lane bound) run one scalar scan per
+    // lane, wider ones the 64-lane kernel. The window alternates 1-, 3-,
+    // 32-, 33- and 64-lane squaring chains on one engine. Each chain
+    // ping-pongs its own pair of output buffers, since shrinking a
+    // Vec<Ubig> would drop its lanes' limb buffers. The radix-2^52
+    // digit conversions run through engine-owned scratch, and
+    // Cios52Kernel::available() has been forced (one Vec) by
+    // construction, before any measurement window.
+    let mut engines: Vec<(String, Box<dyn BatchMontMul>)> = vec![(
+        "cios".into(),
+        Box::new(CiosBatch::new(params.clone())) as Box<dyn BatchMontMul>,
+    )];
+    for &kernel in Cios52Kernel::available() {
+        engines.push((
+            format!("cios52/{}", kernel.name()),
+            Box::new(Cios52Batch::with_kernel(params.clone(), kernel)),
+        ));
+    }
+    for (name, engine) in engines.iter_mut() {
+        let mut chains: Vec<(Vec<Ubig>, Vec<Ubig>)> = [1usize, 3, 32, 33, 64]
+            .iter()
+            .map(|&lanes| {
+                let (mut ca, mut cb) = (Vec::new(), Vec::new());
+                engine.mont_mul_batch_into(&xs[..lanes], &ys[..lanes], &mut ca);
+                engine.mont_mul_batch_into(&ca, &ca, &mut cb);
+                (cb, ca)
+            })
+            .collect();
+        let ops = heap_ops(|| {
+            for _ in 0..8 {
+                for (ca, cb) in chains.iter_mut() {
+                    engine.mont_mul_batch_into(ca, ca, cb);
+                    std::mem::swap(ca, cb);
+                }
+            }
+        });
+        assert_eq!(
+            ops, 0,
+            "warm {name} mont_mul_batch_into must not touch the heap on either path"
+        );
+        for (ca, _) in &chains {
+            assert_eq!(
+                ca[..],
+                a[..ca.len()],
+                "{}-lane {name} squaring chain bit-identical to bit-sliced",
+                ca.len()
+            );
         }
     }
-    let after = HEAP_OPS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "warm CIOS mont_mul_batch_into must not touch the heap on either path"
-    );
-    for (ca, _) in &chains {
-        assert_eq!(
-            ca[..],
-            a[..ca.len()],
-            "{}-lane CIOS squaring chain bit-identical to bit-sliced",
-            ca.len()
-        );
-    }
-
-    // And for the radix-2^52 carry-save engine (whichever kernel is
-    // active on this host): the digit-domain conversions run through
-    // the engine-owned word/digit SoA scratch buffers, so the warm
-    // path must be heap-free too. Note Cios52Kernel::available() has
-    // already been forced by construction, so the OnceLock init (one
-    // Vec) happens before the measurement window.
-    let mut c52 = Cios52Batch::new(params.clone());
-    let mut fa: Vec<Ubig> = Vec::new();
-    let mut fb: Vec<Ubig> = Vec::new();
-    c52.mont_mul_batch_into(&xs, &ys, &mut fa);
-    c52.mont_mul_batch_into(&fa, &fa, &mut fb);
-    std::mem::swap(&mut fa, &mut fb);
-
-    let before = HEAP_OPS.load(Ordering::SeqCst);
-    for _ in 0..8 {
-        c52.mont_mul_batch_into(&fa, &fa, &mut fb);
-        std::mem::swap(&mut fa, &mut fb);
-    }
-    let after = HEAP_OPS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "warm Cios52 mont_mul_batch_into must not touch the heap"
-    );
-    assert_eq!(fa, a, "Cios52 squaring chain bit-identical to bit-sliced");
 }

@@ -232,22 +232,25 @@ fn cios_bit_identity_at_word_boundary_and_serving_widths() {
     }
 }
 
-/// The CIOS engine's per-lane path (narrow batches) and its 64-lane
-/// SoA kernel on both sides of their boundary: every lane count
-/// `1..=64`, alternately wide and narrow on one reused engine, with
-/// random operands and the worst cases 0, N−1 and 2N−1. Each lane must
-/// equal Algorithm 2, a 64-lane CIOS call and every radix-2⁵² kernel
-/// (which always run all 64 lanes) — the raw `< 2N` representative
-/// when unhardened, the canonical `< N` residue when hardened. The
-/// rows entry (`try_mont_mul_rows`) runs the same sweep on every
-/// backend and every radix-2⁵² kernel, with its dead columns filled
-/// with all-ones limbs that it must ignore.
+/// The per-lane path (narrow batches) and the 64-lane kernels on both
+/// sides of their boundary, on `CiosBatch` and on `Cios52Batch` with
+/// every kernel: every lane count `1..=64`, alternately wide and narrow
+/// on one reused engine, with random operands and the worst cases 0,
+/// N−1 and 2N−1. Each lane must equal Algorithm 2 and a 64-lane call —
+/// the raw `< 2N` representative when unhardened, the canonical `< N`
+/// residue when hardened. The widths straddle the 64-bit word and
+/// include (l+2) mod 52 = 0, 1 and 51 (l = 102, 103, 257). The rows
+/// entry (`try_mont_mul_rows`) runs the same sweep on every backend and
+/// every radix-2⁵² kernel, with its dead columns filled with all-ones
+/// limbs that it must ignore.
 #[test]
 fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
     use montgomery_systolic::core::montgomery::mont_mul_alg2;
     use montgomery_systolic::core::HardeningMode;
     let mut rng = StdRng::seed_from_u64(0xC108);
-    for l in [62usize, 63, 64, 65, 126, 254, 256, 510, 512, 1022, 1024] {
+    for l in [
+        62usize, 63, 64, 65, 102, 103, 126, 254, 256, 257, 510, 512, 1022, 1024,
+    ] {
         let params = random_safe_params(&mut rng, l);
         let edges = [
             Ubig::zero(),
@@ -273,17 +276,19 @@ fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
             } else {
                 alg2.clone()
             };
-            let mut cios = CiosBatch::new(params.clone());
-            cios.set_hardening(mode);
-            assert_eq!(cios.mont_mul_batch(&xs, &ys), want, "l={l} ({mode:?})");
-            for &kernel in Cios52Kernel::available() {
-                let mut c52 = Cios52Batch::with_kernel(params.clone(), kernel);
-                c52.set_hardening(mode);
+            // The Vec<Ubig> entry of CiosBatch and of every Cios52Batch
+            // kernel.
+            let mut vec_engines: Vec<AnyBatchEngine> = rows_engines(&params)
+                .into_iter()
+                .filter(|e| e.kind() != EngineKind::BitSliced)
+                .collect();
+            for e in vec_engines.iter_mut() {
+                e.set_hardening(mode);
                 assert_eq!(
-                    c52.mont_mul_batch(&xs, &ys),
+                    e.mont_mul_batch(&xs, &ys),
                     want,
-                    "cios52/{} l={l} ({mode:?})",
-                    kernel.name()
+                    "{} l={l} ({mode:?})",
+                    e.name()
                 );
             }
             let mut rows_engines = rows_engines(&params);
@@ -297,11 +302,18 @@ fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
                 let idx: Vec<usize> = (0..lanes).map(|k| (7 * lanes + k) % 64).collect();
                 let lx: Vec<Ubig> = idx.iter().map(|&i| xs[i].clone()).collect();
                 let ly: Vec<Ubig> = idx.iter().map(|&i| ys[i].clone()).collect();
-                cios.mont_mul_batch_into(&lx, &ly, &mut out);
-                assert_eq!(out.len(), lanes);
-                for (k, &i) in idx.iter().enumerate() {
-                    assert_eq!(out[k], want[i], "l={l} lanes={lanes} lane {k} ({mode:?})");
-                    assert!(!mode.is_hardened() || out[k] < *params.n(), "not canonical");
+                for e in vec_engines.iter_mut() {
+                    e.mont_mul_batch_into(&lx, &ly, &mut out);
+                    assert_eq!(out.len(), lanes);
+                    for (k, &i) in idx.iter().enumerate() {
+                        assert_eq!(
+                            out[k],
+                            want[i],
+                            "{} l={l} lanes={lanes} lane {k} ({mode:?})",
+                            e.name()
+                        );
+                        assert!(!mode.is_hardened() || out[k] < *params.n(), "not canonical");
+                    }
                 }
                 let (rx, ry) = (to_rows(&lx, rows), to_rows(&ly, rows));
                 for e in rows_engines.iter_mut() {

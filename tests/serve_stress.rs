@@ -25,10 +25,12 @@ mod common;
 
 use common::{flushes, serve, submit_held, Tenant};
 use montgomery_systolic::core::config::EngineConfig;
-use montgomery_systolic::core::serve::{KeyId, Server, Ticket};
-use montgomery_systolic::core::EngineKind;
+use montgomery_systolic::core::serve::{KeyId, Server, Session, Ticket};
+use montgomery_systolic::core::verify::QUARANTINE_THRESHOLD;
+use montgomery_systolic::core::{EngineKind, Quarantine};
 use montgomery_systolic::ecc::{Ecdh, EcdsaVerify};
 use montgomery_systolic::rsa::BatchOp;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const PRODUCERS: usize = 4;
@@ -304,6 +306,57 @@ fn deadline_flushes_a_shard_above_the_per_lane_bound() {
                 "the blocker's idle flush and one deadline flush ({} {})",
                 T::NAME,
                 kind.name()
+            );
+            server.shutdown();
+        }
+    }
+    scenario::<BatchOp>();
+    scenario::<EcdsaVerify>();
+    scenario::<Ecdh>();
+}
+
+#[test]
+fn idle_flush_reads_the_bound_of_the_backend_the_shard_runs_on() {
+    // A private quarantine benches the configured backend, so every
+    // shard runs on the next-weaker one (EngineConfig::run_kind), and
+    // the idle rule must read that backend's per-lane bound, not the
+    // configured one's. Benched Cios52 runs on Cios (bound 32): a
+    // singleton under a 600 s deadline is answered by one idle flush.
+    // Benched Cios runs on BitSliced (bound 0): the singleton waits for
+    // its 5 ms deadline, although Cios itself has a bound of 32.
+    fn scenario<T: Tenant>() {
+        for benched in [EngineKind::Cios52, EngineKind::Cios] {
+            let runs_on = benched.weaker().unwrap();
+            let idle = runs_on.per_lane_bound() > 0;
+            let quarantine = Arc::new(Quarantine::new());
+            for _ in 0..QUARANTINE_THRESHOLD {
+                quarantine.record_violation(benched);
+            }
+            let config = EngineConfig::default()
+                .with_backend(benched)
+                .with_quarantine(quarantine)
+                .with_workers(1)
+                .unwrap()
+                .with_flush_deadline(if idle {
+                    Duration::from_secs(600)
+                } else {
+                    Duration::from_millis(5)
+                });
+            let (server, id) = serve::<T>(config, 717);
+            let session = server.session(id).unwrap();
+            assert_eq!(session.run_kind(), runs_on, "{}", T::NAME);
+            let (req, want) = T::traffic(session, 718, 1).pop().unwrap();
+            let ticket = server.try_submit(id, T::OP, req).unwrap();
+            assert_eq!(ticket.wait(), Ok(want), "{} {}", T::NAME, runs_on.name());
+            let want = if idle { (0, 1, 0, 0) } else { (0, 0, 1, 0) };
+            assert_eq!(
+                flushes(&server.stats()),
+                want,
+                "one {} flush on {} benched for {} ({})",
+                if idle { "idle" } else { "deadline" },
+                runs_on.name(),
+                benched.name(),
+                T::NAME
             );
             server.shutdown();
         }
