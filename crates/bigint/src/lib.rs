@@ -49,5 +49,5 @@ pub mod ubig;
 
 pub use ct::Choice;
 pub use montgomery_word::WordMontgomery;
-pub use transpose::{lanes_to_slices, slices_to_lanes, transpose64};
+pub use transpose::transpose64;
 pub use ubig::Ubig;

@@ -1,33 +1,21 @@
-//! Bit-matrix lane transposition for the bit-sliced batch engine.
+//! Lane transposition.
 //!
-//! The batch engine (`mmm-core::batch`) stores the state of up to 64
-//! *independent* Montgomery multiplications transposed: one `u64` per
-//! bit *position*, whose bit `k` belongs to lane `k`. This module
-//! converts between that layout and ordinary [`Ubig`] operands:
-//!
-//! * [`lanes_to_slices`] — `out[j]` holds bit `j` of every lane
-//!   (bit `k` of `out[j]` = bit `j` of `values[k]`);
-//! * [`slices_to_lanes`] — the inverse;
-//! * [`transpose64`] — the underlying in-place 64×64 bit-matrix
-//!   transpose (the recursive block-swap network of Hacker's Delight
-//!   §7-3, six levels of masked swaps).
-//!
-//! Both conversions work limb-at-a-time through `transpose64`, so a
-//! full 64-lane × 1024-bit conversion is ~16 block transposes — noise
-//! next to the `3l+4` simulated cycles it feeds.
-//!
-//! The module also provides the **word-granularity** struct-of-arrays
-//! views used by the radix-2⁶⁴ CIOS batch engine
-//! ([`lanes_to_limbs_into`] / [`limbs_to_lanes_into`]): instead of one
-//! `u64` per *bit* position they store one `u64` per *(limb, lane)*
-//! pair with the lane index contiguous, so the CIOS inner
-//! multiply-accumulate runs unit-stride across lanes.
+//! * [`transpose64`] — the in-place 64×64 bit-matrix transpose (the
+//!   recursive block-swap network of Hacker's Delight §7-3, six levels
+//!   of masked swaps). The bit-sliced batch engine (`mmm-core::batch`)
+//!   keeps the state of up to 64 *independent* Montgomery
+//!   multiplications as one `u64` per bit *position*, whose bit `k`
+//!   belongs to lane `k`; one `transpose64` turns a 64-lane row of
+//!   limbs into 64 such words, so a 64-lane × 1024-bit operand is ~16
+//!   block transposes — noise next to the `3l+4` simulated cycles it
+//!   feeds.
+//! * [`lanes_to_limbs_into`] / [`limbs_to_lanes_into`] — the
+//!   **word-granularity** struct-of-arrays view the batch engines'
+//!   limb rows use: one `u64` per *(limb, lane)* pair with the lane
+//!   index contiguous, so the CIOS inner multiply-accumulate runs
+//!   unit-stride across lanes.
 
-use crate::limbs::LIMB_BITS;
 use crate::ubig::Ubig;
-
-/// Maximum number of lanes a `u64` bit-slice can carry.
-pub const LANES: usize = 64;
 
 /// In-place 64×64 bit-matrix transpose: afterwards, bit `j` of `a[i]`
 /// is the old bit `i` of `a[j]`.
@@ -52,87 +40,6 @@ pub fn transpose64(a: &mut [u64; 64]) {
         }
         m ^= m << j;
     }
-}
-
-/// Transposes up to 64 lane operands into per-bit-position slices,
-/// writing into a caller-provided buffer of length `width`
-/// (allocation-free; used by the batch engine's reusable state).
-///
-/// # Panics
-/// Panics if more than 64 lanes are given, if `out.len() != width`, or
-/// if any value needs more than `width` bits.
-pub fn lanes_to_slices_into(values: &[Ubig], width: usize, out: &mut [u64]) {
-    assert!(values.len() <= LANES, "at most {LANES} lanes");
-    assert_eq!(out.len(), width, "output buffer must have `width` slots");
-    for (k, v) in values.iter().enumerate() {
-        assert!(
-            v.bit_len() <= width,
-            "lane {k} has {} bits but the slice width is {width}",
-            v.bit_len()
-        );
-    }
-    let mut block = [0u64; LANES];
-    for (b, chunk) in out.chunks_mut(LIMB_BITS).enumerate() {
-        block.fill(0);
-        for (k, v) in values.iter().enumerate() {
-            block[k] = v.limbs().get(b).copied().unwrap_or(0);
-        }
-        transpose64(&mut block);
-        chunk.copy_from_slice(&block[..chunk.len()]);
-    }
-}
-
-/// Transposes up to 64 lane operands into per-bit-position slices:
-/// bit `k` of `result[j]` is bit `j` of `values[k]`.
-pub fn lanes_to_slices(values: &[Ubig], width: usize) -> Vec<u64> {
-    let mut out = vec![0u64; width];
-    lanes_to_slices_into(values, width, &mut out);
-    out
-}
-
-/// Inverse of [`lanes_to_slices`], writing into a caller-provided
-/// vector whose `Ubig` limb buffers are **reused** across calls: `out`
-/// is resized to `lanes` entries and each entry's limb allocation is
-/// recycled, so once warm (every lane at full capacity) the conversion
-/// performs no heap allocation at all — the output-scratch half of the
-/// batch engine's allocation-free hot path.
-///
-/// # Panics
-/// Panics if more than 64 lanes are requested.
-pub fn slices_to_lanes_into(slices: &[u64], lanes: usize, out: &mut Vec<Ubig>) {
-    assert!(lanes <= LANES, "at most {LANES} lanes");
-    let blocks = slices.len().div_ceil(LIMB_BITS);
-    out.resize_with(lanes, Ubig::default);
-    for lane in out.iter_mut() {
-        lane.limbs.clear();
-        lane.limbs.resize(blocks, 0);
-    }
-    let mut block = [0u64; LANES];
-    for b in 0..blocks {
-        let base = b * LIMB_BITS;
-        let n = (slices.len() - base).min(LIMB_BITS);
-        block[..n].copy_from_slice(&slices[base..base + n]);
-        block[n..].fill(0);
-        transpose64(&mut block);
-        for (k, lane) in out.iter_mut().enumerate() {
-            lane.limbs[b] = block[k];
-        }
-    }
-    for lane in out.iter_mut() {
-        lane.normalize();
-    }
-}
-
-/// Inverse of [`lanes_to_slices`]: rebuilds `lanes` operands from
-/// per-bit-position slices (lane `k`'s bit `j` is bit `k` of
-/// `slices[j]`).
-///
-/// # Panics
-/// Panics if more than 64 lanes are requested.
-pub fn slices_to_lanes(slices: &[u64], lanes: usize) -> Vec<Ubig> {
-    let mut out = Vec::with_capacity(lanes);
-    slices_to_lanes_into(slices, lanes, &mut out);
-    out
 }
 
 /// Scatters lane operands into the **struct-of-arrays limb layout**
@@ -169,9 +76,9 @@ pub fn lanes_to_limbs_into(values: &[Ubig], limbs: usize, stride: usize, out: &m
 
 /// Inverse of [`lanes_to_limbs_into`]: gathers the first `lanes` lanes
 /// out of a struct-of-arrays limb view (`soa[j*stride + k]` is limb
-/// `j` of lane `k`). Like [`slices_to_lanes_into`] the output vector's
-/// `Ubig` limb buffers are recycled across calls, so a warm call
-/// performs no heap allocation.
+/// `j` of lane `k`). `out` is resized to `lanes` entries and each
+/// entry's limb allocation is recycled, so once warm (every lane at
+/// full capacity) the conversion performs no heap allocation.
 ///
 /// # Panics
 /// Panics if `lanes > stride` or `soa.len() != limbs * stride`.
@@ -240,74 +147,6 @@ mod tests {
             transpose64(&mut a);
             assert_eq!(a, orig, "involution");
         }
-    }
-
-    #[test]
-    fn lane_roundtrip_across_widths() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for width in [1usize, 5, 63, 64, 65, 128, 130, 1026] {
-            for lanes in [1usize, 3, 63, 64] {
-                let values: Vec<Ubig> = (0..lanes)
-                    .map(|_| Ubig::random_bits(&mut rng, width))
-                    .collect();
-                let slices = lanes_to_slices(&values, width);
-                assert_eq!(slices.len(), width);
-                let back = slices_to_lanes(&slices, lanes);
-                assert_eq!(back, values, "width={width} lanes={lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn into_variant_reuses_buffers_and_matches() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut out = Vec::new();
-        // Shrinking, growing and same-size reuse of the same buffer,
-        // including lanes that normalize to fewer limbs than `blocks`.
-        for round in 0..3 {
-            for lanes in [64usize, 3, 17, 64] {
-                let values: Vec<Ubig> = (0..lanes)
-                    .map(|k| Ubig::random_bits(&mut rng, if k % 3 == 0 { 7 } else { 130 }))
-                    .collect();
-                let slices = lanes_to_slices(&values, 130);
-                slices_to_lanes_into(&slices, lanes, &mut out);
-                assert_eq!(out, values, "round={round} lanes={lanes}");
-            }
-        }
-    }
-
-    #[test]
-    fn slice_layout_matches_definition() {
-        let values = vec![Ubig::from(0b101u64), Ubig::from(0b011u64)];
-        let s = lanes_to_slices(&values, 3);
-        // Position 0: lane0 bit0=1, lane1 bit0=1 → 0b11.
-        assert_eq!(s[0], 0b11);
-        // Position 1: lane0 bit1=0, lane1 bit1=1 → 0b10.
-        assert_eq!(s[1], 0b10);
-        // Position 2: lane0 bit2=1, lane1 bit2=0 → 0b01.
-        assert_eq!(s[2], 0b01);
-    }
-
-    #[test]
-    fn unused_lanes_are_zero() {
-        let values = vec![Ubig::from(u64::MAX)];
-        let s = lanes_to_slices(&values, 64);
-        for (j, &w) in s.iter().enumerate() {
-            assert_eq!(w, 1, "position {j} must only carry lane 0");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "bits but the slice width")]
-    fn rejects_oversized_lane() {
-        let _ = lanes_to_slices(&[Ubig::from(16u64)], 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 lanes")]
-    fn rejects_too_many_lanes() {
-        let values: Vec<Ubig> = (0..65).map(|i| Ubig::from(i as u64)).collect();
-        let _ = lanes_to_slices(&values, 8);
     }
 
     #[test]

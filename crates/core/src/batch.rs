@@ -37,9 +37,15 @@
 //!   buffering and no pipeline shifting at all.
 //!
 //! All 64 lanes share the modulus `N` (the multi-user serving shape:
-//! one key, many requests) but have independent `x`/`y` operands. The
-//! hot loop is allocation-free: every buffer lives in the engine and
-//! is reused across batches, in the same spirit as
+//! one key, many requests) but have independent `x`/`y` operands. Like
+//! every batch engine, its one multiply path is the rows entry
+//! ([`BatchMontMul::try_mont_mul_rows`], layout in [`crate::rows`]):
+//! each 64-limb row of an operand is one 64×64 bit block, which
+//! [`transpose64`] turns into 64 of the engine's lane words, and the
+//! result's lane words go back the same way. The `Vec<Ubig>` methods
+//! are the shared adapter of [`crate::rows`]. The hot loop is
+//! allocation-free: every buffer lives in the engine and is reused
+//! across batches, in the same spirit as
 //! [`crate::wave_packed::PackedWaveArray::step`].
 //!
 //! Lane-for-lane, results are bit-identical to a solo
@@ -49,11 +55,13 @@
 //! pooled engines through [`pool::try_sharded`].
 
 use crate::config::{EngineConfig, HardeningMode};
-use crate::error::{validate_mont_batch, MmmError};
+use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
+use crate::rows::{self, check_below, check_shape, padded_limbs, row_count, LaneStage};
 use crate::traits::{BatchMontMul, MontMul};
-use mmm_bigint::transpose::{lanes_to_slices_into, slices_to_lanes_into};
+use mmm_bigint::limbs::{Limb, LIMB_BITS};
+use mmm_bigint::transpose::transpose64;
 use mmm_bigint::Ubig;
 
 /// Lanes one engine advances per simulated cycle (bits in a word).
@@ -68,6 +76,9 @@ pub struct BitSlicedBatch {
     /// Modulus broadcast: `n_pos[j]` is all-ones iff bit `j` of `N` is
     /// set (every lane shares `N`).
     n_pos: Vec<u64>,
+    /// `2N` padded to the row count: the operand bound of the rows
+    /// entry.
+    two_n: Vec<Limb>,
     /// Transposed operands for the current batch.
     x_pos: Vec<u64>,
     y_pos: Vec<u64>,
@@ -79,6 +90,8 @@ pub struct BitSlicedBatch {
     /// `2u` — the only `m` values the live wave lattice ever consumes.
     m_even: Vec<u64>,
     total_cycles: u64,
+    /// Staging rows of the `Vec<Ubig>` methods.
+    stage: LaneStage,
     /// Constant-time mode: when hardened, every result is
     /// canonicalized `< N` by [`cond_sub_bitsliced`].
     hardening: HardeningMode,
@@ -101,6 +114,8 @@ impl BitSlicedBatch {
             }
         }
         Ok(BitSlicedBatch {
+            two_n: padded_limbs(&params.two_n(), row_count(&params)),
+            stage: LaneStage::default(),
             params,
             l,
             n_pos,
@@ -135,77 +150,36 @@ impl BitSlicedBatch {
     pub fn reset_cycle_counter(&mut self) {
         self.total_cycles = 0;
     }
+}
 
-    /// Loads a batch of operands and clears the array registers.
-    fn load(&mut self, xs: &[Ubig], ys: &[Ubig]) {
-        let w = self.l + 2;
-        lanes_to_slices_into(xs, w, &mut self.x_pos);
-        lanes_to_slices_into(ys, w, &mut self.y_pos);
-        self.t.fill(0);
-        self.c0.fill(0);
-        self.c1.fill(0);
-        self.m_even.fill(0);
+/// Transposes the rows `x` into the bit slices `pos`: bit `k` of
+/// `pos[b]` is bit `b` of lane `k`, zero for the dead lanes
+/// `lanes..`. Each 64-limb row is one [`transpose64`] block.
+fn rows_to_slices(x: &[Limb], lanes: usize, pos: &mut [u64]) {
+    let mut block = [0u64; rows::ROW_LANES];
+    for (slices, row) in pos
+        .chunks_mut(LIMB_BITS)
+        .zip(x.chunks_exact(rows::ROW_LANES))
+    {
+        block[..lanes].copy_from_slice(&row[..lanes]);
+        block[lanes..].fill(0);
+        transpose64(&mut block);
+        slices.copy_from_slice(&block[..slices.len()]);
     }
+}
 
-    /// Runs one batch of up to 64 multiplications, writing the
-    /// per-lane results into `out` and returning the cycle count
-    /// (`3l + 4`, identical to every other array engine — the batch
-    /// dimension is free).
-    ///
-    /// This is the allocation-free primitive of the engine: the lane
-    /// state lives in `self` (reused across calls, mirroring
-    /// `PackedMmmc::reset_with`) and the output lanes recycle `out`'s
-    /// limb buffers, so once warm a call performs **zero** heap
-    /// allocations — asserted by `tests/alloc_free.rs` with a counting
-    /// global allocator.
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more than
-    /// [`MAX_LANES`] lanes, or any operand `≥ 2N`;
-    /// [`BitSlicedBatch::try_mont_mul_batch_into`] is the fallible
-    /// variant.
-    pub fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) -> u64 {
-        self.try_mont_mul_batch_into(xs, ys, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::mont_mul_batch_into`] returning every input rejection
-    /// as a typed [`MmmError`] (with the offending lane index for
-    /// out-of-range operands) instead of panicking.
-    pub fn try_mont_mul_batch_into(
-        &mut self,
-        xs: &[Ubig],
-        ys: &[Ubig],
-        out: &mut Vec<Ubig>,
-    ) -> Result<u64, MmmError> {
-        validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        let l = self.l;
-        self.load(xs, ys);
-        run_wave(
-            l,
-            &self.x_pos,
-            &self.y_pos,
-            &self.n_pos,
-            &mut self.t,
-            &mut self.c0,
-            &mut self.c1,
-            &mut self.m_even,
-        );
-        let cycles = (3 * l + 4) as u64;
-        self.total_cycles += cycles;
-        if self.hardening.is_hardened() {
-            cond_sub_bitsliced(l, &self.n_pos, &mut self.t);
-        }
-        slices_to_lanes_into(&self.t[1..=l + 1], xs.len(), out);
-        Ok(cycles)
-    }
-
-    /// [`Self::mont_mul_batch_into`] returning a freshly allocated
-    /// result vector alongside the cycle count.
-    pub fn mont_mul_batch_counted(&mut self, xs: &[Ubig], ys: &[Ubig]) -> (Vec<Ubig>, u64) {
-        let mut out = Vec::with_capacity(xs.len());
-        let cycles = self.mont_mul_batch_into(xs, ys, &mut out);
-        (out, cycles)
+/// The inverse of [`rows_to_slices`]: limb `j` of lane `k` in `out`
+/// gathers bits `64j..64j + 64` of lane `k` from `slices`, zero past
+/// their end.
+fn slices_to_rows(slices: &[u64], out: &mut [Limb]) {
+    let mut block = [0u64; rows::ROW_LANES];
+    for (j, row) in out.chunks_exact_mut(rows::ROW_LANES).enumerate() {
+        let bits = slices.get(j * LIMB_BITS..).unwrap_or(&[]);
+        let n = bits.len().min(LIMB_BITS);
+        block[..n].copy_from_slice(&bits[..n]);
+        block[n..].fill(0);
+        transpose64(&mut block);
+        row.copy_from_slice(&block);
     }
 }
 
@@ -347,11 +321,49 @@ impl BatchMontMul for BitSlicedBatch {
     }
 
     fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        self.mont_mul_batch_counted(xs, ys).0
+        let mut out = Vec::with_capacity(xs.len());
+        self.mont_mul_batch_into(xs, ys, &mut out);
+        out
     }
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        BitSlicedBatch::mont_mul_batch_into(self, xs, ys, out);
+        rows::mont_mul_lanes(self, |e| &mut e.stage, xs, ys, out);
+    }
+
+    /// The rows entry: the operands' rows become lane words, the wave
+    /// band runs its `3l + 4` cycles, and the result's lane words become
+    /// `out`'s rows.
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        check_shape(self.two_n.len(), x, y, lanes, out)?;
+        check_below(&self.two_n, x, y, lanes)?;
+        let l = self.l;
+        rows_to_slices(x, lanes, &mut self.x_pos);
+        rows_to_slices(y, lanes, &mut self.y_pos);
+        for v in [&mut self.t, &mut self.c0, &mut self.c1, &mut self.m_even] {
+            v.fill(0);
+        }
+        run_wave(
+            l,
+            &self.x_pos,
+            &self.y_pos,
+            &self.n_pos,
+            &mut self.t,
+            &mut self.c0,
+            &mut self.c1,
+            &mut self.m_even,
+        );
+        self.total_cycles += (3 * l + 4) as u64;
+        if self.hardening.is_hardened() {
+            cond_sub_bitsliced(l, &self.n_pos, &mut self.t);
+        }
+        slices_to_rows(&self.t[1..=l + 1], out);
+        Ok(())
     }
 
     fn consumed_cycles(&self) -> Option<u64> {
@@ -477,8 +489,8 @@ mod tests {
             let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
             let mut batch = BitSlicedBatch::new(p.clone());
-            let (got, cycles) = batch.mont_mul_batch_counted(&xs, &ys);
-            assert_eq!(cycles, (3 * l + 4) as u64);
+            let got = batch.mont_mul_batch(&xs, &ys);
+            assert_eq!(batch.consumed_cycles(), Some((3 * l + 4) as u64));
             let mut solo = PackedMmmc::new(p.clone());
             for k in 0..lanes {
                 assert_eq!(
@@ -486,6 +498,50 @@ mod tests {
                     solo.mont_mul(&xs[k], &ys[k]),
                     "lane {k} diverged at l={l}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bit_slice_layout_matches_definition() {
+        // Lane 0 = 0b101, lane 1 = 0b011, every dead column all-ones:
+        // bit k of slice j is bit j of lane k, and dead lanes read 0.
+        let mut x = vec![u64::MAX; crate::rows::ROW_LANES];
+        x[..2].copy_from_slice(&[0b101, 0b011]);
+        let mut pos = vec![0; 3];
+        rows_to_slices(&x, 2, &mut pos);
+        assert_eq!(pos, [0b11, 0b10, 0b01]);
+        let mut back = vec![0; crate::rows::ROW_LANES];
+        slices_to_rows(&pos, &mut back);
+        assert_eq!(back[..2], [0b101, 0b011]);
+        assert!(back[2..].iter().all(|&v| v == 0), "dead lanes read 0");
+    }
+
+    #[test]
+    fn rows_and_bit_slices_roundtrip_across_widths() {
+        use crate::rows::{FeRows, ROW_LANES};
+        let mut rng = StdRng::seed_from_u64(208);
+        for width in [1usize, 5, 63, 64, 65, 128, 130, 1026] {
+            let rows = width.div_ceil(64);
+            for lanes in [1usize, 3, 63, 64] {
+                let values: Vec<Ubig> = (0..lanes)
+                    .map(|_| Ubig::random_bits(&mut rng, width))
+                    .collect();
+                let x = FeRows::load(rows, &values);
+                let mut pos = vec![0; width];
+                rows_to_slices(x.limbs(), lanes, &mut pos);
+                for (k, v) in values.iter().enumerate() {
+                    for (j, &slice) in pos.iter().enumerate() {
+                        assert_eq!(slice >> k & 1 == 1, v.bit(j), "width={width} bit {j}");
+                    }
+                }
+                let mut back = FeRows::zeros(rows, lanes);
+                slices_to_rows(&pos, back.limbs_mut());
+                assert_eq!(back.store(), values, "width={width} lanes={lanes}");
+                assert!(back
+                    .limbs()
+                    .chunks(ROW_LANES)
+                    .all(|r| r[lanes..].iter().all(|&v| v == 0)));
             }
         }
     }

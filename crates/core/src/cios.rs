@@ -1,100 +1,77 @@
 //! Radix-2⁶⁴ CIOS (coarsely-integrated operand scanning) Montgomery
 //! multiplication — the word-serial scan: the production backend on
 //! hosts without an AVX2 or IFMA kernel, and the per-lane path of both
-//! batch engines everywhere, with the bit-serial systolic simulation
-//! retained as its fidelity oracle.
+//! CIOS batch engines everywhere, with the bit-serial systolic
+//! simulation retained as its fidelity oracle.
 //!
 //! ## Same contract, different radix
 //!
-//! The paper's array fixes radix `r = 2`: one operand **bit** per wave,
-//! `N' = 1`, `R = 2^{l+2}`, and `~l²` single-bit cell updates per
-//! multiplication. The follow-on literature (Zhang et al.,
-//! arXiv:2407.12701; Meng, arXiv:1609.00999) shows the identical
-//! dependence structure scales to high radix: consume one operand
-//! **word** per scan step, replace the bit-level quotient `m_i = t_0 ⊕
-//! x_i y_0` with the word-level `m_i = t_0 · n0' mod 2⁶⁴` (`n0' = -N⁻¹
-//! mod 2⁶⁴`), and each step becomes two length-`s` multiply-accumulate
-//! passes — `~2·(l/64)²` u64 MACs per multiplication instead of `~l²`
-//! bit-cell updates.
-//!
-//! Crucially, these engines implement the **same mathematical function**
-//! as Algorithm 2 — `T = (x·y + M·N)/2^{l+2}` with `M = x·y·(-N⁻¹) mod
-//! 2^{l+2}` — not the word-domain variant with `R_w = 2^{64s}`. A
-//! Montgomery reduction by `2^{l+2}` factors into `⌊(l+2)/64⌋` full-word
-//! CIOS steps plus one final partial reduction by the remaining `(l+2)
-//! mod 64` bits (the total quotient `M < 2^{l+2}` is *unique*, so any
-//! factoring of the shift yields the identical integer). The result is
-//! therefore **bit-identical** to [`crate::batch::BitSlicedBatch`] and
-//! every other Algorithm-2 engine, lane for lane, including the
-//! non-canonical `< 2N` representative — which is what lets the
-//! backend-dispatch layer ([`crate::engine`]) swap engines under every
-//! entry point with no domain conversions and no behavioural change.
-//! (The word-domain view and the explicit conversions between the two
-//! Montgomery domains live on
+//! The paper's array consumes one operand **bit** per wave (`r = 2`,
+//! `~l²` bit-cell updates per multiplication). The same dependence
+//! structure scales to one 64-bit **word** per scan step (Zhang et al.,
+//! arXiv:2407.12701; Meng, arXiv:1609.00999): the quotient becomes
+//! `m_i = t_0 · n0' mod 2⁶⁴` with `n0' = -N⁻¹ mod 2⁶⁴`, and each step is
+//! two length-`s` multiply-accumulate passes, `~2·(l/64)²` u64 MACs per
+//! multiplication. The engines still compute Algorithm 2's function,
+//! `T = (x·y + M·N)/2^{l+2}`, not the word-domain variant with
+//! `R_w = 2^{64s}`: the reduction by `2^{l+2}` factors into
+//! `⌊(l+2)/64⌋` word steps plus one partial step by the remaining
+//! `(l+2) mod 64` bits, and the quotient `M < 2^{l+2}` is unique. So
+//! results are **bit-identical** to [`crate::batch::BitSlicedBatch`]
+//! and every other Algorithm-2 engine, the non-canonical `< 2N`
+//! representative included, and [`crate::engine`] swaps backends under
+//! every entry point with no domain conversion. (The word-domain view
+//! lives on
 //! [`MontgomeryParams::word_domain`][crate::montgomery::MontgomeryParams::word_domain].)
 //!
 //! ## Batch layout
 //!
-//! [`CiosBatch`] advances up to 64 independent multiplications per
-//! call in a **struct-of-arrays** lane layout: `lanes × limbs` with the
-//! lane index contiguous (`t[j·64 + k]` is limb `j` of lane `k`), so
-//! the inner MAC loop at fixed limb `j` is a unit-stride scan over
-//! lanes with **independent per-lane carries** — no carry chain crosses
-//! lanes, which is what lets LLVM auto-vectorize it. Like the
-//! bit-sliced engine, the hot loop is a free function over `noalias`
-//! slice parameters and the whole path is allocation-free once warm.
-//! The rows entry ([`BatchMontMul::try_mont_mul_rows`], layout in
-//! [`crate::rows`]) takes operands already in this layout and runs on
-//! them in place, with no transpose either way.
+//! [`CiosBatch`] multiplies up to 64 lanes per call in the engines'
+//! one layout, rows ([`crate::rows`]): limb `j` of lane `k` at
+//! `[j·64 + k]`. The inner MAC loop at fixed `j` is a unit-stride scan
+//! over lanes with independent per-lane carries, which LLVM
+//! auto-vectorizes (the hot loop is a free function over `noalias`
+//! slices, like the bit-sliced engine's). The rows entry
+//! ([`BatchMontMul::try_mont_mul_rows`]) is the engine's one multiply
+//! path, and its `Vec<Ubig>` methods are the shared adapter of
+//! [`crate::rows`]; both are allocation-free once warm.
 //!
-//! The SoA kernel costs a full 64-lane scan whatever the lane count,
-//! so a batch of at most `SCALAR_LANES` (32) live lanes takes the
-//! **per-lane path** instead: the scalar scan behind [`CiosMont`] runs
-//! once per lane, on that lane's own limbs. It has no SoA transposes
-//! and no dead lanes, computes the same function, and is also
-//! allocation-free once warm. The crossover is measured, not modelled
-//! (DESIGN.md §7 "SoA lane layout"). The path is one crate-private
-//! type, `PerLane`, which [`CiosBatch`] and the radix-2⁵² engine
-//! ([`crate::cios52::Cios52Batch`]) both embed, so a narrow call runs
-//! the same scan on either backend.
+//! The SoA kernel costs a full 64-lane scan whatever the lane count, so
+//! a call of at most `SCALAR_LANES` (32) live lanes runs the **per-lane
+//! path** instead: the scalar scan behind [`CiosMont`], once per lane on
+//! that lane's column (DESIGN.md §7 has the measured crossover). It is
+//! one crate-private type, `PerLane`, which [`CiosBatch`] and the
+//! radix-2⁵² engine ([`crate::cios52::Cios52Batch`]) both embed.
 //!
 //! ## Constant-time status
 //!
-//! The scan itself has a fixed schedule: no final subtraction (the
-//! Walter bound keeps results `< 2N`), no data-dependent branches, and
-//! a memory access pattern that depends only on `(l, lanes)` — the
-//! quotient words `m` feed multiplies, never indexing. Under
-//! [`HardeningMode::Hardened`] the engine appends a **branchless
-//! canonicalizing final subtraction** (`cond_sub_rows`): two fixed
-//! passes over the SoA accumulator (a borrow chain to decide `t ≥ N`
-//! per lane, a masked subtraction to apply it), so outputs are `< N`
-//! with a schedule independent of the values. The per-lane path ends
-//! each lane with the same two-pass subtraction over that lane's limbs
-//! ([`mmm_bigint::ct::ct_sub_if_ge`]); which path runs depends only on
-//! the public lane count. The exponentiation-layer
-//! leaks (secret-indexed power-table loads) are closed separately in
-//! [`crate::expo_batch`]; DESIGN.md §12 has the full per-path table.
+//! The scan has a fixed schedule: no final subtraction (the Walter
+//! bound keeps results `< 2N`), no data-dependent branches, and memory
+//! accesses that depend only on `(l, lanes)`. Under
+//! [`HardeningMode::Hardened`] every result gets a **branchless
+//! canonicalizing final subtraction** — `cond_sub_rows` across the SoA
+//! accumulator, [`mmm_bigint::ct::ct_sub_if_ge`] per lane on the
+//! per-lane path — so outputs are `< N` on a value-independent
+//! schedule; which path runs depends only on the public lane count. The
+//! scans' table reads are hardened in [`crate::rows::gather`];
+//! DESIGN.md §12 has the full per-path table.
 
 use crate::config::HardeningMode;
-use crate::error::{validate_mont_batch, MmmError};
+use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
-use crate::rows::{check_below, check_shape, padded_limbs};
+use crate::rows::{self, check_below, check_shape, padded_limbs, row, row_mut, LaneRow, LaneStage};
 use crate::traits::{BatchMontMul, MontMul};
 use mmm_bigint::ct::{ct_sub_if_ge, sbb_ct};
 use mmm_bigint::limbs::{adc, carrying_mul, mac_with_carry, Limb, LIMB_BITS};
-use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
 use mmm_bigint::Ubig;
 
 /// Lanes one [`CiosBatch`] advances per call (matches
 /// [`crate::batch::MAX_LANES`] so sharding logic is engine-agnostic).
 pub const MAX_LANES: usize = crate::batch::MAX_LANES;
 
-/// Widest batch the batch engines serve on the per-lane path
-/// ([`PerLane`]); wider batches run their 64-lane kernels. The largest
-/// lane count at which the per-lane path was no slower than
-/// [`CiosBatch`]'s SoA kernel at l = 256, 512 and 1024, and the
-/// [`Cios52Batch`](crate::cios52::Cios52Batch) SIMD kernels beat that
-/// SoA kernel at every width above it (DESIGN.md §7 "SoA lane layout"
+/// Widest call the CIOS engines serve on the per-lane path
+/// ([`PerLane`]): the largest lane count at which it was no slower than
+/// [`CiosBatch`]'s SoA kernel at l = 256, 512 and 1024 (DESIGN.md §7
 /// and §9 have the measured tables). Published as
 /// [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound).
 pub(crate) const SCALAR_LANES: usize = 32;
@@ -125,16 +102,12 @@ impl Geometry {
 }
 
 /// The per-lane path: the scalar radix-2⁶⁴ scan run one lane at a
-/// time, on that lane's own limbs, each result canonicalized by
-/// [`ct_sub_if_ge`] when hardened. A call costs in proportion to its
-/// live lanes, where the 64-lane kernels of [`CiosBatch`] and
-/// [`Cios52Batch`](crate::cios52::Cios52Batch) cost a full scan
-/// whatever the lane count, so both engines embed one and run a batch
-/// of at most [`SCALAR_LANES`] live lanes on it; [`CiosMont`] wraps
-/// one for single multiplications. It owns the geometry, the padded
-/// modulus and one lane's buffers. The `Vec<Ubig>` entry stages its
-/// results in a buffer the engine lends it, so the warm path
-/// allocates nothing.
+/// time, on that lane's column, each result canonicalized by
+/// [`ct_sub_if_ge`] when hardened. Its cost follows the live lanes, so
+/// [`CiosBatch`] and [`Cios52Batch`](crate::cios52::Cios52Batch) run
+/// calls of at most [`SCALAR_LANES`] lanes on it, and [`CiosMont`]
+/// wraps one for single multiplications. It owns the geometry, the
+/// padded modulus and one lane's buffers.
 #[derive(Debug, Clone)]
 pub(crate) struct PerLane {
     geo: Geometry,
@@ -166,27 +139,6 @@ impl PerLane {
         &self.n
     }
 
-    /// The `Vec<Ubig>` entry on validated operands (at most
-    /// [`SCALAR_LANES`] lanes): lane `k`'s result limb `j` is staged at
-    /// `stage[j·lanes + k]`, which [`limbs_to_lanes_into`] gathers at
-    /// stride `lanes` into `out`. `stage` must hold `sw·lanes` limbs.
-    pub(crate) fn mont_mul_batch_into(
-        &mut self,
-        xs: &[Ubig],
-        ys: &[Ubig],
-        hardened: bool,
-        stage: &mut [Limb],
-        out: &mut Vec<Ubig>,
-    ) {
-        let (sw, lanes) = (self.geo.sw, xs.len());
-        for (k, (x, y)) in xs.iter().zip(ys).enumerate() {
-            for (j, &limb) in self.mont_mul(x, y, hardened).iter().enumerate() {
-                stage[j * lanes + k] = limb;
-            }
-        }
-        limbs_to_lanes_into(&stage[..sw * lanes], sw, lanes, lanes, out);
-    }
-
     /// The rows entry on validated rows: each live lane's column of `x`
     /// and `y` in, its result into the same column of `out`.
     pub(crate) fn mont_mul_rows(
@@ -208,12 +160,12 @@ impl PerLane {
         }
     }
 
-    /// One Algorithm-2 multiplication of `x, y < 2N`, read straight
-    /// from their limbs; returns the `sw` result limbs.
-    fn mont_mul(&mut self, x: &Ubig, y: &Ubig, hardened: bool) -> &[Limb] {
+    /// One unhardened Algorithm-2 multiplication of `x, y < 2N`, read
+    /// straight from their limbs; returns the `sw` result limbs.
+    fn mont_mul(&mut self, x: &Ubig, y: &Ubig) -> &[Limb] {
         load_padded(x, &mut self.x);
         load_padded(y, &mut self.y);
-        self.run(hardened)
+        self.run(false)
     }
 
     /// The scan on the loaded operands, canonicalized below `N` when
@@ -259,7 +211,7 @@ impl MontMul for CiosMont {
             self.params.check_operand(x) && self.params.check_operand(y),
             "operands must be < 2N"
         );
-        let out = Ubig::from_limbs(self.scan.mont_mul(x, y, false).to_vec());
+        let out = Ubig::from_limbs(self.scan.mont_mul(x, y).to_vec());
         debug_assert!(self.params.check_operand(&out), "Walter bound violated");
         out
     }
@@ -358,9 +310,10 @@ pub struct CiosBatch {
     /// SoA operands: `x[j·64 + k]` is limb `j` of lane `k`.
     x: Vec<Limb>,
     y: Vec<Limb>,
-    /// SoA accumulator, `sw + 2` limb rows. The per-lane path stages
-    /// its results in its head.
+    /// SoA accumulator, `sw + 2` limb rows.
     t: Vec<Limb>,
+    /// Staging rows of the `Vec<Ubig>` methods.
+    stage: LaneStage,
     /// Constant-time mode: when hardened, every result is canonicalized
     /// `< N` by [`cond_sub_rows`] (SoA path) or [`ct_sub_if_ge`]
     /// (per-lane path).
@@ -379,6 +332,7 @@ impl CiosBatch {
             x: vec![0; sw * MAX_LANES],
             y: vec![0; sw * MAX_LANES],
             t: vec![0; (sw + 2) * MAX_LANES],
+            stage: LaneStage::default(),
             per_lane,
             params,
             hardening: HardeningMode::Off,
@@ -388,55 +342,6 @@ impl CiosBatch {
     /// The engine's parameters.
     pub fn params(&self) -> &MontgomeryParams {
         &self.params
-    }
-
-    /// Runs one batch of up to 64 multiplications, writing the
-    /// per-lane results into `out` (recycling its limb buffers — the
-    /// warm path performs zero heap allocations, like the bit-sliced
-    /// engine's).
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more than
-    /// [`MAX_LANES`] lanes, or any operand `≥ 2N`;
-    /// [`CiosBatch::try_mont_mul_batch_into`] is the fallible variant.
-    pub fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        self.try_mont_mul_batch_into(xs, ys, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::mont_mul_batch_into`] returning every input rejection
-    /// as a typed [`MmmError`] (with the offending lane index for
-    /// out-of-range operands) instead of panicking.
-    pub fn try_mont_mul_batch_into(
-        &mut self,
-        xs: &[Ubig],
-        ys: &[Ubig],
-        out: &mut Vec<Ubig>,
-    ) -> Result<(), MmmError> {
-        validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        let hardened = self.hardening.is_hardened();
-        if xs.len() <= SCALAR_LANES {
-            self.per_lane
-                .mont_mul_batch_into(xs, ys, hardened, &mut self.t, out);
-        } else {
-            let (geo, n) = (self.per_lane.geo, &self.per_lane.n);
-            lanes_to_limbs_into(xs, geo.sw, MAX_LANES, &mut self.x);
-            lanes_to_limbs_into(ys, geo.sw, MAX_LANES, &mut self.y);
-            run_soa(geo, n, &self.x, &self.y, &mut self.t, hardened);
-            let head = &self.t[..geo.sw * MAX_LANES];
-            limbs_to_lanes_into(head, geo.sw, MAX_LANES, xs.len(), out);
-        }
-        Ok(())
-    }
-}
-
-/// The SoA kernel with its hardened canonicalization: `t` ends with
-/// the results in its first `sw` rows.
-fn run_soa(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb], hardened: bool) {
-    t.fill(0);
-    run_cios_batch(geo, n, x, y, t);
-    if hardened {
-        cond_sub_rows(n, t, geo.sw);
     }
 }
 
@@ -451,26 +356,6 @@ fn copy_live_columns(src: &[Limb], lanes: usize, dst: &mut [Limb]) {
         d[..lanes].copy_from_slice(&s[..lanes]);
         d[lanes..].fill(0);
     }
-}
-
-/// A lane row of the SoA state: fixed-size so the per-lane loops have
-/// a compile-time trip count (64) for the vectorizer.
-type LaneRow = [Limb; MAX_LANES];
-
-/// Borrows limb row `j` of an SoA buffer as a fixed-size lane row.
-#[inline(always)]
-fn row(soa: &[Limb], j: usize) -> &LaneRow {
-    soa[j * MAX_LANES..(j + 1) * MAX_LANES]
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
-}
-
-/// Mutable variant of [`row`].
-#[inline(always)]
-fn row_mut(soa: &mut [Limb], j: usize) -> &mut LaneRow {
-    (&mut soa[j * MAX_LANES..(j + 1) * MAX_LANES])
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
 }
 
 /// `t[k] += a[k]·b[k] + carry[k]` across all 64 lanes of one limb
@@ -673,12 +558,12 @@ impl BatchMontMul for CiosBatch {
 
     fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
         let mut out = Vec::with_capacity(xs.len());
-        CiosBatch::mont_mul_batch_into(self, xs, ys, &mut out);
+        self.mont_mul_batch_into(xs, ys, &mut out);
         out
     }
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        CiosBatch::mont_mul_batch_into(self, xs, ys, out);
+        rows::mont_mul_lanes(self, |e| &mut e.stage, xs, ys, out);
     }
 
     /// The rows entry in place: at most `SCALAR_LANES` (32) live lanes
@@ -706,8 +591,12 @@ impl BatchMontMul for CiosBatch {
                 copy_live_columns(y, lanes, &mut self.y);
                 (&self.x[..], &self.y[..])
             };
-            run_soa(geo, n, x, y, &mut self.t, hardened);
+            self.t.fill(0);
+            run_cios_batch(geo, n, x, y, &mut self.t);
             out.copy_from_slice(&self.t[..geo.sw * MAX_LANES]);
+            if hardened {
+                cond_sub_rows(n, out, geo.sw);
+            }
         }
         Ok(())
     }

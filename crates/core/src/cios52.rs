@@ -4,87 +4,73 @@
 //!
 //! ## Why 52-bit digits
 //!
-//! The paper's systolic array fixes radix `r = 2` because a one-bit
-//! digit is what its hardware cells can absorb per wave. On a modern
-//! CPU the analogous move is picking the radix that fits the vector
-//! unit: **52-bit digits stored one per 64-bit lane**. The 12 spare
-//! bits per lane are carry headroom, so the inner multiply-accumulate
-//! loop never ripples a carry — high halves of the 52×52→104-bit
-//! products are *deferred* into the neighbouring digit and the whole
-//! accumulator is renormalized **once per outer scan step**, not once
-//! per digit. This is exactly the shape of AVX-512-IFMA's
-//! `vpmadd52lo/hi` instructions, and the same dataflow maps onto AVX2
-//! `mul_epu32` pairs and onto plain u64 arithmetic (which LLVM
-//! auto-vectorizes), so one algorithm serves three kernels:
+//! The paper's array fixes radix `r = 2` because a one-bit digit is
+//! what its cells absorb per wave. On a CPU the analogous radix is the
+//! one the vector unit takes in: **52-bit digits, one per 64-bit lane**.
+//! The 12 spare bits are carry headroom, so the multiply-accumulate
+//! loop never ripples a carry: the high halves of the 52×52→104-bit
+//! products are *deferred* into the next digit, and the accumulator is
+//! renormalized **once per outer scan step**. That is the shape of
+//! AVX-512-IFMA's `vpmadd52lo/hi`, and the same dataflow maps onto AVX2
+//! `mul_epu32` pairs and onto plain u64 arithmetic, so one algorithm
+//! serves three kernels:
 //!
 //! * [`Cios52Kernel::Portable`] — branch-free u64/u128 carry-save MACs
-//!   over the struct-of-arrays lane layout; runs on any host.
+//!   that LLVM auto-vectorizes; runs on any host.
 //! * [`Cios52Kernel::Avx2`] — 4 lanes per `__m256i`, each 52×52
-//!   product assembled from three `_mm256_mul_epu32` 32×32→64
-//!   multiplies via a 26-bit operand split.
-//! * [`Cios52Kernel::Ifma`] — 8 lanes per `__m512i`,
-//!   `_mm512_madd52lo_epu64` / `_mm512_madd52hi_epu64` doing the
-//!   52×52→104 MAC in one instruction each.
+//!   product from three `_mm256_mul_epu32` via a 26-bit split.
+//! * [`Cios52Kernel::Ifma`] — 8 lanes per `__m512i`, one
+//!   `_mm512_madd52lo_epu64` / `_mm512_madd52hi_epu64` pair per MAC.
 //!
 //! CPU features are detected once per process
-//! ([`Cios52Kernel::available`], a `OnceLock`) and the strongest
-//! available kernel is selected ([`Cios52Kernel::active`]); every
-//! kernel computes the identical function, asserted lane-for-lane by
-//! the unit tests below and the cross-engine suites.
+//! ([`Cios52Kernel::available`]) and the strongest kernel is selected
+//! ([`Cios52Kernel::active`]); every kernel computes the identical
+//! function, asserted lane for lane by the unit tests below and the
+//! cross-engine suites.
 //!
 //! ## The per-lane floor
 //!
 //! Every kernel sweeps all 64 lanes whatever the live lane count, so a
-//! one-lane call would cost a full 64-lane scan. A batch of at most
-//! `SCALAR_LANES` (32) live lanes therefore runs the per-lane scalar
-//! scan the radix-2⁶⁴ engine uses for the same batches (`PerLane` in
-//! [`crate::cios`]), on both entry points; wider batches run the
-//! selected kernel. Which path runs depends only on the public lane
-//! count, and both compute the same function bit for bit, so the
-//! engine's cost per call rises with its live lanes up to the bound
-//! and [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)
+//! call of at most `SCALAR_LANES` (32) live lanes runs the radix-2⁶⁴
+//! per-lane scan instead (`PerLane` in [`crate::cios`]); wider calls
+//! run the selected kernel. The path depends only on the public lane
+//! count, and [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)
 //! is 32 on both CIOS backends. DESIGN.md §9 has the measurements.
 //!
 //! ## Same contract, third radix
 //!
-//! Like the radix-2⁶⁴ scan ([`crate::cios`]), this engine implements
-//! the **same mathematical function** as Algorithm 2 — `T = (x·y +
-//! M·N)/2^{l+2}` with the unique `M < 2^{l+2}` — *not* a digit-domain
-//! variant with `R = 2^{52·s}`. The reduction by `2^{l+2}` factors
-//! into `⌊(l+2)/52⌋` full 52-bit steps plus one partial step for the
-//! remaining `(l+2) mod 52` bits, so the result is **bit-identical**
-//! to [`crate::cios::CiosBatch`], [`crate::batch::BitSlicedBatch`]
-//! and `Ubig::modpow`, including the non-canonical `< 2N`
-//! representative. Operands enter and leave in ordinary 64-bit limbs;
-//! the 64↔52-bit conversions ([`limbs_to_digits52`] /
-//! [`digits52_to_limbs`]) are internal to one batch call. The digit
-//! geometry (`s₅₂`, `n0' mod 2⁵²`) is derived once in
-//! [`MontgomeryParams::radix52`][crate::montgomery::MontgomeryParams::radix52],
-//! next to the word-domain view. DESIGN.md §9 derives the
-//! representation and the carry headroom budget.
+//! Like the radix-2⁶⁴ scan, this engine computes Algorithm 2's
+//! function, `T = (x·y + M·N)/2^{l+2}` with the unique `M < 2^{l+2}`,
+//! not a digit-domain variant with `R = 2^{52·s}`: `⌊(l+2)/52⌋` full
+//! 52-bit steps plus one partial step for the remaining
+//! `(l+2) mod 52` bits. Results are **bit-identical** to every other
+//! Algorithm-2 engine, the non-canonical `< 2N` representative
+//! included. Operands enter and leave in 64-bit limb rows
+//! ([`crate::rows`]): the rows entry is the engine's one multiply path,
+//! its `Vec<Ubig>` methods are the shared adapter there, and the
+//! 64↔52-bit conversions ([`limbs_to_digits52`] /
+//! [`digits52_to_limbs`] and their row forms) are internal to one call.
+//! The digit geometry (`s₅₂`, `n0' mod 2⁵²`) comes from
+//! [`MontgomeryParams::radix52`][crate::montgomery::MontgomeryParams::radix52];
+//! DESIGN.md §9 derives the representation and the carry budget.
 //!
 //! ## Constant-time status
 //!
-//! Identical to the radix-2⁶⁴ scan: fixed schedule, no final
-//! subtraction, no data-dependent branches; quotient digits feed
-//! multiplies, never indexing. Under [`HardeningMode::Hardened`] the
-//! word-form output (after the digit→word scatter, which is
-//! shape-driven and value-independent) gets the same branchless
-//! canonicalizing final subtraction as the radix-2⁶⁴ backend
-//! (`cios::cond_sub_rows`) — one decision borrow chain plus
-//! one masked subtraction per lane, so hardened outputs are `< N` on
-//! every kernel with a value-independent schedule. The per-lane floor
-//! ends each lane with `ct_sub_if_ge`, as on the radix-2⁶⁴ engine.
-//! DESIGN.md §12 has the full per-path table.
+//! As the radix-2⁶⁴ scan: fixed schedule, no data-dependent branches,
+//! quotient digits feed multiplies, never indexing. Under
+//! [`HardeningMode::Hardened`] the word rows out of the (shape-driven)
+//! digit→word scatter get the radix-2⁶⁴ backend's branchless
+//! canonicalizing subtraction (`cios::cond_sub_rows`), and the per-lane
+//! floor ends each lane with `ct_sub_if_ge`, so hardened outputs are
+//! `< N` on every kernel. DESIGN.md §12 has the full per-path table.
 
 use crate::cios::{PerLane, SCALAR_LANES};
 use crate::config::HardeningMode;
-use crate::error::{validate_mont_batch, MmmError};
+use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
-use crate::rows::{check_below, check_shape, padded_limbs};
+use crate::rows::{self, check_below, check_shape, padded_limbs, row, row_mut, LaneRow, LaneStage};
 use crate::traits::BatchMontMul;
 use mmm_bigint::limbs::{Limb, LIMB_BITS};
-use mmm_bigint::transpose::{lanes_to_limbs_into, limbs_to_lanes_into};
 use mmm_bigint::Ubig;
 use std::sync::OnceLock;
 
@@ -332,10 +318,8 @@ pub struct Cios52Batch {
     per_lane: PerLane,
     /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
     two_n: Vec<Limb>,
-    /// Word-domain SoA staging buffer (`sw` rows), reused for input
-    /// transposes, the output conversion and the per-lane path's
-    /// results.
-    wscratch: Vec<Limb>,
+    /// Staging rows of the `Vec<Ubig>` methods.
+    stage: LaneStage,
     /// Digit-domain SoA operands: `x[d·64 + k]` is digit `d`, lane `k`.
     x: Vec<Limb>,
     y: Vec<Limb>,
@@ -373,7 +357,7 @@ impl Cios52Batch {
             n: limbs_to_digits52(per_lane.modulus(), geo.s),
             per_lane,
             two_n: padded_limbs(&params.two_n(), geo.sw),
-            wscratch: vec![0; geo.sw * MAX_LANES],
+            stage: LaneStage::default(),
             x: vec![0; geo.s * MAX_LANES],
             y: vec![0; geo.s * MAX_LANES],
             t: vec![0; (geo.s + 2) * MAX_LANES],
@@ -412,56 +396,6 @@ impl Cios52Batch {
         }
     }
 
-    /// Runs one batch of up to 64 multiplications, writing the
-    /// per-lane results into `out` (recycling its limb buffers — the
-    /// warm path performs zero heap allocations, like the other batch
-    /// engines').
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, more than
-    /// [`MAX_LANES`] lanes, or any operand `≥ 2N`;
-    /// [`Cios52Batch::try_mont_mul_batch_into`] is the fallible
-    /// variant.
-    pub fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        self.try_mont_mul_batch_into(xs, ys, out)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::mont_mul_batch_into`] returning every input rejection
-    /// as a typed [`MmmError`] instead of panicking. At most 32 lanes
-    /// (the per-lane bound) run the per-lane scalar scan; wider batches
-    /// run the selected kernel.
-    pub fn try_mont_mul_batch_into(
-        &mut self,
-        xs: &[Ubig],
-        ys: &[Ubig],
-        out: &mut Vec<Ubig>,
-    ) -> Result<(), MmmError> {
-        validate_mont_batch(&self.params, MAX_LANES, xs, ys)?;
-        let (geo, lanes) = (self.geo, xs.len());
-        let hardened = self.hardening.is_hardened();
-        if lanes <= SCALAR_LANES {
-            self.per_lane
-                .mont_mul_batch_into(xs, ys, hardened, &mut self.wscratch, out);
-            return Ok(());
-        }
-        lanes_to_limbs_into(xs, geo.sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, geo.sw, &mut self.x, geo.s, lanes);
-        lanes_to_limbs_into(ys, geo.sw, MAX_LANES, &mut self.wscratch);
-        soa_words_to_digits52(&self.wscratch, geo.sw, &mut self.y, geo.s, lanes);
-        self.run_kernel();
-        let n_words = self.per_lane.modulus();
-        store_words(&self.t, geo, n_words, hardened, &mut self.wscratch);
-        limbs_to_lanes_into(
-            &self.wscratch[..geo.sw * MAX_LANES],
-            geo.sw,
-            MAX_LANES,
-            lanes,
-            out,
-        );
-        Ok(())
-    }
-
     /// Dispatches to the selected kernel on a zeroed accumulator. The
     /// SIMD kernels are `unsafe` only because of their
     /// `#[target_feature]` contract — [`Cios52Batch::with_kernel`]
@@ -489,15 +423,6 @@ impl Cios52Batch {
     }
 }
 
-/// The digit accumulator `t` back to `geo.sw` word rows in `words`,
-/// canonicalized below `N` when hardened.
-fn store_words(t: &[Limb], geo: Geometry, n_words: &[Limb], hardened: bool, words: &mut [Limb]) {
-    soa_digits52_to_words(t, geo.s, words, geo.sw);
-    if hardened {
-        crate::cios::cond_sub_rows(n_words, words, geo.sw);
-    }
-}
-
 impl BatchMontMul for Cios52Batch {
     fn params(&self) -> &MontgomeryParams {
         &self.params
@@ -509,12 +434,12 @@ impl BatchMontMul for Cios52Batch {
 
     fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
         let mut out = Vec::with_capacity(xs.len());
-        Cios52Batch::mont_mul_batch_into(self, xs, ys, &mut out);
+        self.mont_mul_batch_into(xs, ys, &mut out);
         out
     }
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        Cios52Batch::mont_mul_batch_into(self, xs, ys, out);
+        rows::mont_mul_lanes(self, |e| &mut e.stage, xs, ys, out);
     }
 
     /// The rows entry in place: at most `SCALAR_LANES` (32) live lanes
@@ -539,7 +464,10 @@ impl BatchMontMul for Cios52Batch {
         soa_words_to_digits52(x, geo.sw, &mut self.x, geo.s, lanes);
         soa_words_to_digits52(y, geo.sw, &mut self.y, geo.s, lanes);
         self.run_kernel();
-        store_words(&self.t, geo, self.per_lane.modulus(), hardened, out);
+        soa_digits52_to_words(&self.t, geo.s, out, geo.sw);
+        if hardened {
+            crate::cios::cond_sub_rows(self.per_lane.modulus(), out, geo.sw);
+        }
         Ok(())
     }
 
@@ -562,26 +490,6 @@ impl BatchMontMul for Cios52Batch {
             Cios52Kernel::Ifma => "radix-2^52 carry-save CIOS batch (ifma, 64 lanes)",
         }
     }
-}
-
-/// A lane row of the SoA state: fixed-size so the per-lane loops have
-/// a compile-time trip count (64) for the vectorizer.
-type LaneRow = [Limb; MAX_LANES];
-
-/// Borrows digit row `j` of an SoA buffer as a fixed-size lane row.
-#[inline(always)]
-fn row(soa: &[Limb], j: usize) -> &LaneRow {
-    soa[j * MAX_LANES..(j + 1) * MAX_LANES]
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
-}
-
-/// Mutable variant of [`row`].
-#[inline(always)]
-fn row_mut(soa: &mut [Limb], j: usize) -> &mut LaneRow {
-    (&mut soa[j * MAX_LANES..(j + 1) * MAX_LANES])
-        .try_into()
-        .expect("row is exactly MAX_LANES wide")
 }
 
 /// The once-per-outer-step normalization: ripple each lane's deferred

@@ -239,37 +239,36 @@ impl AnyBatchEngine {
     }
 }
 
+/// `$body` with `$e` bound to the engine inside `$self`, whichever
+/// backend it is.
+macro_rules! on_engine {
+    ($self:expr, $e:ident => $body:expr) => {
+        match $self {
+            AnyBatchEngine::Cios($e) => $body,
+            AnyBatchEngine::Cios52($e) => $body,
+            AnyBatchEngine::BitSliced($e) => $body,
+        }
+    };
+}
+
+/// Every method forwards to the backend's own: the CIOS scans report no
+/// cycles (they are software backends, not hardware models), and only
+/// the radix-2⁵² backend has SIMD tiers to demote.
 impl BatchMontMul for AnyBatchEngine {
     fn params(&self) -> &MontgomeryParams {
-        match self {
-            AnyBatchEngine::Cios(e) => e.params(),
-            AnyBatchEngine::Cios52(e) => e.params(),
-            AnyBatchEngine::BitSliced(e) => BatchMontMul::params(e),
-        }
+        on_engine!(self, e => BatchMontMul::params(e))
     }
 
     fn max_lanes(&self) -> usize {
-        match self {
-            AnyBatchEngine::Cios(e) => e.max_lanes(),
-            AnyBatchEngine::Cios52(e) => e.max_lanes(),
-            AnyBatchEngine::BitSliced(e) => e.max_lanes(),
-        }
+        on_engine!(self, e => e.max_lanes())
     }
 
     fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        match self {
-            AnyBatchEngine::Cios(e) => e.mont_mul_batch(xs, ys),
-            AnyBatchEngine::Cios52(e) => e.mont_mul_batch(xs, ys),
-            AnyBatchEngine::BitSliced(e) => e.mont_mul_batch(xs, ys),
-        }
+        on_engine!(self, e => e.mont_mul_batch(xs, ys))
     }
 
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        match self {
-            AnyBatchEngine::Cios(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
-            AnyBatchEngine::Cios52(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
-            AnyBatchEngine::BitSliced(e) => BatchMontMul::mont_mul_batch_into(e, xs, ys, out),
-        }
+        on_engine!(self, e => e.mont_mul_batch_into(xs, ys, out))
     }
 
     fn try_mont_mul_rows(
@@ -279,51 +278,27 @@ impl BatchMontMul for AnyBatchEngine {
         lanes: usize,
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
-        match self {
-            AnyBatchEngine::Cios(e) => e.try_mont_mul_rows(x, y, lanes, out),
-            AnyBatchEngine::Cios52(e) => e.try_mont_mul_rows(x, y, lanes, out),
-            AnyBatchEngine::BitSliced(e) => e.try_mont_mul_rows(x, y, lanes, out),
-        }
+        on_engine!(self, e => e.try_mont_mul_rows(x, y, lanes, out))
     }
 
     fn consumed_cycles(&self) -> Option<u64> {
-        match self {
-            // The CIOS scans are software backends, not cycle-accurate.
-            AnyBatchEngine::Cios(_) | AnyBatchEngine::Cios52(_) => None,
-            AnyBatchEngine::BitSliced(e) => e.consumed_cycles(),
-        }
+        on_engine!(self, e => e.consumed_cycles())
     }
 
     fn demote_kernel(&mut self) -> bool {
-        match self {
-            // Only the radix-2⁵² backend has SIMD tiers to step down.
-            AnyBatchEngine::Cios52(e) => e.demote(),
-            AnyBatchEngine::Cios(_) | AnyBatchEngine::BitSliced(_) => false,
-        }
+        on_engine!(self, e => e.demote_kernel())
     }
 
     fn set_hardening(&mut self, mode: crate::config::HardeningMode) {
-        match self {
-            AnyBatchEngine::Cios(e) => e.set_hardening(mode),
-            AnyBatchEngine::Cios52(e) => e.set_hardening(mode),
-            AnyBatchEngine::BitSliced(e) => e.set_hardening(mode),
-        }
+        on_engine!(self, e => e.set_hardening(mode))
     }
 
     fn hardening(&self) -> crate::config::HardeningMode {
-        match self {
-            AnyBatchEngine::Cios(e) => e.hardening(),
-            AnyBatchEngine::Cios52(e) => e.hardening(),
-            AnyBatchEngine::BitSliced(e) => e.hardening(),
-        }
+        on_engine!(self, e => e.hardening())
     }
 
     fn name(&self) -> &'static str {
-        match self {
-            AnyBatchEngine::Cios(e) => e.name(),
-            AnyBatchEngine::Cios52(e) => BatchMontMul::name(e),
-            AnyBatchEngine::BitSliced(e) => e.name(),
-        }
+        on_engine!(self, e => BatchMontMul::name(e))
     }
 }
 

@@ -5,44 +5,35 @@
 //!
 //! Lanes run in lockstep, so per-lane data may never change *which*
 //! batched operations run — only *what* each lane feeds them.
-//! [`BatchModExp::try_modexp`] is the one scan: per lane it
-//! precomputes the batched power table `M̄⁰, M̄¹, …, M̄^{2^w−1}` (all
-//! digit values, lockstep across lanes), then pays `w` batched
-//! squarings plus **one** batched multiplication per `w`-bit window —
-//! lanes whose window digit is 0 multiply by `M̄⁰ = 1̄` so the schedule
-//! stays uniform. The schedule itself is the workload-neutral driver
+//! [`BatchModExp::try_modexp`] is the one scan: it builds the batched
+//! power table `M̄⁰, M̄¹, …, M̄^{2^w−1}` (every digit value), then pays
+//! `w` batched squarings plus **one** batched multiplication per
+//! `w`-bit window, lanes whose digit is 0 multiplying by `M̄⁰ = 1̄`. The
+//! schedule comes from the workload-neutral driver
 //! [`crate::scan::run_windowed_scan`]. At `w = 1`
 //! ([`WindowPolicy::Fixed`]`(1)`) this is the paper's
-//! square-and-multiply-always scan: the table is just `1̄` and `M̄`, and
-//! every bit below the top one costs a squaring and a multiplication.
-//! At RSA sizes wider windows cut batched work by ~35–40% (see
-//! [`crate::expo_window::expected_fixed_window_muls`], the shared cost
-//! model; [`WindowPolicy::Auto`] picks `w` with
-//! [`crate::expo_window::best_fixed_window`]).
+//! square-and-multiply-always scan; at RSA sizes wider windows cut
+//! batched work by ~35–40% ([`crate::expo_window`] has the cost model
+//! [`WindowPolicy::Auto`] picks `w` with).
 //!
-//! Lanes with short exponents simply coast: windows above a lane's
-//! length select the Montgomery one automatically, and windows where
-//! *no* lane has a nonzero digit are skipped entirely. Note the
-//! side-channel consequence: the schedule depends on the OR of all
-//! lanes' exponent digits, so a *full* mixed-traffic batch leaks
-//! little, but a single-lane batch degrades to a scan whose operation
-//! count follows that lane's exponent (visible in
-//! [`BatchExpoStats::skipped_multiplications`] and `consumed_cycles`)
-//! — and the table is indexed with secret digits (a data-dependent
-//! memory access pattern).
+//! The scan runs on resident rows ([`crate::rows::FeRows`]), as ECC's
+//! do: the messages are loaded once and the results stored once, and
+//! the accumulator and the multiplier stay in the engine's limb rows in
+//! between, gathered from a power table that keeps only the live lanes.
+//! Every engine call is one rows call with no conversion, and the
+//! window loop allocates nothing.
 //!
-//! Both leaks are closed when the bound engine reports
-//! [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
-//! (DESIGN.md §12): the skip-when-all-zero optimization is disabled
-//! (every window multiplies, digit-0 lanes by `1̄`), and every
-//! secret-indexed table read is replaced by a branchless **full-table
-//! sweep** — all `2^w` rows are loaded every time and
-//! masked-accumulated ([`mmm_bigint::ct::or_assign_masked`]) so the
-//! memory trace is digit-independent. Results stay bit-identical to the
-//! unhardened scan; the cost is the disabled skips plus the sweep
-//! (measured in `BENCH_radix.json`). Protocol-level blinding
-//! (`mmm-rsa`'s session decryption) layers on top for defense in
-//! depth.
+//! Windows where *no* lane has a nonzero digit are skipped, so the
+//! schedule follows the OR of the lanes' digits — little for a full
+//! mixed batch, a lane's whole exponent pattern for a single-lane one
+//! (visible in [`BatchExpoStats::skipped_multiplications`]) — and the
+//! table is read at secret digits. Both leaks close when the engine
+//! reports [`HardeningMode::Hardened`](crate::config::HardeningMode::Hardened)
+//! (DESIGN.md §12): no window is skipped, and every table read is
+//! [`crate::rows::gather`]'s masked sweep of all `2^w` entries, the
+//! gather ECC's scans use too, so the memory trace is
+//! digit-independent. Results stay bit-identical to the unhardened
+//! scan.
 //!
 //! [`try_modexp_many`] extends the batch to arbitrarily many lanes
 //! through the one shard fan-out, [`crate::pool::try_sharded`]: each
@@ -50,97 +41,83 @@
 //! the per-key pool — the many-client serving path under `mmm-rsa`'s
 //! `KeyedSession`.
 
+use crate::cios::cond_sub_rows;
 use crate::config::{EngineConfig, WindowPolicy};
 use crate::error::{validate_reduced, MmmError};
 use crate::expo_window::best_fixed_window;
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
+use crate::rows::{gather, padded_limbs, row_count, try_mont_mul, FeRows, ROW_LANES};
 use crate::scan::{run_windowed_scan, ScalarSet, WindowScanClient};
 use crate::traits::BatchMontMul;
 use crate::verify::VerifiedEngine;
-use mmm_bigint::ct::{or_assign_masked, Choice};
 use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 
-/// Constant-time selection of `table[d][k]` into `buf`: zeroes the
-/// buffer, then visits **every** row of the batched power table,
-/// OR-accumulating `row[k] & mask` where the mask is all-ones only for
-/// the row whose (public) index equals the secret digit `d`. The loads
-/// performed — every row, every call — are independent of `d`, so the
-/// access pattern carries no digit information; `d` flows only through
-/// the branchless [`Choice::ct_eq_usize`] masks.
-fn ct_sweep_lane(table: &[Vec<Ubig>], k: usize, d: usize, buf: &mut [Limb]) {
-    buf.fill(0);
-    for (row_idx, row) in table.iter().enumerate() {
-        or_assign_masked(buf, row[k].limbs(), Choice::ct_eq_usize(row_idx, d));
+/// The modexp workload plugged into the lifted scan core
+/// ([`crate::scan::run_windowed_scan`]): the accumulator is a batch of
+/// resident Montgomery residues, doubling is a batched squaring,
+/// combining is a multiply-always batched multiplication against the
+/// power table. Digit selection stays in here — [`gather`], indexed
+/// when plain and a masked sweep of every entry when hardened — so the
+/// schedule-neutral driver never sees how secrets read memory.
+struct ModexpScanClient<'e, E: BatchMontMul> {
+    engine: &'e mut E,
+    /// Batched power table `M̄^d`, `d < 2^w`, holding only the live
+    /// lanes: row `j` of entry `d` is `table[(d·rows + j)·lanes..]`, so
+    /// a narrow scan's table stays as small as its lanes (empty for
+    /// all-zero exponent sets, where no entry would ever be read).
+    table: Vec<Limb>,
+    rows: usize,
+    one_bar: Ubig,
+    hardened: bool,
+    /// The accumulator; squarings ping-pong with `next`.
+    acc: FeRows,
+    next: FeRows,
+    multiplier: FeRows,
+}
+
+/// `out = a · b` on operands the scan produced itself: engine outputs
+/// on validated lanes, which no rows entry rejects.
+fn mul<E: BatchMontMul>(engine: &mut E, a: &FeRows, b: &FeRows, out: &mut FeRows) {
+    try_mont_mul(engine, a, b, out).unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// Appends the live lanes of `e` to a power table laid out as
+/// [`ModexpScanClient::table`] describes.
+fn push_entry(table: &mut Vec<Limb>, e: &FeRows) {
+    for row in e.limbs().chunks_exact(ROW_LANES) {
+        table.extend_from_slice(&row[..e.lanes()]);
     }
 }
 
-/// The modexp workload plugged into the lifted scan core
-/// ([`crate::scan::run_windowed_scan`]): the accumulator is a batch of
-/// Montgomery residues, doubling is a batched squaring, combining is a
-/// multiply-always batched multiplication against the power table.
-/// Digit selection stays in here — direct table indexing when plain, a
-/// branchless full-table sweep ([`ct_sweep_lane`]) when hardened — so
-/// the schedule-neutral driver never sees how secrets read memory.
-struct ModexpScanClient<'e, E: BatchMontMul> {
-    engine: &'e mut E,
-    /// Batched power table: `table[d][k] = M̄_k^d` (empty for all-zero
-    /// exponent sets, where no entry would ever be read).
-    table: Vec<Vec<Ubig>>,
-    one_bar: Ubig,
-    lanes: usize,
-    hardened: bool,
-    /// The accumulator lanes; squarings ping-pong with `scratch`
-    /// through `mont_mul_batch_into` so the warm scan allocates
-    /// nothing.
-    a: Vec<Ubig>,
-    scratch: Vec<Ubig>,
-    multiplier: Vec<Ubig>,
-    sel_buf: Vec<Limb>,
+/// Lane `k` of `out` becomes entry `digits[k]` of a power table laid
+/// out as [`ModexpScanClient::table`] describes, through [`gather`].
+fn gather_entry(table: &[Limb], rows: usize, digits: &[usize], hardened: bool, out: &mut FeRows) {
+    let lanes = digits.len();
+    let row_of = |d: usize, j: usize| &table[(d * rows + j) * lanes..][..lanes];
+    gather(table.len() / (rows * lanes), row_of, digits, hardened, out);
 }
 
 impl<E: BatchMontMul> WindowScanClient for ModexpScanClient<'_, E> {
     fn init(&mut self, digits: &[usize]) {
-        self.a = if self.table.is_empty() {
-            vec![self.one_bar.clone(); self.lanes]
-        } else if self.hardened {
-            digits
-                .iter()
-                .enumerate()
-                .map(|(k, &d)| {
-                    ct_sweep_lane(&self.table, k, d, &mut self.sel_buf);
-                    Ubig::from_limbs(self.sel_buf.clone())
-                })
-                .collect()
+        if self.table.is_empty() {
+            self.acc.broadcast(&self.one_bar, digits.len());
         } else {
-            digits
-                .iter()
-                .enumerate()
-                .map(|(k, &d)| self.table[d][k].clone())
-                .collect()
-        };
+            gather_entry(&self.table, self.rows, digits, self.hardened, &mut self.acc);
+        }
     }
 
     fn double(&mut self) {
-        self.engine
-            .mont_mul_batch_into(&self.a, &self.a, &mut self.scratch);
-        std::mem::swap(&mut self.a, &mut self.scratch);
+        mul(self.engine, &self.acc, &self.acc, &mut self.next);
+        std::mem::swap(&mut self.acc, &mut self.next);
     }
 
     fn combine(&mut self, _set: usize, digits: &[usize]) {
-        for (k, slot) in self.multiplier.iter_mut().enumerate() {
-            let d = digits[k];
-            if self.hardened {
-                ct_sweep_lane(&self.table, k, d, &mut self.sel_buf);
-                *slot = Ubig::from_limbs(self.sel_buf.clone());
-            } else {
-                slot.clone_from(&self.table[d][k]);
-            }
-        }
-        self.engine
-            .mont_mul_batch_into(&self.a, &self.multiplier, &mut self.scratch);
-        std::mem::swap(&mut self.a, &mut self.scratch);
+        let m = &mut self.multiplier;
+        gather_entry(&self.table, self.rows, digits, self.hardened, m);
+        mul(self.engine, &self.acc, &self.multiplier, &mut self.next);
+        std::mem::swap(&mut self.acc, &mut self.next);
     }
 }
 
@@ -215,17 +192,15 @@ impl<E: BatchMontMul> BatchModExp<E> {
     /// hardening). `w = 1` is Algorithm 3's square-and-multiply-always
     /// scan. A [`ScalarSet::Shared`] exponent is never cloned per
     /// lane: the scan reads its digits straight from the one value.
-    ///
-    /// The scan itself is allocation-free once warm: squarings
-    /// ping-pong between two reusable lane buffers through
-    /// [`BatchMontMul::mont_mul_batch_into`], and the per-lane
-    /// multiplier selection reuses limb capacity via
-    /// `Ubig::clone_from`.
+    /// Every engine call is a rows call
+    /// ([`BatchMontMul::try_mont_mul_rows`]) on resident rows (see the
+    /// module docs).
     ///
     /// Every input rejection is a typed [`MmmError`]: a per-lane
     /// exponent count that differs from `ms.len()`, a fixed window
     /// outside `1..=8`, an empty batch, more lanes than the engine
-    /// accepts, or a message `≥ N` (named by its lane).
+    /// accepts (at most 64, the width of a row), or a message `≥ N`
+    /// (named by its lane).
     pub fn try_modexp(
         &mut self,
         ms: &[Ubig],
@@ -249,20 +224,25 @@ impl<E: BatchMontMul> BatchModExp<E> {
         if ms.is_empty() {
             return Err(MmmError::EmptyBatch);
         }
-        if ms.len() > self.engine.max_lanes() {
+        let max_lanes = self.engine.max_lanes().min(ROW_LANES);
+        if ms.len() > max_lanes {
             return Err(MmmError::BatchTooWide {
                 lanes: ms.len(),
-                max_lanes: self.engine.max_lanes(),
+                max_lanes,
             });
         }
         let params = self.engine.params().clone();
         let n = params.n();
         validate_reduced(n, ms)?;
-        let lanes = ms.len();
+        let (lanes, rows) = (ms.len(), row_count(&params));
+        let zeros = || FeRows::zeros(rows, lanes);
 
-        // Pre-computation: M̄_k = Mont(M_k, R² mod N) = M_k·R mod 2N.
-        let r2s = vec![params.r2_mod_n(); lanes];
-        let mbars = self.engine.mont_mul_batch(ms, &r2s);
+        // The one load, then the pre-computation:
+        // M̄_k = Mont(M_k, R² mod N) = M_k·R mod 2N.
+        let mut konst = zeros();
+        konst.broadcast(&params.r2_mod_n(), lanes);
+        let mut mbar = zeros();
+        try_mont_mul(&mut self.engine, &FeRows::load(rows, ms), &konst, &mut mbar)?;
         self.stats.total_batch_muls += 1;
         let one_bar = params.r_mod_n();
 
@@ -271,63 +251,60 @@ impl<E: BatchMontMul> BatchModExp<E> {
         // read.
         let table_len = if t == 0 { 0 } else { 1usize << window };
 
-        // Batched power table: table[d][k] = M̄_k^d, every d < 2^w.
-        let mut table: Vec<Vec<Ubig>> = Vec::with_capacity(table_len);
+        // Batched power table: entry d is M̄^d, every d < 2^w, built in
+        // `prev`/`next` and kept at its live lanes only.
+        let mut table = Vec::with_capacity(table_len * rows * lanes);
+        let (mut prev, mut next) = (zeros(), zeros());
         if table_len > 0 {
-            table.push(vec![one_bar.clone(); lanes]);
-            table.push(mbars);
-            for d in 2..table_len {
-                let next = self.engine.mont_mul_batch(&table[d - 1], &table[1]);
+            prev.broadcast(&one_bar, lanes);
+            push_entry(&mut table, &prev);
+            push_entry(&mut table, &mbar);
+            prev.clone_from(&mbar);
+            for _ in 2..table_len {
+                try_mont_mul(&mut self.engine, &prev, &mbar, &mut next)?;
+                push_entry(&mut table, &next);
+                std::mem::swap(&mut prev, &mut next);
                 self.stats.table_muls += 1;
                 self.stats.total_batch_muls += 1;
-                table.push(next);
             }
         }
 
         // Under hardening every table read — leading window included —
-        // is a branchless full-table sweep, and the skip-when-all-zero
-        // optimization is disabled (`never_skip`): the schedule and
-        // the memory trace are identical for every exponent of the
-        // same length.
+        // is a masked sweep of the whole table, and the
+        // skip-when-all-zero optimization is disabled (`never_skip`):
+        // the schedule and the memory trace are identical for every
+        // exponent of the same length.
         let hardened = self.engine.hardening().is_hardened();
         let mut client = ModexpScanClient {
             engine: &mut self.engine,
             table,
-            sel_buf: vec![0 as Limb; n.limbs().len() + 1],
-            multiplier: vec![one_bar.clone(); lanes],
+            rows,
             one_bar,
-            lanes,
             hardened,
-            a: Vec::new(),
-            scratch: Vec::with_capacity(lanes),
+            acc: prev,
+            next,
+            multiplier: konst,
         };
         let scan = run_windowed_scan(&mut client, lanes, &[es], window, hardened);
-        let a = std::mem::take(&mut client.a);
+        let ModexpScanClient {
+            acc,
+            next: mut out,
+            multiplier: mut ones,
+            ..
+        } = client;
         self.stats.squarings += scan.doublings;
         self.stats.multiplications += scan.combines;
         self.stats.skipped_multiplications += scan.skipped_combines;
         self.stats.total_batch_muls += scan.doublings + scan.combines;
 
-        // Post-processing: Mont(A, 1) ≤ N, equality only for A ≡ 0.
-        let ones = vec![Ubig::one(); lanes];
-        let out = self.engine.mont_mul_batch(&a, &ones);
+        // Post-processing: Mont(A, 1) ≤ N, equality only for A ≡ 0,
+        // which the branchless final subtraction maps to 0 (a hardened
+        // engine's output is canonical already); then the one store.
+        ones.broadcast(&Ubig::one(), lanes);
+        try_mont_mul(&mut self.engine, &acc, &ones, &mut out)?;
         self.stats.total_batch_muls += 1;
-        if hardened {
-            // Canonical already (A ≡ 0 emerges as 0, not N) — the
-            // result-dependent r == n compare never runs.
-            return Ok(out);
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| {
-                if &r == n {
-                    Ubig::zero()
-                } else {
-                    debug_assert!(&r < n, "post-processing bound violated");
-                    r
-                }
-            })
-            .collect())
+        cond_sub_rows(&padded_limbs(n, rows), out.limbs_mut(), rows);
+        Ok(out.store())
     }
 
     /// [`BatchModExp::try_modexp`] with one exponent shared by every

@@ -1,23 +1,24 @@
-//! The struct-of-arrays limb layout the batch engines multiply in
-//! place, called "rows": limb `j` of lane `k` sits at `[j·64 + k]`,
-//! and an operand of width `l` has `s = ⌈(l+2)/64⌉` rows. This is the
-//! layout `CiosBatch` builds inside every `Vec<Ubig>` call.
+//! The struct-of-arrays limb layout every batch engine multiplies in,
+//! called "rows": limb `j` of lane `k` sits at `[j·64 + k]`, and an
+//! operand of width `l` has `s = ⌈(l+2)/64⌉` rows.
 //!
-//! [`BatchMontMul::try_mont_mul_rows`](crate::traits::BatchMontMul::try_mont_mul_rows)
-//! multiplies operands that already live in it. A caller that keeps
-//! its lanes in rows for a whole computation, like the batched ECC
-//! field layer, pays no transpose and no allocation per
-//! multiplication. This mirrors the paper's Algorithm 3, where the
-//! array's output is the next multiplication's operand as it stands:
-//! below 2N, with no conversion.
+//! Rows are the one engine contract:
+//! [`BatchMontMul::try_mont_mul_rows`] is the one multiply path of every batch engine, and their
+//! `Vec<Ubig>` methods are one adapter here that stages lanes into
+//! engine-owned rows. RSA's and ECC's scans keep every lane in a
+//! resident [`FeRows`] from one load to one store, and [`gather`] is
+//! their one table read — the paper's Algorithm 3, where the array's
+//! output is the next operand as it stands, below 2N, unconverted.
 //!
 //! Only lanes `0..lanes` of a call are live. Dead columns of the
 //! operands are never read as values, and dead columns of the result
-//! are unspecified.
+//! are unspecified. Conversion between `Ubig` lanes and rows lives only
+//! in this module.
 
-use crate::error::{MmmError, OperandBound};
+use crate::error::{validate_mont_batch, MmmError, OperandBound};
 use crate::montgomery::MontgomeryParams;
-use mmm_bigint::ct::sbb_ct;
+use crate::traits::BatchMontMul;
+use mmm_bigint::ct::{sbb_ct, Choice};
 use mmm_bigint::limbs::{Limb, LIMB_BITS};
 use mmm_bigint::transpose::limbs_to_lanes_into;
 use mmm_bigint::Ubig;
@@ -39,6 +40,252 @@ pub fn padded_limbs(v: &Ubig, rows: usize) -> Vec<Limb> {
     assert!(out.len() <= rows, "value needs more than {rows} limbs");
     out.resize(rows, 0);
     out
+}
+
+/// A resident lane vector: up to 64 lanes in rows, plus the live-lane
+/// count. Dead columns hold no value: no operation reads them as an
+/// operand. Methods panic on more than 64 lanes, on a lane that is not
+/// live, or on a value wider than the rows.
+#[derive(Debug, Clone, Default)]
+pub struct FeRows {
+    limbs: Vec<Limb>,
+    lanes: usize,
+}
+
+impl FeRows {
+    /// A zeroed vector of `rows` rows and `lanes` live lanes.
+    pub fn zeros(rows: usize, lanes: usize) -> Self {
+        let mut out = FeRows::default();
+        out.limbs.resize(rows * ROW_LANES, 0);
+        out.set_lanes(lanes);
+        out
+    }
+
+    /// `vals` in `rows` rows, one value per lane.
+    pub fn load(rows: usize, vals: &[Ubig]) -> Self {
+        let mut out = FeRows::default();
+        out.assign(rows, vals);
+        out
+    }
+
+    /// Overwrites the vector with `vals` in `rows` rows, one value per
+    /// lane, taking `vals.len()` live lanes.
+    pub fn assign(&mut self, rows: usize, vals: &[Ubig]) {
+        self.limbs.resize(rows * ROW_LANES, 0);
+        self.set_lanes(vals.len());
+        for (k, v) in vals.iter().enumerate() {
+            set_lane_of(&mut self.limbs, k, v);
+        }
+    }
+
+    /// The live lanes, one value per lane.
+    pub fn store(&self) -> Vec<Ubig> {
+        let mut out = Vec::with_capacity(self.lanes);
+        self.store_into(&mut out);
+        out
+    }
+
+    /// [`FeRows::store`] into `out`, reusing its lanes' limb buffers.
+    pub fn store_into(&self, out: &mut Vec<Ubig>) {
+        limbs_to_lanes_into(&self.limbs, self.rows(), ROW_LANES, self.lanes, out);
+    }
+
+    /// Number of live lanes.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Sets the number of live lanes; no column changes.
+    pub fn set_lanes(&mut self, lanes: usize) {
+        assert!(lanes <= ROW_LANES, "at most {ROW_LANES} lanes");
+        self.lanes = lanes;
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.limbs.len() / ROW_LANES
+    }
+
+    /// The rows, `rows() · 64` limbs.
+    pub fn limbs(&self) -> &[Limb] {
+        &self.limbs
+    }
+
+    /// The rows, for writing.
+    pub fn limbs_mut(&mut self) -> &mut [Limb] {
+        &mut self.limbs
+    }
+
+    /// Lane `k` as a value.
+    pub fn lane(&self, k: usize) -> Ubig {
+        assert!(k < self.lanes, "lane {k} of {}", self.lanes);
+        lane_of(&self.limbs, k)
+    }
+
+    /// Overwrites lane `k` with `v`.
+    pub fn set_lane(&mut self, k: usize, v: &Ubig) {
+        assert!(k < self.lanes, "lane {k} of {}", self.lanes);
+        set_lane_of(&mut self.limbs, k, v);
+    }
+
+    /// Every one of `lanes` live lanes becomes `v`.
+    pub fn broadcast(&mut self, v: &Ubig, lanes: usize) {
+        self.set_lanes(lanes);
+        assert!(v.limbs().len() <= self.rows(), "value wider than the rows");
+        for (row, j) in self.limbs.chunks_exact_mut(ROW_LANES).zip(0..) {
+            row[..lanes].fill(v.limbs().get(j).copied().unwrap_or(0));
+        }
+    }
+
+    /// Copies column `col` of `src` into lane `k`.
+    pub fn copy_lane(&mut self, k: usize, src: &FeRows, col: usize) {
+        let rows = self.limbs.chunks_exact_mut(ROW_LANES);
+        for (dst, src) in rows.zip(src.limbs.chunks_exact(ROW_LANES)) {
+            dst[k] = src[col];
+        }
+    }
+
+    /// Row `j` as [`gather`] reads a table entry: all 64 columns, or
+    /// just column 0 for a one-lane vector, which gather broadcasts.
+    pub fn gather_row(&self, j: usize) -> &[Limb] {
+        &self.limbs[j * ROW_LANES..][..if self.lanes == 1 { 1 } else { ROW_LANES }]
+    }
+
+    /// Zeroes lanes `0..lanes` and takes them as the live lanes.
+    pub fn clear(&mut self, lanes: usize) {
+        self.set_lanes(lanes);
+        for row in self.limbs.chunks_exact_mut(ROW_LANES) {
+            row[..lanes].fill(0);
+        }
+    }
+}
+
+/// Lane `k` of the rows `buf` as a value.
+pub(crate) fn lane_of(buf: &[Limb], k: usize) -> Ubig {
+    Ubig::from_limbs(buf.iter().skip(k).step_by(ROW_LANES).copied().collect())
+}
+
+/// Overwrites lane `k` of the rows `buf` with `v`.
+pub(crate) fn set_lane_of(buf: &mut [Limb], k: usize, v: &Ubig) {
+    let limbs = v.limbs();
+    assert!(
+        limbs.len() * ROW_LANES <= buf.len(),
+        "value wider than the rows"
+    );
+    for (slot, j) in buf.iter_mut().skip(k).step_by(ROW_LANES).zip(0..) {
+        *slot = limbs.get(j).copied().unwrap_or(0);
+    }
+}
+
+/// `out = a · b` on `a`'s live lanes: one call of `engine`'s rows
+/// entry. Lane counts that differ are a [`MmmError::LengthMismatch`].
+pub fn try_mont_mul<E: BatchMontMul + ?Sized>(
+    engine: &mut E,
+    a: &FeRows,
+    b: &FeRows,
+    out: &mut FeRows,
+) -> Result<(), MmmError> {
+    if a.lanes != b.lanes {
+        return Err(MmmError::LengthMismatch {
+            left: a.lanes,
+            right: b.lanes,
+        });
+    }
+    out.lanes = a.lanes;
+    engine.try_mont_mul_rows(&a.limbs, &b.limbs, a.lanes, &mut out.limbs)
+}
+
+/// The scans' one table read: lane `k` of `out` becomes lane `k` of
+/// table entry `digits[k]`, whose row `j` is `row_of(d, j)` with lane
+/// `k` at `[k]` — or at `[0]` for every lane when the row is one limb
+/// long (a one-lane entry, broadcast). When `hardened`, every entry is
+/// read for every lane and the wanted one is kept by a lane mask —
+/// `subtle`'s `ConditionallySelectable` pattern, across lanes — so
+/// which memory the gather touches does not depend on the secret
+/// digits.
+pub fn gather<'t>(
+    entries: usize,
+    row_of: impl Fn(usize, usize) -> &'t [Limb],
+    digits: &[usize],
+    hardened: bool,
+    out: &mut FeRows,
+) {
+    let lanes = digits.len();
+    let pick = |src: &[Limb], k: usize| src[if src.len() == 1 { 0 } else { k }];
+    if !hardened {
+        out.set_lanes(lanes);
+        for (j, dst) in out.limbs.chunks_exact_mut(ROW_LANES).enumerate() {
+            for (k, (o, &d)) in dst.iter_mut().zip(digits).enumerate() {
+                *o = pick(row_of(d, j), k);
+            }
+        }
+        return;
+    }
+    out.clear(lanes);
+    let mut mask = [0 as Limb; ROW_LANES];
+    for d in 0..entries {
+        for (m, &dk) in mask.iter_mut().zip(digits) {
+            *m = Choice::ct_eq_usize(d, dk).mask();
+        }
+        for (j, dst) in out.limbs.chunks_exact_mut(ROW_LANES).enumerate() {
+            let src = row_of(d, j);
+            for (k, (o, &m)) in dst[..lanes].iter_mut().zip(&mask).enumerate() {
+                *o |= pick(src, k) & m;
+            }
+        }
+    }
+}
+
+/// One row of a rows buffer: fixed-size, so the engines' per-lane
+/// loops have a compile-time trip count (64) for the vectorizer.
+pub(crate) type LaneRow = [Limb; ROW_LANES];
+
+/// Borrows row `j` of a rows buffer.
+#[inline(always)]
+pub(crate) fn row(buf: &[Limb], j: usize) -> &LaneRow {
+    buf[j * ROW_LANES..][..ROW_LANES]
+        .try_into()
+        .expect("a row is 64 limbs")
+}
+
+/// Mutable variant of [`row`].
+#[inline(always)]
+pub(crate) fn row_mut(buf: &mut [Limb], j: usize) -> &mut LaneRow {
+    (&mut buf[j * ROW_LANES..][..ROW_LANES])
+        .try_into()
+        .expect("a row is 64 limbs")
+}
+
+/// The engine-owned staging rows (`x`, `y`, result) of the
+/// `Vec<Ubig>` adapter, [`mont_mul_lanes`]; sized by its first call.
+pub(crate) type LaneStage = [FeRows; 3];
+
+/// The one `Vec<Ubig>` adapter: an engine's `mont_mul_batch_into`
+/// through its rows entry. The lanes are validated as
+/// [`BatchMontMul::try_mont_mul_batch`] documents (a rejection panics
+/// with its text), staged into the rows `stage` lends out of the
+/// engine, multiplied by one rows call and stored into `out`, reusing
+/// its limb buffers, so a warm call allocates nothing.
+pub(crate) fn mont_mul_lanes<E: BatchMontMul>(
+    engine: &mut E,
+    stage: fn(&mut E) -> &mut LaneStage,
+    xs: &[Ubig],
+    ys: &[Ubig],
+    out: &mut Vec<Ubig>,
+) {
+    let [mut x, mut y, mut z] = std::mem::take(stage(engine));
+    let rows = row_count(engine.params());
+    let done = validate_mont_batch(engine.params(), engine.max_lanes(), xs, ys).and_then(|()| {
+        x.assign(rows, xs);
+        y.assign(rows, ys);
+        z.limbs.resize(rows * ROW_LANES, 0);
+        try_mont_mul(engine, &x, &y, &mut z)
+    });
+    if done.is_ok() {
+        z.store_into(out);
+    }
+    *stage(engine) = [x, y, z];
+    done.unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// The shape checks of one rows call: `lanes` in `1..=64` and every
@@ -72,9 +319,8 @@ pub(crate) fn check_shape(
 }
 
 /// Rejects the first live lane of `x` or `y` that is not below
-/// `two_n` (the padded `2N`), naming it. One borrow chain per operand,
-/// run across the live lanes of each row at once, like pass 1 of the
-/// engines' hardened final subtraction.
+/// `two_n` (the padded `2N`), naming it, with one constant-time borrow
+/// chain per lane and operand ([`below_mask`]).
 pub(crate) fn check_below(
     two_n: &[Limb],
     x: &[Limb],
@@ -98,8 +344,16 @@ fn live_mask(lanes: usize) -> u64 {
 }
 
 /// Bit `k` is set iff live lane `k` of `v` is below `bound`: the lane
-/// borrows out of `v − bound`.
+/// borrows out of `v − bound`. A call the engines run on their
+/// per-lane path runs one chain per lane, as that path does; a row of
+/// vectorized chains costs more than a narrow call's whole check.
 fn below_mask(bound: &[Limb], v: &[Limb], lanes: usize) -> u64 {
+    if lanes <= crate::cios::SCALAR_LANES {
+        return (0..lanes).fold(0, |mask, k| {
+            let chain = |b, (j, &bj): (usize, &Limb)| sbb_ct(v[j * ROW_LANES + k], bj, b).1;
+            mask | (bound.iter().enumerate().fold(0, chain) << k)
+        });
+    }
     let mut borrow = [0 as Limb; ROW_LANES];
     let borrow = &mut borrow[..lanes];
     for (j, &bj) in bound.iter().enumerate() {
@@ -116,7 +370,7 @@ fn below_mask(bound: &[Limb], v: &[Limb], lanes: usize) -> u64 {
 /// The default rows entry of engines with no native one: the live
 /// lanes go through the engine's `Vec<Ubig>` entry and back. It
 /// converts and allocates on every call.
-pub(crate) fn via_lanes<E: crate::traits::BatchMontMul + ?Sized>(
+pub(crate) fn via_lanes<E: BatchMontMul + ?Sized>(
     engine: &mut E,
     x: &[Limb],
     y: &[Limb],
@@ -128,12 +382,10 @@ pub(crate) fn via_lanes<E: crate::traits::BatchMontMul + ?Sized>(
     let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
     limbs_to_lanes_into(x, rows, ROW_LANES, lanes, &mut xs);
     limbs_to_lanes_into(y, rows, ROW_LANES, lanes, &mut ys);
-    crate::error::validate_mont_batch(engine.params(), engine.max_lanes(), &xs, &ys)?;
+    validate_mont_batch(engine.params(), engine.max_lanes(), &xs, &ys)?;
     engine.mont_mul_batch_into(&xs, &ys, &mut zs);
     for (k, z) in zs.iter().enumerate() {
-        for j in 0..rows {
-            out[j * ROW_LANES + k] = z.limbs().get(j).copied().unwrap_or(0);
-        }
+        set_lane_of(out, k, z);
     }
     Ok(())
 }
@@ -148,11 +400,15 @@ mod tests {
         let bound = [5, 1];
         let mut v = vec![0; 2 * ROW_LANES];
         let lanes = [(4, 1), (5, 1), (u64::MAX, 0), (0, 2), (6, 1)];
-        for (k, &(lo, hi)) in lanes.iter().enumerate() {
+        for (k, &(lo, hi)) in lanes.iter().cycle().take(ROW_LANES).enumerate() {
             v[k] = lo;
             v[ROW_LANES + k] = hi;
         }
+        // Five lanes take the per-lane chains, all 64 the row chains.
         assert_eq!(below_mask(&bound, &v, lanes.len()), 0b00101);
+        let every_fifth =
+            (0..ROW_LANES).fold(0, |m, k| m | u64::from(k % 5 == 0 || k % 5 == 2) << k);
+        assert_eq!(below_mask(&bound, &v, ROW_LANES), every_fifth);
         assert_eq!(live_mask(64), u64::MAX);
         assert_eq!(live_mask(3), 0b111);
     }

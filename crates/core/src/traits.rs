@@ -63,9 +63,9 @@ pub trait BatchMontMul {
 
     /// Like [`BatchMontMul::mont_mul_batch`], but writing into a
     /// caller-provided buffer so engines that support it can recycle
-    /// the output lanes' allocations across calls (the bit-sliced
-    /// engine's hot path is allocation-free through this entry point).
-    /// The default delegates to `mont_mul_batch`.
+    /// the output lanes' allocations across calls (every batch engine
+    /// does, through the staging adapter of [`crate::rows`]). The
+    /// default delegates to `mont_mul_batch`.
     fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
         *out = self.mont_mul_batch(xs, ys);
     }
@@ -83,9 +83,12 @@ pub trait BatchMontMul {
     /// ([`MmmError::EmptyBatch`], [`MmmError::BatchTooWide`]), a
     /// buffer of the wrong length ([`MmmError::LengthMismatch`]) and a
     /// live operand `≥ 2N` ([`MmmError::OperandOutOfRange`] naming its
-    /// lane). The default converts the live lanes to `Ubig`, runs
-    /// [`BatchMontMul::mont_mul_batch_into`] and converts back;
-    /// `CiosBatch` and `Cios52Batch` multiply the rows in place.
+    /// lane). This is the engines' one contract: `CiosBatch`,
+    /// `Cios52Batch` and `BitSlicedBatch` multiply the rows in place and
+    /// serve their `Vec<Ubig>` methods from here. The default, for
+    /// engines with no rows entry of their own, converts the live lanes
+    /// to `Ubig`, runs [`BatchMontMul::mont_mul_batch_into`] and
+    /// converts back.
     fn try_mont_mul_rows(
         &mut self,
         x: &[Limb],

@@ -71,6 +71,8 @@
 //! with `Relaxed` ordering, like the serving counters.
 
 use crate::pool::lock_unpoisoned;
+use crate::rows::ROW_LANES;
+use mmm_bigint::limbs::{Limb, LIMB_BITS};
 use mmm_bigint::Ubig;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -238,14 +240,18 @@ impl CorruptionPlan {
     }
 
     /// Engine-side hook, called on every batch-multiplication output
-    /// by [`VerifiedEngine`](crate::verify::VerifiedEngine). Applies
-    /// an armed lane flip; true when a corruption fired.
-    pub fn corrupt_mont_batch(&self, outs: &mut [Ubig]) -> bool {
-        if outs.is_empty() || !take_one(&self.mont_flips) {
+    /// by [`VerifiedEngine`](crate::verify::VerifiedEngine): `out` is
+    /// the result rows ([`crate::rows`]) with `lanes` live lanes.
+    /// Applies an armed lane flip (a bit past the rows wraps modulo
+    /// their width); true when a corruption fired.
+    pub fn corrupt_mont_batch(&self, out: &mut [Limb], lanes: usize) -> bool {
+        let bits = out.len() / ROW_LANES * LIMB_BITS;
+        if lanes == 0 || bits == 0 || !take_one(&self.mont_flips) {
             return false;
         }
-        let lane = self.mont_lane.load(Ordering::Acquire) % outs.len();
-        flip_bit_of(&mut outs[lane], self.mont_bit.load(Ordering::Acquire));
+        let lane = self.mont_lane.load(Ordering::Acquire) % lanes;
+        let bit = self.mont_bit.load(Ordering::Acquire) % bits;
+        out[bit / LIMB_BITS * ROW_LANES + lane] ^= 1 << (bit % LIMB_BITS);
         self.mont_flips_fired.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -327,8 +333,10 @@ mod tests {
     #[test]
     fn inert_by_default() {
         let plan = CorruptionPlan::default();
+        let mut rows = vec![5; ROW_LANES];
+        assert!(!plan.corrupt_mont_batch(&mut rows, 1));
+        assert_eq!(rows[0], 5);
         let mut outs = vec![Ubig::from(5u64)];
-        assert!(!plan.corrupt_mont_batch(&mut outs));
         assert!(!plan.corrupt_crt_half(&mut outs, &Ubig::from(13u64)));
         assert!(!plan.corrupt_param_residue(&mut outs, &Ubig::from(13u64)));
         assert_eq!(outs[0], Ubig::from(5u64));
@@ -349,13 +357,15 @@ mod tests {
     #[test]
     fn armed_flip_fires_exactly_n_times_on_the_chosen_lane() {
         let plan = CorruptionPlan::default();
-        plan.inject_mont_mul_flip(1, 2, 2);
-        let mut outs = vec![Ubig::from(8u64), Ubig::from(8u64)];
-        assert!(plan.corrupt_mont_batch(&mut outs));
-        assert_eq!(outs[0], Ubig::from(8u64), "lane 0 untouched");
-        assert_eq!(outs[1], Ubig::from(12u64), "bit 2 of lane 1 flipped");
-        assert!(plan.corrupt_mont_batch(&mut outs));
-        assert!(!plan.corrupt_mont_batch(&mut outs), "disarmed after n");
+        // Two rows, two live lanes; bit 66 is bit 2 of lane 1's row 1.
+        plan.inject_mont_mul_flip(1, 66, 2);
+        let mut rows = vec![8; 2 * ROW_LANES];
+        assert!(plan.corrupt_mont_batch(&mut rows, 2));
+        assert_eq!(rows[1], 8, "row 0 untouched");
+        assert_eq!(rows[ROW_LANES], 8, "lane 0 untouched");
+        assert_eq!(rows[ROW_LANES + 1], 12, "bit 2 of lane 1's row 1 flipped");
+        assert!(plan.corrupt_mont_batch(&mut rows, 2));
+        assert!(!plan.corrupt_mont_batch(&mut rows, 2), "disarmed after n");
         assert_eq!(plan.mont_flips_fired(), 2);
     }
 
@@ -443,7 +453,7 @@ mod tests {
         let a = inert_plan();
         let b = inert_plan();
         assert!(Arc::ptr_eq(&a, &b));
-        let mut outs = vec![Ubig::one()];
-        assert!(!a.corrupt_mont_batch(&mut outs));
+        let mut rows = vec![1; ROW_LANES];
+        assert!(!a.corrupt_mont_batch(&mut rows, 1));
     }
 }

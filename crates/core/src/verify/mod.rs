@@ -53,8 +53,10 @@ pub mod faults;
 use crate::engine::EngineKind;
 use crate::error::MmmError;
 use crate::montgomery::{mont_mul_alg2, MontgomeryParams};
+use crate::rows::{self, lane_of, set_lane_of, LaneStage, ROW_LANES};
 use crate::traits::BatchMontMul;
 use faults::CorruptionPlan;
+use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -449,7 +451,9 @@ impl Quarantine {
 
 /// A [`BatchMontMul`] adapter that applies the corruption-injection
 /// hooks and the policy-gated residue self-check to every batch it
-/// computes, correcting bad lanes *before* they escape.
+/// computes, correcting bad lanes *before* they escape. Both sit on its
+/// rows entry, the path every operation takes; its `Vec<Ubig>` methods
+/// are the shared adapter of [`crate::rows`] over that entry.
 ///
 /// The correction ladder, cheapest-first:
 /// 1. charge the violation to the backend and demote the engine's SIMD
@@ -472,6 +476,8 @@ pub struct VerifiedEngine<E> {
     kind: EngineKind,
     ctx: VerifyContext,
     check: Option<ResidueCheck>,
+    /// Staging rows of the `Vec<Ubig>` methods.
+    stage: LaneStage,
 }
 
 impl<E: BatchMontMul> VerifiedEngine<E> {
@@ -479,6 +485,7 @@ impl<E: BatchMontMul> VerifiedEngine<E> {
     /// ledger in `ctx`.
     pub fn new(inner: E, kind: EngineKind, ctx: VerifyContext) -> Self {
         VerifiedEngine {
+            stage: LaneStage::default(),
             inner,
             kind,
             ctx,
@@ -507,33 +514,32 @@ impl<E: BatchMontMul> VerifiedEngine<E> {
     }
 
     /// Injection hook + policy-gated check + correction ladder, run on
-    /// every batch result.
-    fn post_batch(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut [Ubig]) {
-        self.ctx.faults.corrupt_mont_batch(out);
+    /// every rows result. Checking reads each live lane out as a
+    /// `Ubig`; with checking off the hook is one atomic load.
+    fn post_rows(&mut self, x: &[Limb], y: &[Limb], lanes: usize, out: &mut [Limb]) {
+        self.ctx.faults.corrupt_mont_batch(out, lanes);
         if !self.should_check() {
             return;
         }
-        if self.check.is_none() {
-            self.check = Some(ResidueCheck::new(self.inner.params()));
-        }
+        let check: &ResidueCheck = self
+            .check
+            .get_or_insert_with(|| ResidueCheck::new(self.inner.params()));
         // A hardened engine canonicalizes (`< N`), so its outputs are
         // judged by the two-representative form of the identity; the
         // strict form would flag every lane the final subtraction
         // actually fired on.
         let hardened = self.inner.hardening().is_hardened();
-        let lane_ok = |check: &ResidueCheck, x: &Ubig, y: &Ubig, out: &Ubig| {
+        let lane_ok = |x: &Ubig, y: &Ubig, out: &Ubig| {
             if hardened {
                 check.check_lane_hardened(x, y, out)
             } else {
                 check.check_lane(x, y, out)
             }
         };
-        let bad: Vec<usize> = {
-            let check = self.check.as_ref().expect("installed above");
-            (0..out.len())
-                .filter(|&k| !lane_ok(check, &xs[k], &ys[k], &out[k]))
-                .collect()
-        };
+        let bad: Vec<(usize, Ubig, Ubig)> = (0..lanes)
+            .map(|k| (k, lane_of(x, k), lane_of(y, k)))
+            .filter(|(k, xk, yk)| !lane_ok(xk, yk, &lane_of(out, *k)))
+            .collect();
         if bad.is_empty() {
             return;
         }
@@ -543,27 +549,27 @@ impl<E: BatchMontMul> VerifiedEngine<E> {
         if self.inner.demote_kernel() {
             self.ctx.quarantine.record_demotion();
         }
-        let params = self.inner.params().clone();
-        for &k in &bad {
+        for (k, xk, yk) in bad {
             let redo = self
                 .inner
-                .mont_mul_batch(std::slice::from_ref(&xs[k]), std::slice::from_ref(&ys[k]))
+                .mont_mul_batch(std::slice::from_ref(&xk), std::slice::from_ref(&yk))
                 .pop()
                 .expect("one lane in, one lane out");
-            let check = self.check.as_ref().expect("installed above");
-            out[k] = if lane_ok(check, &xs[k], &ys[k], &redo) {
+            let fixed = if lane_ok(&xk, &yk, &redo) {
                 redo
             } else {
                 // The scalar oracle emits the raw < 2N value; a
                 // hardened borrower expects the canonical < N
                 // representative, so match the engine's contract.
-                let oracle = mont_mul_alg2(&params, &xs[k], &ys[k]);
+                let params = self.inner.params();
+                let oracle = mont_mul_alg2(params, &xk, &yk);
                 if hardened {
                     mmm_bigint::ct::ct_reduce_once(&oracle, params.n())
                 } else {
                     oracle
                 }
             };
+            set_lane_of(out, k, &fixed);
             self.ctx.quarantine.record_correction();
         }
     }
@@ -575,18 +581,25 @@ impl<E: BatchMontMul> BatchMontMul for VerifiedEngine<E> {
     }
 
     fn max_lanes(&self) -> usize {
-        self.inner.max_lanes()
+        self.inner.max_lanes().min(ROW_LANES)
     }
 
     fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
-        let mut out = self.inner.mont_mul_batch(xs, ys);
-        self.post_batch(xs, ys, &mut out);
+        let mut out = Vec::with_capacity(xs.len());
+        rows::mont_mul_lanes(self, |e| &mut e.stage, xs, ys, &mut out);
         out
     }
 
-    fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
-        self.inner.mont_mul_batch_into(xs, ys, out);
-        self.post_batch(xs, ys, out);
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        self.inner.try_mont_mul_rows(x, y, lanes, out)?;
+        self.post_rows(x, y, lanes, out);
+        Ok(())
     }
 
     fn consumed_cycles(&self) -> Option<u64> {

@@ -10,8 +10,8 @@
 //!
 //! **Resident points.** `PointLanes` is the public boundary type. Inside,
 //! every formula, window table and scan accumulator works on points
-//! whose coordinates are resident [`FeRows`]: the engines' own limb
-//! rows. Each public method converts once at entry and once at exit,
+//! whose coordinates are resident [`FeRows`] (`mmm_core::rows`): the
+//! engines' own limb rows. Each public method converts once at entry and once at exit,
 //! and a scan moves no lane through a `Ubig` between those two points.
 //!
 //! **Exception handling.** The solo code branches before the formulas
@@ -40,17 +40,17 @@
 //! drives both scalars through one scan, so each window's doublings
 //! are shared; a base given at one lane (the generator) keeps its
 //! table at one lane and is broadcast as its entries are gathered.
-//! Under engine hardening the gather sweeps every table entry with a
-//! lane mask instead of indexing the table by the secret digit.
+//! Table entries are read by `mmm_core::rows::gather`, the one gather
+//! RSA's scan uses too: under engine hardening it sweeps every table
+//! entry with a lane mask instead of indexing the table by the secret
+//! digit.
 
-use crate::batch_field::{BatchFieldCtx, FeRows};
+use crate::batch_field::BatchFieldCtx;
 use crate::curve::{Curve, Point};
 use crate::field::Fe;
-use mmm_bigint::ct::Choice;
-use mmm_bigint::limbs::Limb;
 use mmm_bigint::Ubig;
 use mmm_core::error::MmmError;
-use mmm_core::rows::ROW_LANES;
+use mmm_core::rows::{self, FeRows};
 use mmm_core::scan::{best_fixed_window_weighted, run_windowed_scan, ScalarSet, WindowScanClient};
 use mmm_core::traits::BatchMontMul;
 
@@ -202,34 +202,32 @@ impl PointRows {
     }
 }
 
-/// Lane `k` of `out` becomes entry `digits[k]` of `table`: its column
-/// `k`, or column 0 of a one-lane table. When `hardened`, every entry
-/// is read for every lane and the wanted one is kept by a lane mask
-/// (the `ConditionallySelectable` pattern across lanes), so which
-/// memory the gather touches does not depend on the secret digits.
+/// Lane `k` of `out` becomes entry `digits[k]` of `table`, one
+/// coordinate at a time through [`rows::gather`]: its lane `k`, or
+/// lane 0 of a one-lane table, swept under a lane mask when `hardened`.
 fn gather(table: &[PointRows], digits: &[usize], hardened: bool, out: &mut PointRows) {
-    let lanes = digits.len();
-    for c in out.coords_mut() {
-        c.clear(lanes);
-    }
-    if hardened {
-        let mut mask = [0 as Limb; ROW_LANES];
-        for (d, entry) in table.iter().enumerate() {
-            for (m, &dk) in mask.iter_mut().zip(digits) {
-                *m = Choice::ct_eq_usize(d, dk).mask();
-            }
-            let broadcast = entry.lanes() == 1;
-            let coords = out.coords_mut().into_iter();
-            for (dst, src) in coords.zip([&entry.x, &entry.y, &entry.z]) {
-                dst.or_lanes_masked(src, broadcast, &mask[..lanes]);
-            }
-        }
-    } else {
-        for (k, &d) in digits.iter().enumerate() {
-            let entry = &table[d];
-            out.copy_lane(k, entry, if entry.lanes() == 1 { 0 } else { k });
-        }
-    }
+    let n = table.len();
+    rows::gather(
+        n,
+        |d, j| table[d].x.gather_row(j),
+        digits,
+        hardened,
+        &mut out.x,
+    );
+    rows::gather(
+        n,
+        |d, j| table[d].y.gather_row(j),
+        digits,
+        hardened,
+        &mut out.y,
+    );
+    rows::gather(
+        n,
+        |d, j| table[d].z.gather_row(j),
+        digits,
+        hardened,
+        &mut out.z,
+    );
 }
 
 /// The temporaries of one point formula, reused across calls so a
@@ -340,7 +338,7 @@ impl BatchCurve {
         f.exit_mont_rows(t1, rhs);
         let identity = f.zero_lanes(&p.z);
         (0..p.lanes())
-            .map(|k| identity >> k & 1 == 1 || lhs.lane_eq(rhs, k))
+            .map(|k| identity >> k & 1 == 1 || lhs.lane(k) == rhs.lane(k))
             .collect()
     }
 

@@ -6,11 +6,11 @@
 //! is bit-identical to what the solo context produces on the same
 //! inputs.
 //!
-//! **Resident lanes.** The working form is [`FeRows`]: up to 64 lanes
-//! kept in the engines' own limb rows ([`mmm_core::rows`]), limb `j` of
-//! lane `k` at `[j·64 + k]`. A multiplication is one
-//! [`BatchMontMul::try_mont_mul_rows`] call on the rows as they stand,
-//! with no transpose and no allocation. Additions, subtractions,
+//! **Resident lanes.** The working form is [`FeRows`], the one
+//! resident-lane type of [`mmm_core::rows`]: up to 64 lanes kept in the
+//! engines' own limb rows, limb `j` of lane `k` at `[j·64 + k]`. A
+//! multiplication is one [`BatchMontMul::try_mont_mul_rows`] call on
+//! the rows as they stand, with no transpose and no allocation. Additions, subtractions,
 //! doublings and small-constant ladders are branchless passes over the
 //! live lanes of each row, computing the same function as the solo
 //! [`FieldCtx::add`], [`FieldCtx::sub`] and [`FieldCtx::mul_small`],
@@ -37,112 +37,8 @@ use mmm_bigint::limbs::{adc, sbb, Limb};
 use mmm_bigint::Ubig;
 use mmm_core::cios::CiosMont;
 use mmm_core::montgomery::MontgomeryParams;
-use mmm_core::rows::{padded_limbs, row_count, ROW_LANES};
+use mmm_core::rows::{padded_limbs, row_count, try_mont_mul, FeRows, ROW_LANES};
 use mmm_core::traits::BatchMontMul;
-
-/// A resident lane vector: field elements of up to 64 lanes in limb
-/// rows (limb `j` of lane `k` at `[j·64 + k]`), plus the live-lane
-/// count. Dead columns hold no value: no operation reads them as an
-/// operand.
-#[derive(Debug, Clone)]
-pub struct FeRows {
-    limbs: Vec<Limb>,
-    lanes: usize,
-}
-
-impl FeRows {
-    /// A zeroed vector of `rows` rows and `lanes` live lanes.
-    fn zeros(rows: usize, lanes: usize) -> Self {
-        assert!(lanes <= ROW_LANES, "at most {ROW_LANES} lanes");
-        FeRows {
-            limbs: vec![0; rows * ROW_LANES],
-            lanes,
-        }
-    }
-
-    /// Number of live lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn rows(&self) -> usize {
-        self.limbs.len() / ROW_LANES
-    }
-
-    /// Reads lane `k` out as a field element.
-    pub(crate) fn lane(&self, k: usize) -> Fe {
-        assert!(k < self.lanes, "lane {k} of {}", self.lanes);
-        Ubig::from_limbs(
-            self.limbs
-                .iter()
-                .skip(k)
-                .step_by(ROW_LANES)
-                .copied()
-                .collect(),
-        )
-    }
-
-    /// Overwrites lane `k` with `v`.
-    ///
-    /// # Panics
-    /// Panics if `k` is not live or `v` does not fit the rows.
-    pub(crate) fn set_lane(&mut self, k: usize, v: &Fe) {
-        assert!(k < self.lanes, "lane {k} of {}", self.lanes);
-        let limbs = v.limbs();
-        assert!(limbs.len() <= self.rows(), "value wider than the rows");
-        for (j, slot) in self.limbs.iter_mut().skip(k).step_by(ROW_LANES).enumerate() {
-            *slot = limbs.get(j).copied().unwrap_or(0);
-        }
-    }
-
-    /// Copies column `col` of `src` into lane `k`.
-    pub(crate) fn copy_lane(&mut self, k: usize, src: &FeRows, col: usize) {
-        let rows = self.rows();
-        for j in 0..rows {
-            self.limbs[j * ROW_LANES + k] = src.limbs[j * ROW_LANES + col];
-        }
-    }
-
-    /// ORs `src` masked by `mask[k]` into every live lane `k`, taking
-    /// column 0 of `src` for every lane when `broadcast`: one entry of
-    /// a constant-time table sweep.
-    pub(crate) fn or_lanes_masked(&mut self, src: &FeRows, broadcast: bool, mask: &[Limb]) {
-        for (dst, src) in self
-            .limbs
-            .chunks_exact_mut(ROW_LANES)
-            .zip(src.limbs.chunks_exact(ROW_LANES))
-        {
-            for (k, (o, &m)) in dst.iter_mut().zip(mask).enumerate() {
-                *o |= if broadcast { src[0] } else { src[k] } & m;
-            }
-        }
-    }
-
-    /// Copies the live lanes of `src`, taking its live-lane count.
-    pub(crate) fn copy_lanes_from(&mut self, src: &FeRows) {
-        self.lanes = src.lanes;
-        for (dst, src) in self
-            .limbs
-            .chunks_exact_mut(ROW_LANES)
-            .zip(src.limbs.chunks_exact(ROW_LANES))
-        {
-            dst[..self.lanes].copy_from_slice(&src[..self.lanes]);
-        }
-    }
-
-    /// Zeroes the live lanes and sets the live-lane count to `lanes`.
-    pub(crate) fn clear(&mut self, lanes: usize) {
-        self.lanes = lanes;
-        for row in self.limbs.chunks_exact_mut(ROW_LANES) {
-            row[..lanes].fill(0);
-        }
-    }
-
-    /// Whether lanes `k` of `self` and `other` hold the same limbs.
-    pub(crate) fn lane_eq(&self, other: &FeRows, k: usize) -> bool {
-        (0..self.rows()).all(|j| self.limbs[j * ROW_LANES + k] == other.limbs[j * ROW_LANES + k])
-    }
-}
 
 /// Batch field context: a [`BatchMontMul`] engine plus the constants
 /// needed to enter/leave the Montgomery domain, the solo reference for
@@ -238,16 +134,12 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// # Panics
     /// Panics on more than 64 lanes or a value wider than the rows.
     pub fn load(&self, vals: &[Fe]) -> FeRows {
-        let mut out = self.zeros(vals.len());
-        for (k, v) in vals.iter().enumerate() {
-            out.set_lane(k, v);
-        }
-        out
+        FeRows::load(self.rows, vals)
     }
 
     /// Stores a resident vector's live lanes, one element per lane.
     pub fn store(&self, a: &FeRows) -> Vec<Fe> {
-        (0..a.lanes).map(|k| a.lane(k)).collect()
+        a.store()
     }
 
     /// `out = a · b` lane-wise: one engine call on the rows.
@@ -256,11 +148,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// Panics if the engine rejects the batch (lane counts differ, or
     /// an operand is not `< 2p`).
     pub fn mul_rows(&mut self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
-        assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
-        out.lanes = a.lanes;
-        self.engine
-            .try_mont_mul_rows(&a.limbs, &b.limbs, a.lanes, &mut out.limbs)
-            .unwrap_or_else(|e| panic!("{e}"));
+        try_mont_mul(&mut self.engine, a, b, out).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// `out = a²` lane-wise: one engine call.
@@ -271,39 +159,26 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// `out = a · c` lane-wise for one shared domain constant `c`: one
     /// engine call.
     pub(crate) fn mul_const_rows(&mut self, a: &FeRows, c: &Fe, out: &mut FeRows) {
-        self.broadcast(c, a.lanes);
-        out.lanes = a.lanes;
-        self.engine
-            .try_mont_mul_rows(&a.limbs, &self.konst.limbs, a.lanes, &mut out.limbs)
-            .unwrap_or_else(|e| panic!("{e}"));
+        self.konst.broadcast(c, a.lanes());
+        try_mont_mul(&mut self.engine, a, &self.konst, out).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// `out = a + b`, less `2p` when the sum reaches `2p`: the function
     /// of [`FieldCtx::add`] on every live lane.
     pub fn add_rows(&self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
-        assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
-        out.lanes = a.lanes;
-        add_mod_rows(
-            &self.two_p_limbs,
-            &a.limbs,
-            &b.limbs,
-            a.lanes,
-            &mut out.limbs,
-        );
+        assert_eq!(a.lanes(), b.lanes(), "operand lane counts differ");
+        out.set_lanes(a.lanes());
+        let (two_p, lanes) = (&self.two_p_limbs, a.lanes());
+        add_mod_rows(two_p, a.limbs(), b.limbs(), lanes, out.limbs_mut());
     }
 
     /// `out = a − b`, plus `2p` when it borrows: the function of
     /// [`FieldCtx::sub`] on every live lane.
     pub fn sub_rows(&self, a: &FeRows, b: &FeRows, out: &mut FeRows) {
-        assert_eq!(a.lanes, b.lanes, "operand lane counts differ");
-        out.lanes = a.lanes;
-        sub_mod_rows(
-            &self.two_p_limbs,
-            &a.limbs,
-            &b.limbs,
-            a.lanes,
-            &mut out.limbs,
-        );
+        assert_eq!(a.lanes(), b.lanes(), "operand lane counts differ");
+        out.set_lanes(a.lanes());
+        let (two_p, lanes) = (&self.two_p_limbs, a.lanes());
+        sub_mod_rows(two_p, a.limbs(), b.limbs(), lanes, out.limbs_mut());
     }
 
     /// `out = 2a` via [`BatchFieldCtx::add_rows`].
@@ -314,17 +189,19 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// `out = k·a` by the add/double ladder of
     /// [`FieldCtx::mul_small`], on every live lane.
     pub fn mul_small_rows(&mut self, a: &FeRows, k: u64, out: &mut FeRows) {
-        let lanes = a.lanes;
+        let lanes = a.lanes();
         if k == 0 {
             out.clear(lanes);
             return;
         }
         let two_p = &self.two_p_limbs;
-        self.base.copy_lanes_from(a);
+        self.base.limbs_mut().copy_from_slice(a.limbs());
+        self.base.set_lanes(lanes);
+        self.next.set_lanes(lanes);
         for bit in 0..u64::BITS - k.leading_zeros() {
             if bit > 0 {
-                let base = &self.base.limbs;
-                add_mod_rows(two_p, base, base, lanes, &mut self.next.limbs);
+                let base = self.base.limbs();
+                add_mod_rows(two_p, base, base, lanes, self.next.limbs_mut());
                 std::mem::swap(&mut self.base, &mut self.next);
             }
             if k >> bit & 1 == 0 {
@@ -332,11 +209,12 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
             }
             if bit == k.trailing_zeros() {
                 // The ladder's first add is 0 + base = base (< 2p).
-                out.copy_lanes_from(&self.base);
+                out.limbs_mut().copy_from_slice(self.base.limbs());
+                out.set_lanes(lanes);
             } else {
-                let (acc, base) = (&out.limbs, &self.base.limbs);
-                add_mod_rows(two_p, acc, base, lanes, &mut self.next.limbs);
-                std::mem::swap(&mut out.limbs, &mut self.next.limbs);
+                let (acc, base) = (out.limbs(), self.base.limbs());
+                add_mod_rows(two_p, acc, base, lanes, self.next.limbs_mut());
+                std::mem::swap(out, &mut self.next);
             }
         }
     }
@@ -346,7 +224,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     pub(crate) fn load_mont(&mut self, xs: &[Ubig]) -> FeRows {
         let reduced: Vec<Ubig> = xs.iter().map(|x| x.rem(self.p())).collect();
         let a = self.load(&reduced);
-        let mut out = self.zeros(a.lanes);
+        let mut out = self.zeros(a.lanes());
         let r2 = self.params().r2_mod_n();
         self.mul_const_rows(&a, &r2, &mut out);
         out
@@ -356,7 +234,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// engine call by 1, then a branchless conditional subtraction.
     pub(crate) fn exit_mont_rows(&mut self, a: &FeRows, out: &mut FeRows) {
         self.mul_const_rows(a, &Ubig::one(), out);
-        reduce_below_rows(&self.p_limbs, out.lanes, &mut out.limbs);
+        reduce_below_rows(&self.p_limbs, out.lanes(), out.limbs_mut());
     }
 
     /// Bit `k` is set iff live lane `k` represents zero (`0` or `p`:
@@ -364,24 +242,15 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     pub(crate) fn zero_lanes(&self, a: &FeRows) -> u64 {
         let mut zero_or = [0 as Limb; ROW_LANES];
         let mut p_or = [0 as Limb; ROW_LANES];
-        for (row, &pj) in a.limbs.chunks_exact(ROW_LANES).zip(&self.p_limbs) {
-            for k in 0..a.lanes {
+        for (row, &pj) in a.limbs().chunks_exact(ROW_LANES).zip(&self.p_limbs) {
+            for k in 0..a.lanes() {
                 zero_or[k] |= row[k];
                 p_or[k] |= row[k] ^ pj;
             }
         }
-        (0..a.lanes).fold(0, |mask, k| {
+        (0..a.lanes()).fold(0, |mask, k| {
             mask | (u64::from(zero_or[k] == 0 || p_or[k] == 0) << k)
         })
-    }
-
-    /// Fills the live lanes of the broadcast-constant rows with `c`.
-    fn broadcast(&mut self, c: &Fe, lanes: usize) {
-        let limbs = c.limbs();
-        self.konst.lanes = lanes;
-        for (j, row) in self.konst.limbs.chunks_exact_mut(ROW_LANES).enumerate() {
-            row[..lanes].fill(limbs.get(j).copied().unwrap_or(0));
-        }
     }
 
     // ------------------------------------------------------------------
@@ -396,7 +265,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
         op: impl FnOnce(&mut Self, &FeRows, &FeRows, &mut FeRows),
     ) -> Vec<Fe> {
         let (a, b) = (self.load(a), self.load(b));
-        let mut out = self.zeros(a.lanes);
+        let mut out = self.zeros(a.lanes());
         op(self, &a, &b, &mut out);
         self.store(&out)
     }

@@ -5,10 +5,11 @@
 //! perform **zero** heap operations — on the bit-sliced engine, the
 //! radix-2⁶⁴ CIOS engine and the radix-2⁵² carry-save engine on every
 //! kernel alike, on both the per-lane path and the 64-lane kernels of
-//! the two CIOS engines. The rows entry
-//! (`try_mont_mul_rows`) is held to the same bar on both CIOS engines,
-//! on every radix-2⁵² kernel and through a pooled engine, and a
-//! batched ECC scan's window loop must not allocate at all.
+//! the two CIOS engines. The rows entry (`try_mont_mul_rows`) is held
+//! to the same bar on every engine, on every radix-2⁵² kernel, through
+//! a pooled engine and behind a `VerifiedEngine`, and neither a
+//! batched ECC scan's window loop nor the RSA scan's may allocate at
+//! all.
 //!
 //! Runs with `harness = false` (see the `[[test]]` entry in
 //! `Cargo.toml`): the libtest harness keeps its main thread alive
@@ -24,7 +25,10 @@ use montgomery_systolic::core::cios52::{Cios52Batch, Cios52Kernel};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::{mont_mul_alg2, MontgomeryParams};
 use montgomery_systolic::core::rows::{row_count, ROW_LANES};
-use montgomery_systolic::core::{pool, BatchMontMul, EngineKind};
+use montgomery_systolic::core::{
+    pool, BatchModExp, BatchMontMul, EngineConfig, EngineKind, HardeningMode, ScalarSet,
+    VerifiedEngine, VerifyPolicy, WindowPolicy,
+};
 use montgomery_systolic::ecc::batch_curve::{BatchCurve, PointLanes};
 use montgomery_systolic::ecc::batch_field::BatchFieldCtx;
 use montgomery_systolic::ecc::curve::Point;
@@ -64,7 +68,8 @@ fn main() {
     warm_batch_multiplication_does_not_allocate();
     warm_rows_multiplication_does_not_allocate();
     ecc_scan_window_loop_does_not_allocate();
-    println!("alloc_free: ok (warm engine calls, rows calls and the ECC window loop performed zero heap ops)");
+    modexp_scan_window_loop_does_not_allocate();
+    println!("alloc_free: ok (warm engine calls, rows calls and the ECC and RSA window loops performed zero heap ops)");
 }
 
 /// Heap operations performed by `f`.
@@ -76,9 +81,11 @@ fn heap_ops(f: impl FnOnce()) -> u64 {
 
 /// Warm rows-entry squaring chains at 1, 3, 32, 33 and 64 live lanes
 /// (both sides of the CIOS per-lane bound) make zero heap operations
-/// on `CiosBatch`, on `Cios52Batch` with every kernel, and through a
-/// pooled engine, whose forwarding must bypass the allocating default
-/// rows adapter. Each chain's results stay equal to Algorithm 2.
+/// on `CiosBatch`, on `Cios52Batch` with every kernel, on
+/// `BitSlicedBatch`, through a pooled engine, and behind a
+/// `VerifiedEngine` with checking off over pooled engines, whose
+/// forwarding must bypass the allocating default rows adapter. Each
+/// chain's results stay equal to Algorithm 2.
 fn warm_rows_multiplication_does_not_allocate() {
     let mut rng = StdRng::seed_from_u64(0xA110D);
     let params = random_safe_params(&mut rng, 256);
@@ -100,10 +107,22 @@ fn warm_rows_multiplication_does_not_allocate() {
             Box::new(Cios52Batch::with_kernel(params.clone(), kernel)),
         ));
     }
+    engines.push((
+        "bitsliced".into(),
+        Box::new(BitSlicedBatch::new(params.clone())),
+    ));
+    let ctx = EngineConfig::default()
+        .with_verify(VerifyPolicy::Off)
+        .verify_context();
     for kind in [EngineKind::Cios, EngineKind::Cios52] {
         engines.push((
             format!("pooled {}", kind.name()),
             Box::new(pool::global().checkout_kind(&params, kind)),
+        ));
+        let pooled = pool::global().checkout_kind(&params, kind);
+        engines.push((
+            format!("verified pooled {}", kind.name()),
+            Box::new(VerifiedEngine::new(pooled, kind, ctx.clone())),
         ));
     }
     for (name, engine) in engines.iter_mut() {
@@ -177,6 +196,57 @@ fn ecc_scan_window_loop_does_not_allocate() {
         short, long,
         "a joint scan's heap operations must not grow with its window count"
     );
+}
+
+/// The RSA scan's window loop never allocates: `try_modexp` behind a
+/// `VerifiedEngine` with checking off, as the CRT halves run it, makes
+/// exactly as many heap operations with a 256-bit as with a 512-bit
+/// shared exponent at a fixed w = 4. The load, the table and the store
+/// cost the same either way; the loop runs twice as long at 512 bits.
+/// At 1 and 64 lanes, plain and hardened (the masked gather), on
+/// `CiosBatch` and `Cios52Batch`.
+fn modexp_scan_window_loop_does_not_allocate() {
+    let mut rng = StdRng::seed_from_u64(0xA110F);
+    let params = random_safe_params(&mut rng, 512);
+    let mut exponent = |bits: usize| {
+        let mut e = Ubig::random_bits(&mut rng, bits);
+        e.set_bit(bits - 1, true);
+        e
+    };
+    let (short, long) = (exponent(256), exponent(512));
+    let ms: Vec<Ubig> = (0..64)
+        .map(|_| Ubig::random_below(&mut rng, params.n()))
+        .collect();
+    let ctx = EngineConfig::default()
+        .with_verify(VerifyPolicy::Off)
+        .verify_context();
+    for kind in [EngineKind::Cios, EngineKind::Cios52] {
+        for mode in [HardeningMode::Off, HardeningMode::Hardened] {
+            let mut inner = kind.build(params.clone());
+            inner.set_hardening(mode);
+            let mut me = BatchModExp::new(VerifiedEngine::new(inner, kind, ctx.clone()));
+            for lanes in [1usize, 64] {
+                let mut scan = |e: &Ubig| -> u64 {
+                    let mut got = Vec::new();
+                    let ops = heap_ops(|| {
+                        got = me
+                            .try_modexp(&ms[..lanes], ScalarSet::Shared(e), WindowPolicy::Fixed(4))
+                            .unwrap();
+                    });
+                    assert_eq!(got[0], ms[0].modpow(e, params.n()), "{}", kind.name());
+                    ops
+                };
+                scan(&long);
+                let (at_256, at_512) = (scan(&short), scan(&long));
+                assert_eq!(
+                    at_256,
+                    at_512,
+                    "{} {mode:?} at {lanes} lanes: the scan's heap operations must not grow with its window count",
+                    kind.name()
+                );
+            }
+        }
+    }
 }
 
 fn warm_batch_multiplication_does_not_allocate() {

@@ -95,10 +95,8 @@ fn length_mismatch_and_empty_batch() {
         MmmError::EmptyBatch
     );
     let mut cios = CiosBatch::new(params.clone());
-    let mut out = Vec::new();
     assert_eq!(
-        cios.try_mont_mul_batch_into(&[], &[], &mut out)
-            .unwrap_err(),
+        cios.try_mont_mul_batch(&[], &[]).unwrap_err(),
         MmmError::EmptyBatch
     );
     let mut me = BatchModExp::new(CiosBatch::new(params.clone()));

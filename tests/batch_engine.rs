@@ -3,8 +3,8 @@
 //! packed wave model, across random widths spanning `u64` word
 //! boundaries and partial batches — the batched exponentiator must
 //! agree with the big-integer oracle at every window width (`w = 1`
-//! being the binary scan) — and batched CRT decryption must match the
-//! scalar CRT path lane for lane.
+//! being the binary scan) and make only rows calls — and batched CRT
+//! decryption must match the scalar CRT path lane for lane.
 
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch, SequentialBatch};
@@ -12,7 +12,8 @@ use montgomery_systolic::core::expo_batch::BatchModExp;
 use montgomery_systolic::core::modgen::random_safe_params;
 use montgomery_systolic::core::wave_packed::PackedMmmc;
 use montgomery_systolic::core::{
-    BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
+    BatchMontMul, EngineConfig, EngineKind, MmmError, MontMul, MontgomeryParams, ScalarSet,
+    WindowPolicy,
 };
 use montgomery_systolic::rsa::{decrypt_crt, KeyedSession, RsaKeyPair};
 use proptest::prelude::*;
@@ -260,6 +261,85 @@ fn crt_decrypt_nested_in_par_iter_matches_scalar_crt() {
             assert_eq!(ms.len(), cs.len(), "{kind:?} group {g}");
             for (k, (c, m)) in cs.iter().zip(ms).enumerate() {
                 assert_eq!(m, &decrypt_crt(&kp, c), "{kind:?} group {g} lane {k}");
+            }
+        }
+    }
+}
+
+/// Counts the `Vec<Ubig>` and rows calls into the engine it wraps;
+/// results pass through unchanged.
+struct CallCount<E> {
+    inner: E,
+    vec_calls: u64,
+    rows_calls: u64,
+}
+
+impl<E: BatchMontMul> BatchMontMul for CallCount<E> {
+    fn params(&self) -> &MontgomeryParams {
+        self.inner.params()
+    }
+
+    fn max_lanes(&self) -> usize {
+        self.inner.max_lanes()
+    }
+
+    fn mont_mul_batch(&mut self, xs: &[Ubig], ys: &[Ubig]) -> Vec<Ubig> {
+        self.vec_calls += 1;
+        self.inner.mont_mul_batch(xs, ys)
+    }
+
+    fn mont_mul_batch_into(&mut self, xs: &[Ubig], ys: &[Ubig], out: &mut Vec<Ubig>) {
+        self.vec_calls += 1;
+        self.inner.mont_mul_batch_into(xs, ys, out);
+    }
+
+    fn try_mont_mul_rows(
+        &mut self,
+        x: &[u64],
+        y: &[u64],
+        lanes: usize,
+        out: &mut [u64],
+    ) -> Result<(), MmmError> {
+        self.rows_calls += 1;
+        self.inner.try_mont_mul_rows(x, y, lanes, out)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+#[test]
+fn scan_makes_only_rows_calls() {
+    // Every engine call of the scan, the domain transforms
+    // included, is one rows call: no lane is converted per call.
+    let mut rng = StdRng::seed_from_u64(320);
+    let p = random_safe_params(&mut rng, 96);
+    let e = Ubig::random_bits(&mut rng, 96);
+    for kind in EngineKind::ALL {
+        for lanes in [1usize, 3, 33, 64] {
+            let ms: Vec<Ubig> = (0..lanes)
+                .map(|_| Ubig::random_below(&mut rng, p.n()))
+                .collect();
+            for w in [1usize, 5] {
+                let mut me = BatchModExp::new(CallCount {
+                    inner: kind.build(p.clone()),
+                    vec_calls: 0,
+                    rows_calls: 0,
+                });
+                let got = me
+                    .try_modexp(&ms, ScalarSet::Shared(&e), WindowPolicy::Fixed(w))
+                    .unwrap();
+                let what = format!("{} lanes={lanes} w={w}", kind.name());
+                for (k, m) in ms.iter().enumerate() {
+                    assert_eq!(got[k], m.modpow(&e, p.n()), "{what} lane {k}");
+                }
+                assert_eq!(me.engine().vec_calls, 0, "{what}");
+                assert_eq!(
+                    me.engine().rows_calls,
+                    me.stats().total_batch_muls,
+                    "{what}"
+                );
             }
         }
     }

@@ -332,6 +332,61 @@ fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
     }
 }
 
+/// Carry headroom at every residue: the rows entry at 64 live lanes on
+/// the densest operands there are — the all-ones modulus `N = 2^l − 1`
+/// and `x = y = 2N − 1` in every lane.
+/// - Radix 2⁵²: every `(l+2) mod 52` residue, twice (l = 250..=301 and
+///   1022..=1073); the portable kernel is diffed against `CiosBatch`
+///   and every other kernel against the portable one.
+/// - Radix 2⁶⁴: every `(l+2) mod 64` residue (l = 254..=317) on both
+///   of `CiosBatch`'s paths, one lane (the per-lane scan) and 64 (the
+///   SoA kernel).
+///
+/// One lane per width is checked against Algorithm 2 and the rest
+/// diffed, which keeps the debug-build run short; a debug build also
+/// asserts the 2⁵⁵ transient-digit budget inside every radix-2⁵²
+/// kernel.
+#[test]
+fn carry_headroom_at_every_residue() {
+    use montgomery_systolic::core::montgomery::mont_mul_alg2;
+    let dense = |l: usize| {
+        let n = &Ubig::pow2(l) - &Ubig::one();
+        let params = MontgomeryParams::new(&n, l);
+        let x = &params.two_n() - &Ubig::one();
+        let rows = to_rows(&vec![x.clone(); 64], row_count(&params));
+        let want = mont_mul_alg2(&params, &x, &x);
+        (params, rows, want)
+    };
+    let square = |e: &mut dyn BatchMontMul, x: &[u64], lanes: usize| {
+        let mut out = vec![0; x.len()];
+        e.try_mont_mul_rows(x, x, lanes, &mut out).unwrap();
+        out
+    };
+    for l in (250..=301).chain(1022..=1073) {
+        let (params, x, want) = dense(l);
+        let cios = square(&mut CiosBatch::new(params.clone()), &x, 64);
+        assert_eq!(lane_of(&cios, row_count(&params), 0), want, "l={l}");
+        let mut portable = Cios52Batch::with_kernel(params.clone(), Cios52Kernel::Portable);
+        let portable = square(&mut portable, &x, 64);
+        assert_eq!(portable, cios, "portable l={l}");
+        for &kernel in Cios52Kernel::available() {
+            let mut e = Cios52Batch::with_kernel(params.clone(), kernel);
+            assert_eq!(square(&mut e, &x, 64), portable, "{} l={l}", kernel.name());
+        }
+    }
+    for l in 254..=317 {
+        let (params, x, want) = dense(l);
+        let rows = row_count(&params);
+        let mut cios = CiosBatch::new(params.clone());
+        let one = square(&mut cios, &x, 1);
+        assert_eq!(lane_of(&one, rows, 0), want, "per-lane l={l}");
+        let soa = square(&mut cios, &x, 64);
+        for k in 0..64 {
+            assert_eq!(lane_of(&soa, rows, k), want, "SoA l={l} lane {k}");
+        }
+    }
+}
+
 /// One engine per backend and per radix-2⁵² kernel, for the rows-entry
 /// sweeps.
 fn rows_engines(params: &MontgomeryParams) -> Vec<AnyBatchEngine> {
