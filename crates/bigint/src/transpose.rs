@@ -8,13 +8,15 @@
 //!   belongs to lane `k`; one `transpose64` turns a 64-lane row of
 //!   limbs into 64 such words, so a 64-lane × 1024-bit operand is ~16
 //!   block transposes — noise next to the `3l+4` simulated cycles it
-//!   feeds.
+//!   feeds. [`rows_to_slices`] / [`slices_to_rows`] are those row ↔
+//!   bit-slice conversions.
 //! * [`lanes_to_limbs_into`] / [`limbs_to_lanes_into`] — the
 //!   **word-granularity** struct-of-arrays view the batch engines'
 //!   limb rows use: one `u64` per *(limb, lane)* pair with the lane
 //!   index contiguous, so the CIOS inner multiply-accumulate runs
 //!   unit-stride across lanes.
 
+use crate::limbs::LIMB_BITS;
 use crate::ubig::Ubig;
 
 /// In-place 64×64 bit-matrix transpose: afterwards, bit `j` of `a[i]`
@@ -39,6 +41,70 @@ pub fn transpose64(a: &mut [u64; 64]) {
             break;
         }
         m ^= m << j;
+    }
+}
+
+/// Lanes in one limb row: one per bit of a slice word, the side of one
+/// [`transpose64`] block.
+const ROW_LANES: usize = 64;
+
+/// Transposes limb rows into bit slices: `rows[64j + k]` is limb `j`
+/// of lane `k`, and afterwards bit `k` of `slices[b]` is bit `b` of
+/// lane `k`, zero for the dead lanes `lanes..` whatever their columns
+/// hold. Each row is one [`transpose64`] block; allocation-free.
+///
+/// # Panics
+/// Panics if more than 64 lanes are given, if `rows` is not
+/// `⌈slices.len() / 64⌉` rows of 64 limbs, or if a live lane has a bit
+/// at or past `slices.len()`.
+pub fn rows_to_slices(rows: &[u64], lanes: usize, slices: &mut [u64]) {
+    let width = slices.len();
+    assert!(lanes <= ROW_LANES, "at most {ROW_LANES} lanes");
+    assert_eq!(
+        rows.len(),
+        width.div_ceil(LIMB_BITS) * ROW_LANES,
+        "rows must hold ⌈width/64⌉ rows of {ROW_LANES} limbs"
+    );
+    let mut block = [0u64; ROW_LANES];
+    for (chunk, row) in slices
+        .chunks_mut(LIMB_BITS)
+        .zip(rows.chunks_exact(ROW_LANES))
+    {
+        block[..lanes].copy_from_slice(&row[..lanes]);
+        block[lanes..].fill(0);
+        transpose64(&mut block);
+        let past = block[chunk.len()..].iter().fold(0, |acc, &w| acc | w);
+        assert!(
+            past == 0,
+            "lane {} has bits past the slice width {width}",
+            past.trailing_zeros()
+        );
+        chunk.copy_from_slice(&block[..chunk.len()]);
+    }
+}
+
+/// Inverse of [`rows_to_slices`]: limb `j` of lane `k` in `rows`
+/// gathers bits `64j..64j + 64` of lane `k` from `slices`, zero past
+/// their end. Every limb of `rows` is overwritten, so a reused buffer
+/// needs no clearing.
+///
+/// # Panics
+/// Panics if `rows` is not whole rows of 64 limbs, or has fewer than
+/// `⌈slices.len() / 64⌉` of them.
+pub fn slices_to_rows(slices: &[u64], rows: &mut [u64]) {
+    assert!(
+        rows.len().is_multiple_of(ROW_LANES)
+            && rows.len() / ROW_LANES >= slices.len().div_ceil(LIMB_BITS),
+        "rows must hold ⌈width/64⌉ or more rows of {ROW_LANES} limbs"
+    );
+    let mut block = [0u64; ROW_LANES];
+    for (j, row) in rows.chunks_exact_mut(ROW_LANES).enumerate() {
+        let bits = slices.get(j * LIMB_BITS..).unwrap_or(&[]);
+        let n = bits.len().min(LIMB_BITS);
+        block[..n].copy_from_slice(&bits[..n]);
+        block[n..].fill(0);
+        transpose64(&mut block);
+        row.copy_from_slice(&block);
     }
 }
 
@@ -147,6 +213,112 @@ mod tests {
             transpose64(&mut a);
             assert_eq!(a, orig, "involution");
         }
+    }
+
+    /// `values` as rows of 64 limbs, `⌈width/64⌉` of them.
+    fn rows_of(values: &[Ubig], width: usize) -> Vec<u64> {
+        let mut rows = Vec::new();
+        lanes_to_limbs_into(values, width.div_ceil(64), ROW_LANES, &mut rows);
+        rows
+    }
+
+    #[test]
+    fn lane_roundtrip_across_widths() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut back = Vec::new();
+        for width in [1usize, 5, 63, 64, 65, 128, 130, 1026] {
+            let limbs = width.div_ceil(64);
+            for lanes in [1usize, 3, 63, 64] {
+                let values: Vec<Ubig> = (0..lanes)
+                    .map(|_| Ubig::random_bits(&mut rng, width))
+                    .collect();
+                let mut slices = vec![0; width];
+                rows_to_slices(&rows_of(&values, width), lanes, &mut slices);
+                for (k, v) in values.iter().enumerate() {
+                    for (j, &slice) in slices.iter().enumerate() {
+                        assert_eq!(slice >> k & 1 == 1, v.bit(j), "width={width} bit {j}");
+                    }
+                }
+                let mut rows = vec![0; limbs * ROW_LANES];
+                slices_to_rows(&slices, &mut rows);
+                limbs_to_lanes_into(&rows, limbs, ROW_LANES, lanes, &mut back);
+                assert_eq!(back, values, "width={width} lanes={lanes}");
+                assert!(rows
+                    .chunks(ROW_LANES)
+                    .all(|r| r[lanes..].iter().all(|&v| v == 0)));
+            }
+        }
+    }
+
+    #[test]
+    fn into_variant_reuses_buffers_and_matches() {
+        let mut rng = StdRng::seed_from_u64(12);
+        // One dirty row buffer and one lane vector serve every call:
+        // shrinking, growing and same-size reuse, including lanes that
+        // normalize to fewer limbs than the rows hold.
+        let mut rows = vec![u64::MAX; 3 * ROW_LANES];
+        let mut out = Vec::new();
+        for round in 0..3 {
+            for lanes in [64usize, 3, 17, 64] {
+                let values: Vec<Ubig> = (0..lanes)
+                    .map(|k| Ubig::random_bits(&mut rng, if k % 3 == 0 { 7 } else { 130 }))
+                    .collect();
+                let mut slices = vec![0; 130];
+                rows_to_slices(&rows_of(&values, 130), lanes, &mut slices);
+                slices_to_rows(&slices, &mut rows);
+                assert!(rows
+                    .chunks(ROW_LANES)
+                    .all(|r| r[lanes..].iter().all(|&v| v == 0)));
+                limbs_to_lanes_into(&rows, 3, ROW_LANES, lanes, &mut out);
+                assert_eq!(out, values, "round={round} lanes={lanes}");
+            }
+        }
+    }
+
+    #[test]
+    fn slice_layout_matches_definition() {
+        // Lane 0 = 0b101, lane 1 = 0b011; the dead columns hold junk.
+        let mut rows = [u64::MAX; ROW_LANES];
+        rows[..2].copy_from_slice(&[0b101, 0b011]);
+        let mut s = [0u64; 3];
+        rows_to_slices(&rows, 2, &mut s);
+        // Position 0: lane0 bit0=1, lane1 bit0=1 → 0b11.
+        assert_eq!(s[0], 0b11);
+        // Position 1: lane0 bit1=0, lane1 bit1=1 → 0b10.
+        assert_eq!(s[1], 0b10);
+        // Position 2: lane0 bit2=1, lane1 bit2=0 → 0b01.
+        assert_eq!(s[2], 0b01);
+        let mut back = [u64::MAX; ROW_LANES];
+        slices_to_rows(&s, &mut back);
+        assert_eq!(back[..2], [0b101, 0b011]);
+    }
+
+    #[test]
+    fn unused_lanes_are_zero() {
+        let rows = [u64::MAX; ROW_LANES];
+        let mut s = [0u64; 64];
+        rows_to_slices(&rows, 1, &mut s);
+        for (j, &w) in s.iter().enumerate() {
+            assert_eq!(w, 1, "position {j} must only carry lane 0");
+        }
+        let mut back = [0u64; ROW_LANES];
+        slices_to_rows(&s, &mut back);
+        assert_eq!(back[0], u64::MAX);
+        assert!(back[1..].iter().all(|&v| v == 0), "dead lanes read 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 1 has bits past the slice width 4")]
+    fn rejects_oversized_lane() {
+        let mut rows = [0u64; ROW_LANES];
+        rows[..2].copy_from_slice(&[15, 16]);
+        rows_to_slices(&rows, 2, &mut [0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 lanes")]
+    fn rejects_too_many_lanes() {
+        rows_to_slices(&[0; ROW_LANES], 65, &mut [0; 8]);
     }
 
     #[test]

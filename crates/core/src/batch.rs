@@ -41,8 +41,8 @@
 //! every batch engine, its one multiply path is the rows entry
 //! ([`BatchMontMul::try_mont_mul_rows`], layout in [`crate::rows`]):
 //! each 64-limb row of an operand is one 64×64 bit block, which
-//! [`transpose64`] turns into 64 of the engine's lane words, and the
-//! result's lane words go back the same way. The `Vec<Ubig>` methods
+//! [`rows_to_slices`] turns into 64 of the engine's lane words, and
+//! [`slices_to_rows`] takes the result's lane words back. The `Vec<Ubig>` methods
 //! are the shared adapter of [`crate::rows`]. The hot loop is
 //! allocation-free: every buffer lives in the engine and is reused
 //! across batches, in the same spirit as
@@ -60,8 +60,8 @@ use crate::montgomery::MontgomeryParams;
 use crate::pool;
 use crate::rows::{self, check_below, check_shape, padded_limbs, row_count, LaneStage};
 use crate::traits::{BatchMontMul, MontMul};
-use mmm_bigint::limbs::{Limb, LIMB_BITS};
-use mmm_bigint::transpose::transpose64;
+use mmm_bigint::limbs::Limb;
+use mmm_bigint::transpose::{rows_to_slices, slices_to_rows};
 use mmm_bigint::Ubig;
 
 /// Lanes one engine advances per simulated cycle (bits in a word).
@@ -149,37 +149,6 @@ impl BitSlicedBatch {
     /// loan's cycles, matching a freshly built engine.
     pub fn reset_cycle_counter(&mut self) {
         self.total_cycles = 0;
-    }
-}
-
-/// Transposes the rows `x` into the bit slices `pos`: bit `k` of
-/// `pos[b]` is bit `b` of lane `k`, zero for the dead lanes
-/// `lanes..`. Each 64-limb row is one [`transpose64`] block.
-fn rows_to_slices(x: &[Limb], lanes: usize, pos: &mut [u64]) {
-    let mut block = [0u64; rows::ROW_LANES];
-    for (slices, row) in pos
-        .chunks_mut(LIMB_BITS)
-        .zip(x.chunks_exact(rows::ROW_LANES))
-    {
-        block[..lanes].copy_from_slice(&row[..lanes]);
-        block[lanes..].fill(0);
-        transpose64(&mut block);
-        slices.copy_from_slice(&block[..slices.len()]);
-    }
-}
-
-/// The inverse of [`rows_to_slices`]: limb `j` of lane `k` in `out`
-/// gathers bits `64j..64j + 64` of lane `k` from `slices`, zero past
-/// their end.
-fn slices_to_rows(slices: &[u64], out: &mut [Limb]) {
-    let mut block = [0u64; rows::ROW_LANES];
-    for (j, row) in out.chunks_exact_mut(rows::ROW_LANES).enumerate() {
-        let bits = slices.get(j * LIMB_BITS..).unwrap_or(&[]);
-        let n = bits.len().min(LIMB_BITS);
-        block[..n].copy_from_slice(&bits[..n]);
-        block[n..].fill(0);
-        transpose64(&mut block);
-        row.copy_from_slice(&block);
     }
 }
 
@@ -498,50 +467,6 @@ mod tests {
                     solo.mont_mul(&xs[k], &ys[k]),
                     "lane {k} diverged at l={l}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn bit_slice_layout_matches_definition() {
-        // Lane 0 = 0b101, lane 1 = 0b011, every dead column all-ones:
-        // bit k of slice j is bit j of lane k, and dead lanes read 0.
-        let mut x = vec![u64::MAX; crate::rows::ROW_LANES];
-        x[..2].copy_from_slice(&[0b101, 0b011]);
-        let mut pos = vec![0; 3];
-        rows_to_slices(&x, 2, &mut pos);
-        assert_eq!(pos, [0b11, 0b10, 0b01]);
-        let mut back = vec![0; crate::rows::ROW_LANES];
-        slices_to_rows(&pos, &mut back);
-        assert_eq!(back[..2], [0b101, 0b011]);
-        assert!(back[2..].iter().all(|&v| v == 0), "dead lanes read 0");
-    }
-
-    #[test]
-    fn rows_and_bit_slices_roundtrip_across_widths() {
-        use crate::rows::{FeRows, ROW_LANES};
-        let mut rng = StdRng::seed_from_u64(208);
-        for width in [1usize, 5, 63, 64, 65, 128, 130, 1026] {
-            let rows = width.div_ceil(64);
-            for lanes in [1usize, 3, 63, 64] {
-                let values: Vec<Ubig> = (0..lanes)
-                    .map(|_| Ubig::random_bits(&mut rng, width))
-                    .collect();
-                let x = FeRows::load(rows, &values);
-                let mut pos = vec![0; width];
-                rows_to_slices(x.limbs(), lanes, &mut pos);
-                for (k, v) in values.iter().enumerate() {
-                    for (j, &slice) in pos.iter().enumerate() {
-                        assert_eq!(slice >> k & 1 == 1, v.bit(j), "width={width} bit {j}");
-                    }
-                }
-                let mut back = FeRows::zeros(rows, lanes);
-                slices_to_rows(&pos, back.limbs_mut());
-                assert_eq!(back.store(), values, "width={width} lanes={lanes}");
-                assert!(back
-                    .limbs()
-                    .chunks(ROW_LANES)
-                    .all(|r| r[lanes..].iter().all(|&v| v == 0)));
             }
         }
     }
