@@ -8,7 +8,7 @@ use mmm_bigint::Ubig;
 use mmm_core::expo::ModExp;
 use mmm_core::modgen::random_safe_params;
 use mmm_core::traits::SoftwareEngine;
-use mmm_core::wave::WaveMmmc;
+use mmm_systolic::wave::WaveMmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;

@@ -4,14 +4,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmm_bigint::WordMontgomery;
-use mmm_core::mmmc::GateEngine;
 use mmm_core::modgen::{random_operand, random_safe_params};
 use mmm_core::montgomery::{mont_mul_alg1, mont_mul_alg2};
 use mmm_core::traits::MontMul;
-use mmm_core::wave::WaveMmmc;
-use mmm_core::wave_packed::PackedMmmc;
-use mmm_core::Mmmc;
 use mmm_hdl::CarryStyle;
+use mmm_systolic::mmmc::GateEngine;
+use mmm_systolic::wave::WaveMmmc;
+use mmm_systolic::wave_packed::PackedMmmc;
+use mmm_systolic::Mmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;

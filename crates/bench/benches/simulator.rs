@@ -4,10 +4,10 @@
 //! simulator pays, orthogonal to the modelled FPGA numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mmm_core::array::SystolicArray;
-use mmm_core::Mmmc;
 use mmm_fpga::lut::map_luts;
 use mmm_hdl::{CarryStyle, Simulator, UnitDelay};
+use mmm_systolic::array::SystolicArray;
+use mmm_systolic::Mmmc;
 use std::hint::black_box;
 
 fn bench_simulator(c: &mut Criterion) {

@@ -4,9 +4,9 @@
 //! of `l` — both derived from the *generated netlists*, under both
 //! full-adder decompositions (ablation A1).
 
-use mmm_core::array::SystolicArray;
-use mmm_core::cells::CellCost;
 use mmm_hdl::{AreaReport, CarryStyle, UnitDelay};
+use mmm_systolic::array::SystolicArray;
+use mmm_systolic::cells::CellCost;
 
 /// Computed area row for one `(l, style)` pair.
 #[derive(Debug, Clone)]
@@ -71,8 +71,8 @@ pub struct FfRow {
 /// paper's `4l` plus `⌈l/2⌉` valid-pipeline bits (our drain-phase
 /// addition).
 pub fn ff_comparison(widths: &[usize]) -> Vec<FfRow> {
-    use mmm_core::array::{build_into_styled, PipelineStyle};
     use mmm_hdl::Netlist;
+    use mmm_systolic::array::{build_into_styled, PipelineStyle};
     widths
         .iter()
         .map(|&l| {

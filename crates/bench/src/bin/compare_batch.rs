@@ -30,7 +30,7 @@ use mmm_core::cios52::{Cios52Batch, Cios52Kernel};
 use mmm_core::config::HardeningMode;
 use mmm_core::modgen::{random_operand, random_safe_params};
 use mmm_core::traits::{BatchMontMul, MontMul};
-use mmm_core::wave_packed::PackedMmmc;
+use mmm_systolic::wave_packed::PackedMmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;

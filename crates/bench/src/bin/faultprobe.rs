@@ -1,9 +1,9 @@
 use mmm_bigint::Ubig;
 use mmm_core::modgen::random_safe_params;
 use mmm_core::montgomery::mont_mul_alg2;
-use mmm_core::Mmmc;
 use mmm_hdl::netlist::GateKind;
 use mmm_hdl::{CarryStyle, Simulator};
+use mmm_systolic::Mmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -4,9 +4,9 @@
 
 use mmm_bigint::Ubig;
 use mmm_core::montgomery::MontgomeryParams;
-use mmm_core::Mmmc;
 use mmm_hdl::vcd::VcdRecorder;
 use mmm_hdl::{CarryStyle, Simulator};
+use mmm_systolic::Mmmc;
 use std::fs;
 use std::path::PathBuf;
 

@@ -41,7 +41,7 @@ pub fn compute(widths: &[usize]) -> Vec<Row> {
     let mut rows = Vec::new();
     for &l in widths {
         // Ours: depth measured from the real netlist.
-        let mmmc = mmm_core::Mmmc::build(l, CarryStyle::XorMux);
+        let mmmc = mmm_systolic::Mmmc::build(l, CarryStyle::XorMux);
         let report = FpgaReport::analyze(&mmmc.netlist, l, &packer, &timing);
         let ours_tp = report.period_ns;
         let ours_cycles = cost::mmm_cycles(l);

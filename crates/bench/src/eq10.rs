@@ -13,7 +13,7 @@ use mmm_bigint::Ubig;
 use mmm_core::cost;
 use mmm_core::expo::ModExp;
 use mmm_core::modgen::random_safe_params;
-use mmm_core::wave::WaveMmmc;
+use mmm_systolic::wave::WaveMmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

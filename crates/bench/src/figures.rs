@@ -2,10 +2,10 @@
 //! generated from the *actual netlists*, plus machine-checkable
 //! structural summaries (port lists, block inventories).
 
-use mmm_core::array::SystolicArray;
-use mmm_core::cells;
-use mmm_core::Mmmc;
 use mmm_hdl::{export, CarryStyle, Netlist, SignalId};
+use mmm_systolic::array::SystolicArray;
+use mmm_systolic::cells;
+use mmm_systolic::Mmmc;
 
 /// Fig. 1: the four cell schematics as DOT, with their gate
 /// inventories.

@@ -15,10 +15,10 @@
 use mmm_bigint::Ubig;
 use mmm_core::expo::ModExp;
 use mmm_core::modgen::random_safe_params;
-use mmm_core::wave::WaveMmmc;
-use mmm_core::Mmmc;
 use mmm_fpga::{FpgaReport, SlicePacker, VirtexETiming};
 use mmm_hdl::CarryStyle;
+use mmm_systolic::wave::WaveMmmc;
+use mmm_systolic::Mmmc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -13,10 +13,10 @@
 //! 4. TMMM = measured cycles × Tp, TA = S × Tp.
 
 use mmm_core::modgen::random_safe_params;
-use mmm_core::wave::WaveMmmc;
-use mmm_core::Mmmc;
 use mmm_fpga::{FpgaReport, SlicePacker, VirtexETiming};
 use mmm_hdl::CarryStyle;
+use mmm_systolic::wave::WaveMmmc;
+use mmm_systolic::Mmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;

@@ -22,7 +22,7 @@
 //!
 //! The callers are the batch engines' hardened final subtraction
 //! (`mmm-core::{cios, cios52, batch}`) and the constant-time
-//! power-table sweep in `mmm-core::expo_batch`.
+//! power-table sweep `mmm-core::rows::gather`.
 
 use crate::limbs::Limb;
 use crate::ubig::Ubig;
@@ -233,36 +233,6 @@ pub fn ct_sub_if_ge(a: &mut [Limb], n: &[Limb]) -> Choice {
     ge
 }
 
-/// OR-accumulates `src & mask` into `acc`, reading `src` as if padded
-/// with zero limbs to `acc`'s length. This is the inner step of the
-/// constant-time power-table sweep: the caller zeroes `acc`, then
-/// visits **every** table row with a mask that is all-ones only for
-/// the row matching the secret digit — the loads performed are
-/// identical for every digit value, so the access pattern carries no
-/// information.
-///
-/// `src` may be shorter than `acc` (normalized big-integer limbs);
-/// the bound `i < src.len()` compares against a *public* length, and
-/// the sweep touches every row regardless, so per-row length variation
-/// is digit-independent.
-///
-/// ```
-/// use mmm_bigint::ct::{or_assign_masked, Choice};
-/// let mut acc = [0u64; 3];
-/// or_assign_masked(&mut acc, &[7, 9], Choice::from_bit(0));
-/// assert_eq!(acc, [0, 0, 0]);
-/// or_assign_masked(&mut acc, &[7, 9], Choice::from_bit(1));
-/// assert_eq!(acc, [7, 9, 0]);
-/// ```
-#[inline]
-pub fn or_assign_masked(acc: &mut [Limb], src: &[Limb], choice: Choice) {
-    let m = choice.mask();
-    for (i, a) in acc.iter_mut().enumerate() {
-        let s = if i < src.len() { src[i] } else { 0 };
-        *a |= s & m;
-    }
-}
-
 /// Canonicalizes a value known to be `< 2n` into `[0, n)` with a
 /// branchless conditional subtraction over fixed-width buffers (both
 /// operands padded to `n`'s limb count + 1). Used on the slow
@@ -365,20 +335,6 @@ mod tests {
             assert_eq!(a, [v % n, 0], "v={v}");
             assert_eq!(applied.as_bool(), v >= n, "v={v}");
         }
-    }
-
-    #[test]
-    fn or_assign_masked_sweep_recovers_exact_row() {
-        // Simulate the table sweep: 8 rows, secret digit 5 — the
-        // accumulated value equals the selected row and nothing else.
-        let rows: Vec<Vec<Limb>> = (0..8u64).map(|r| vec![r * 11 + 1, r]).collect();
-        let digit = 5usize;
-        let mut acc = [0 as Limb; 3];
-        for (r, row) in rows.iter().enumerate() {
-            or_assign_masked(&mut acc, row, Choice::ct_eq_usize(r, digit));
-        }
-        assert_eq!(&acc[..2], &rows[digit][..]);
-        assert_eq!(acc[2], 0);
     }
 
     #[test]

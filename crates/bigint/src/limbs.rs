@@ -57,21 +57,6 @@ pub fn div2by1(hi: Limb, lo: Limb, div: Limb) -> (Limb, Limb) {
     ((n / div as u128) as Limb, (n % div as u128) as Limb)
 }
 
-/// Propagates an addition of `carry` into `limbs`, returning the final
-/// carry-out.
-#[inline]
-pub fn add_carry_through(limbs: &mut [Limb], mut carry: bool) -> bool {
-    for limb in limbs {
-        if !carry {
-            return false;
-        }
-        let (s, c) = limb.overflowing_add(1);
-        *limb = s;
-        carry = c;
-    }
-    carry
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,20 +129,5 @@ mod tests {
         let n = (3u128 << 64) | 12345;
         assert_eq!(q as u128, n / 7);
         assert_eq!(r as u128, n % 7);
-    }
-
-    #[test]
-    fn carry_through_ripple() {
-        let mut v = [Limb::MAX, Limb::MAX, 7];
-        let out = add_carry_through(&mut v, true);
-        assert!(!out);
-        assert_eq!(v, [0, 0, 8]);
-    }
-
-    #[test]
-    fn carry_through_overflows_out() {
-        let mut v = [Limb::MAX];
-        assert!(add_carry_through(&mut v, true));
-        assert_eq!(v, [0]);
     }
 }

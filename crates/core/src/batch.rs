@@ -2,7 +2,7 @@
 //! multiplications advancing in lockstep, one cell equation pass per
 //! simulated clock cycle.
 //!
-//! [`crate::wave_packed::PackedMmmc`] packs 64 *cells of one
+//! `mmm_systolic::PackedMmmc` packs 64 *cells of one
 //! multiplication* into each `u64`; this engine transposes the layout
 //! and packs *the same cell of 64 multiplications* instead: `t[j]`,
 //! `c0[j]` and `c1[j]` are each a single `u64` whose bit `k` belongs
@@ -46,11 +46,11 @@
 //! are the shared adapter of [`crate::rows`]. The hot loop is
 //! allocation-free: every buffer lives in the engine and is reused
 //! across batches, in the same spirit as
-//! [`crate::wave_packed::PackedWaveArray::step`].
+//! `mmm_systolic::wave_packed::PackedWaveArray::step`.
 //!
 //! Lane-for-lane, results are bit-identical to a solo
-//! [`crate::wave_packed::PackedMmmc`] run — asserted by the module
-//! tests and by `tests/batch_engine.rs` at the workspace root. For
+//! `mmm_systolic::PackedMmmc` run — asserted by `mmm-systolic`'s
+//! `batch` tests and by `tests/batch_engine.rs` at the workspace root. For
 //! workloads wider than 64 lanes, [`try_mont_mul_many`] shards across
 //! pooled engines through [`pool::try_sharded`].
 
@@ -445,31 +445,8 @@ mod tests {
     use super::*;
     use crate::modgen::{random_operand, random_safe_params};
     use crate::montgomery::mont_mul_alg2;
-    use crate::wave_packed::PackedMmmc;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn every_lane_matches_solo_packed_engine() {
-        let mut rng = StdRng::seed_from_u64(201);
-        for l in [3usize, 8, 31, 63, 64, 65, 130] {
-            let p = random_safe_params(&mut rng, l);
-            let lanes = 64.min(2 * l);
-            let xs: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
-            let ys: Vec<Ubig> = (0..lanes).map(|_| random_operand(&mut rng, &p)).collect();
-            let mut batch = BitSlicedBatch::new(p.clone());
-            let got = batch.mont_mul_batch(&xs, &ys);
-            assert_eq!(batch.consumed_cycles(), Some((3 * l + 4) as u64));
-            let mut solo = PackedMmmc::new(p.clone());
-            for k in 0..lanes {
-                assert_eq!(
-                    got[k],
-                    solo.mont_mul(&xs[k], &ys[k]),
-                    "lane {k} diverged at l={l}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn hardened_batch_outputs_are_canonical_residues() {
@@ -530,17 +507,6 @@ mod tests {
             }
         }
         assert_eq!(batch.consumed_cycles(), Some(5 * (3 * 20 + 4)));
-    }
-
-    #[test]
-    fn sequential_adapter_agrees_with_batch() {
-        let mut rng = StdRng::seed_from_u64(204);
-        let p = random_safe_params(&mut rng, 33);
-        let xs: Vec<Ubig> = (0..10).map(|_| random_operand(&mut rng, &p)).collect();
-        let ys: Vec<Ubig> = (0..10).map(|_| random_operand(&mut rng, &p)).collect();
-        let mut seq = SequentialBatch::new(PackedMmmc::new(p.clone()));
-        let mut bat = BitSlicedBatch::new(p.clone());
-        assert_eq!(seq.mont_mul_batch(&xs, &ys), bat.mont_mul_batch(&xs, &ys));
     }
 
     #[test]

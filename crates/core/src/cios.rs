@@ -49,7 +49,7 @@
 //! bound keeps results `< 2N`), no data-dependent branches, and memory
 //! accesses that depend only on `(l, lanes)`. Under
 //! [`HardeningMode::Hardened`] every result gets a **branchless
-//! canonicalizing final subtraction** — `cond_sub_rows` across the SoA
+//! canonicalizing final subtraction** — [`rows::cond_sub_rows`] across the SoA
 //! accumulator, [`mmm_bigint::ct::ct_sub_if_ge`] per lane on the
 //! per-lane path — so outputs are `< N` on a value-independent
 //! schedule; which path runs depends only on the public lane count. The
@@ -61,7 +61,7 @@ use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
 use crate::rows::{self, check_below, check_shape, padded_limbs, row, row_mut, LaneRow, LaneStage};
 use crate::traits::{BatchMontMul, MontMul};
-use mmm_bigint::ct::{ct_sub_if_ge, sbb_ct};
+use mmm_bigint::ct::ct_sub_if_ge;
 use mmm_bigint::limbs::{adc, carrying_mul, mac_with_carry, Limb, LIMB_BITS};
 use mmm_bigint::Ubig;
 
@@ -315,7 +315,7 @@ pub struct CiosBatch {
     /// Staging rows of the `Vec<Ubig>` methods.
     stage: LaneStage,
     /// Constant-time mode: when hardened, every result is canonicalized
-    /// `< N` by [`cond_sub_rows`] (SoA path) or [`ct_sub_if_ge`]
+    /// `< N` by [`rows::cond_sub_rows`] (SoA path) or [`ct_sub_if_ge`]
     /// (per-lane path).
     hardening: HardeningMode,
 }
@@ -507,46 +507,6 @@ fn run_cios_batch(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Li
     );
 }
 
-/// The branchless canonicalizing final subtraction over a word-SoA
-/// accumulator: for every lane `k`, subtracts the (lane-shared,
-/// `rows`-limb padded) modulus `n` from `t[·,k]` exactly when
-/// `t[·,k] ≥ N` — deciding with one full borrow chain and applying
-/// with one masked subtraction, so both passes execute the same
-/// instruction trace whatever the lane values are (the
-/// [`mmm_bigint::ct`] discipline, vectorized across lanes).
-///
-/// Entry values obey the Walter bound (`< 2N`), so one conditional
-/// subtraction lands every lane in `[0, N)`. Allocation-free: two
-/// stack [`LaneRow`]s of per-lane borrow/mask state.
-#[inline(never)]
-pub(crate) fn cond_sub_rows(n: &[Limb], t: &mut [Limb], rows: usize) {
-    // Pass 1: full borrow chain per lane — t < N iff it borrows out.
-    let mut borrow: LaneRow = [0; MAX_LANES];
-    for (j, &nj) in n.iter().enumerate().take(rows) {
-        let tj = row(t, j);
-        for k in 0..MAX_LANES {
-            let (_, b) = sbb_ct(tj[k], nj, borrow[k]);
-            borrow[k] = b;
-        }
-    }
-    // borrow = 0 → t ≥ N → all-ones mask (two's-complement decrement).
-    let mut mask: LaneRow = [0; MAX_LANES];
-    for k in 0..MAX_LANES {
-        mask[k] = borrow[k].wrapping_sub(1);
-    }
-    // Pass 2: recompute the subtraction with the modulus masked to
-    // zero in lanes that keep their value — same trace either way.
-    borrow = [0; MAX_LANES];
-    for (j, &nj) in n.iter().enumerate().take(rows) {
-        let tj = row_mut(t, j);
-        for k in 0..MAX_LANES {
-            let (d, b) = sbb_ct(tj[k], nj & mask[k], borrow[k]);
-            tj[k] = d;
-            borrow[k] = b;
-        }
-    }
-}
-
 impl BatchMontMul for CiosBatch {
     fn params(&self) -> &MontgomeryParams {
         &self.params
@@ -595,7 +555,7 @@ impl BatchMontMul for CiosBatch {
             run_cios_batch(geo, n, x, y, &mut self.t);
             out.copy_from_slice(&self.t[..geo.sw * MAX_LANES]);
             if hardened {
-                cond_sub_rows(n, out, geo.sw);
+                rows::cond_sub_rows(n, out);
             }
         }
         Ok(())

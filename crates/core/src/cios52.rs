@@ -59,8 +59,8 @@
 //! As the radix-2⁶⁴ scan: fixed schedule, no data-dependent branches,
 //! quotient digits feed multiplies, never indexing. Under
 //! [`HardeningMode::Hardened`] the word rows out of the (shape-driven)
-//! digit→word scatter get the radix-2⁶⁴ backend's branchless
-//! canonicalizing subtraction (`cios::cond_sub_rows`), and the per-lane
+//! digit→word scatter get the branchless canonicalizing subtraction
+//! every engine shares ([`rows::cond_sub_rows`]), and the per-lane
 //! floor ends each lane with `ct_sub_if_ge`, so hardened outputs are
 //! `< N` on every kernel. DESIGN.md §12 has the full per-path table.
 
@@ -466,7 +466,7 @@ impl BatchMontMul for Cios52Batch {
         self.run_kernel();
         soa_digits52_to_words(&self.t, geo.s, out, geo.sw);
         if hardened {
-            crate::cios::cond_sub_rows(self.per_lane.modulus(), out, geo.sw);
+            rows::cond_sub_rows(self.per_lane.modulus(), out);
         }
         Ok(())
     }

@@ -41,13 +41,14 @@
 //! the per-key pool — the many-client serving path under `mmm-rsa`'s
 //! `KeyedSession`.
 
-use crate::cios::cond_sub_rows;
 use crate::config::{EngineConfig, WindowPolicy};
 use crate::error::{validate_reduced, MmmError};
 use crate::expo_window::best_fixed_window;
 use crate::montgomery::MontgomeryParams;
 use crate::pool;
-use crate::rows::{gather, padded_limbs, row_count, try_mont_mul, FeRows, ROW_LANES};
+use crate::rows::{
+    cond_sub_rows, gather, padded_limbs, row_count, try_mont_mul, FeRows, ROW_LANES,
+};
 use crate::scan::{run_windowed_scan, ScalarSet, WindowScanClient};
 use crate::traits::BatchMontMul;
 use crate::verify::VerifiedEngine;
@@ -303,7 +304,7 @@ impl<E: BatchMontMul> BatchModExp<E> {
         ones.broadcast(&Ubig::one(), lanes);
         try_mont_mul(&mut self.engine, &acc, &ones, &mut out)?;
         self.stats.total_batch_muls += 1;
-        cond_sub_rows(&padded_limbs(n, rows), out.limbs_mut(), rows);
+        cond_sub_rows(&padded_limbs(n, rows), out.limbs_mut());
         Ok(out.store())
     }
 
@@ -399,7 +400,6 @@ mod tests {
     use crate::expo_window::expected_fixed_window_muls;
     use crate::modgen::random_safe_params;
     use crate::traits::SoftwareEngine;
-    use crate::wave_packed::PackedMmmc;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -429,24 +429,6 @@ mod tests {
         let got = me.try_modexp(&ms, ScalarSet::PerLane(&es), BINARY).unwrap();
         for k in 0..lanes {
             assert_eq!(got[k], ms[k].modpow(&es[k], &n), "lane {k}");
-        }
-    }
-
-    #[test]
-    fn agrees_with_scalar_modexp_over_packed_engine() {
-        let mut rng = StdRng::seed_from_u64(302);
-        let p = random_safe_params(&mut rng, 32);
-        let ms: Vec<Ubig> = (0..8)
-            .map(|_| Ubig::random_below(&mut rng, p.n()))
-            .collect();
-        let es: Vec<Ubig> = (0..8).map(|_| Ubig::random_bits(&mut rng, 32)).collect();
-        let mut batch = BatchModExp::new(BitSlicedBatch::new(p.clone()));
-        let got = batch
-            .try_modexp(&ms, ScalarSet::PerLane(&es), BINARY)
-            .unwrap();
-        for k in 0..8 {
-            let mut solo = crate::expo::ModExp::new(PackedMmmc::new(p.clone()));
-            assert_eq!(got[k], solo.modexp(&ms[k], &es[k]), "lane {k}");
         }
     }
 

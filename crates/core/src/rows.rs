@@ -236,6 +236,50 @@ pub fn gather<'t>(
     }
 }
 
+/// The one branchless conditional subtraction over rows: every column
+/// of the first `n.len()` rows of `t` at or above `n` (the lane-shared
+/// modulus, padded to that many limbs) becomes itself less `n`. One
+/// full borrow chain per column decides and one masked subtraction
+/// applies, so both passes execute the same instructions whatever the
+/// values are (the [`mmm_bigint::ct`] discipline, vectorized across
+/// columns).
+///
+/// Columns below `2N` land in `[0, N)` with their residue unchanged;
+/// dead columns are transformed too and stay unspecified.
+/// Allocation-free: the per-column borrow and mask state are two
+/// stack rows.
+///
+/// # Panics
+/// Panics if `t` holds fewer than `n.len()` rows.
+#[inline(never)]
+pub fn cond_sub_rows(n: &[Limb], t: &mut [Limb]) {
+    // Pass 1: full borrow chain per column — t < N iff it borrows out.
+    let mut borrow: LaneRow = [0; ROW_LANES];
+    for (j, &nj) in n.iter().enumerate() {
+        let tj = row(t, j);
+        for k in 0..ROW_LANES {
+            let (_, b) = sbb_ct(tj[k], nj, borrow[k]);
+            borrow[k] = b;
+        }
+    }
+    // borrow = 0 → t ≥ N → all-ones mask (two's-complement decrement).
+    let mut mask: LaneRow = [0; ROW_LANES];
+    for k in 0..ROW_LANES {
+        mask[k] = borrow[k].wrapping_sub(1);
+    }
+    // Pass 2: recompute the subtraction with the modulus masked to
+    // zero in columns that keep their value — same trace either way.
+    borrow = [0; ROW_LANES];
+    for (j, &nj) in n.iter().enumerate() {
+        let tj = row_mut(t, j);
+        for k in 0..ROW_LANES {
+            let (d, b) = sbb_ct(tj[k], nj & mask[k], borrow[k]);
+            tj[k] = d;
+            borrow[k] = b;
+        }
+    }
+}
+
 /// One row of a rows buffer: fixed-size, so the engines' per-lane
 /// loops have a compile-time trip count (64) for the vectorizer.
 pub(crate) type LaneRow = [Limb; ROW_LANES];
@@ -411,5 +455,26 @@ mod tests {
         assert_eq!(below_mask(&bound, &v, ROW_LANES), every_fifth);
         assert_eq!(live_mask(64), u64::MAX);
         assert_eq!(live_mask(3), 0b111);
+    }
+
+    #[test]
+    fn cond_sub_rows_canonicalizes_every_column_below_2n() {
+        // Two rows, N = 2^64 + 5: 0, 1, N − 1, N, N + 1 and 2N − 1,
+        // round-robin over all 64 columns.
+        let n = [5, 1];
+        let modulus = Ubig::from_limbs(n.to_vec());
+        let edges = [(0, 0), (1, 0), (4, 1), (5, 1), (6, 1), (9, 2)];
+        let mut t = vec![0; 2 * ROW_LANES];
+        for (k, &(lo, hi)) in edges.iter().cycle().take(ROW_LANES).enumerate() {
+            t[k] = lo;
+            t[ROW_LANES + k] = hi;
+        }
+        let before = t.clone();
+        cond_sub_rows(&n, &mut t);
+        for k in 0..ROW_LANES {
+            let got = lane_of(&t, k);
+            assert!(got < modulus, "column {k}");
+            assert_eq!(got, lane_of(&before, k).rem(&modulus), "column {k}");
+        }
     }
 }

@@ -37,7 +37,7 @@ use mmm_bigint::limbs::{adc, sbb, Limb};
 use mmm_bigint::Ubig;
 use mmm_core::cios::CiosMont;
 use mmm_core::montgomery::MontgomeryParams;
-use mmm_core::rows::{padded_limbs, row_count, try_mont_mul, FeRows, ROW_LANES};
+use mmm_core::rows::{cond_sub_rows, padded_limbs, row_count, try_mont_mul, FeRows, ROW_LANES};
 use mmm_core::traits::BatchMontMul;
 
 /// Batch field context: a [`BatchMontMul`] engine plus the constants
@@ -234,7 +234,7 @@ impl<E: BatchMontMul> BatchFieldCtx<E> {
     /// engine call by 1, then a branchless conditional subtraction.
     pub(crate) fn exit_mont_rows(&mut self, a: &FeRows, out: &mut FeRows) {
         self.mul_const_rows(a, &Ubig::one(), out);
-        reduce_below_rows(&self.p_limbs, out.lanes(), out.limbs_mut());
+        cond_sub_rows(&self.p_limbs, out.limbs_mut());
     }
 
     /// Bit `k` is set iff live lane `k` represents zero (`0` or `p`:
@@ -429,18 +429,6 @@ fn sub_mod_rows(two_p: &[Limb], a: &[Limb], b: &[Limb], lanes: usize, out: &mut 
             out[at(j, k)] = s;
             carry = c;
         }
-    }
-}
-
-/// Subtracts `p` from every live lane at or above it, so values below
-/// `2p` land below `p`.
-fn reduce_below_rows(p: &[Limb], lanes: usize, out: &mut [Limb]) {
-    for k in 0..lanes {
-        let mut borrow = false;
-        for (j, &pj) in p.iter().enumerate() {
-            borrow = sbb(out[at(j, k)], pj, borrow).1;
-        }
-        sub_masked(p, !borrow, k, out);
     }
 }
 

@@ -497,7 +497,7 @@ mod tests {
         // Same bit length, wildly different Hamming weight: the ladder
         // must consume identical cycle counts (double-and-add must
         // not). Uses the cycle-accurate wave engine as the probe.
-        use mmm_core::wave::WaveMmmc;
+        use mmm_systolic::wave::WaveMmmc;
         let params = MontgomeryParams::hardware_safe(&Ubig::from(97u64));
         let mut f = FieldCtx::new(WaveMmmc::new(params));
         let curve = Curve::new(&mut f, &Ubig::from(2u64), &Ubig::from(3u64));

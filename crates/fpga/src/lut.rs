@@ -269,7 +269,7 @@ mod tests {
         // claim.
         let mut depths = Vec::new();
         for l in [3usize, 16, 64] {
-            let arr = mmm_core::array::SystolicArray::build(l, CarryStyle::XorMux);
+            let arr = mmm_systolic::array::SystolicArray::build(l, CarryStyle::XorMux);
             let m = map_luts(&arr.netlist);
             depths.push(m.depth);
         }
@@ -282,8 +282,8 @@ mod tests {
         // Control logic is retimed/tree-shaped so the regular cell
         // remains the critical path — the paper's §4.4 claim.
         for l in [8usize, 32, 128] {
-            let arr = mmm_core::array::SystolicArray::build(l, CarryStyle::XorMux);
-            let mmmc = mmm_core::Mmmc::build(l, CarryStyle::XorMux);
+            let arr = mmm_systolic::array::SystolicArray::build(l, CarryStyle::XorMux);
+            let mmmc = mmm_systolic::Mmmc::build(l, CarryStyle::XorMux);
             let da = map_luts(&arr.netlist).depth;
             let dm = map_luts(&mmmc.netlist).depth;
             assert!(
@@ -295,8 +295,10 @@ mod tests {
 
     #[test]
     fn array_luts_linear_in_l() {
-        let m8 = map_luts(&mmm_core::array::SystolicArray::build(8, CarryStyle::XorMux).netlist);
-        let m64 = map_luts(&mmm_core::array::SystolicArray::build(64, CarryStyle::XorMux).netlist);
+        let m8 =
+            map_luts(&mmm_systolic::array::SystolicArray::build(8, CarryStyle::XorMux).netlist);
+        let m64 =
+            map_luts(&mmm_systolic::array::SystolicArray::build(64, CarryStyle::XorMux).netlist);
         let per_bit_8 = m8.luts as f64 / 8.0;
         let per_bit_64 = m64.luts as f64 / 64.0;
         assert!(

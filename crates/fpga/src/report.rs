@@ -84,8 +84,8 @@ impl std::fmt::Display for FpgaReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmm_core::Mmmc;
     use mmm_hdl::CarryStyle;
+    use mmm_systolic::Mmmc;
 
     #[test]
     fn mmmc_report_basic_sanity() {

@@ -50,7 +50,7 @@ mod tests {
     use super::*;
     use mmm_core::montgomery::MontgomeryParams;
     use mmm_core::traits::SoftwareEngine;
-    use mmm_core::wave::WaveMmmc;
+    use mmm_systolic::wave::WaveMmmc;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

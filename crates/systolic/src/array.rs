@@ -355,7 +355,7 @@ impl SystolicArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montgomery::{mont_mul_alg2, MontgomeryParams};
+    use mmm_core::montgomery::{mont_mul_alg2, MontgomeryParams};
     use mmm_hdl::{AreaReport, Simulator, UnitDelay};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -401,7 +401,7 @@ mod tests {
         for l in [4usize, 5, 8, 13, 16, 24, 32] {
             for style in [CarryStyle::XorMux, CarryStyle::Majority] {
                 let arr = SystolicArray::build(l, style);
-                let p = crate::modgen::random_safe_params(&mut rng, l);
+                let p = mmm_core::modgen::random_safe_params(&mut rng, l);
                 let n = p.n().clone();
                 for _ in 0..4 {
                     let x = Ubig::random_below(&mut rng, &p.two_n());

@@ -10,9 +10,9 @@
 //! registers.
 
 use crate::array;
-use crate::montgomery::MontgomeryParams;
-use crate::traits::MontMul;
 use mmm_bigint::Ubig;
+use mmm_core::montgomery::MontgomeryParams;
+use mmm_core::traits::MontMul;
 use mmm_hdl::{Bus, CarryStyle, Netlist, SignalId, Simulator};
 
 /// A fully-elaborated MMMC netlist and its ports.
@@ -229,7 +229,7 @@ impl MontMul for GateEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montgomery::{mont_mul_alg2, mont_spec};
+    use mmm_core::montgomery::{mont_mul_alg2, mont_spec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -269,7 +269,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         for style in [CarryStyle::XorMux, CarryStyle::Majority] {
             for l in [5usize, 8, 16, 32] {
-                let p = crate::modgen::random_safe_params(&mut rng, l);
+                let p = mmm_core::modgen::random_safe_params(&mut rng, l);
                 let n = p.n().clone();
                 let mmmc = Mmmc::build(l, style);
                 let mut engine = GateEngine::new(&mmmc, p.clone());
@@ -294,7 +294,7 @@ mod tests {
         // 20 squarings without any reduction between them.
         let mut rng = StdRng::seed_from_u64(99);
         let l = 8;
-        let p = crate::modgen::random_safe_params(&mut rng, l);
+        let p = mmm_core::modgen::random_safe_params(&mut rng, l);
         let mmmc = Mmmc::build(l, CarryStyle::XorMux);
         let mut engine = GateEngine::new(&mmmc, p.clone());
         let mut t_hw = Ubig::random_below(&mut rng, &p.two_n());
@@ -332,8 +332,8 @@ mod tests {
 mod shared_pair_tests {
     use super::*;
     use crate::array::PipelineStyle;
-    use crate::modgen::{random_operand, random_safe_params};
-    use crate::montgomery::mont_mul_alg2;
+    use mmm_core::modgen::{random_operand, random_safe_params};
+    use mmm_core::montgomery::mont_mul_alg2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -9,9 +9,9 @@
 //! gate-level simulation of full exponentiations would be prohibitive.
 
 use crate::cells;
-use crate::montgomery::MontgomeryParams;
-use crate::traits::MontMul;
 use mmm_bigint::Ubig;
+use mmm_core::montgomery::MontgomeryParams;
+use mmm_core::traits::MontMul;
 
 /// Cycle-stepped behavioral state of the array (one `bool` per
 /// register, mirroring `array::build_into` exactly).
@@ -219,7 +219,7 @@ impl MontMul for WaveMmmc {
 mod tests {
     use super::*;
     use crate::array::SystolicArray;
-    use crate::montgomery::mont_mul_alg2;
+    use mmm_core::montgomery::mont_mul_alg2;
     use mmm_hdl::{CarryStyle, Simulator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -246,7 +246,7 @@ mod tests {
         // EVERY cycle, not just identical final results.
         let mut rng = StdRng::seed_from_u64(31);
         for l in [3usize, 5, 8, 16] {
-            let p = crate::modgen::random_safe_params(&mut rng, l);
+            let p = mmm_core::modgen::random_safe_params(&mut rng, l);
             let n = p.n().clone();
             let arr = SystolicArray::build(l, CarryStyle::XorMux);
             let mut sim = Simulator::new(&arr.netlist).unwrap();
@@ -293,7 +293,7 @@ mod tests {
     fn wave_large_widths_match_reference() {
         let mut rng = StdRng::seed_from_u64(13);
         for l in [64usize, 128, 256] {
-            let p = crate::modgen::random_safe_params(&mut rng, l);
+            let p = mmm_core::modgen::random_safe_params(&mut rng, l);
             let mut engine = WaveMmmc::new(p.clone());
             let x = Ubig::random_below(&mut rng, &p.two_n());
             let y = Ubig::random_below(&mut rng, &p.two_n());

@@ -21,9 +21,9 @@
 //! At `l = 1024` this turns ~15 k boolean updates per cycle into ~250
 //! word operations (see `cargo bench -p mmm-bench` group `hdl`).
 
-use crate::montgomery::MontgomeryParams;
-use crate::traits::MontMul;
 use mmm_bigint::Ubig;
+use mmm_core::montgomery::MontgomeryParams;
+use mmm_core::traits::MontMul;
 
 /// A fixed-width bit vector over `u64` words with the shift/logic ops
 /// the cell recurrences need.
@@ -451,9 +451,9 @@ impl MontMul for PackedMmmc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modgen::{random_operand, random_safe_params};
-    use crate::montgomery::mont_mul_alg2;
     use crate::wave::WaveArray;
+    use mmm_core::modgen::{random_operand, random_safe_params};
+    use mmm_core::montgomery::mont_mul_alg2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -586,7 +586,7 @@ mod tests {
         let p = random_safe_params(&mut rng, 128);
         let m = Ubig::random_below(&mut rng, p.n());
         let e = Ubig::random_exact_bits(&mut rng, 128);
-        let mut me = crate::expo::ModExp::new(PackedMmmc::new(p.clone()));
+        let mut me = mmm_core::expo::ModExp::new(PackedMmmc::new(p.clone()));
         assert_eq!(me.modexp(&m, &e), m.modpow(&e, p.n()));
     }
 }

@@ -7,9 +7,10 @@
 //! cargo run --release --example area_report
 //! ```
 
-use montgomery_systolic::core::{cost, Mmmc};
+use montgomery_systolic::core::cost;
 use montgomery_systolic::fpga::{FpgaReport, SlicePacker, VirtexETiming};
 use montgomery_systolic::hdl::{AreaReport, CarryStyle};
+use montgomery_systolic::systolic::Mmmc;
 
 fn main() {
     let packer = SlicePacker::default();

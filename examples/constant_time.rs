@@ -16,8 +16,8 @@
 
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::montgomery::MontgomeryParams;
-use montgomery_systolic::core::wave::WaveMmmc;
 use montgomery_systolic::ecc::{Curve, FieldCtx};
+use montgomery_systolic::systolic::wave::WaveMmmc;
 
 fn main() {
     let p = Ubig::from(40487u64);

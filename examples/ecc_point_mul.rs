@@ -14,11 +14,11 @@
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::montgomery::MontgomeryParams;
 use montgomery_systolic::core::serve::Server;
-use montgomery_systolic::core::wave::WaveMmmc;
 use montgomery_systolic::core::EngineConfig;
 use montgomery_systolic::ecc::curves::p256;
 use montgomery_systolic::ecc::serve::{EcdsaRequest, EcdsaVerify};
 use montgomery_systolic::ecc::{Curve, FieldCtx};
+use montgomery_systolic::systolic::wave::WaveMmmc;
 
 fn main() {
     // A 61-bit prime field (fits the demo; the architecture is

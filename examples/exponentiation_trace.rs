@@ -8,9 +8,10 @@
 //! ```
 
 use montgomery_systolic::core::montgomery::MontgomeryParams;
-use montgomery_systolic::core::wave::WaveMmmc;
-use montgomery_systolic::core::{controller, cost, Mmmc, MontMul};
+use montgomery_systolic::core::{cost, MontMul};
 use montgomery_systolic::hdl::{CarryStyle, Netlist, Simulator};
+use montgomery_systolic::systolic::wave::WaveMmmc;
+use montgomery_systolic::systolic::{controller, Mmmc};
 use montgomery_systolic::Ubig;
 
 fn main() {

@@ -6,10 +6,11 @@
 //! cargo run --example quickstart
 //! ```
 
-use montgomery_systolic::core::mmmc::GateEngine;
 use montgomery_systolic::core::montgomery::{mont_spec, MontgomeryParams};
-use montgomery_systolic::core::{MmmError, Mmmc};
+use montgomery_systolic::core::MmmError;
 use montgomery_systolic::hdl::{AreaReport, CarryStyle};
+use montgomery_systolic::systolic::mmmc::GateEngine;
+use montgomery_systolic::systolic::Mmmc;
 use montgomery_systolic::Ubig;
 
 fn main() -> Result<(), MmmError> {

@@ -7,12 +7,13 @@
 //! ```
 
 use montgomery_systolic::bigint::Ubig;
+use montgomery_systolic::core::cost;
 use montgomery_systolic::core::expo::ModExp;
-use montgomery_systolic::core::mmmc::GateEngine;
 use montgomery_systolic::core::montgomery::MontgomeryParams;
-use montgomery_systolic::core::{cost, Mmmc};
 use montgomery_systolic::hdl::CarryStyle;
 use montgomery_systolic::rsa::RsaKeyPair;
+use montgomery_systolic::systolic::mmmc::GateEngine;
+use montgomery_systolic::systolic::Mmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -13,11 +13,15 @@
 //!   simulator (the "FPGA" substrate),
 //! * [`fpga`] — a Xilinx Virtex-E technology model (LUT covering,
 //!   slice packing, timing),
-//! * [`core`] — the paper's contribution: the systolic array cells
-//!   (Fig. 1), the linear array (Fig. 2), the Montgomery Modular
-//!   Multiplication Circuit with its ASM controller (Figs. 3–4), the
-//!   modular exponentiator (Alg. 3), and the 64-lane bit-sliced batch
-//!   engine (`core::batch`) with its batched exponentiator,
+//! * [`systolic`] — the paper's hardware, level by level: the systolic
+//!   array cells (Fig. 1), the linear array (Fig. 2), the Montgomery
+//!   Modular Multiplication Circuit with its ASM controller
+//!   (Figs. 3–4), and the wave models that simulate them fast,
+//! * [`core`] — the production multiplier: the paper's Algorithm 2,
+//!   the modular exponentiator (Alg. 3), the 64-lane bit-sliced batch
+//!   engine (`core::batch`) with its batched exponentiator, and the
+//!   radix-2⁶⁴ and radix-2⁵² backends; it depends on neither
+//!   [`systolic`] nor [`hdl`],
 //! * [`baselines`] — the comparison designs (Blum–Paar-style
 //!   `R = 2^{l+3}` multiplier, naive interleaved modular
 //!   multiplication, high-radix iteration models),
@@ -55,6 +59,7 @@ pub use mmm_ecc as ecc;
 pub use mmm_fpga as fpga;
 pub use mmm_hdl as hdl;
 pub use mmm_rsa as rsa;
+pub use mmm_systolic as systolic;
 
 pub use mmm_bigint::Ubig;
 

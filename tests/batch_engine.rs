@@ -10,12 +10,12 @@ use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::batch::{try_mont_mul_many, BitSlicedBatch, SequentialBatch};
 use montgomery_systolic::core::expo_batch::BatchModExp;
 use montgomery_systolic::core::modgen::random_safe_params;
-use montgomery_systolic::core::wave_packed::PackedMmmc;
 use montgomery_systolic::core::{
     BatchMontMul, EngineConfig, EngineKind, MmmError, MontMul, MontgomeryParams, ScalarSet,
     WindowPolicy,
 };
 use montgomery_systolic::rsa::{decrypt_crt, KeyedSession, RsaKeyPair};
+use montgomery_systolic::systolic::wave_packed::PackedMmmc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

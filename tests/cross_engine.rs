@@ -8,12 +8,13 @@
 
 use montgomery_systolic::baselines::blum_paar;
 use montgomery_systolic::bigint::{Ubig, WordMontgomery};
-use montgomery_systolic::core::mmmc::GateEngine;
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::{mont_mul_alg2, mont_spec};
-use montgomery_systolic::core::wave::WaveMmmc;
-use montgomery_systolic::core::{Mmmc, MontMul};
+use montgomery_systolic::core::MontMul;
 use montgomery_systolic::hdl::CarryStyle;
+use montgomery_systolic::systolic::mmmc::GateEngine;
+use montgomery_systolic::systolic::wave::WaveMmmc;
+use montgomery_systolic::systolic::Mmmc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -5,9 +5,9 @@
 
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::{mont_mul_alg2, MontgomeryParams};
-use montgomery_systolic::core::Mmmc;
 use montgomery_systolic::hdl::netlist::GateKind;
 use montgomery_systolic::hdl::{CarryStyle, Netlist, Simulator};
+use montgomery_systolic::systolic::Mmmc;
 use montgomery_systolic::Ubig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

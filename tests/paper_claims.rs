@@ -1,12 +1,13 @@
 //! The paper's headline claims, asserted end-to-end through the public
 //! API — each test names the section it reproduces.
 
-use montgomery_systolic::core::array::SystolicArray;
-use montgomery_systolic::core::cells::CellCost;
+use montgomery_systolic::core::cost;
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
-use montgomery_systolic::core::{cost, Mmmc};
 use montgomery_systolic::fpga::{lut::map_luts, FpgaReport, SlicePacker, VirtexETiming};
 use montgomery_systolic::hdl::{AreaReport, CarryStyle, UnitDelay};
+use montgomery_systolic::systolic::array::SystolicArray;
+use montgomery_systolic::systolic::cells::CellCost;
+use montgomery_systolic::systolic::Mmmc;
 use montgomery_systolic::Ubig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,7 +95,7 @@ fn claim_no_final_subtraction_needed() {
     let mut rng = StdRng::seed_from_u64(2);
     let l = 24;
     let params = random_safe_params(&mut rng, l);
-    let mut engine = montgomery_systolic::core::wave::WaveMmmc::new(params.clone());
+    let mut engine = montgomery_systolic::systolic::wave::WaveMmmc::new(params.clone());
     use montgomery_systolic::core::MontMul;
     let mut t = random_operand(&mut rng, &params);
     let u = random_operand(&mut rng, &params);
@@ -109,7 +110,7 @@ fn claim_no_final_subtraction_needed() {
 #[test]
 fn claim_eq10_random_exponents() {
     use montgomery_systolic::core::expo::ModExp;
-    use montgomery_systolic::core::wave::WaveMmmc;
+    use montgomery_systolic::systolic::wave::WaveMmmc;
     let mut rng = StdRng::seed_from_u64(3);
     for l in [16usize, 32] {
         let (lo, hi) = cost::modexp_bounds(l);

@@ -4,11 +4,12 @@
 
 use montgomery_systolic::bigint::Ubig;
 use montgomery_systolic::core::cios52::{Cios52Batch, Cios52Kernel};
-use montgomery_systolic::core::mmmc::GateEngine;
 use montgomery_systolic::core::montgomery::{mont_mul_alg1, mont_mul_alg2, MontgomeryParams};
-use montgomery_systolic::core::wave::WaveMmmc;
-use montgomery_systolic::core::{BatchMontMul, Mmmc, MontMul};
+use montgomery_systolic::core::{BatchMontMul, MontMul};
 use montgomery_systolic::hdl::CarryStyle;
+use montgomery_systolic::systolic::mmmc::GateEngine;
+use montgomery_systolic::systolic::wave::WaveMmmc;
+use montgomery_systolic::systolic::Mmmc;
 use proptest::prelude::*;
 
 /// Strategy: hardware-safe parameters with width in [4, 20] and a

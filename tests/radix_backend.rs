@@ -17,10 +17,10 @@ use montgomery_systolic::core::expo_batch::{try_modexp_many, BatchModExp};
 use montgomery_systolic::core::modgen::{random_operand, random_safe_params};
 use montgomery_systolic::core::montgomery::MontgomeryParams;
 use montgomery_systolic::core::rows::{row_count, ROW_LANES};
-use montgomery_systolic::core::wave_packed::PackedMmmc;
 use montgomery_systolic::core::{
     AnyBatchEngine, BatchMontMul, EngineConfig, EngineKind, MontMul, ScalarSet, WindowPolicy,
 };
+use montgomery_systolic::systolic::wave_packed::PackedMmmc;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
