@@ -3,7 +3,8 @@
 //! interleaved, compared with Welch's t-test (top-decile cropped).
 //!
 //! Runs each probe (digit selection, and final subtraction at 1 and 64
-//! lanes) in both [`HardeningMode::Off`] and
+//! lanes on the radix-2⁶⁴ engine and at 64 lanes on the radix-2⁵²
+//! engine's active kernel) in both [`HardeningMode::Off`] and
 //! [`HardeningMode::Hardened`] and prints
 //! `|t|` next to the 4.5 dudect threshold. The Off rows are
 //! *informative* — they demonstrate the harness can see the
@@ -18,7 +19,7 @@
 
 use mmm_bench::timing::{
     probe_digit_selection, probe_final_subtraction, HardeningMode, TimingReport,
-    FINAL_SUBTRACTION_LANES, T_THRESHOLD,
+    FINAL_SUBTRACTION_PATHS, T_THRESHOLD,
 };
 
 fn main() {
@@ -29,7 +30,7 @@ fn main() {
     println!("dudect-style timing probes: Welch |t| vs threshold {T_THRESHOLD}");
     println!("samples/class = {n_per_class} (top decile cropped per class)\n");
     println!(
-        "{:<22} {:>9} {:>10} {:>14} {:>14}  verdict",
+        "{:<28} {:>9} {:>10} {:>14} {:>14}  verdict",
         "probe", "mode", "|t|", "fixed ns", "random ns"
     );
 
@@ -38,10 +39,10 @@ fn main() {
     type Probe = Box<dyn Fn(HardeningMode, usize) -> TimingReport>;
     let mut probes: Vec<(String, Probe)> =
         vec![("digit-selection".into(), Box::new(probe_digit_selection))];
-    for lanes in FINAL_SUBTRACTION_LANES {
+    for (kind, lanes) in FINAL_SUBTRACTION_PATHS {
         probes.push((
-            format!("final-subtraction/{lanes}"),
-            Box::new(move |mode, n| probe_final_subtraction(mode, lanes, n)),
+            format!("final-subtraction/{}/{lanes}", kind.name()),
+            Box::new(move |mode, n| probe_final_subtraction(mode, kind, lanes, n)),
         ));
     }
     for (name, probe) in probes {
@@ -64,7 +65,7 @@ fn main() {
                 "leak (expected unhardened)"
             };
             println!(
-                "{name:<22} {mode_s:>9} {:>10.2} {:>14.0} {:>14.0}  {verdict}",
+                "{name:<28} {mode_s:>9} {:>10.2} {:>14.0} {:>14.0}  {verdict}",
                 r.t.abs(),
                 r.mean_fixed_ns,
                 r.mean_random_ns

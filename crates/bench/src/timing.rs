@@ -27,15 +27,17 @@
 //! mechanisms: [`probe_digit_selection`] (exponent-dependent scan
 //! time: skip-on-zero-digit vs the hardened multiply-always sweep)
 //! and [`probe_final_subtraction`] (operand-dependent reduction time
-//! in the hardened branchless canonicalization), the latter at each of
-//! [`FINAL_SUBTRACTION_LANES`] so both of the radix-2⁶⁴ engine's
-//! subtraction paths are timed. `timing_probe` runs them from the
-//! command line; `tests/timing_variance.rs` gates on them under
-//! `MMM_TIMING_GATE=1`.
+//! in the hardened branchless canonicalization), the latter on each
+//! path of [`FINAL_SUBTRACTION_PATHS`]: both of the radix-2⁶⁴ engine's
+//! subtraction paths, and the radix-2⁵² engine's wide call, whose
+//! range check and subtraction run inside its kernel's vector region.
+//! `timing_probe` runs them from the command line;
+//! `tests/timing_variance.rs` gates on them under `MMM_TIMING_GATE=1`.
 
 use mmm_bigint::Ubig;
 use mmm_core::cios::{CiosBatch, MAX_LANES};
 pub use mmm_core::config::HardeningMode;
+use mmm_core::engine::EngineKind;
 use mmm_core::expo_batch::BatchModExp;
 use mmm_core::modgen::random_safe_params;
 use mmm_core::montgomery::mont_mul_alg2;
@@ -52,10 +54,17 @@ use std::time::Instant;
 /// proof of constant time.
 pub const T_THRESHOLD: f64 = 4.5;
 
-/// Lane counts [`probe_final_subtraction`] runs at: one lane takes the
-/// radix-2⁶⁴ engine's per-lane path (`ct_sub_if_ge` on each lane), 64
-/// lanes its SoA kernel (`cond_sub_rows` across the lane rows).
-pub const FINAL_SUBTRACTION_LANES: [usize; 2] = [1, 64];
+/// The backends and lane counts [`probe_final_subtraction`] runs at:
+/// one lane takes the radix-2⁶⁴ engine's per-lane path (`ct_sub_if_ge`
+/// on each lane), 64 lanes its SoA kernel (`cond_sub_rows` across the
+/// lane rows), and 64 lanes on the radix-2⁵² engine its active kernel's
+/// vector region (range check, conversions, kernel and `cond_sub_rows`
+/// compiled for that kernel's ISA).
+pub const FINAL_SUBTRACTION_PATHS: [(EngineKind, usize); 3] = [
+    (EngineKind::Cios, 1),
+    (EngineKind::Cios, MAX_LANES),
+    (EngineKind::Cios52, MAX_LANES),
+];
 
 /// Which input population a sample was drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,17 +271,18 @@ pub fn probe_digit_selection(mode: HardeningMode, n_per_class: usize) -> TimingR
 }
 
 /// Probe 2 — **final subtraction**: a `lanes`-wide `mont_mul_batch`
-/// on the radix-2⁶⁴ backend, secret = the operands. Fixed class pins
+/// on the `kind` backend, secret = the operands. Fixed class pins
 /// every operand at one full-width value whose Algorithm-2 square is
 /// `≥ N`, so the hardened canonicalizing subtraction fires in every
 /// lane (`N−1` would not do: for this modulus its square lands below
 /// `N`); random class draws fresh operands, where it fires about one
 /// time in seven. The hardened subtraction is branchless two-pass
 /// (compute `t−N`, select by borrow mask), so whether it "fires" must
-/// not be visible in time. The lane count picks the engine path under
-/// test (see [`FINAL_SUBTRACTION_LANES`]).
+/// not be visible in time. The backend and lane count pick the engine
+/// path under test (see [`FINAL_SUBTRACTION_PATHS`]).
 pub fn probe_final_subtraction(
     mode: HardeningMode,
+    kind: EngineKind,
     lanes: usize,
     n_per_class: usize,
 ) -> TimingReport {
@@ -291,7 +301,7 @@ pub fn probe_final_subtraction(
             break v;
         }
     };
-    let mut engine = CiosBatch::new(params.clone());
+    let mut engine = kind.build(params.clone());
     engine.set_hardening(mode);
     // Every sample times 64 lane-multiplications, whatever the lane
     // count. A single sub-microsecond call sits too close to the
@@ -397,11 +407,12 @@ mod tests {
         for mode in [HardeningMode::Off, HardeningMode::Hardened] {
             let r = probe_digit_selection(mode, 8);
             assert!(r.t.is_finite(), "digit-selection t finite ({mode:?})");
-            for lanes in FINAL_SUBTRACTION_LANES {
-                let r = probe_final_subtraction(mode, lanes, 8);
+            for (kind, lanes) in FINAL_SUBTRACTION_PATHS {
+                let r = probe_final_subtraction(mode, kind, lanes, 8);
                 assert!(
                     r.t.is_finite(),
-                    "final-subtraction/{lanes} t finite ({mode:?})"
+                    "final-subtraction/{}/{lanes} t finite ({mode:?})",
+                    kind.name()
                 );
             }
         }

@@ -37,6 +37,22 @@
 //! count, and [`EngineKind::per_lane_bound`](crate::EngineKind::per_lane_bound)
 //! is 32 on both CIOS backends. DESIGN.md §9 has the measurements.
 //!
+//! ## One wide call, one vector region
+//!
+//! A wider call is one dispatch into one region per kernel: a function
+//! compiled with `avx512f,avx512ifma` (IFMA), with `avx2` (AVX2), or
+//! with no target feature (portable). The region runs every pass of the
+//! call in order: the `< 2N` range check, the 64→52-bit conversion of
+//! `x` and `y`, the accumulator's zero fill, the kernel, the 52→64-bit
+//! conversion into `out` and, when hardened, the canonicalizing
+//! subtraction. Each pass is one `#[inline(always)]` source that the
+//! three regions inline, so the passes around the kernel run at the
+//! kernel's vector width rather than the baseline ISA, and the
+//! row-wise borrow chains of the range check and the subtraction
+//! ([`crate::rows`]) avoid `u128` so that they vectorize. The path
+//! depends only on the lane count and the host's CPU features; DESIGN.md
+//! §9 has the per-pass costs.
+//!
 //! ## Same contract, third radix
 //!
 //! Like the radix-2⁶⁴ scan, this engine computes Algorithm 2's
@@ -60,9 +76,10 @@
 //! quotient digits feed multiplies, never indexing. Under
 //! [`HardeningMode::Hardened`] the word rows out of the (shape-driven)
 //! digit→word scatter get the branchless canonicalizing subtraction
-//! every engine shares ([`rows::cond_sub_rows`]), and the per-lane
-//! floor ends each lane with `ct_sub_if_ge`, so hardened outputs are
-//! `< N` on every kernel. DESIGN.md §12 has the full per-path table.
+//! every engine shares ([`rows::cond_sub_rows`], inside the kernel's
+//! region), and the per-lane floor ends each lane with `ct_sub_if_ge`,
+//! so hardened outputs are `< N` on every kernel. DESIGN.md §12 has
+//! the full per-path table.
 
 use crate::cios::{PerLane, SCALAR_LANES};
 use crate::config::HardeningMode;
@@ -182,7 +199,9 @@ pub fn digits52_to_limbs(digits: &[u64], limbs: usize) -> Vec<u64> {
 /// `[52d, 52d + 52)` from the (at most two) straddled word rows, all
 /// `MAX_LANES` lanes at once. Columns `lanes..` of `digits` are
 /// zeroed, so the kernels see zeros in dead lanes whatever `words`
-/// holds there.
+/// holds there. Inlined into each kernel's region
+/// ([`Cios52Batch::wide_call`]).
+#[inline(always)]
 fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [Limb], s: usize, lanes: usize) {
     for d in 0..s {
         let bit = d * DIGIT_BITS;
@@ -208,6 +227,8 @@ fn soa_words_to_digits52(words: &[Limb], sw: usize, digits: &mut [Limb], s: usiz
 /// Digit-SoA → word-SoA: scatter each normalized digit row into the
 /// word rows it straddles. Requires every digit `< 2⁵²` (the kernels
 /// end with a normalization pass, so this holds on the output path).
+/// Inlined into each kernel's region ([`Cios52Batch::wide_call`]).
+#[inline(always)]
 fn soa_digits52_to_words(digits: &[Limb], s: usize, words: &mut [Limb], sw: usize) {
     words[..sw * MAX_LANES].fill(0);
     for d in 0..s {
@@ -396,32 +417,125 @@ impl Cios52Batch {
         }
     }
 
-    /// Dispatches to the selected kernel on a zeroed accumulator. The
-    /// SIMD kernels are `unsafe` only because of their
-    /// `#[target_feature]` contract — [`Cios52Batch::with_kernel`]
-    /// already proved the features are present on this host.
+    /// A call wider than the per-lane bound: one dispatch into the
+    /// selected kernel's region, which runs every pass of
+    /// [`Cios52Batch::wide_call`] at the kernel's ISA.
     #[allow(unsafe_code)]
-    fn run_kernel(&mut self) {
-        self.t.fill(0);
+    fn run_wide(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
         match self.kernel {
-            Cios52Kernel::Portable => {
-                run_cios52_portable(self.geo, &self.n, &self.x, &self.y, &mut self.t)
-            }
+            Cios52Kernel::Portable => self.wide_portable(x, y, lanes, out),
+            // SAFETY: `with_kernel` admitted this kernel, so the host
+            // has its target features.
             #[cfg(target_arch = "x86_64")]
-            Cios52Kernel::Avx2 => unsafe {
-                run_cios52_avx2(self.geo, &self.n, &self.x, &self.y, &mut self.t)
-            },
+            Cios52Kernel::Avx2 => unsafe { self.wide_avx2(x, y, lanes, out) },
+            // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
-            Cios52Kernel::Ifma => unsafe {
-                run_cios52_ifma(self.geo, &self.n, &self.x, &self.y, &mut self.t)
-            },
+            Cios52Kernel::Ifma => unsafe { self.wide_ifma(x, y, lanes, out) },
             #[cfg(not(target_arch = "x86_64"))]
             Cios52Kernel::Avx2 | Cios52Kernel::Ifma => {
                 unreachable!("SIMD kernels are x86-64 only and gated by with_kernel")
             }
         }
     }
+
+    /// The portable kernel's region: no target features, so its passes
+    /// compile for the baseline ISA, as the portable kernel does.
+    #[inline(never)]
+    #[allow(unsafe_code)]
+    fn wide_portable(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        // SAFETY: the portable kernel needs no target feature.
+        unsafe { self.wide_call(x, y, lanes, out, run_cios52_portable) }
+    }
+
+    /// The AVX2 kernel's region: every pass of the wide call compiled
+    /// with `avx2`.
+    ///
+    /// # Safety
+    /// Requires `avx2` at runtime (checked by [`Cios52Kernel::available`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(unsafe_code)]
+    unsafe fn wide_avx2(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        // SAFETY: the caller guarantees `avx2`, the kernel's feature.
+        self.wide_call(x, y, lanes, out, run_cios52_avx2)
+    }
+
+    /// The IFMA kernel's region: every pass of the wide call compiled
+    /// with `avx512f` and `avx512ifma`.
+    ///
+    /// # Safety
+    /// Requires `avx512f` and `avx512ifma` at runtime (checked by
+    /// [`Cios52Kernel::available`]).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[allow(unsafe_code)]
+    unsafe fn wide_ifma(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+    ) -> Result<(), MmmError> {
+        // SAFETY: the caller guarantees the kernel's two features.
+        self.wide_call(x, y, lanes, out, run_cios52_ifma)
+    }
+
+    /// Every pass of a wide call, in order: the `< 2N` range check
+    /// (`out` untouched when it fails), `x` and `y` to digit rows, the
+    /// zeroed accumulator, `kernel`, the digit rows back to words in
+    /// `out`, and the canonicalizing subtraction when hardened. The one
+    /// source of the three regions: each inlines it, so every pass, not
+    /// only the kernel, runs at the region's vector width.
+    ///
+    /// # Safety
+    /// The host must have `kernel`'s target features.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    unsafe fn wide_call(
+        &mut self,
+        x: &[Limb],
+        y: &[Limb],
+        lanes: usize,
+        out: &mut [Limb],
+        kernel: Kernel,
+    ) -> Result<(), MmmError> {
+        let geo = self.geo;
+        rows::check_below_rows(&self.two_n, x, y, lanes)?;
+        soa_words_to_digits52(x, geo.sw, &mut self.x, geo.s, lanes);
+        soa_words_to_digits52(y, geo.sw, &mut self.y, geo.s, lanes);
+        self.t.fill(0);
+        // SAFETY: the caller guarantees `kernel`'s target features.
+        kernel(geo, &self.n, &self.x, &self.y, &mut self.t);
+        soa_digits52_to_words(&self.t, geo.s, out, geo.sw);
+        if self.hardening.is_hardened() {
+            rows::cond_sub_rows_inline(self.per_lane.modulus(), out);
+        }
+        Ok(())
+    }
 }
+
+/// The signature the three kernels share: the digit geometry, the
+/// digit-form modulus, the `x` and `y` digit rows, and the zeroed
+/// accumulator the result is left in.
+type Kernel = unsafe fn(Geometry, &[Limb], &[Limb], &[Limb], &mut [Limb]);
 
 impl BatchMontMul for Cios52Batch {
     fn params(&self) -> &MontgomeryParams {
@@ -443,9 +557,9 @@ impl BatchMontMul for Cios52Batch {
     }
 
     /// The rows entry in place: at most `SCALAR_LANES` (32) live lanes
-    /// run the per-lane path on each lane's column; wider batches
-    /// convert `x` and `y` straight to digit rows and the result
-    /// straight into `out`.
+    /// run the per-lane path on each lane's column; a wider call is one
+    /// dispatch into its kernel's vector region, which converts `x` and
+    /// `y` straight to digit rows and the result straight into `out`.
     fn try_mont_mul_rows(
         &mut self,
         x: &[Limb],
@@ -453,21 +567,13 @@ impl BatchMontMul for Cios52Batch {
         lanes: usize,
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
-        let geo = self.geo;
-        check_shape(geo.sw, x, y, lanes, out)?;
+        check_shape(self.geo.sw, x, y, lanes, out)?;
+        if lanes > SCALAR_LANES {
+            return self.run_wide(x, y, lanes, out);
+        }
         check_below(&self.two_n, x, y, lanes)?;
         let hardened = self.hardening.is_hardened();
-        if lanes <= SCALAR_LANES {
-            self.per_lane.mont_mul_rows(x, y, lanes, hardened, out);
-            return Ok(());
-        }
-        soa_words_to_digits52(x, geo.sw, &mut self.x, geo.s, lanes);
-        soa_words_to_digits52(y, geo.sw, &mut self.y, geo.s, lanes);
-        self.run_kernel();
-        soa_digits52_to_words(&self.t, geo.s, out, geo.sw);
-        if hardened {
-            rows::cond_sub_rows(self.per_lane.modulus(), out);
-        }
+        self.per_lane.mont_mul_rows(x, y, lanes, hardened, out);
         Ok(())
     }
 

@@ -253,13 +253,20 @@ pub fn gather<'t>(
 /// Panics if `t` holds fewer than `n.len()` rows.
 #[inline(never)]
 pub fn cond_sub_rows(n: &[Limb], t: &mut [Limb]) {
+    cond_sub_rows_inline(n, t);
+}
+
+/// The one source of [`cond_sub_rows`], inlined into its callers so
+/// that a `#[target_feature]` region (the radix-2⁵² engine's wide call)
+/// compiles both passes at the region's vector width.
+#[inline(always)]
+pub(crate) fn cond_sub_rows_inline(n: &[Limb], t: &mut [Limb]) {
     // Pass 1: full borrow chain per column — t < N iff it borrows out.
     let mut borrow: LaneRow = [0; ROW_LANES];
     for (j, &nj) in n.iter().enumerate() {
         let tj = row(t, j);
         for k in 0..ROW_LANES {
-            let (_, b) = sbb_ct(tj[k], nj, borrow[k]);
-            borrow[k] = b;
+            borrow[k] = sbb(tj[k], nj, borrow[k]).1;
         }
     }
     // borrow = 0 → t ≥ N → all-ones mask (two's-complement decrement).
@@ -273,11 +280,24 @@ pub fn cond_sub_rows(n: &[Limb], t: &mut [Limb]) {
     for (j, &nj) in n.iter().enumerate() {
         let tj = row_mut(t, j);
         for k in 0..ROW_LANES {
-            let (d, b) = sbb_ct(tj[k], nj & mask[k], borrow[k]);
+            let (d, b) = sbb(tj[k], nj & mask[k], borrow[k]);
             tj[k] = d;
             borrow[k] = b;
         }
     }
+}
+
+/// One limb of a row-wise borrow chain: `a − b − borrow_in` and its
+/// borrow out, as [`sbb_ct`] computes them but without `u128`. The
+/// borrow out of bit 63 is `(¬a ∧ b) ∨ ((¬a ∨ b) ∧ d)` on the top bit
+/// of the difference `d` (Hacker's Delight §2-13), so a loop of these
+/// over a row is plain 64-bit lane arithmetic that vectorizes at any
+/// vector width, with no branch and no compare.
+#[inline(always)]
+fn sbb(a: Limb, b: Limb, borrow_in: Limb) -> (Limb, Limb) {
+    debug_assert!(borrow_in <= 1);
+    let d = a.wrapping_sub(b).wrapping_sub(borrow_in);
+    (d, ((!a & b) | ((!a | b) & d)) >> (LIMB_BITS - 1))
 }
 
 /// One row of a rows buffer: fixed-size, so the engines' per-lane
@@ -371,7 +391,31 @@ pub(crate) fn check_below(
     y: &[Limb],
     lanes: usize,
 ) -> Result<(), MmmError> {
-    let bad = !(below_mask(two_n, x, lanes) & below_mask(two_n, y, lanes)) & live_mask(lanes);
+    first_not_below(
+        below_mask(two_n, x, lanes) & below_mask(two_n, y, lanes),
+        lanes,
+    )
+}
+
+/// [`check_below`] for a call wider than the per-lane bound, on the row
+/// chains alone ([`below_rows`]), inlined so that a `#[target_feature]`
+/// region (the radix-2⁵² engine's wide call) compiles them at the
+/// region's vector width.
+#[inline(always)]
+pub(crate) fn check_below_rows(
+    two_n: &[Limb],
+    x: &[Limb],
+    y: &[Limb],
+    lanes: usize,
+) -> Result<(), MmmError> {
+    first_not_below(below_rows(two_n, x) & below_rows(two_n, y), lanes)
+}
+
+/// The range check's verdict: the lowest live lane whose bit in
+/// `below` is clear is out of range.
+#[inline(always)]
+fn first_not_below(below: u64, lanes: usize) -> Result<(), MmmError> {
+    let bad = !below & live_mask(lanes);
     if bad == 0 {
         Ok(())
     } else {
@@ -398,11 +442,20 @@ fn below_mask(bound: &[Limb], v: &[Limb], lanes: usize) -> u64 {
             mask | (bound.iter().enumerate().fold(0, chain) << k)
         });
     }
-    let mut borrow = [0 as Limb; ROW_LANES];
-    let borrow = &mut borrow[..lanes];
+    below_rows(bound, v) & live_mask(lanes)
+}
+
+/// Bit `k` is set iff column `k` of `v` is below `bound`, for all 64
+/// columns: one row of borrow chains ([`sbb`]) over the `bound.len()`
+/// rows, with a fixed trip count so it vectorizes. Dead columns are
+/// computed too; callers mask them off.
+#[inline(always)]
+fn below_rows(bound: &[Limb], v: &[Limb]) -> u64 {
+    let mut borrow: LaneRow = [0; ROW_LANES];
     for (j, &bj) in bound.iter().enumerate() {
-        for (b, &vk) in borrow.iter_mut().zip(&v[j * ROW_LANES..][..lanes]) {
-            *b = sbb_ct(vk, bj, *b).1;
+        let vj = row(v, j);
+        for k in 0..ROW_LANES {
+            borrow[k] = sbb(vj[k], bj, borrow[k]).1;
         }
     }
     borrow
@@ -437,6 +490,36 @@ pub(crate) fn via_lanes<E: BatchMontMul + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn sbb_matches_sbb_ct_on_edges_and_random_draws() {
+        // Every pair of the edge limbs, then random minuends against a
+        // random subtrahend, themselves and their successor, which
+        // reach the chain's equal-top-bit cases.
+        let edges = [0, 1, (1 << 63) - 1, 1 << 63, u64::MAX - 1, u64::MAX];
+        let mut rng = StdRng::seed_from_u64(0x5BB);
+        let random: Vec<(Limb, Limb)> = (0..2048)
+            .flat_map(|_| {
+                let (a, b): (Limb, Limb) = (rng.gen(), rng.gen());
+                [(a, b), (a, a), (a, a.wrapping_add(1))]
+            })
+            .collect();
+        let pairs = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .chain(random);
+        for (a, b) in pairs {
+            for borrow in [0, 1] {
+                assert_eq!(
+                    sbb(a, b, borrow),
+                    sbb_ct(a, b, borrow),
+                    "{a:#x} - {b:#x} - {borrow}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn below_mask_flags_each_lane() {

@@ -505,6 +505,99 @@ fn rows_entry_reports_typed_errors() {
     }
 }
 
+/// The `< 2N` range check of a wide call, which the radix-2⁵² engine
+/// runs inside its kernel's vector region, on every backend and every
+/// radix-2⁵² kernel. One out-of-range operand — `2N`, `2N + 1`,
+/// `2^{64s} − 1`, or `2N`'s top limb over all-ones lower limbs — in `x`
+/// or in `y`, at each live lane 32..=63 of a 64-lane call and at lane 33
+/// of a 48-lane call, is named, and so is the lower lane when the other
+/// operand is also bad one lane above it; `out` is left as it was. Clean
+/// calls with all-ones dead columns equal `CiosBatch` lane for lane,
+/// hardened and unhardened. l = 254 fills its top limb; l = 257 is
+/// P-256's width.
+#[test]
+fn wide_range_check_names_the_lane_on_every_kernel() {
+    use montgomery_systolic::core::{HardeningMode, MmmError, OperandBound};
+    let mut rng = StdRng::seed_from_u64(0xC10A);
+    let out_of_range = |lane| {
+        Err(MmmError::OperandOutOfRange {
+            lane,
+            bound: OperandBound::TwoN,
+        })
+    };
+    for l in [254usize, 257] {
+        let params = random_safe_params(&mut rng, l);
+        let rows = row_count(&params);
+        let two_n = params.two_n();
+        let low_ones = &Ubig::pow2(64 * (rows - 1)) - &Ubig::one();
+        let top = Ubig::from(two_n.limbs()[rows - 1]);
+        let bad = [
+            two_n.clone(),
+            &two_n + &Ubig::one(),
+            &Ubig::pow2(64 * rows) - &Ubig::one(),
+            &(&top << (64 * (rows - 1))) + &low_ones,
+        ];
+        assert!(bad.iter().all(|v| *v >= two_n && v.limbs().len() <= rows));
+        let good: Vec<Ubig> = (0..64).map(|_| random_operand(&mut rng, &params)).collect();
+        let sentinel: Vec<u64> = (0..(rows * ROW_LANES) as u64)
+            .map(|i| 0x5EED_0000 + i)
+            .collect();
+        let cases: Vec<(usize, usize)> =
+            (32..64).map(|lane| (64, lane)).chain([(48, 33)]).collect();
+        for mode in [HardeningMode::Off, HardeningMode::Hardened] {
+            let mut cios = CiosBatch::new(params.clone());
+            cios.set_hardening(mode);
+            for mut e in rows_engines(&params) {
+                e.set_hardening(mode);
+                let name = e.name();
+                for &(lanes, lane) in &cases {
+                    for v in &bad {
+                        for bad_in_x in [true, false] {
+                            let (mut xs, mut ys) = (good[..lanes].to_vec(), good[..lanes].to_vec());
+                            let (first, other) = if bad_in_x {
+                                (&mut xs, &mut ys)
+                            } else {
+                                (&mut ys, &mut xs)
+                            };
+                            first[lane] = v.clone();
+                            if lane + 1 < lanes {
+                                other[lane + 1] = v.clone();
+                            }
+                            let mut out = sentinel.clone();
+                            let (x, y) = (to_rows(&xs, rows), to_rows(&ys, rows));
+                            assert_eq!(
+                                e.try_mont_mul_rows(&x, &y, lanes, &mut out),
+                                out_of_range(lane),
+                                "{name} l={l} lanes={lanes} lane {lane} x={bad_in_x} v={v} ({mode:?})"
+                            );
+                            assert!(out == sentinel, "{name} l={l} lane {lane}: out written");
+                        }
+                    }
+                }
+                if e.kind() != EngineKind::Cios52 {
+                    continue;
+                }
+                for lanes in [64, 48] {
+                    let (x, y) = (
+                        to_rows(&good[..lanes], rows),
+                        to_rows(&good[64 - lanes..], rows),
+                    );
+                    let (mut want, mut got) = (sentinel.clone(), sentinel.clone());
+                    cios.try_mont_mul_rows(&x, &y, lanes, &mut want).unwrap();
+                    e.try_mont_mul_rows(&x, &y, lanes, &mut got).unwrap();
+                    for k in 0..lanes {
+                        assert_eq!(
+                            lane_of(&got, rows, k),
+                            lane_of(&want, rows, k),
+                            "{name} l={l} lanes={lanes} lane {k} ({mode:?})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Deterministic regression: windowed batch exponentiation agrees
 /// across backends and with the big-integer oracle at word-boundary
 /// widths and at l = 256 (exponents kept short so the bit-sliced
