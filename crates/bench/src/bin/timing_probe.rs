@@ -4,7 +4,7 @@
 //!
 //! Runs each probe (digit selection, and final subtraction at 1 and 64
 //! lanes on the radix-2⁶⁴ engine and at 64 lanes on the radix-2⁵²
-//! engine's active kernel) in both [`HardeningMode::Off`] and
+//! engine on every kernel this host has) in both [`HardeningMode::Off`] and
 //! [`HardeningMode::Hardened`] and prints
 //! `|t|` next to the 4.5 dudect threshold. The Off rows are
 //! *informative* — they demonstrate the harness can see the
@@ -18,8 +18,8 @@
 //! (`-- --quick` shrinks the sample count to a CI smoke run).
 
 use mmm_bench::timing::{
-    probe_digit_selection, probe_final_subtraction, HardeningMode, TimingReport,
-    FINAL_SUBTRACTION_PATHS, T_THRESHOLD,
+    final_subtraction_paths, probe_digit_selection, probe_final_subtraction, HardeningMode,
+    TimingReport, T_THRESHOLD,
 };
 
 fn main() {
@@ -30,7 +30,7 @@ fn main() {
     println!("dudect-style timing probes: Welch |t| vs threshold {T_THRESHOLD}");
     println!("samples/class = {n_per_class} (top decile cropped per class)\n");
     println!(
-        "{:<28} {:>9} {:>10} {:>14} {:>14}  verdict",
+        "{:<38} {:>9} {:>10} {:>14} {:>14}  verdict",
         "probe", "mode", "|t|", "fixed ns", "random ns"
     );
 
@@ -39,10 +39,10 @@ fn main() {
     type Probe = Box<dyn Fn(HardeningMode, usize) -> TimingReport>;
     let mut probes: Vec<(String, Probe)> =
         vec![("digit-selection".into(), Box::new(probe_digit_selection))];
-    for (kind, lanes) in FINAL_SUBTRACTION_PATHS {
+    for path in final_subtraction_paths() {
         probes.push((
-            format!("final-subtraction/{}/{lanes}", kind.name()),
-            Box::new(move |mode, n| probe_final_subtraction(mode, kind, lanes, n)),
+            path.name(),
+            Box::new(move |mode, n| probe_final_subtraction(mode, path, n)),
         ));
     }
     for (name, probe) in probes {
@@ -65,7 +65,7 @@ fn main() {
                 "leak (expected unhardened)"
             };
             println!(
-                "{name:<28} {mode_s:>9} {:>10.2} {:>14.0} {:>14.0}  {verdict}",
+                "{name:<38} {mode_s:>9} {:>10.2} {:>14.0} {:>14.0}  {verdict}",
                 r.t.abs(),
                 r.mean_fixed_ns,
                 r.mean_random_ns

@@ -28,20 +28,21 @@
 //! time: skip-on-zero-digit vs the hardened multiply-always sweep)
 //! and [`probe_final_subtraction`] (operand-dependent reduction time
 //! in the hardened branchless canonicalization), the latter on each
-//! path of [`FINAL_SUBTRACTION_PATHS`]: both of the radix-2⁶⁴ engine's
-//! subtraction paths, and the radix-2⁵² engine's wide call, whose
-//! range check and subtraction run inside its kernel's vector region.
-//! `timing_probe` runs them from the command line;
+//! path of [`final_subtraction_paths`]: both of the radix-2⁶⁴ engine's
+//! subtraction paths, and the radix-2⁵² engine's wide call on every
+//! kernel the host has, whose range check and subtraction run inside
+//! that kernel's vector region. `timing_probe` runs them from the
+//! command line;
 //! `tests/timing_variance.rs` gates on them under `MMM_TIMING_GATE=1`.
 
 use mmm_bigint::Ubig;
 use mmm_core::cios::{CiosBatch, MAX_LANES};
 pub use mmm_core::config::HardeningMode;
-use mmm_core::engine::EngineKind;
 use mmm_core::expo_batch::BatchModExp;
 use mmm_core::modgen::random_safe_params;
 use mmm_core::montgomery::mont_mul_alg2;
 use mmm_core::traits::BatchMontMul;
+use mmm_core::{AnyBatchEngine, Cios52Batch, Cios52Kernel, MontgomeryParams};
 use mmm_core::{ScalarSet, WindowPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,17 +55,58 @@ use std::time::Instant;
 /// proof of constant time.
 pub const T_THRESHOLD: f64 = 4.5;
 
-/// The backends and lane counts [`probe_final_subtraction`] runs at:
-/// one lane takes the radix-2⁶⁴ engine's per-lane path (`ct_sub_if_ge`
-/// on each lane), 64 lanes its SoA kernel (`cond_sub_rows` across the
-/// lane rows), and 64 lanes on the radix-2⁵² engine its active kernel's
-/// vector region (range check, conversions, kernel and `cond_sub_rows`
-/// compiled for that kernel's ISA).
-pub const FINAL_SUBTRACTION_PATHS: [(EngineKind, usize); 3] = [
-    (EngineKind::Cios, 1),
-    (EngineKind::Cios, MAX_LANES),
-    (EngineKind::Cios52, MAX_LANES),
-];
+/// One engine path [`probe_final_subtraction`] runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubtractionPath {
+    /// The radix-2⁶⁴ engine at this many lanes: one lane takes its
+    /// per-lane path (`ct_sub_if_ge` on each lane), 64 lanes its SoA
+    /// kernel (`cond_sub_rows` across the lane rows).
+    Cios(usize),
+    /// A 64-lane call on the radix-2⁵² engine pinned to this kernel:
+    /// its vector region (range check, conversions, scan and
+    /// `cond_sub_rows` compiled for the kernel's ISA).
+    Cios52(Cios52Kernel),
+}
+
+impl SubtractionPath {
+    /// The probe's row name, `final-subtraction/<backend>/<lanes>`,
+    /// with the kernel after the radix-2⁵² backend's name.
+    pub fn name(self) -> String {
+        match self {
+            SubtractionPath::Cios(lanes) => format!("final-subtraction/cios/{lanes}"),
+            SubtractionPath::Cios52(k) => format!("final-subtraction/cios52-{}/64", k.name()),
+        }
+    }
+
+    fn lanes(self) -> usize {
+        match self {
+            SubtractionPath::Cios(lanes) => lanes,
+            SubtractionPath::Cios52(_) => MAX_LANES,
+        }
+    }
+
+    fn build(self, params: MontgomeryParams) -> AnyBatchEngine {
+        match self {
+            SubtractionPath::Cios(_) => AnyBatchEngine::Cios(CiosBatch::new(params)),
+            SubtractionPath::Cios52(k) => {
+                AnyBatchEngine::Cios52(Cios52Batch::with_kernel(params, k))
+            }
+        }
+    }
+}
+
+/// Every path [`probe_final_subtraction`] runs on this host: the
+/// radix-2⁶⁴ engine at 1 and 64 lanes, then the radix-2⁵² engine at 64
+/// lanes on each available kernel, weakest first.
+pub fn final_subtraction_paths() -> Vec<SubtractionPath> {
+    let mut paths = vec![SubtractionPath::Cios(1), SubtractionPath::Cios(MAX_LANES)];
+    paths.extend(
+        Cios52Kernel::available()
+            .iter()
+            .map(|&k| SubtractionPath::Cios52(k)),
+    );
+    paths
+}
 
 /// Which input population a sample was drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,13 +202,18 @@ impl TimingReport {
 
 /// Runs `op` over `n_per_class` samples of each class in a randomly
 /// interleaved schedule; input construction (`make`) is untimed, only
-/// `op` is inside the timing window. Returns the raw samples for
-/// cropping/accumulation.
+/// `op` on the constructed input is inside the timing window. Between
+/// the two, `op` runs once untimed on `neutral`, an input of neither
+/// class that is the same every sample: the two classes build their
+/// inputs differently (clones of one value against fresh draws), and
+/// without that call a fast `op` times the tail of its own class's
+/// construction. Returns the raw samples for cropping/accumulation.
 pub fn sample_interleaved<I>(
     n_per_class: usize,
     rng: &mut StdRng,
+    neutral: &I,
     mut make: impl FnMut(Class, &mut StdRng) -> I,
-    mut op: impl FnMut(I),
+    mut op: impl FnMut(&I),
 ) -> Vec<(Class, f64)> {
     // Random interleaving (not strict alternation): per-sample class
     // is an independent coin flip over a schedule that still ends
@@ -183,8 +230,9 @@ pub fn sample_interleaved<I>(
     let mut samples = Vec::with_capacity(schedule.len());
     for class in schedule {
         let input = make(class, rng);
+        op(neutral);
         let start = Instant::now();
-        op(input);
+        op(&input);
         samples.push((class, start.elapsed().as_nanos() as f64));
     }
     samples
@@ -252,17 +300,22 @@ pub fn probe_digit_selection(mode: HardeningMode, n_per_class: usize) -> TimingR
     let mut engine = CiosBatch::new(params.clone());
     engine.set_hardening(mode);
     let mut me = BatchModExp::new(engine);
+    let draw = |rng: &mut StdRng| -> Vec<Ubig> {
+        (0..LANES)
+            .map(|_| Ubig::random_below(rng, params.n()))
+            .collect()
+    };
+    let neutral = draw(&mut rng);
     let samples = sample_interleaved(
         n_per_class,
         &mut rng,
+        &neutral,
         |class, rng| match class {
             Class::Fixed => vec![ones.clone(); LANES],
-            Class::Random => (0..LANES)
-                .map(|_| Ubig::random_below(rng, params.n()))
-                .collect(),
+            Class::Random => draw(rng),
         },
-        |es: Vec<Ubig>| {
-            let es = ScalarSet::PerLane(black_box(&es));
+        |es: &Vec<Ubig>| {
+            let es = ScalarSet::PerLane(black_box(es));
             black_box(me.try_modexp(black_box(&ms), es, WindowPolicy::Fixed(1)))
                 .expect("reduced inputs");
         },
@@ -270,20 +323,19 @@ pub fn probe_digit_selection(mode: HardeningMode, n_per_class: usize) -> TimingR
     report(&samples, n_per_class)
 }
 
-/// Probe 2 — **final subtraction**: a `lanes`-wide `mont_mul_batch`
-/// on the `kind` backend, secret = the operands. Fixed class pins
+/// Probe 2 — **final subtraction**: a `mont_mul_batch` on `path`'s
+/// engine at its lane count, secret = the operands. Fixed class pins
 /// every operand at one full-width value whose Algorithm-2 square is
 /// `≥ N`, so the hardened canonicalizing subtraction fires in every
 /// lane (`N−1` would not do: for this modulus its square lands below
 /// `N`); random class draws fresh operands, where it fires about one
 /// time in seven. The hardened subtraction is branchless two-pass
 /// (compute `t−N`, select by borrow mask), so whether it "fires" must
-/// not be visible in time. The backend and lane count pick the engine
-/// path under test (see [`FINAL_SUBTRACTION_PATHS`]).
+/// not be visible in time. `path` picks the engine path under test
+/// (see [`final_subtraction_paths`]).
 pub fn probe_final_subtraction(
     mode: HardeningMode,
-    kind: EngineKind,
-    lanes: usize,
+    path: SubtractionPath,
     n_per_class: usize,
 ) -> TimingReport {
     const L: usize = 512;
@@ -301,8 +353,9 @@ pub fn probe_final_subtraction(
             break v;
         }
     };
-    let mut engine = kind.build(params.clone());
+    let mut engine = path.build(params.clone());
     engine.set_hardening(mode);
+    let lanes = path.lanes();
     // Every sample times 64 lane-multiplications, whatever the lane
     // count. A single sub-microsecond call sits too close to the
     // sample's own input construction, which the first call after it
@@ -311,23 +364,23 @@ pub fn probe_final_subtraction(
     // exists to leak.
     let reps = MAX_LANES / lanes;
     let mut out = Vec::new();
+    let draw = |rng: &mut StdRng| -> Vec<Ubig> {
+        (0..lanes)
+            .map(|_| Ubig::random_range(rng, &lo, params.n()))
+            .collect()
+    };
+    let neutral = (draw(&mut rng), draw(&mut rng));
     let samples = sample_interleaved(
         n_per_class,
         &mut rng,
+        &neutral,
         |class, rng| match class {
             Class::Fixed => (vec![fires.clone(); lanes], vec![fires.clone(); lanes]),
-            Class::Random => (
-                (0..lanes)
-                    .map(|_| Ubig::random_range(rng, &lo, params.n()))
-                    .collect(),
-                (0..lanes)
-                    .map(|_| Ubig::random_range(rng, &lo, params.n()))
-                    .collect(),
-            ),
+            Class::Random => (draw(rng), draw(rng)),
         },
-        |(xs, ys): (Vec<Ubig>, Vec<Ubig>)| {
+        |(xs, ys): &(Vec<Ubig>, Vec<Ubig>)| {
             for _ in 0..reps {
-                engine.mont_mul_batch_into(black_box(&xs), black_box(&ys), &mut out);
+                engine.mont_mul_batch_into(black_box(xs), black_box(ys), &mut out);
                 black_box(&out);
             }
         },
@@ -390,8 +443,13 @@ mod tests {
     #[test]
     fn schedule_is_balanced_and_interleaved() {
         let mut rng = StdRng::seed_from_u64(1);
-        let samples = sample_interleaved(50, &mut rng, |c, _| c, |_| {});
+        let mut calls = Vec::new();
+        let samples = sample_interleaved(50, &mut rng, &None, |c, _| Some(c), |c| calls.push(*c));
         assert_eq!(samples.len(), 100);
+        // Every timed call follows one untimed call on the neutral input.
+        let timed = samples.iter().map(|&(c, _)| Some(c));
+        let expect: Vec<Option<Class>> = timed.flat_map(|c| [None, c]).collect();
+        assert_eq!(calls, expect);
         let fixed = samples.iter().filter(|(c, _)| *c == Class::Fixed).count();
         assert_eq!(fixed, 50);
         // Not strictly alternating and not two blocks: the shuffle ran.
@@ -407,13 +465,9 @@ mod tests {
         for mode in [HardeningMode::Off, HardeningMode::Hardened] {
             let r = probe_digit_selection(mode, 8);
             assert!(r.t.is_finite(), "digit-selection t finite ({mode:?})");
-            for (kind, lanes) in FINAL_SUBTRACTION_PATHS {
-                let r = probe_final_subtraction(mode, kind, lanes, 8);
-                assert!(
-                    r.t.is_finite(),
-                    "final-subtraction/{}/{lanes} t finite ({mode:?})",
-                    kind.name()
-                );
+            for path in final_subtraction_paths() {
+                let r = probe_final_subtraction(mode, path, 8);
+                assert!(r.t.is_finite(), "{} t finite ({mode:?})", path.name());
             }
         }
     }

@@ -12,17 +12,22 @@
 //! products are *deferred* into the next digit, and the accumulator is
 //! renormalized **once per outer scan step**. That is the shape of
 //! AVX-512-IFMA's `vpmadd52lo/hi`, and the same dataflow maps onto AVX2
-//! `mul_epu32` pairs and onto plain u64 arithmetic, so one algorithm
-//! serves three kernels:
+//! `mul_epu32` pairs and onto plain u64 arithmetic. So the scan is
+//! written **once**, generic over a private trait of eleven one-line
+//! lane ops (load, store, splat, add, and, two shifts, the multiplicand
+//! split, the 52×52 multiply-accumulate, the low product and the
+//! carry-budget test), and each kernel is one implementation of them:
 //!
-//! * [`Cios52Kernel::Portable`] — branch-free u64/u128 carry-save MACs
-//!   that LLVM auto-vectorizes; runs on any host.
-//! * [`Cios52Kernel::Avx2`] — 4 lanes per `__m256i`, each 52×52
-//!   product from three `_mm256_mul_epu32` via a 26-bit split.
-//! * [`Cios52Kernel::Ifma`] — 8 lanes per `__m512i`, one
+//! * [`Cios52Kernel::Portable`] — `[u64; 4]`, four lanes per step with
+//!   `u128` products; runs on any host.
+//! * [`Cios52Kernel::Avx2`] — `__m256i`, 4 lanes, each 52×52 product
+//!   from three `_mm256_mul_epu32` via a 26-bit split.
+//! * [`Cios52Kernel::Ifma`] — `__m512i`, 8 lanes, one
 //!   `_mm512_madd52lo_epu64` / `_mm512_madd52hi_epu64` pair per MAC.
 //!
-//! CPU features are detected once per process
+//! The schedule, its passes and its carry-budget `debug_assert`s
+//! therefore exist once and run on every kernel. CPU features are
+//! detected once per process
 //! ([`Cios52Kernel::available`]) and the strongest kernel is selected
 //! ([`Cios52Kernel::active`]); every kernel computes the identical
 //! function, asserted lane for lane by the unit tests below and the
@@ -43,11 +48,11 @@
 //! compiled with `avx512f,avx512ifma` (IFMA), with `avx2` (AVX2), or
 //! with no target feature (portable). The region runs every pass of the
 //! call in order: the `< 2N` range check, the 64→52-bit conversion of
-//! `x` and `y`, the accumulator's zero fill, the kernel, the 52→64-bit
-//! conversion into `out` and, when hardened, the canonicalizing
-//! subtraction. Each pass is one `#[inline(always)]` source that the
-//! three regions inline, so the passes around the kernel run at the
-//! kernel's vector width rather than the baseline ISA, and the
+//! `x` and `y`, the accumulator's zero fill, the scan over the region's
+//! lane type, the 52→64-bit conversion into `out` and, when hardened,
+//! the canonicalizing subtraction. Each pass is one `#[inline(always)]`
+//! source that the three regions inline, so the passes around the scan
+//! run at the kernel's vector width rather than the baseline ISA, and the
 //! row-wise borrow chains of the range check and the subtraction
 //! ([`crate::rows`]) avoid `u128` so that they vectorize. The path
 //! depends only on the lane count and the host's CPU features; DESIGN.md
@@ -85,7 +90,7 @@ use crate::cios::{PerLane, SCALAR_LANES};
 use crate::config::HardeningMode;
 use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
-use crate::rows::{self, check_below, check_shape, padded_limbs, row, row_mut, LaneRow, LaneStage};
+use crate::rows::{self, check_below, check_shape, padded_limbs, row, row_mut, LaneStage};
 use crate::traits::BatchMontMul;
 use mmm_bigint::limbs::{Limb, LIMB_BITS};
 use mmm_bigint::Ubig;
@@ -106,8 +111,8 @@ pub const DIGIT_MASK: u64 = (1 << DIGIT_BITS) - 1;
 /// normalizations a digit holds its normalized value plus one low and
 /// one deferred high half from each of two passes — below 5·2⁵², or
 /// 7·2⁵² + 2²⁸ with the AVX2 kernel's redundant split — so it stays
-/// below 2⁵⁵. All three kernels `debug_assert` it on every digit row
-/// before each normalization.
+/// below 2⁵⁵. The scan `debug_assert`s it, on every kernel, on every
+/// digit row before each normalization.
 const TRANSIENT_BITS: u32 = 55;
 
 /// Per-width geometry of the radix-2⁵² scan over `R = 2^{l+2}`: the
@@ -253,13 +258,13 @@ fn soa_digits52_to_words(digits: &[Limb], s: usize, words: &mut [Limb], sw: usiz
     }
 }
 
-/// Which concrete inner-loop implementation a [`Cios52Batch`] runs.
-/// All kernels compute the identical function; selection is purely a
+/// Which lane type a [`Cios52Batch`] runs its one scan on. All
+/// kernels compute the identical function; selection is purely a
 /// throughput decision made once per process from CPU features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cios52Kernel {
-    /// Branch-free u64/u128 carry-save MACs; runs on any host and is
-    /// written so LLVM auto-vectorizes the lane loops.
+    /// Four `u64` lanes per step (`[u64; 4]`), each 52×52 product
+    /// through `u128`; runs on any host.
     Portable,
     /// x86-64 AVX2: 4 lanes per `__m256i`, 52×52 products from three
     /// `mul_epu32` via a 26-bit split.
@@ -444,8 +449,8 @@ impl Cios52Batch {
         }
     }
 
-    /// The portable kernel's region: no target features, so its passes
-    /// compile for the baseline ISA, as the portable kernel does.
+    /// The portable kernel's region: no target features, so every pass
+    /// compiles for the baseline ISA.
     #[inline(never)]
     #[allow(unsafe_code)]
     fn wide_portable(
@@ -455,8 +460,8 @@ impl Cios52Batch {
         lanes: usize,
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
-        // SAFETY: the portable kernel needs no target feature.
-        unsafe { self.wide_call(x, y, lanes, out, run_cios52_portable) }
+        // SAFETY: the portable lanes need no target feature.
+        unsafe { self.wide_call::<[u64; 4]>(x, y, lanes, out) }
     }
 
     /// The AVX2 kernel's region: every pass of the wide call compiled
@@ -474,8 +479,8 @@ impl Cios52Batch {
         lanes: usize,
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
-        // SAFETY: the caller guarantees `avx2`, the kernel's feature.
-        self.wide_call(x, y, lanes, out, run_cios52_avx2)
+        // SAFETY: the caller guarantees `avx2`, the lanes' feature.
+        self.wide_call::<core::arch::x86_64::__m256i>(x, y, lanes, out)
     }
 
     /// The IFMA kernel's region: every pass of the wide call compiled
@@ -494,36 +499,35 @@ impl Cios52Batch {
         lanes: usize,
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
-        // SAFETY: the caller guarantees the kernel's two features.
-        self.wide_call(x, y, lanes, out, run_cios52_ifma)
+        // SAFETY: the caller guarantees the lanes' two features.
+        self.wide_call::<core::arch::x86_64::__m512i>(x, y, lanes, out)
     }
 
     /// Every pass of a wide call, in order: the `< 2N` range check
     /// (`out` untouched when it fails), `x` and `y` to digit rows, the
-    /// zeroed accumulator, `kernel`, the digit rows back to words in
-    /// `out`, and the canonicalizing subtraction when hardened. The one
-    /// source of the three regions: each inlines it, so every pass, not
-    /// only the kernel, runs at the region's vector width.
+    /// zeroed accumulator, the [`scan`] over `V`, the digit rows back to
+    /// words in `out`, and the canonicalizing subtraction when hardened.
+    /// The one source of the three regions: each inlines it, so every
+    /// pass, not only the scan, runs at the region's vector width.
     ///
     /// # Safety
-    /// The host must have `kernel`'s target features.
+    /// The host must have `V`'s target features ([`Lanes`]).
     #[inline(always)]
     #[allow(unsafe_code)]
-    unsafe fn wide_call(
+    unsafe fn wide_call<V: Lanes>(
         &mut self,
         x: &[Limb],
         y: &[Limb],
         lanes: usize,
         out: &mut [Limb],
-        kernel: Kernel,
     ) -> Result<(), MmmError> {
         let geo = self.geo;
         rows::check_below_rows(&self.two_n, x, y, lanes)?;
         soa_words_to_digits52(x, geo.sw, &mut self.x, geo.s, lanes);
         soa_words_to_digits52(y, geo.sw, &mut self.y, geo.s, lanes);
         self.t.fill(0);
-        // SAFETY: the caller guarantees `kernel`'s target features.
-        kernel(geo, &self.n, &self.x, &self.y, &mut self.t);
+        // SAFETY: the caller guarantees `V`'s target features.
+        scan::<V>(geo, &self.n, &self.x, &self.y, &mut self.t);
         soa_digits52_to_words(&self.t, geo.s, out, geo.sw);
         if self.hardening.is_hardened() {
             rows::cond_sub_rows_inline(self.per_lane.modulus(), out);
@@ -531,11 +535,6 @@ impl Cios52Batch {
         Ok(())
     }
 }
-
-/// The signature the three kernels share: the digit geometry, the
-/// digit-form modulus, the `x` and `y` digit rows, and the zeroed
-/// accumulator the result is left in.
-type Kernel = unsafe fn(Geometry, &[Limb], &[Limb], &[Limb], &mut [Limb]);
 
 impl BatchMontMul for Cios52Batch {
     fn params(&self) -> &MontgomeryParams {
@@ -598,566 +597,401 @@ impl BatchMontMul for Cios52Batch {
     }
 }
 
-/// The once-per-outer-step normalization: ripple each lane's deferred
-/// carries up through digit rows `0..=top`, leaving every digit
-/// `< 2⁵²`. This is the *only* carry chain in the whole scan.
-#[inline(always)]
-fn normalize52(t: &mut [Limb], top: usize) {
-    debug_assert!(
-        t[..(top + 1) * MAX_LANES]
-            .iter()
-            .all(|&v| v >> TRANSIENT_BITS == 0),
-        "digit reached 2^55 before normalization"
-    );
-    let mut c: LaneRow = [0; MAX_LANES];
-    for j in 0..=top {
-        let tj = row_mut(t, j);
-        for k in 0..MAX_LANES {
-            let v = tj[k] + c[k];
-            tj[k] = v & DIGIT_MASK;
-            c[k] = v >> DIGIT_BITS;
-        }
-    }
-    debug_assert_eq!(c, [0; MAX_LANES], "carry out of the top digit row");
-}
-
-/// The portable carry-save scan (see the module docs): `full` 52-bit
-/// steps plus the partial reduction, all 64 lanes in lockstep. Inner
-/// loops are branch-free 52×52→104 MACs with the high halves deferred
-/// one digit ([`normalize52`] runs once per outer step). A free
-/// function over slice parameters on purpose — parameter-level
-/// `&`/`&mut` carry `noalias` into LLVM so the lane loops vectorize.
-#[inline(never)]
-#[allow(clippy::needless_range_loop)] // j indexes n and the SoA accumulator rows together
-fn run_cios52_portable(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
-    let s = geo.s;
-    let mut hi: LaneRow = [0; MAX_LANES];
-    let mut m: LaneRow = [0; MAX_LANES];
-
-    for i in 0..geo.full {
-        let xi = *row(x, i);
-        // Pass A: t += x_i ⊙ y, low halves into t[j], high halves
-        // deferred into t[j+1]'s addend (no carry ripple).
-        hi.fill(0);
-        for j in 0..s {
-            let yj = row(y, j);
-            let tj = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                let p = (xi[k] as u128) * (yj[k] as u128);
-                tj[k] += ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let ts = row_mut(t, s);
-            for k in 0..MAX_LANES {
-                ts[k] += hi[k];
-            }
-        }
-
-        // m = t_0 · n0' mod 2⁵². Digit weights are multiples of 2⁵²,
-        // so t[0] mod 2⁵² is the whole value mod 2⁵² even while t[0]
-        // still carries unnormalized headroom bits.
-        for k in 0..MAX_LANES {
-            m[k] = t[k].wrapping_mul(geo.n0_inv) & DIGIT_MASK;
-        }
-
-        // Pass B: t = (t + m ⊙ N) / 2⁵², fused with the digit shift.
-        // Digit 0 of t + m·N is divisible by 2⁵², so its headroom
-        // bits are an exact carry into digit 1.
-        {
-            let t0 = row(t, 0);
-            for k in 0..MAX_LANES {
-                let p = (m[k] as u128) * (n[0] as u128);
-                let v = t0[k] + ((p as u64) & DIGIT_MASK);
-                debug_assert_eq!(v & DIGIT_MASK, 0, "low digit must cancel");
-                hi[k] = (v >> DIGIT_BITS) + ((p >> DIGIT_BITS) as u64);
-            }
-        }
-        for j in 1..s {
-            // Row j-1 is written while row j is read: split the borrow
-            // at the row boundary so both are live at once.
-            let (left, right) = t.split_at_mut(j * MAX_LANES);
-            let out_row: &mut LaneRow = (&mut left[(j - 1) * MAX_LANES..])
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            let tj: &LaneRow = right[..MAX_LANES]
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            let nj = n[j];
-            for k in 0..MAX_LANES {
-                let p = (m[k] as u128) * (nj as u128);
-                out_row[k] = tj[k] + ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let (left, right) = t.split_at_mut(s * MAX_LANES);
-            let out_row: &mut LaneRow = (&mut left[(s - 1) * MAX_LANES..])
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            let ts: &mut LaneRow = (&mut right[..MAX_LANES])
-                .try_into()
-                .expect("row is exactly MAX_LANES wide");
-            for k in 0..MAX_LANES {
-                out_row[k] = ts[k] + hi[k];
-                ts[k] = 0;
-            }
-        }
-
-        // The one normalization of this outer step. T < 4N < 2^{52s},
-        // so the value fits rows 0..s and row s ends zero.
-        normalize52(t, s);
-    }
-
-    if geo.rem > 0 {
-        // Partial step: absorb the top (rem-bit) digit of x, then
-        // reduce by the remaining 2^rem.
-        let xf = *row(x, geo.full);
-        hi.fill(0);
-        for j in 0..s {
-            let yj = row(y, j);
-            let tj = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                let p = (xf[k] as u128) * (yj[k] as u128);
-                tj[k] += ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let ts = row_mut(t, s);
-            for k in 0..MAX_LANES {
-                ts[k] += hi[k];
-            }
-        }
-
-        // m < 2^rem: n0' mod 2^rem is -N⁻¹ mod 2^rem, and t[0] mod
-        // 2^rem is exact for the same positional-weight reason.
-        let rem_mask = (1u64 << geo.rem) - 1;
-        for k in 0..MAX_LANES {
-            m[k] = t[k].wrapping_mul(geo.n0_inv) & rem_mask;
-        }
-
-        // Pass C: t += m ⊙ N, unshifted (the shift is by rem < 52
-        // bits, not a whole digit).
-        hi.fill(0);
-        for j in 0..s {
-            let nj = n[j];
-            let tj = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                let p = (m[k] as u128) * (nj as u128);
-                tj[k] += ((p as u64) & DIGIT_MASK) + hi[k];
-                hi[k] = (p >> DIGIT_BITS) as u64;
-            }
-        }
-        {
-            let ts = row_mut(t, s);
-            for k in 0..MAX_LANES {
-                ts[k] += hi[k];
-            }
-        }
-
-        // Normalize fully *before* the bit shift — the shift reads
-        // exact digit bit patterns, so no headroom may remain.
-        normalize52(t, s + 1);
-        debug_assert!(
-            (0..MAX_LANES).all(|k| t[k] & rem_mask == 0),
-            "low rem bits must cancel"
-        );
-
-        // Lane-wise right shift by rem bits across the digit rows.
-        let up = DIGIT_BITS as u32 - geo.rem;
-        for j in 0..=s {
-            let upper = *row(t, j + 1);
-            let cur = row_mut(t, j);
-            for k in 0..MAX_LANES {
-                cur[k] = (cur[k] >> geo.rem) | ((upper[k] & rem_mask) << up);
-            }
-        }
-    }
-
-    debug_assert!(
-        t[s * MAX_LANES..].iter().all(|&v| v == 0),
-        "result exceeds s digits"
-    );
-}
-
-/// Whether every lane of `d` is below 2⁵⁵ ([`TRANSIENT_BITS`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn ifma_within_budget(d: core::arch::x86_64::__m512i) -> bool {
-    use core::arch::x86_64::*;
-    let over = _mm512_srli_epi64(d, TRANSIENT_BITS);
-    _mm512_test_epi64_mask(over, over) == 0
-}
-
-/// Whether every lane of `d` is below 2⁵⁵ ([`TRANSIENT_BITS`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn avx2_within_budget(d: core::arch::x86_64::__m256i) -> bool {
-    use core::arch::x86_64::*;
-    let over = _mm256_srli_epi64(d, TRANSIENT_BITS as i32);
-    _mm256_testz_si256(over, over) == 1
-}
-
-/// The AVX-512-IFMA kernel: 8 lanes per `__m512i`, so the 64-lane
-/// batch is 8 vector columns; each column runs the whole scan before
-/// the next starts (the working set of one column — `(s+2)·64` bytes
-/// of accumulator plus operands — stays cache-resident). The 52×52→104
-/// MAC is one `vpmadd52lo` + one `vpmadd52hi`; both read only the low
-/// 52 bits of their multiplicands, which the normalization discipline
-/// guarantees for `x`, `y`, `n` and `m`.
+/// The lane operations [`scan`] is written over: `W` lanes of one
+/// 64-bit digit each, implemented once per kernel — `[u64; 4]`
+/// (portable), `__m256i` (AVX2) and `__m512i` (IFMA). Every op is an
+/// `#[inline(always)]` one-liner, so once `scan` is inlined into a
+/// kernel's region each op compiles at that region's ISA. (A closure
+/// would not: it is compiled as a function of its own, without the
+/// region's target features, and calls each intrinsic out of line.)
 ///
 /// # Safety
-/// Requires `avx512f` and `avx512ifma` at runtime (checked by
-/// [`Cios52Kernel::available`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512ifma")]
+/// Every method may run only on a host with its implementation's
+/// target features: `avx2` for `__m256i`, `avx512f` and `avx512ifma`
+/// for `__m512i`, none for `[u64; 4]`. [`Lanes::load`] and
+/// [`Lanes::store`] also need `W` limbs at the pointer, valid for
+/// reading or writing.
 #[allow(unsafe_code)]
-#[allow(clippy::needless_range_loop)] // j indexes n and the SoA accumulator rows together
-unsafe fn run_cios52_ifma(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
-    use core::arch::x86_64::*;
-    const W: usize = 8;
+trait Lanes: Copy {
+    /// Lanes per value.
+    const W: usize;
+    /// A multiplicand prepared once for many products: the value
+    /// itself, or its 26-bit halves on AVX2.
+    type Split: Copy;
+    /// The `W` limbs at `p`, which needs only `u64` alignment.
+    unsafe fn load(p: *const Limb) -> Self;
+    /// Writes the `W` lanes to `p`.
+    unsafe fn store(self, p: *mut Limb);
+    /// `v` in every lane.
+    unsafe fn splat(v: u64) -> Self;
+    /// Lane-wise `self + b`; the scan's sums stay below 2⁵⁵.
+    unsafe fn add(self, b: Self) -> Self;
+    /// Lane-wise `self & b`.
+    unsafe fn and(self, b: Self) -> Self;
+    /// Lane-wise `self >> n`, for `n < 64`.
+    unsafe fn shr(self, n: u32) -> Self;
+    /// Lane-wise `self << n` modulo 2⁶⁴, for `n < 64`.
+    unsafe fn shl(self, n: u32) -> Self;
+    /// `self` (every lane `< 2⁵²`) as a multiplicand.
+    unsafe fn split(self) -> Self::Split;
+    /// One 52×52-bit multiply-accumulate for `a, b < 2⁵²`:
+    /// `(acc + lo, hi)` with `lo + hi·2⁵² = a·b` and `lo < 2⁵³` (the
+    /// AVX2 low half is redundant; the others are `< 2⁵²`).
+    unsafe fn mac(acc: Self, a: Self::Split, b: Self) -> (Self, Self);
+    /// `a·b mod 2⁵²` for `a < 2⁵⁵` and `b < 2⁵²`.
+    unsafe fn mul_lo(a: Self, b: Self::Split) -> Self;
+    /// Whether every lane is below `2^bits`, for `bits < 64`.
+    unsafe fn fits(self, bits: u32) -> bool;
+}
+
+/// The radix-2⁵² carry-save scan, written once over [`Lanes`] (module
+/// docs, DESIGN.md §9): the 64 lanes run as `64 / V::W` vector
+/// columns, and each column runs the whole schedule — `full` 52-bit
+/// steps, then the partial step — before the next starts, so one
+/// column's working set stays in cache. `t` must enter zeroed and
+/// leaves the result in rows `0..s`, every digit `< 2⁵²`.
+///
+/// # Safety
+/// The host must have `V`'s target features ([`Lanes`]). The buffer
+/// lengths are checked here, and every pointer below stays inside them.
+#[inline(always)]
+#[allow(unsafe_code)]
+unsafe fn scan<V: Lanes>(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
     let s = geo.s;
-    let mask52 = _mm512_set1_epi64(DIGIT_MASK as i64);
-    let n0inv = _mm512_set1_epi64(geo.n0_inv as i64);
-    let zero = _mm512_setzero_si512();
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let tp = t.as_mut_ptr();
-
-    for c in 0..MAX_LANES / W {
-        let off = c * W;
+    assert!(
+        n.len() == s
+            && x.len() == s * MAX_LANES
+            && y.len() == s * MAX_LANES
+            && t.len() == (s + 2) * MAX_LANES,
+        "scan buffers must match the digit geometry"
+    );
+    let n0_inv = V::splat(geo.n0_inv).split();
+    for c in (0..MAX_LANES).step_by(V::W) {
+        // Row j of this column starts j·MAX_LANES limbs past these.
+        let (xc, yc, tc) = (x.as_ptr().add(c), y.as_ptr().add(c), t.as_mut_ptr().add(c));
         for i in 0..geo.full {
-            let xi = _mm512_loadu_si512(xp.add(i * MAX_LANES + off) as *const _);
-            // Pass A: t += x_i ⊙ y, high halves deferred one digit.
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm512_loadu_si512(yp.add(j * MAX_LANES + off) as *const _);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, hi), xi, yj);
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = _mm512_madd52hi_epu64(zero, xi, yj);
-            }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, hi),
-            );
+            // Pass A: t += x_i ⊙ y.
+            accumulate::<V>(tc, yc, s, V::load(xc.add(i * MAX_LANES)).split());
 
-            // m = lo52(t_0 · n0') — madd52lo reads exactly the low 52
-            // bits of t_0, which equal the value mod 2⁵².
-            let t0 = _mm512_loadu_si512(tp.add(off) as *const _);
-            let m = _mm512_madd52lo_epu64(zero, t0, n0inv);
+            // m = t_0 · n0' mod 2⁵². Digit weights are multiples of
+            // 2⁵², so t_0 mod 2⁵² is the whole value mod 2⁵² even
+            // while t_0 still carries unnormalized headroom bits.
+            let t0 = V::load(tc);
+            let m = V::mul_lo(t0, n0_inv).split();
 
-            // Pass B fused with the digit shift. Digit 0 of t + m·N
-            // is divisible by 2⁵²: its headroom is an exact carry.
-            let n0 = _mm512_set1_epi64(n[0] as i64);
-            let v0 = _mm512_madd52lo_epu64(t0, m, n0);
-            let mut carry = _mm512_add_epi64(
-                _mm512_srli_epi64(v0, DIGIT_BITS as u32),
-                _mm512_madd52hi_epu64(zero, m, n0),
+            // Pass B: t = (t + m ⊙ N) / 2⁵², fused with the digit
+            // shift. Digit 0 of t + m·N is divisible by 2⁵², so its
+            // headroom bits are an exact carry into digit 1.
+            let (v0, hi) = V::mac(t0, m, V::splat(n[0]));
+            debug_assert!(
+                v0.and(V::splat(DIGIT_MASK)).fits(0),
+                "low digit must cancel"
             );
-            for j in 1..s {
-                let nj = _mm512_set1_epi64(n[j] as i64);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, carry), m, nj);
-                _mm512_storeu_si512(tp.add((j - 1) * MAX_LANES + off) as *mut _, out);
-                carry = _mm512_madd52hi_epu64(zero, m, nj);
+            let mut carry = v0.shr(DIGIT_BITS as u32).add(hi);
+            for (j, &nj) in n.iter().enumerate().skip(1) {
+                let (lo, hi) = V::mac(V::load(tc.add(j * MAX_LANES)).add(carry), m, V::splat(nj));
+                lo.store(tc.add((j - 1) * MAX_LANES));
+                carry = hi;
             }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add((s - 1) * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, carry),
-            );
-            _mm512_storeu_si512(tp.add(s * MAX_LANES + off) as *mut _, zero);
+            let top = tc.add(s * MAX_LANES);
+            V::load(top).add(carry).store(top.sub(MAX_LANES));
+            V::splat(0).store(top);
 
-            // The one normalization of this outer step.
-            let mut cv = zero;
-            for j in 0..=s {
-                let d = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                debug_assert!(ifma_within_budget(d), "digit reached 2^55");
-                let v = _mm512_add_epi64(d, cv);
-                _mm512_storeu_si512(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm512_and_si512(v, mask52),
-                );
-                cv = _mm512_srli_epi64(v, DIGIT_BITS as u32);
-            }
+            // The one normalization of this outer step. T < 4N <
+            // 2^{52s}, so the value fits rows 0..s.
+            normalize::<V>(tc, s);
         }
 
         if geo.rem > 0 {
-            // Partial step: top rem-bit digit of x, then reduce by
-            // the remaining 2^rem.
-            let xf = _mm512_loadu_si512(xp.add(geo.full * MAX_LANES + off) as *const _);
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm512_loadu_si512(yp.add(j * MAX_LANES + off) as *const _);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, hi), xf, yj);
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = _mm512_madd52hi_epu64(zero, xf, yj);
+            // Partial step: absorb the top (rem-bit) digit of x, then
+            // reduce by the remaining 2^rem.
+            accumulate::<V>(tc, yc, s, V::load(xc.add(geo.full * MAX_LANES)).split());
+
+            // m < 2^rem: n0' mod 2^rem is -N⁻¹ mod 2^rem, and t_0 mod
+            // 2^rem is exact for the same positional-weight reason.
+            let rem_mask = V::splat((1 << geo.rem) - 1);
+            let m = V::mul_lo(V::load(tc), n0_inv).and(rem_mask).split();
+
+            // Pass C: t += m ⊙ N, unshifted (the shift is by rem < 52
+            // bits, not a whole digit).
+            let mut carry = V::splat(0);
+            for (j, &nj) in n.iter().enumerate() {
+                let row = tc.add(j * MAX_LANES);
+                let (lo, hi) = V::mac(V::load(row).add(carry), m, V::splat(nj));
+                lo.store(row);
+                carry = hi;
             }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, hi),
+            let top = tc.add(s * MAX_LANES);
+            V::load(top).add(carry).store(top);
+
+            // Normalize fully *before* the bit shift — the shift reads
+            // exact digit bit patterns, so no headroom may remain.
+            normalize::<V>(tc, s + 1);
+            debug_assert!(
+                V::load(tc).and(rem_mask).fits(0),
+                "low rem bits must cancel"
             );
 
-            let rem_mask = _mm512_set1_epi64(((1u64 << geo.rem) - 1) as i64);
-            let t0 = _mm512_loadu_si512(tp.add(off) as *const _);
-            let m = _mm512_and_si512(_mm512_madd52lo_epu64(zero, t0, n0inv), rem_mask);
-
-            // Pass C: t += m ⊙ N, unshifted.
-            let mut carry = zero;
-            for j in 0..s {
-                let nj = _mm512_set1_epi64(n[j] as i64);
-                let tj = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm512_madd52lo_epu64(_mm512_add_epi64(tj, carry), m, nj);
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, out);
-                carry = _mm512_madd52hi_epu64(zero, m, nj);
-            }
-            let ts = _mm512_loadu_si512(tp.add(s * MAX_LANES + off) as *const _);
-            _mm512_storeu_si512(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm512_add_epi64(ts, carry),
-            );
-
-            // Normalize rows 0..=s+1, then shift right by rem bits.
-            let mut cv = zero;
-            for j in 0..=s + 1 {
-                let d = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                debug_assert!(ifma_within_budget(d), "digit reached 2^55");
-                let v = _mm512_add_epi64(d, cv);
-                _mm512_storeu_si512(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm512_and_si512(v, mask52),
-                );
-                cv = _mm512_srli_epi64(v, DIGIT_BITS as u32);
-            }
-            let shr = _mm_cvtsi32_si128(geo.rem as i32);
-            let shl = _mm_cvtsi32_si128((DIGIT_BITS as u32 - geo.rem) as i32);
+            // Lane-wise right shift by rem bits across the digit rows;
+            // the two parts of a digit have disjoint bits, so `add` is
+            // their `or`.
+            let up = DIGIT_BITS as u32 - geo.rem;
             for j in 0..=s {
-                let cur = _mm512_loadu_si512(tp.add(j * MAX_LANES + off) as *const _);
-                let upper = _mm512_loadu_si512(tp.add((j + 1) * MAX_LANES + off) as *const _);
-                let v = _mm512_or_si512(
-                    _mm512_srl_epi64(cur, shr),
-                    _mm512_sll_epi64(_mm512_and_si512(upper, rem_mask), shl),
-                );
-                _mm512_storeu_si512(tp.add(j * MAX_LANES + off) as *mut _, v);
+                let row = tc.add(j * MAX_LANES);
+                let upper = V::load(row.add(MAX_LANES)).and(rem_mask).shl(up);
+                V::load(row).shr(geo.rem).add(upper).store(row);
             }
         }
+
+        debug_assert!(
+            V::load(tc.add(s * MAX_LANES)).fits(0) && V::load(tc.add((s + 1) * MAX_LANES)).fits(0),
+            "result exceeds s digits"
+        );
     }
 }
 
-/// The AVX2 kernel: 4 lanes per `__m256i` (16 vector columns). AVX2
-/// has no 52- or even 64-bit multiplier, so each 52×52 product is
-/// assembled from three `_mm256_mul_epu32` 32×32→64 multiplies via a
-/// 26-bit operand split `a = a₀ + a₁·2²⁶`:
+/// Pass A (or the partial step's first pass) on one column of `t`:
+/// `t += a ⊙ y` over digit rows `0..s`, each product's high half
+/// deferred into the next row's sum (no carry ripple), the last one
+/// into row `s`.
+///
+/// # Safety
+/// The host must have `V`'s target features, and `W` limbs must be
+/// valid at each `j·MAX_LANES` past `t` for rows `j` in `0..=s` and
+/// past `y` for rows in `0..s` ([`scan`]'s column pointers).
+#[inline(always)]
+#[allow(unsafe_code)]
+unsafe fn accumulate<V: Lanes>(t: *mut Limb, y: *const Limb, s: usize, a: V::Split) {
+    let mut hi = V::splat(0);
+    for j in 0..s {
+        let row = t.add(j * MAX_LANES);
+        let (lo, h) = V::mac(V::load(row).add(hi), a, V::load(y.add(j * MAX_LANES)));
+        lo.store(row);
+        hi = h;
+    }
+    let top = t.add(s * MAX_LANES);
+    V::load(top).add(hi).store(top);
+}
+
+/// The once-per-step normalization of one column of `t`: ripple each
+/// lane's deferred carries up through digit rows `0..=top`, leaving
+/// every digit `< 2⁵²`. This is the *only* carry chain in the scan.
+///
+/// # Safety
+/// The host must have `V`'s target features, and `W` limbs must be
+/// valid at each `j·MAX_LANES` past `t` for rows `j` in `0..=top`.
+#[inline(always)]
+#[allow(unsafe_code)]
+unsafe fn normalize<V: Lanes>(t: *mut Limb, top: usize) {
+    let mut carry = V::splat(0);
+    for j in 0..=top {
+        let row = t.add(j * MAX_LANES);
+        let d = V::load(row);
+        debug_assert!(
+            d.fits(TRANSIENT_BITS),
+            "digit reached 2^55 before normalization"
+        );
+        let v = d.add(carry);
+        v.and(V::splat(DIGIT_MASK)).store(row);
+        carry = v.shr(DIGIT_BITS as u32);
+    }
+    debug_assert!(carry.fits(0), "carry out of the top digit row");
+}
+
+/// The portable lanes: four `u64`s with `u128` products, on any host.
+/// Four lanes per value measured fastest of 1, 2, 4, 8, 16 and 64
+/// (EXPERIMENTS.md).
+#[allow(unsafe_code)]
+impl Lanes for [u64; 4] {
+    const W: usize = 4;
+    type Split = Self;
+    #[inline(always)]
+    unsafe fn load(p: *const Limb) -> Self {
+        p.cast::<Self>().read()
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut Limb) {
+        p.cast::<Self>().write(self)
+    }
+    #[inline(always)]
+    unsafe fn splat(v: u64) -> Self {
+        [v; 4]
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        std::array::from_fn(|k| self[k] + b[k])
+    }
+    #[inline(always)]
+    unsafe fn and(self, b: Self) -> Self {
+        std::array::from_fn(|k| self[k] & b[k])
+    }
+    #[inline(always)]
+    unsafe fn shr(self, n: u32) -> Self {
+        self.map(|v| v >> n)
+    }
+    #[inline(always)]
+    unsafe fn shl(self, n: u32) -> Self {
+        self.map(|v| v << n)
+    }
+    #[inline(always)]
+    unsafe fn split(self) -> Self {
+        self
+    }
+    #[inline(always)]
+    unsafe fn mac(acc: Self, a: Self, b: Self) -> (Self, Self) {
+        let p: [u128; 4] = std::array::from_fn(|k| a[k] as u128 * b[k] as u128);
+        (
+            std::array::from_fn(|k| acc[k] + (p[k] as u64 & DIGIT_MASK)),
+            p.map(|p| (p >> DIGIT_BITS) as u64),
+        )
+    }
+    #[inline(always)]
+    unsafe fn mul_lo(a: Self, b: Self) -> Self {
+        std::array::from_fn(|k| a[k].wrapping_mul(b[k]) & DIGIT_MASK)
+    }
+    #[inline(always)]
+    unsafe fn fits(self, bits: u32) -> bool {
+        self.iter().all(|&v| v >> bits == 0)
+    }
+}
+
+/// The AVX2 lanes: four per `__m256i`. AVX2 has no 52- or even 64-bit
+/// multiplier, so each 52×52 product is assembled from three
+/// `_mm256_mul_epu32` 32×32→64 multiplies over 26-bit halves
+/// `a = a₀ + a₁·2²⁶`:
 ///
 /// ```text
 /// a·b = a₀b₀ + (a₀b₁ + a₁b₀)·2²⁶ + a₁b₁·2⁵²
-///     = plo + phi·2⁵²    with  plo = a₀b₀ + (mid mod 2²⁶)·2²⁶ < 2⁵³
-///                              phi = a₁b₁ + ⌊mid/2²⁶⌋
+///     = lo + hi·2⁵²    with  lo = a₀b₀ + (mid mod 2²⁶)·2²⁶ < 2⁵³
+///                            hi = a₁b₁ + ⌊mid/2²⁶⌋
 /// ```
 ///
-/// `plo` is *redundant* (up to 53 bits) — which is fine, because the
-/// accumulator is carry-save anyway; the headroom budget in
-/// DESIGN.md §9 covers it.
-///
-/// # Safety
-/// Requires `avx2` at runtime (checked by [`Cios52Kernel::available`]).
+/// `lo` is *redundant* (up to 53 bits), which the carry-save
+/// accumulator absorbs; the headroom budget in DESIGN.md §9 covers it.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
-#[allow(clippy::needless_range_loop)] // j indexes n and the SoA accumulator rows together
-unsafe fn run_cios52_avx2(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
-    use core::arch::x86_64::*;
+impl Lanes for core::arch::x86_64::__m256i {
     const W: usize = 4;
-    const HALF_BITS: u32 = 26;
-    let s = geo.s;
-    let mask52 = _mm256_set1_epi64x(DIGIT_MASK as i64);
-    let mask26 = _mm256_set1_epi64x(((1u64 << HALF_BITS) - 1) as i64);
-    let zero = _mm256_setzero_si256();
-    // n0' pre-split into 26-bit halves.
-    let n0inv_lo = _mm256_set1_epi64x((geo.n0_inv & ((1 << HALF_BITS) - 1)) as i64);
-    let n0inv_hi = _mm256_set1_epi64x((geo.n0_inv >> HALF_BITS) as i64);
-    let xp = x.as_ptr();
-    let yp = y.as_ptr();
-    let tp = t.as_mut_ptr();
-
-    // (plo, phi) of the lane-wise 52×52 product of already-split
-    // operands; see the function docs for the identity.
-    macro_rules! mul52 {
-        ($a0:expr, $a1:expr, $b:expr) => {{
-            let b0 = _mm256_and_si256($b, mask26);
-            let b1 = _mm256_srli_epi64($b, HALF_BITS as i32);
-            let ll = _mm256_mul_epu32($a0, b0);
-            let mid = _mm256_add_epi64(_mm256_mul_epu32($a0, b1), _mm256_mul_epu32($a1, b0));
-            let hh = _mm256_mul_epu32($a1, b1);
-            let plo = _mm256_add_epi64(
-                ll,
-                _mm256_slli_epi64(_mm256_and_si256(mid, mask26), HALF_BITS as i32),
-            );
-            let phi = _mm256_add_epi64(hh, _mm256_srli_epi64(mid, HALF_BITS as i32));
-            (plo, phi)
-        }};
+    /// The 26-bit halves `(a₀, a₁)`.
+    type Split = (Self, Self);
+    #[inline(always)]
+    unsafe fn load(p: *const Limb) -> Self {
+        core::arch::x86_64::_mm256_loadu_si256(p.cast())
     }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut Limb) {
+        core::arch::x86_64::_mm256_storeu_si256(p.cast(), self)
+    }
+    #[inline(always)]
+    unsafe fn splat(v: u64) -> Self {
+        core::arch::x86_64::_mm256_set1_epi64x(v as i64)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        core::arch::x86_64::_mm256_add_epi64(self, b)
+    }
+    #[inline(always)]
+    unsafe fn and(self, b: Self) -> Self {
+        core::arch::x86_64::_mm256_and_si256(self, b)
+    }
+    #[inline(always)]
+    unsafe fn shr(self, n: u32) -> Self {
+        use core::arch::x86_64::*;
+        _mm256_srl_epi64(self, _mm_cvtsi32_si128(n as i32))
+    }
+    #[inline(always)]
+    unsafe fn shl(self, n: u32) -> Self {
+        use core::arch::x86_64::*;
+        _mm256_sll_epi64(self, _mm_cvtsi32_si128(n as i32))
+    }
+    #[inline(always)]
+    unsafe fn split(self) -> (Self, Self) {
+        (self.and(Self::splat((1 << 26) - 1)), self.shr(26))
+    }
+    #[inline(always)]
+    unsafe fn mac(acc: Self, (a0, a1): (Self, Self), b: Self) -> (Self, Self) {
+        use core::arch::x86_64::_mm256_mul_epu32 as mul;
+        let (b0, b1) = b.split();
+        let mid = mul(a0, b1).add(mul(a1, b0));
+        let lo = mul(a0, b0).add(mid.and(Self::splat((1 << 26) - 1)).shl(26));
+        (acc.add(lo), mul(a1, b1).add(mid.shr(26)))
+    }
+    /// `a₁ < 2²⁹` for `a < 2⁵⁵`, so its `mul_epu32` stays exact, and the
+    /// `a₁b₁·2⁵²` term vanishes modulo 2⁵².
+    #[inline(always)]
+    unsafe fn mul_lo(a: Self, (b0, b1): (Self, Self)) -> Self {
+        use core::arch::x86_64::_mm256_mul_epu32 as mul;
+        let (a0, a1) = a.split();
+        let q = mul(a0, b0).add(mul(a0, b1).add(mul(a1, b0)).shl(26));
+        q.and(Self::splat(DIGIT_MASK))
+    }
+    #[inline(always)]
+    unsafe fn fits(self, bits: u32) -> bool {
+        let over = self.shr(bits);
+        core::arch::x86_64::_mm256_testz_si256(over, over) == 1
+    }
+}
 
-    for c in 0..MAX_LANES / W {
-        let off = c * W;
-        for i in 0..geo.full {
-            let xi = _mm256_loadu_si256(xp.add(i * MAX_LANES + off) as *const _);
-            let xi0 = _mm256_and_si256(xi, mask26);
-            let xi1 = _mm256_srli_epi64(xi, HALF_BITS as i32);
-            // Pass A.
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm256_loadu_si256(yp.add(j * MAX_LANES + off) as *const _);
-                let (plo, phi) = mul52!(xi0, xi1, yj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm256_add_epi64(_mm256_add_epi64(tj, hi), plo);
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, hi),
-            );
-
-            // m = t_0 · n0' mod 2⁵², from 26-bit pieces. t_0 may hold
-            // up to 54 bits, so its high half still fits 32 bits and
-            // `mul_epu32` stays exact; the `slli` wraps mod 2⁶⁴ which
-            // preserves the low 52 bits we keep.
-            let t0 = _mm256_loadu_si256(tp.add(off) as *const _);
-            let t0l = _mm256_and_si256(t0, mask26);
-            let t0h = _mm256_srli_epi64(t0, HALF_BITS as i32);
-            let q = _mm256_add_epi64(
-                _mm256_mul_epu32(t0l, n0inv_lo),
-                _mm256_slli_epi64(
-                    _mm256_add_epi64(
-                        _mm256_mul_epu32(t0l, n0inv_hi),
-                        _mm256_mul_epu32(t0h, n0inv_lo),
-                    ),
-                    HALF_BITS as i32,
-                ),
-            );
-            let m = _mm256_and_si256(q, mask52);
-            let m0 = _mm256_and_si256(m, mask26);
-            let m1 = _mm256_srli_epi64(m, HALF_BITS as i32);
-
-            // Pass B fused with the digit shift.
-            let n0 = _mm256_set1_epi64x(n[0] as i64);
-            let (plo, phi) = mul52!(m0, m1, n0);
-            let v0 = _mm256_add_epi64(t0, plo);
-            let mut carry = _mm256_add_epi64(_mm256_srli_epi64(v0, DIGIT_BITS as i32), phi);
-            for j in 1..s {
-                let nj = _mm256_set1_epi64x(n[j] as i64);
-                let (plo, phi) = mul52!(m0, m1, nj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm256_add_epi64(_mm256_add_epi64(tj, carry), plo);
-                _mm256_storeu_si256(tp.add((j - 1) * MAX_LANES + off) as *mut _, out);
-                carry = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add((s - 1) * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, carry),
-            );
-            _mm256_storeu_si256(tp.add(s * MAX_LANES + off) as *mut _, zero);
-
-            // The one normalization of this outer step.
-            let mut cv = zero;
-            for j in 0..=s {
-                let d = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                debug_assert!(avx2_within_budget(d), "digit reached 2^55");
-                let v = _mm256_add_epi64(d, cv);
-                _mm256_storeu_si256(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm256_and_si256(v, mask52),
-                );
-                cv = _mm256_srli_epi64(v, DIGIT_BITS as i32);
-            }
-        }
-
-        if geo.rem > 0 {
-            let xf = _mm256_loadu_si256(xp.add(geo.full * MAX_LANES + off) as *const _);
-            let xf0 = _mm256_and_si256(xf, mask26);
-            let xf1 = _mm256_srli_epi64(xf, HALF_BITS as i32);
-            let mut hi = zero;
-            for j in 0..s {
-                let yj = _mm256_loadu_si256(yp.add(j * MAX_LANES + off) as *const _);
-                let (plo, phi) = mul52!(xf0, xf1, yj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let acc = _mm256_add_epi64(_mm256_add_epi64(tj, hi), plo);
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, acc);
-                hi = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, hi),
-            );
-
-            let rem_mask = _mm256_set1_epi64x(((1u64 << geo.rem) - 1) as i64);
-            let t0 = _mm256_loadu_si256(tp.add(off) as *const _);
-            let t0l = _mm256_and_si256(t0, mask26);
-            let t0h = _mm256_srli_epi64(t0, HALF_BITS as i32);
-            let q = _mm256_add_epi64(
-                _mm256_mul_epu32(t0l, n0inv_lo),
-                _mm256_slli_epi64(
-                    _mm256_add_epi64(
-                        _mm256_mul_epu32(t0l, n0inv_hi),
-                        _mm256_mul_epu32(t0h, n0inv_lo),
-                    ),
-                    HALF_BITS as i32,
-                ),
-            );
-            let m = _mm256_and_si256(q, rem_mask);
-            let m0 = _mm256_and_si256(m, mask26);
-            let m1 = _mm256_srli_epi64(m, HALF_BITS as i32);
-
-            // Pass C, unshifted.
-            let mut carry = zero;
-            for j in 0..s {
-                let nj = _mm256_set1_epi64x(n[j] as i64);
-                let (plo, phi) = mul52!(m0, m1, nj);
-                let tj = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let out = _mm256_add_epi64(_mm256_add_epi64(tj, carry), plo);
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, out);
-                carry = phi;
-            }
-            let ts = _mm256_loadu_si256(tp.add(s * MAX_LANES + off) as *const _);
-            _mm256_storeu_si256(
-                tp.add(s * MAX_LANES + off) as *mut _,
-                _mm256_add_epi64(ts, carry),
-            );
-
-            // Normalize rows 0..=s+1, then shift right by rem bits.
-            let mut cv = zero;
-            for j in 0..=s + 1 {
-                let d = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                debug_assert!(avx2_within_budget(d), "digit reached 2^55");
-                let v = _mm256_add_epi64(d, cv);
-                _mm256_storeu_si256(
-                    tp.add(j * MAX_LANES + off) as *mut _,
-                    _mm256_and_si256(v, mask52),
-                );
-                cv = _mm256_srli_epi64(v, DIGIT_BITS as i32);
-            }
-            let shr = _mm_cvtsi32_si128(geo.rem as i32);
-            let shl = _mm_cvtsi32_si128((DIGIT_BITS as u32 - geo.rem) as i32);
-            for j in 0..=s {
-                let cur = _mm256_loadu_si256(tp.add(j * MAX_LANES + off) as *const _);
-                let upper = _mm256_loadu_si256(tp.add((j + 1) * MAX_LANES + off) as *const _);
-                let v = _mm256_or_si256(
-                    _mm256_srl_epi64(cur, shr),
-                    _mm256_sll_epi64(_mm256_and_si256(upper, rem_mask), shl),
-                );
-                _mm256_storeu_si256(tp.add(j * MAX_LANES + off) as *mut _, v);
-            }
-        }
+/// The IFMA lanes: eight per `__m512i`, one `vpmadd52luq` /
+/// `vpmadd52huq` pair per product. Both read only the low 52 bits of
+/// their multiplicands, which the normalization discipline guarantees
+/// for `x`, `y`, `N` and `m`, and which makes `mul_lo` exact for any
+/// `a`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+impl Lanes for core::arch::x86_64::__m512i {
+    const W: usize = 8;
+    type Split = Self;
+    #[inline(always)]
+    unsafe fn load(p: *const Limb) -> Self {
+        core::arch::x86_64::_mm512_loadu_si512(p.cast())
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut Limb) {
+        core::arch::x86_64::_mm512_storeu_si512(p.cast(), self)
+    }
+    #[inline(always)]
+    unsafe fn splat(v: u64) -> Self {
+        core::arch::x86_64::_mm512_set1_epi64(v as i64)
+    }
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        core::arch::x86_64::_mm512_add_epi64(self, b)
+    }
+    #[inline(always)]
+    unsafe fn and(self, b: Self) -> Self {
+        core::arch::x86_64::_mm512_and_si512(self, b)
+    }
+    #[inline(always)]
+    unsafe fn shr(self, n: u32) -> Self {
+        use core::arch::x86_64::*;
+        _mm512_srl_epi64(self, _mm_cvtsi32_si128(n as i32))
+    }
+    #[inline(always)]
+    unsafe fn shl(self, n: u32) -> Self {
+        use core::arch::x86_64::*;
+        _mm512_sll_epi64(self, _mm_cvtsi32_si128(n as i32))
+    }
+    #[inline(always)]
+    unsafe fn split(self) -> Self {
+        self
+    }
+    #[inline(always)]
+    unsafe fn mac(acc: Self, a: Self, b: Self) -> (Self, Self) {
+        use core::arch::x86_64::*;
+        (
+            _mm512_madd52lo_epu64(acc, a, b),
+            _mm512_madd52hi_epu64(Self::splat(0), a, b),
+        )
+    }
+    #[inline(always)]
+    unsafe fn mul_lo(a: Self, b: Self) -> Self {
+        core::arch::x86_64::_mm512_madd52lo_epu64(Self::splat(0), a, b)
+    }
+    #[inline(always)]
+    unsafe fn fits(self, bits: u32) -> bool {
+        let over = self.shr(bits);
+        core::arch::x86_64::_mm512_test_epi64_mask(over, over) == 0
     }
 }
 
@@ -1433,5 +1267,147 @@ mod tests {
         assert!(BatchMontMul::name(&e).contains(e.kernel().name()));
         assert!(BatchMontMul::name(&e).contains("radix-2^52"));
         let _ = e.mont_mul_batch(&[Ubig::one()], &[Ubig::one()]);
+    }
+
+    #[test]
+    #[allow(unsafe_code)]
+    fn lane_ops_match_u128_arithmetic_on_every_kernel() {
+        for &kernel in Cios52Kernel::available() {
+            match kernel {
+                // SAFETY: the portable lanes need no target feature.
+                Cios52Kernel::Portable => unsafe { check_lanes::<[u64; 4]>("portable") },
+                // SAFETY: `available` lists a kernel only on a host with
+                // its target features.
+                #[cfg(target_arch = "x86_64")]
+                Cios52Kernel::Avx2 => unsafe { check_avx2() },
+                // SAFETY: as above.
+                #[cfg(target_arch = "x86_64")]
+                Cios52Kernel::Ifma => unsafe { check_ifma() },
+                #[cfg(not(target_arch = "x86_64"))]
+                _ => unreachable!("SIMD kernels are x86-64 only"),
+            }
+        }
+    }
+
+    /// [`check_lanes`] compiled in the AVX2 kernel's target features.
+    ///
+    /// # Safety
+    /// Requires `avx2` at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[allow(unsafe_code)]
+    unsafe fn check_avx2() {
+        check_lanes::<core::arch::x86_64::__m256i>("avx2")
+    }
+
+    /// [`check_lanes`] compiled in the IFMA kernel's target features.
+    ///
+    /// # Safety
+    /// Requires `avx512f` and `avx512ifma` at runtime.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    #[allow(unsafe_code)]
+    unsafe fn check_ifma() {
+        check_lanes::<core::arch::x86_64::__m512i>("ifma")
+    }
+
+    /// Checks one [`Lanes`] implementation against `u128` arithmetic:
+    /// `mac` and `mul_lo` on every pair of edge digits and on random
+    /// draws, `shr`/`shl` by every shift the scan makes, and `fits` at
+    /// the carry budget's boundary. Inlined into the caller, so the ops
+    /// compile with the caller's target features, as in [`scan`].
+    ///
+    /// # Safety
+    /// As [`Lanes`]: the host must have `V`'s target features.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    unsafe fn check_lanes<V: Lanes>(name: &str) {
+        let mut rng = StdRng::seed_from_u64(709);
+        let edges = [0, 1, (1 << 26) - 1, 1 << 26, 1 << 51, DIGIT_MASK];
+        let acc_top = (1 << TRANSIENT_BITS) - (1 << 53);
+
+        // mac: (acc + lo, hi) with lo + hi·2⁵² = a·b and lo < 2⁵³.
+        let mut cases: Vec<[u64; 3]> = Vec::new();
+        for a in edges {
+            for b in edges {
+                cases.extend([[a, b, 0], [a, b, acc_top]]);
+            }
+        }
+        for _ in 0..1024 {
+            let (a, b) = (rng.gen::<u64>() & DIGIT_MASK, rng.gen::<u64>() & DIGIT_MASK);
+            cases.push([a, b, rng.gen_range(0, acc_top + 1)]);
+        }
+        for group in cases.chunks(V::W) {
+            let [mut a, mut b, mut acc] = [[0u64; 8]; 3];
+            for (k, &[ak, bk, ck]) in group.iter().enumerate() {
+                (a[k], b[k], acc[k]) = (ak, bk, ck);
+            }
+            let (mut lo, mut hi) = ([0u64; 8], [0u64; 8]);
+            let a_split = V::load(a.as_ptr()).split();
+            let (l, h) = V::mac(V::load(acc.as_ptr()), a_split, V::load(b.as_ptr()));
+            l.store(lo.as_mut_ptr());
+            h.store(hi.as_mut_ptr());
+            for k in 0..group.len() {
+                let low = lo[k].wrapping_sub(acc[k]);
+                assert!(low >> 53 == 0, "{name}: mac low half {low:#x}");
+                assert_eq!(
+                    low as u128 + ((hi[k] as u128) << DIGIT_BITS),
+                    a[k] as u128 * b[k] as u128,
+                    "{name}: mac {:#x} · {:#x} + {:#x}",
+                    a[k],
+                    b[k],
+                    acc[k]
+                );
+            }
+        }
+
+        // mul_lo: a·b mod 2⁵² for a < 2⁵⁵ (t₀ with headroom), b < 2⁵².
+        let wide = [0, 1, 1 << 26, DIGIT_MASK, 1 << 52, 1 << 54, (1 << 55) - 1];
+        let mut cases: Vec<[u64; 2]> = Vec::new();
+        for a in wide {
+            for b in edges {
+                cases.push([a, b]);
+            }
+        }
+        for _ in 0..1024 {
+            cases.push([rng.gen::<u64>() >> 9, rng.gen::<u64>() & DIGIT_MASK]);
+        }
+        for group in cases.chunks(V::W) {
+            let [mut a, mut b, mut got] = [[0u64; 8]; 3];
+            for (k, &[ak, bk]) in group.iter().enumerate() {
+                (a[k], b[k]) = (ak, bk);
+            }
+            V::mul_lo(V::load(a.as_ptr()), V::load(b.as_ptr()).split()).store(got.as_mut_ptr());
+            for k in 0..group.len() {
+                let want = (a[k] as u128 * b[k] as u128) as u64 & DIGIT_MASK;
+                assert_eq!(got[k], want, "{name}: mul_lo {:#x} · {:#x}", a[k], b[k]);
+            }
+        }
+
+        // shr/shl by every shift up to the budget's (the partial step
+        // shifts by each rem in 1..52).
+        let v: [u64; 8] = std::array::from_fn(|_| rng.gen());
+        for n in 0..=TRANSIENT_BITS {
+            let ([mut r, mut l], x) = ([[0u64; 8]; 2], V::load(v.as_ptr()));
+            x.shr(n).store(r.as_mut_ptr());
+            x.shl(n).store(l.as_mut_ptr());
+            for k in 0..V::W {
+                assert_eq!(r[k], v[k] >> n, "{name}: shr {n}");
+                assert_eq!(l[k], v[k] << n, "{name}: shl {n}");
+            }
+        }
+
+        // fits at the 2⁵⁵ boundary and at 0, one lane over at a time.
+        for (bits, max) in [(TRANSIENT_BITS, (1 << TRANSIENT_BITS) - 1), (0, 0)] {
+            assert!(V::splat(max).fits(bits), "{name}: fits({bits})");
+            for k in 0..V::W {
+                let mut over = [max; 8];
+                over[k] = max + 1;
+                assert!(
+                    !V::load(over.as_ptr()).fits(bits),
+                    "{name}: fits({bits}) lane {k}"
+                );
+            }
+        }
     }
 }

@@ -8,11 +8,11 @@
 //! decision:
 //!
 //! * [`EngineKind::Cios52`] — the radix-2⁵² carry-save scan
-//!   ([`crate::cios52::Cios52Batch`]) with explicit AVX2 /
-//!   AVX-512-IFMA kernels selected at runtime
-//!   ([`Cios52Kernel::available`]) and a portable auto-vectorizing
-//!   fallback; the production default on every host with an AVX2 or
-//!   IFMA kernel;
+//!   ([`crate::cios52::Cios52Batch`]), written once and run on the
+//!   lane type of the kernel selected at runtime
+//!   ([`Cios52Kernel::available`]): AVX-512-IFMA, AVX2, or portable
+//!   `[u64; 4]` lanes; the production default on every host with an
+//!   AVX2 or IFMA kernel;
 //! * [`EngineKind::Cios`] — the radix-2⁶⁴ word-serial scan
 //!   ([`crate::cios::CiosBatch`], ~2·(l/64)² u64 MACs per
 //!   multiplication); the production default on hosts without one,
@@ -54,8 +54,8 @@ pub enum EngineKind {
     /// Radix-2⁶⁴ CIOS word scan — the production backend on hosts
     /// without an AVX2 or IFMA kernel.
     Cios,
-    /// Radix-2⁵² carry-save CIOS scan with explicit SIMD kernels
-    /// (portable / AVX2 / AVX-512-IFMA, chosen at runtime) — the
+    /// Radix-2⁵² carry-save CIOS scan, one scan on portable, AVX2 or
+    /// AVX-512-IFMA lanes (chosen at runtime) — the
     /// production backend on hosts with an AVX2 or IFMA kernel.
     Cios52,
     /// Bit-sliced systolic-array simulation — the cycle-accurate

@@ -59,9 +59,10 @@
 //! [`cost`] the paper's closed-form cycle/time model (`3l+4` cycles per
 //! multiplication, Eq. 10 exponentiation bounds, the Table-1 average).
 
-// `deny`, not `forbid`: the radix-2⁵² backend's explicit SIMD kernels
-// ([`cios52`]) carry narrowly scoped `#[allow(unsafe_code)]` for their
-// `#[target_feature]` intrinsics — everything else stays safe Rust.
+// `deny`, not `forbid`: the radix-2⁵² backend ([`cios52`]) lifts the
+// lint item by item for its lane types, its scan and its
+// `#[target_feature]` regions; everything else stays safe Rust, and CI
+// fails if another file of this crate lifts it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

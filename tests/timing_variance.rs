@@ -2,7 +2,7 @@
 //!
 //! Default mode keeps CI deterministic: run both dudect-style probes
 //! (`mmm_bench::timing`; final subtraction on every path of
-//! `FINAL_SUBTRACTION_PATHS`) in both hardening modes at a small sample
+//! `final_subtraction_paths()`) in both hardening modes at a small sample
 //! count and assert only that the harness produces *finite*
 //! t-statistics — timing verdicts on shared CI hardware are noisy, so
 //! the strict `|t| < 4.5` gate on the hardened rows is opt-in via
@@ -10,8 +10,8 @@
 //! EXPERIMENTS.md documents the methodology and the noise caveats).
 
 use mmm_bench::timing::{
-    probe_digit_selection, probe_final_subtraction, HardeningMode, TimingReport,
-    FINAL_SUBTRACTION_PATHS, T_THRESHOLD,
+    final_subtraction_paths, probe_digit_selection, probe_final_subtraction, HardeningMode,
+    TimingReport, T_THRESHOLD,
 };
 
 fn gate_enabled() -> bool {
@@ -55,13 +55,13 @@ fn digit_selection_probe_is_finite_and_gates_hardened() {
 }
 
 /// One lane reaches the radix-2⁶⁴ engine's per-lane path, 64 lanes its
-/// SoA kernel, and 64 lanes on the radix-2⁵² engine its active kernel's
-/// vector region: all three hardened subtractions are gated.
+/// SoA kernel, and 64 lanes on the radix-2⁵² engine each available
+/// kernel's vector region: every hardened subtraction is gated.
 #[test]
 fn final_subtraction_probe_is_finite_and_gates_hardened() {
-    for (kind, lanes) in FINAL_SUBTRACTION_PATHS {
-        let name = format!("final-subtraction/{}/{lanes}", kind.name());
-        let probe = |mode, n| probe_final_subtraction(mode, kind, lanes, n);
+    for path in final_subtraction_paths() {
+        let name = path.name();
+        let probe = |mode, n| probe_final_subtraction(mode, path, n);
         run_probe(&name, probe, HardeningMode::Off);
         let hardened = run_probe(&name, probe, HardeningMode::Hardened);
         if gate_enabled() {
