@@ -59,7 +59,7 @@ pub const T_THRESHOLD: f64 = 4.5;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubtractionPath {
     /// The radix-2⁶⁴ engine at this many lanes: one lane takes its
-    /// per-lane path (`ct_sub_if_ge` on each lane), 64 lanes its SoA
+    /// per-lane path (`cond_sub_lane` on each lane), 64 lanes its SoA
     /// kernel (`cond_sub_rows` across the lane rows).
     Cios(usize),
     /// A 64-lane call on the radix-2⁵² engine pinned to this kernel:

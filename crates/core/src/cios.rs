@@ -43,6 +43,22 @@
 //! one crate-private type, `PerLane`, which [`CiosBatch`] and the
 //! radix-2⁵² engine ([`crate::cios52::Cios52Batch`]) both embed.
 //!
+//! ## The per-lane scan
+//!
+//! One lane's scan is written once, `scan_at`, in the shape of one cell
+//! of the paper's array, which keeps its partial sum and carry in its
+//! own registers: the modulus, both operands and the accumulator are
+//! cut to `s` limbs once, so the multiply-accumulate loops carry no
+//! bounds checks, and the accumulator's one limb above `s` is a local.
+//! No limb above that is needed for operands below `2N`, which a debug
+//! build asserts. The widths the tenants serve, `s = 5` (P-256) and
+//! `s = 9` (the CRT halves of a 1024-bit key), instantiate it at a
+//! compile-time limb count through one `match` on the public width;
+//! every other width runs it at runtime width. A call stages each live
+//! lane's columns of `x` and `y` into one lane's contiguous limbs and
+//! range-checks them in the same pass, and a squaring stages its one
+//! operand once.
+//!
 //! ## Constant-time status
 //!
 //! The scan has a fixed schedule: no final subtraction (the Walter
@@ -50,8 +66,8 @@
 //! accesses that depend only on `(l, lanes)`. Under
 //! [`HardeningMode::Hardened`] every result gets a **branchless
 //! canonicalizing final subtraction** — [`rows::cond_sub_rows`] across the SoA
-//! accumulator, [`mmm_bigint::ct::ct_sub_if_ge`] per lane on the
-//! per-lane path — so outputs are `< N` on a value-independent
+//! accumulator, its one-lane form per lane on the per-lane path — so
+//! outputs are `< N` on a value-independent
 //! schedule; which path runs depends only on the public lane count. The
 //! scans' table reads are hardened in [`crate::rows::gather`];
 //! DESIGN.md §12 has the full per-path table.
@@ -61,7 +77,6 @@ use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
 use crate::rows::{self, check_below, check_shape, padded_limbs, row, row_mut, LaneRow, LaneStage};
 use crate::traits::{BatchMontMul, MontMul};
-use mmm_bigint::ct::ct_sub_if_ge;
 use mmm_bigint::limbs::{adc, carrying_mul, mac_with_carry, Limb, LIMB_BITS};
 use mmm_bigint::Ubig;
 
@@ -101,35 +116,37 @@ impl Geometry {
     }
 }
 
-/// The per-lane path: the scalar radix-2⁶⁴ scan run one lane at a
-/// time, on that lane's column, each result canonicalized by
-/// [`ct_sub_if_ge`] when hardened. Its cost follows the live lanes, so
+/// The per-lane path: the scalar radix-2⁶⁴ scan ([`scan`]) run one
+/// lane at a time, on that lane's column, each result canonicalized by
+/// [`rows::cond_sub_lane`] when hardened. Its cost follows the live lanes, so
 /// [`CiosBatch`] and [`Cios52Batch`](crate::cios52::Cios52Batch) run
 /// calls of at most [`SCALAR_LANES`] lanes on it, and [`CiosMont`]
 /// wraps one for single multiplications. It owns the geometry, the
-/// padded modulus and one lane's buffers.
+/// padded modulus and operand bound, and the staged lanes.
 #[derive(Debug, Clone)]
 pub(crate) struct PerLane {
     geo: Geometry,
     /// Modulus padded to `sw` limbs.
     n: Vec<Limb>,
-    /// One lane's operands, padded to `sw` limbs each.
+    /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
+    two_n: Vec<Limb>,
+    /// The live lanes' columns of `x` and `y`, `sw` limbs per lane,
+    /// staged by the range check ([`rows::stage_below`]).
     x: Vec<Limb>,
     y: Vec<Limb>,
-    /// One lane's `sw + 2` limb accumulator.
+    /// One lane's result.
     t: Vec<Limb>,
 }
 
 impl PerLane {
     pub(crate) fn new(params: &MontgomeryParams) -> Self {
         let geo = Geometry::of(params);
-        let mut n = params.n().limbs().to_vec();
-        n.resize(geo.sw, 0);
         PerLane {
-            n,
-            x: vec![0; geo.sw],
-            y: vec![0; geo.sw],
-            t: vec![0; geo.sw + 2],
+            n: padded_limbs(params.n(), geo.sw),
+            two_n: padded_limbs(&params.two_n(), geo.sw),
+            x: vec![0; SCALAR_LANES * geo.sw],
+            y: vec![0; SCALAR_LANES * geo.sw],
+            t: vec![0; geo.sw],
             geo,
         }
     }
@@ -139,45 +156,54 @@ impl PerLane {
         &self.n
     }
 
-    /// The rows entry on validated rows: each live lane's column of `x`
-    /// and `y` in, its result into the same column of `out`.
-    pub(crate) fn mont_mul_rows(
+    /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
+    pub(crate) fn operand_bound(&self) -> &[Limb] {
+        &self.two_n
+    }
+
+    /// The rows entry on rows of the right shape and at most
+    /// [`SCALAR_LANES`] lanes: stages each live lane's columns of `x`
+    /// and `y` while checking them below `2N` (`out` untouched when one
+    /// is not), then scans each lane into its column of `out`. A
+    /// squaring (`x` and `y` the same rows) stages its operand once.
+    pub(crate) fn try_mont_mul_rows(
         &mut self,
         x: &[Limb],
         y: &[Limb],
         lanes: usize,
         hardened: bool,
         out: &mut [Limb],
-    ) {
-        for k in 0..lanes {
-            for j in 0..self.geo.sw {
-                self.x[j] = x[j * MAX_LANES + k];
-                self.y[j] = y[j * MAX_LANES + k];
+    ) -> Result<(), MmmError> {
+        let square = std::ptr::eq(x, y);
+        let mut below = rows::stage_below(&self.two_n, x, lanes, &mut self.x);
+        if !square {
+            below &= rows::stage_below(&self.two_n, y, lanes, &mut self.y);
+        }
+        rows::first_not_below(below, lanes)?;
+        let sw = self.geo.sw;
+        let ys = if square { &self.x } else { &self.y };
+        let operands = self.x.chunks_exact(sw).zip(ys.chunks_exact(sw));
+        for (k, (xk, yk)) in operands.take(lanes).enumerate() {
+            scan(self.geo, &self.n, xk, yk, &mut self.t);
+            if hardened {
+                rows::cond_sub_lane(&self.n, &mut self.t);
             }
-            for (j, &limb) in self.run(hardened).iter().enumerate() {
-                out[j * MAX_LANES + k] = limb;
+            for (o, &v) in out[k..].iter_mut().step_by(MAX_LANES).zip(&self.t) {
+                *o = v;
             }
         }
+        Ok(())
     }
 
     /// One unhardened Algorithm-2 multiplication of `x, y < 2N`, read
     /// straight from their limbs; returns the `sw` result limbs.
     fn mont_mul(&mut self, x: &Ubig, y: &Ubig) -> &[Limb] {
-        load_padded(x, &mut self.x);
-        load_padded(y, &mut self.y);
-        self.run(false)
-    }
-
-    /// The scan on the loaded operands, canonicalized below `N` when
-    /// `hardened`; returns the `sw` result limbs.
-    fn run(&mut self, hardened: bool) -> &[Limb] {
-        self.t.fill(0);
-        run_cios_scalar(self.geo, &self.n, &self.x, &self.y, &mut self.t);
-        let r = &mut self.t[..self.geo.sw];
-        if hardened {
-            ct_sub_if_ge(r, &self.n);
-        }
-        r
+        let sw = self.geo.sw;
+        let (xs, ys) = (&mut self.x[..sw], &mut self.y[..sw]);
+        load_padded(x, xs);
+        load_padded(y, ys);
+        scan(self.geo, &self.n, xs, ys, &mut self.t);
+        &self.t
     }
 }
 
@@ -228,71 +254,77 @@ fn load_padded(v: &Ubig, buf: &mut [Limb]) {
     buf[limbs.len()..].fill(0);
 }
 
-/// One full scalar scan: `full` word-level CIOS steps, then the
-/// partial `rem`-bit reduction. On return `t[..sw]` holds the
-/// Algorithm-2 result and `t[sw..]` is zero.
-fn run_cios_scalar(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
+/// One lane's Algorithm-2 scan into `t`, `x, y < 2N` in, the result
+/// (`sw` limbs) out. The production widths instantiate [`scan_at`] at
+/// their compile-time limb count, where its loops unroll: `sw = 5`
+/// (P-256, l = 257) and `sw = 9` (a 1024-bit key's CRT halves, l =
+/// 513). Every other width runs it at runtime width. The match reads
+/// only the public width.
+fn scan(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
+    match geo.sw {
+        5 => scan_at(Geometry { sw: 5, ..geo }, n, x, y, t),
+        9 => scan_at(Geometry { sw: 9, ..geo }, n, x, y, t),
+        _ => scan_at(geo, n, x, y, t),
+    }
+}
+
+/// The one source of [`scan`]: `full` word-level CIOS steps, then the
+/// partial `rem`-bit reduction. `n`, `x`, `y` and `t` are cut to `sw`
+/// limbs once, so the multiply-accumulate loops run without bounds
+/// checks, and the accumulator's limb above `sw` lives in a local, as
+/// each cell of the paper's array keeps its partial sum and carry in its
+/// own registers. On return `t` holds the result.
+///
+/// No limb above that one is needed. With `N < 2^l` and `x, y < 2N`,
+/// each word step keeps `t < 3N < 2^{l+2} ≤ 2^{64·sw}`, so `t + x_i·y +
+/// m·N < 2^64·3N` fits `sw + 1` limbs, and so does the partial step's
+/// `t + x_f·y + m·N < 2^rem·3N`. A debug build asserts both.
+#[inline(always)]
+fn scan_at(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [Limb]) {
     let sw = geo.sw;
-    for &xi in x.iter().take(geo.full) {
-        // t += x_i · y
-        let mut carry = 0;
-        for j in 0..sw {
-            let (lo, hi) = mac_with_carry(xi, y[j], t[j], carry);
-            t[j] = lo;
-            carry = hi;
-        }
-        let (sum, c) = adc(t[sw], carry, false);
-        t[sw] = sum;
-        t[sw + 1] = c as Limb;
+    let (n, x, y, t) = (&n[..sw], &x[..sw], &y[..sw], &mut t[..sw]);
+    t.fill(0);
+    for &xi in &x[..geo.full] {
+        // t += x_i · y, limb `sw` in `top`
+        let top = mac_row(xi, y, t);
         // m = t_0 · n0' mod 2⁶⁴ ; t = (t + m·N) / 2⁶⁴
         let m = t[0].wrapping_mul(geo.n0_inv);
         let (zero, mut hi) = carrying_mul(m, n[0], t[0]);
         debug_assert_eq!(zero, 0, "low word must cancel");
         for j in 1..sw {
-            let (lo, h) = mac_with_carry(m, n[j], t[j], hi);
-            t[j - 1] = lo;
-            hi = h;
+            (t[j - 1], hi) = mac_with_carry(m, n[j], t[j], hi);
         }
-        let (sum, c) = adc(t[sw], hi, false);
+        let (sum, over) = adc(top, hi, false);
+        debug_assert!(!over, "t + x_i·y + m·N exceeds sw + 1 limbs");
         t[sw - 1] = sum;
-        t[sw] = t[sw + 1] + c as Limb;
-        t[sw + 1] = 0;
     }
     if geo.rem > 0 {
         // Top partial operand word (bits 64·full and up of x), then
         // the final reduction by 2^rem: m is the unique value < 2^rem
         // making t divisible (n0' mod 2^rem is -N⁻¹ mod 2^rem).
-        let xf = x[geo.full];
-        let mut carry = 0;
-        for j in 0..sw {
-            let (lo, hi) = mac_with_carry(xf, y[j], t[j], carry);
-            t[j] = lo;
-            carry = hi;
-        }
-        let (sum, c) = adc(t[sw], carry, false);
-        t[sw] = sum;
-        t[sw + 1] += c as Limb;
-
-        let mask = (1u64 << geo.rem) - 1;
+        let top = mac_row(x[geo.full], y, t);
+        let mask = (1 << geo.rem) - 1;
         let m = t[0].wrapping_mul(geo.n0_inv) & mask;
-        let mut carry = 0;
-        for (j, &nj) in n.iter().enumerate() {
-            let (lo, hi) = mac_with_carry(m, nj, t[j], carry);
-            t[j] = lo;
-            carry = hi;
-        }
-        let (sum, c) = adc(t[sw], carry, false);
-        t[sw] = sum;
-        t[sw + 1] += c as Limb;
+        let (top, over) = adc(top, mac_row(m, n, t), false);
+        debug_assert!(!over, "t + x_f·y + m·N exceeds sw + 1 limbs");
         debug_assert_eq!(t[0] & mask, 0, "low bits must cancel");
-
-        for j in 0..=sw {
-            t[j] = (t[j] >> geo.rem) | (t[j + 1] << (LIMB_BITS as u32 - geo.rem));
+        let up = LIMB_BITS as u32 - geo.rem;
+        for j in 1..sw {
+            t[j - 1] = (t[j - 1] >> geo.rem) | (t[j] << up);
         }
-        t[sw + 1] >>= geo.rem;
+        t[sw - 1] = (t[sw - 1] >> geo.rem) | (top << up);
+        debug_assert_eq!(top >> geo.rem, 0, "result exceeds s limbs");
     }
-    debug_assert_eq!(t[sw], 0, "result exceeds s limbs");
-    debug_assert_eq!(t[sw + 1], 0, "result exceeds s limbs");
+}
+
+/// `t += a·b` over one lane's limbs; returns the carry out of the top.
+#[inline(always)]
+fn mac_row(a: Limb, b: &[Limb], t: &mut [Limb]) -> Limb {
+    let mut carry = 0;
+    for (tj, &bj) in t.iter_mut().zip(b) {
+        (*tj, carry) = mac_with_carry(a, bj, *tj, carry);
+    }
+    carry
 }
 
 /// The radix-2⁶⁴ CIOS **batch** engine: up to 64 independent
@@ -303,10 +335,9 @@ fn run_cios_scalar(geo: Geometry, n: &[Limb], x: &[Limb], y: &[Limb], t: &mut [L
 pub struct CiosBatch {
     params: MontgomeryParams,
     /// The per-lane path of batches of at most [`SCALAR_LANES`] lanes;
-    /// its geometry and padded modulus serve the SoA kernel too.
+    /// its geometry, padded modulus and operand bound serve the SoA
+    /// kernel too.
     per_lane: PerLane,
-    /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
-    two_n: Vec<Limb>,
     /// SoA operands: `x[j·64 + k]` is limb `j` of lane `k`.
     x: Vec<Limb>,
     y: Vec<Limb>,
@@ -315,7 +346,7 @@ pub struct CiosBatch {
     /// Staging rows of the `Vec<Ubig>` methods.
     stage: LaneStage,
     /// Constant-time mode: when hardened, every result is canonicalized
-    /// `< N` by [`rows::cond_sub_rows`] (SoA path) or [`ct_sub_if_ge`]
+    /// `< N` by [`rows::cond_sub_rows`] (SoA path) or [`rows::cond_sub_lane`]
     /// (per-lane path).
     hardening: HardeningMode,
 }
@@ -328,7 +359,6 @@ impl CiosBatch {
         let per_lane = PerLane::new(&params);
         let sw = per_lane.geo.sw;
         CiosBatch {
-            two_n: padded_limbs(&params.two_n(), sw),
             x: vec![0; sw * MAX_LANES],
             y: vec![0; sw * MAX_LANES],
             t: vec![0; (sw + 2) * MAX_LANES],
@@ -527,9 +557,10 @@ impl BatchMontMul for CiosBatch {
     }
 
     /// The rows entry in place: at most `SCALAR_LANES` (32) live lanes
-    /// run the per-lane path on each lane's column; wider batches run
-    /// the SoA kernel straight on `x` and `y` (a partial batch first
-    /// copies its live columns, so dead ones hold zeros).
+    /// run the per-lane path on each lane's column, which checks them
+    /// as it stages them; wider batches are checked on the row chains
+    /// and run the SoA kernel straight on `x` and `y` (a partial batch
+    /// first copies its live columns, so dead ones hold zeros).
     fn try_mont_mul_rows(
         &mut self,
         x: &[Limb],
@@ -537,26 +568,26 @@ impl BatchMontMul for CiosBatch {
         lanes: usize,
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
-        let (geo, n) = (self.per_lane.geo, &self.per_lane.n);
+        let geo = self.per_lane.geo;
         check_shape(geo.sw, x, y, lanes, out)?;
-        check_below(&self.two_n, x, y, lanes)?;
         let hardened = self.hardening.is_hardened();
         if lanes <= SCALAR_LANES {
-            self.per_lane.mont_mul_rows(x, y, lanes, hardened, out);
+            return self.per_lane.try_mont_mul_rows(x, y, lanes, hardened, out);
+        }
+        let (n, two_n) = (&self.per_lane.n, &self.per_lane.two_n);
+        check_below(two_n, x, y, lanes)?;
+        let (x, y) = if lanes == MAX_LANES {
+            (x, y)
         } else {
-            let (x, y) = if lanes == MAX_LANES {
-                (x, y)
-            } else {
-                copy_live_columns(x, lanes, &mut self.x);
-                copy_live_columns(y, lanes, &mut self.y);
-                (&self.x[..], &self.y[..])
-            };
-            self.t.fill(0);
-            run_cios_batch(geo, n, x, y, &mut self.t);
-            out.copy_from_slice(&self.t[..geo.sw * MAX_LANES]);
-            if hardened {
-                rows::cond_sub_rows(n, out);
-            }
+            copy_live_columns(x, lanes, &mut self.x);
+            copy_live_columns(y, lanes, &mut self.y);
+            (&self.x[..], &self.y[..])
+        };
+        self.t.fill(0);
+        run_cios_batch(geo, n, x, y, &mut self.t);
+        out.copy_from_slice(&self.t[..geo.sw * MAX_LANES]);
+        if hardened {
+            rows::cond_sub_rows(n, out);
         }
         Ok(())
     }

@@ -82,15 +82,15 @@
 //! [`HardeningMode::Hardened`] the word rows out of the (shape-driven)
 //! digit→word scatter get the branchless canonicalizing subtraction
 //! every engine shares ([`rows::cond_sub_rows`], inside the kernel's
-//! region), and the per-lane floor ends each lane with `ct_sub_if_ge`,
-//! so hardened outputs are `< N` on every kernel. DESIGN.md §12 has
-//! the full per-path table.
+//! region), and the per-lane floor ends each lane with its one-lane
+//! form, so hardened outputs are `< N` on every kernel. DESIGN.md §12
+//! has the full per-path table.
 
 use crate::cios::{PerLane, SCALAR_LANES};
 use crate::config::HardeningMode;
 use crate::error::MmmError;
 use crate::montgomery::MontgomeryParams;
-use crate::rows::{self, check_below, check_shape, padded_limbs, row, row_mut, LaneStage};
+use crate::rows::{self, check_shape, row, row_mut, LaneStage};
 use crate::traits::BatchMontMul;
 use mmm_bigint::limbs::{Limb, LIMB_BITS};
 use mmm_bigint::Ubig;
@@ -340,10 +340,9 @@ pub struct Cios52Batch {
     n: Vec<Limb>,
     /// The per-lane path of batches of at most [`SCALAR_LANES`] lanes.
     /// Its padded word-form modulus is what the hardened final
-    /// subtraction of the kernels' output compares against.
+    /// subtraction of the kernels' output compares against, and its
+    /// padded `2N` the operand bound of the rows entry.
     per_lane: PerLane,
-    /// `2N` padded to `sw` limbs: the operand bound of the rows entry.
-    two_n: Vec<Limb>,
     /// Staging rows of the `Vec<Ubig>` methods.
     stage: LaneStage,
     /// Digit-domain SoA operands: `x[d·64 + k]` is digit `d`, lane `k`.
@@ -382,7 +381,6 @@ impl Cios52Batch {
         Cios52Batch {
             n: limbs_to_digits52(per_lane.modulus(), geo.s),
             per_lane,
-            two_n: padded_limbs(&params.two_n(), geo.sw),
             stage: LaneStage::default(),
             x: vec![0; geo.s * MAX_LANES],
             y: vec![0; geo.s * MAX_LANES],
@@ -522,7 +520,7 @@ impl Cios52Batch {
         out: &mut [Limb],
     ) -> Result<(), MmmError> {
         let geo = self.geo;
-        rows::check_below_rows(&self.two_n, x, y, lanes)?;
+        rows::check_below(self.per_lane.operand_bound(), x, y, lanes)?;
         soa_words_to_digits52(x, geo.sw, &mut self.x, geo.s, lanes);
         soa_words_to_digits52(y, geo.sw, &mut self.y, geo.s, lanes);
         self.t.fill(0);
@@ -570,10 +568,8 @@ impl BatchMontMul for Cios52Batch {
         if lanes > SCALAR_LANES {
             return self.run_wide(x, y, lanes, out);
         }
-        check_below(&self.two_n, x, y, lanes)?;
         let hardened = self.hardening.is_hardened();
-        self.per_lane.mont_mul_rows(x, y, lanes, hardened, out);
-        Ok(())
+        self.per_lane.try_mont_mul_rows(x, y, lanes, hardened, out)
     }
 
     fn demote_kernel(&mut self) -> bool {

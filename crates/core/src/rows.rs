@@ -18,8 +18,8 @@
 use crate::error::{validate_mont_batch, MmmError, OperandBound};
 use crate::montgomery::MontgomeryParams;
 use crate::traits::BatchMontMul;
-use mmm_bigint::ct::{sbb_ct, Choice};
-use mmm_bigint::limbs::{Limb, LIMB_BITS};
+use mmm_bigint::ct::Choice;
+use mmm_bigint::limbs::{self, Limb, LIMB_BITS};
 use mmm_bigint::transpose::limbs_to_lanes_into;
 use mmm_bigint::Ubig;
 
@@ -287,9 +287,27 @@ pub(crate) fn cond_sub_rows_inline(n: &[Limb], t: &mut [Limb]) {
     }
 }
 
+/// The one-lane form of [`cond_sub_rows`], for the per-lane path: `t`
+/// (one lane's limbs) becomes `t − n` when `t ≥ n`, with the same two
+/// passes on the same borrow step. The mask passes through
+/// [`std::hint::black_box`], so the compiler cannot see that it is all
+/// ones or all zeros: knowing that, it turns the masked pass into a
+/// branch on the mask that skips loading `n`, as it does with
+/// [`mmm_bigint::ct::ct_sub_if_ge`] inlined into the per-lane loop.
+#[inline(always)]
+pub(crate) fn cond_sub_lane(n: &[Limb], t: &mut [Limb]) {
+    let borrow = t.iter().zip(n).fold(0, |b, (&tj, &nj)| sbb(tj, nj, b).1);
+    let mask = std::hint::black_box(borrow.wrapping_sub(1));
+    let mut borrow = 0;
+    for (tj, &nj) in t.iter_mut().zip(n) {
+        (*tj, borrow) = sbb(*tj, nj & mask, borrow);
+    }
+}
+
 /// One limb of a row-wise borrow chain: `a − b − borrow_in` and its
-/// borrow out, as [`sbb_ct`] computes them but without `u128`. The
-/// borrow out of bit 63 is `(¬a ∧ b) ∨ ((¬a ∨ b) ∧ d)` on the top bit
+/// borrow out, as [`sbb_ct`](mmm_bigint::ct::sbb_ct) computes them but
+/// without `u128`. The borrow out of bit 63 is
+/// `(¬a ∧ b) ∨ ((¬a ∨ b) ∧ d)` on the top bit
 /// of the difference `d` (Hacker's Delight §2-13), so a loop of these
 /// over a row is plain 64-bit lane arithmetic that vectorizes at any
 /// vector width, with no branch and no compare.
@@ -383,26 +401,13 @@ pub(crate) fn check_shape(
 }
 
 /// Rejects the first live lane of `x` or `y` that is not below
-/// `two_n` (the padded `2N`), naming it, with one constant-time borrow
-/// chain per lane and operand ([`below_mask`]).
-pub(crate) fn check_below(
-    two_n: &[Limb],
-    x: &[Limb],
-    y: &[Limb],
-    lanes: usize,
-) -> Result<(), MmmError> {
-    first_not_below(
-        below_mask(two_n, x, lanes) & below_mask(two_n, y, lanes),
-        lanes,
-    )
-}
-
-/// [`check_below`] for a call wider than the per-lane bound, on the row
-/// chains alone ([`below_rows`]), inlined so that a `#[target_feature]`
-/// region (the radix-2⁵² engine's wide call) compiles them at the
-/// region's vector width.
+/// `two_n` (the padded `2N`), naming it: one row of constant-time
+/// borrow chains per operand ([`below_rows`]), inlined so that a
+/// `#[target_feature]` region (the radix-2⁵² engine's wide call)
+/// compiles them at the region's vector width. The per-lane path checks
+/// its lanes as it stages them instead ([`stage_below`]).
 #[inline(always)]
-pub(crate) fn check_below_rows(
+pub(crate) fn check_below(
     two_n: &[Limb],
     x: &[Limb],
     y: &[Limb],
@@ -414,7 +419,7 @@ pub(crate) fn check_below_rows(
 /// The range check's verdict: the lowest live lane whose bit in
 /// `below` is clear is out of range.
 #[inline(always)]
-fn first_not_below(below: u64, lanes: usize) -> Result<(), MmmError> {
+pub(crate) fn first_not_below(below: u64, lanes: usize) -> Result<(), MmmError> {
     let bad = !below & live_mask(lanes);
     if bad == 0 {
         Ok(())
@@ -431,18 +436,24 @@ fn live_mask(lanes: usize) -> u64 {
     u64::MAX >> (ROW_LANES - lanes)
 }
 
-/// Bit `k` is set iff live lane `k` of `v` is below `bound`: the lane
-/// borrows out of `v − bound`. A call the engines run on their
-/// per-lane path runs one chain per lane, as that path does; a row of
-/// vectorized chains costs more than a narrow call's whole check.
-fn below_mask(bound: &[Limb], v: &[Limb], lanes: usize) -> u64 {
-    if lanes <= crate::cios::SCALAR_LANES {
-        return (0..lanes).fold(0, |mask, k| {
-            let chain = |b, (j, &bj): (usize, &Limb)| sbb_ct(v[j * ROW_LANES + k], bj, b).1;
-            mask | (bound.iter().enumerate().fold(0, chain) << k)
-        });
-    }
-    below_rows(bound, v) & live_mask(lanes)
+/// Copies the column of each live lane `k` of `v` to
+/// `stage[k·s..][..s]`, with `s = bound.len()`, and returns the lanes
+/// below `bound` as bits: bit `k` is set iff lane `k` borrows out of
+/// `v − bound`. One pass per lane reads its column once, for the copy
+/// and for one constant-time borrow chain on the carry flag
+/// ([`limbs::sbb`]) — the per-lane path's range check, cheaper for a
+/// narrow call than a row of vectorized chains.
+pub(crate) fn stage_below(bound: &[Limb], v: &[Limb], lanes: usize, stage: &mut [Limb]) -> u64 {
+    let stage = stage.chunks_exact_mut(bound.len()).take(lanes);
+    stage.enumerate().fold(0, |mask, (k, dst)| {
+        let column = v[k..].iter().step_by(ROW_LANES);
+        let mut borrow = false;
+        for ((d, &vj), &bj) in dst.iter_mut().zip(column).zip(bound) {
+            *d = vj;
+            borrow = limbs::sbb(vj, bj, borrow).1;
+        }
+        mask | (u64::from(borrow) << k)
+    })
 }
 
 /// Bit `k` is set iff column `k` of `v` is below `bound`, for all 64
@@ -490,6 +501,7 @@ pub(crate) fn via_lanes<E: BatchMontMul + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmm_bigint::ct::sbb_ct;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -531,11 +543,15 @@ mod tests {
             v[k] = lo;
             v[ROW_LANES + k] = hi;
         }
-        // Five lanes take the per-lane chains, all 64 the row chains.
-        assert_eq!(below_mask(&bound, &v, lanes.len()), 0b00101);
+        // Five lanes staged with their chains, all 64 on the row chains.
+        let mut stage = vec![0; 2 * ROW_LANES];
+        assert_eq!(stage_below(&bound, &v, lanes.len(), &mut stage), 0b00101);
+        let staged: Vec<(Limb, Limb)> = stage.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+        assert_eq!(staged[..lanes.len()], lanes);
+        assert!(stage[2 * lanes.len()..].iter().all(|&l| l == 0));
         let every_fifth =
             (0..ROW_LANES).fold(0, |m, k| m | u64::from(k % 5 == 0 || k % 5 == 2) << k);
-        assert_eq!(below_mask(&bound, &v, ROW_LANES), every_fifth);
+        assert_eq!(below_rows(&bound, &v), every_fifth);
         assert_eq!(live_mask(64), u64::MAX);
         assert_eq!(live_mask(3), 0b111);
     }

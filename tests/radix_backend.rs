@@ -341,14 +341,21 @@ fn cios_per_lane_and_soa_paths_agree_across_the_lane_boundary() {
 /// - Radix 2⁶⁴: every `(l+2) mod 64` residue (l = 254..=317) on both
 ///   of `CiosBatch`'s paths, one lane (the per-lane scan) and 64 (the
 ///   SoA kernel).
+/// - The per-lane scan at every limb count `s = 1..=18`, at both ends
+///   of the partial step: l = 64s − 2 (no partial step) and l = 64s − 3
+///   (a 63-bit one), hardened and not, on `CiosBatch` and `Cios52Batch`
+///   at 1 and 32 lanes, both as a squaring and on two equal operands,
+///   and on `CiosMont`. A width the kernel instantiates at a
+///   compile-time limb count is separate code, so each is covered.
 ///
 /// One lane per width is checked against Algorithm 2 and the rest
 /// diffed, which keeps the debug-build run short; a debug build also
 /// asserts the 2⁵⁵ transient-digit budget inside every radix-2⁵²
-/// kernel.
+/// kernel and that no scan leaves a carry above its `s` limbs.
 #[test]
 fn carry_headroom_at_every_residue() {
     use montgomery_systolic::core::montgomery::mont_mul_alg2;
+    use montgomery_systolic::core::HardeningMode;
     let dense = |l: usize| {
         let n = &Ubig::pow2(l) - &Ubig::one();
         let params = MontgomeryParams::new(&n, l);
@@ -384,6 +391,36 @@ fn carry_headroom_at_every_residue() {
         for k in 0..64 {
             assert_eq!(lane_of(&soa, rows, k), want, "SoA l={l} lane {k}");
         }
+    }
+    for l in (1..=18).flat_map(|s| [64 * s - 2, 64 * s - 3]) {
+        let (params, x, raw) = dense(l);
+        let rows = row_count(&params);
+        let twin = x.clone();
+        for mode in [HardeningMode::Off, HardeningMode::Hardened] {
+            let want = if mode.is_hardened() {
+                raw.rem(params.n())
+            } else {
+                raw.clone()
+            };
+            let mut cios = CiosBatch::new(params.clone());
+            let mut cios52 = Cios52Batch::new(params.clone());
+            let engines: [&mut dyn BatchMontMul; 2] = [&mut cios, &mut cios52];
+            for e in engines {
+                e.set_hardening(mode);
+                for (lanes, y) in [(1, &x), (32, &x), (1, &twin), (32, &twin)] {
+                    let mut out = vec![0; x.len()];
+                    e.try_mont_mul_rows(&x, y, lanes, &mut out).unwrap();
+                    let what = format!("{} l={l} lanes={lanes} ({mode:?})", e.name());
+                    assert_eq!(lane_of(&out, rows, 0), want, "{what}");
+                    for k in 1..lanes {
+                        assert_eq!(lane_of(&out, rows, k), want, "{what} lane {k}");
+                    }
+                }
+            }
+        }
+        let x = lane_of(&x, rows, 0);
+        let got = CiosMont::new(params.clone()).mont_mul(&x, &x);
+        assert_eq!(got, raw, "CiosMont l={l}");
     }
 }
 
@@ -421,9 +458,9 @@ fn lane_of(buf: &[u64], rows: usize, k: usize) -> Ubig {
 
 /// The rows entry's typed errors, on every backend, every radix-2⁵²
 /// kernel and through the pool: a live lane `≥ 2N` is named (on both
-/// sides of the CIOS per-lane bound, in either operand), a dead one is
-/// ignored, a buffer of the wrong length and a lane count outside
-/// `1..=64` are rejected.
+/// sides of the CIOS per-lane bound, in either operand) and `out` is
+/// left as it was, a dead one is ignored, a buffer of the wrong length
+/// and a lane count outside `1..=64` are rejected.
 #[test]
 fn rows_entry_reports_typed_errors() {
     use montgomery_systolic::core::{pool, MmmError, OperandBound};
@@ -451,6 +488,7 @@ fn rows_entry_reports_typed_errors() {
             let mut xs = good[..lanes].to_vec();
             xs[bad] = params.two_n();
             let (x, y) = (to_rows(&xs, rows), to_rows(&good[..lanes], rows));
+            let before = out.clone();
             assert_eq!(
                 e.try_mont_mul_rows(&x, &y, lanes, &mut out),
                 out_of_range(bad),
@@ -461,6 +499,9 @@ fn rows_entry_reports_typed_errors() {
                 out_of_range(bad),
                 "{name} y"
             );
+            // A rejected call writes no lane, not even the good ones
+            // below the bad one.
+            assert_eq!(out, before, "{name} out untouched");
             // The same value in a dead column is not an operand.
             assert_eq!(
                 e.try_mont_mul_rows(&x, &y, bad, &mut out),
