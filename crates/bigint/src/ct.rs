@@ -20,9 +20,12 @@
 //!    timing harness in `mmm-bench` (`tests/timing_variance.rs`)
 //!    empirically checks that the compiled artifact kept the property.
 //!
-//! The callers are the batch engines' hardened final subtraction
-//! (`mmm-core::{cios, cios52, batch}`) and the constant-time
-//! power-table sweep `mmm-core::rows::gather`.
+//! The callers are the constant-time table sweep
+//! `mmm-core::rows::gather` (a [`Choice`] per entry) and the hardened
+//! correction path of `mmm-core`'s `VerifiedEngine`
+//! ([`ct_reduce_once`]). The engines' hardened final subtractions run
+//! their own row-wise borrow chains in `mmm-core::rows` and
+//! `mmm-core::batch`.
 
 use crate::limbs::Limb;
 use crate::ubig::Ubig;
@@ -186,6 +189,12 @@ pub fn ct_ge(a: &[Limb], b: &[Limb]) -> Choice {
 /// runs over zeros and writes `a` back unchanged). Same instruction
 /// trace for both outcomes.
 ///
+/// The mask passes through [`std::hint::black_box`], so the compiler
+/// cannot see that it is all ones or all zeros. Inlined next to the
+/// [`ct_ge`] that made the mask (as in [`ct_sub_if_ge`]), it otherwise
+/// knows both, and turns the masked pass into a branch on the mask
+/// that skips the subtraction.
+///
 /// ```
 /// use mmm_bigint::ct::{ct_sub_assign, Choice};
 /// let mut a = [7u64, 1];
@@ -200,7 +209,7 @@ pub fn ct_ge(a: &[Limb], b: &[Limb]) -> Choice {
 #[inline]
 pub fn ct_sub_assign(a: &mut [Limb], b: &[Limb], choice: Choice) {
     assert_eq!(a.len(), b.len(), "ct_sub_assign: length mismatch");
-    let m = choice.mask();
+    let m = std::hint::black_box(choice.mask());
     let mut borrow = 0u64;
     for (x, &y) in a.iter_mut().zip(b) {
         let (d, b_out) = sbb_ct(*x, y & m, borrow);

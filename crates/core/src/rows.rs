@@ -292,8 +292,8 @@ pub(crate) fn cond_sub_rows_inline(n: &[Limb], t: &mut [Limb]) {
 /// passes on the same borrow step. The mask passes through
 /// [`std::hint::black_box`], so the compiler cannot see that it is all
 /// ones or all zeros: knowing that, it turns the masked pass into a
-/// branch on the mask that skips loading `n`, as it does with
-/// [`mmm_bigint::ct::ct_sub_if_ge`] inlined into the per-lane loop.
+/// branch on the mask that skips loading `n`. [`mmm_bigint::ct::ct_sub_assign`]
+/// holds its mask behind the same barrier.
 #[inline(always)]
 pub(crate) fn cond_sub_lane(n: &[Limb], t: &mut [Limb]) {
     let borrow = t.iter().zip(n).fold(0, |b, (&tj, &nj)| sbb(tj, nj, b).1);

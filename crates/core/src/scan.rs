@@ -31,8 +31,8 @@
 //! ([`best_fixed_window_weighted`]) so each workload can price the
 //! operations in its own currency: for modexp a table entry, a double
 //! and a combine all cost one batched multiplication; for Jacobian ECC
-//! a double costs 10 field multiplications (2M + 8S) and an add 16
-//! (11M + 5S). The RSA cost model
+//! a double costs 10 field multiplications (4M + 6S in `dbl-1998-cmo-2`)
+//! and an add 16 (12M + 4S in `add-1998-cmo-2`). The RSA cost model
 //! ([`crate::expo_window::expected_fixed_window_muls`] /
 //! [`crate::expo_window::best_fixed_window`]) is the unit-weight
 //! instance of this one, so both paths keep a single tuning policy

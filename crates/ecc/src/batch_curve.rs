@@ -4,9 +4,16 @@
 //! A [`PointLanes`] is a struct-of-arrays batch of Jacobian points:
 //! lane `k` is `(X[k] : Y[k] : Z[k])` in the Montgomery domain, with
 //! `Z ≡ 0` marking the identity, exactly as in the solo
-//! [`Curve`]. The formulas are the same
-//! `dbl-2007-bl` / `add-2007-bl` chains, vectorized so that every
-//! field multiplication advances all lanes in **one engine call**.
+//! [`Curve`]. The formulas are the solo curve's
+//! `dbl-1998-cmo-2` / `add-1998-cmo-2` chains, in the same operation
+//! order, vectorized so that every field multiplication advances all
+//! lanes in **one engine call** and every addition, subtraction or
+//! doubling is one pass over the live lanes (`mul_small` by 3 is its
+//! ladder's two). A doubling makes 10 calls and 11 passes, an addition
+//! 16 calls and 7 passes. A squaring costs the engine what a
+//! multiplication does, so these forms multiply where the `2007-bl`
+//! forms square and then add, which took 17 and 13 passes for the
+//! same calls.
 //!
 //! **Resident points.** `PointLanes` is the public boundary type. Inside,
 //! every formula, window table and scan accumulator works on points
@@ -18,7 +25,7 @@
 //! (identity operands, equal points, inverse points); a batch cannot,
 //! because one lane's exception would stall 63 others. Instead:
 //!
-//! * doubling needs *no* patching — `Z3 = 2YZ` vanishes exactly when
+//! * doubling needs *no* patching — `Z3 = 2·(Y·Z)` vanishes exactly when
 //!   the input is the identity (`Z ≡ 0`) or 2-torsion (`Y ≡ 0`), so the
 //!   degenerate lanes come out of the unified formula already correct;
 //! * addition runs the unified formula, then flags the (rare)
@@ -54,9 +61,10 @@ use mmm_core::rows::{self, FeRows};
 use mmm_core::scan::{best_fixed_window_weighted, run_windowed_scan, ScalarSet, WindowScanClient};
 use mmm_core::traits::BatchMontMul;
 
-/// Engine calls per batched point doubling (2M + 8S).
+/// Engine calls per batched point doubling (`dbl-1998-cmo-2`: 4M + 6S,
+/// the `a·ZZ²` product one of the 4M).
 pub const DOUBLE_FIELD_MULS: usize = 10;
-/// Engine calls per batched point addition (11M + 5S).
+/// Engine calls per batched point addition (`add-1998-cmo-2`: 12M + 4S).
 pub const ADD_FIELD_MULS: usize = 16;
 
 /// The cost-model window width for `sets` scalar sets of at most `t`
@@ -232,7 +240,7 @@ fn gather(table: &[PointRows], digits: &[usize], hardened: bool, out: &mut Point
 
 /// The temporaries of one point formula, reused across calls so a
 /// warm scan allocates nothing.
-struct Scratch([FeRows; 15]);
+struct Scratch([FeRows; 13]);
 
 impl Scratch {
     fn new<E: BatchMontMul>(f: &BatchFieldCtx<E>) -> Self {
@@ -342,9 +350,9 @@ impl BatchCurve {
             .collect()
     }
 
-    /// Batched point doubling (`dbl-2007-bl`), exception-free: lanes
+    /// Batched point doubling (`dbl-1998-cmo-2`), exception-free: lanes
     /// holding the identity (`Z ≡ 0`) or a 2-torsion point (`Y ≡ 0`)
-    /// come out with `Z3 = 2YZ ≡ 0` — already the identity.
+    /// come out with `Z3 = 2·(Y·Z) ≡ 0` — already the identity.
     pub fn double<E: BatchMontMul>(&self, f: &mut BatchFieldCtx<E>, p1: &PointLanes) -> PointLanes {
         let p = PointRows::load(f, p1);
         let mut out = PointRows::zeros(f, p.lanes());
@@ -352,7 +360,7 @@ impl BatchCurve {
         out.store(f)
     }
 
-    /// Batched point addition (`add-2007-bl`) with per-lane exception
+    /// Batched point addition (`add-1998-cmo-2`) with per-lane exception
     /// patching (identity operands, equal points, inverse points).
     pub fn add<E: BatchMontMul>(
         &self,
@@ -366,7 +374,8 @@ impl BatchCurve {
         out.store(f)
     }
 
-    /// `dbl-2007-bl` on resident points: `out = 2p`.
+    /// `dbl-1998-cmo-2` on resident points: `out = 2p`, in the
+    /// operation order of the solo [`Curve::double`].
     fn double_rows<E: BatchMontMul>(
         &self,
         f: &mut BatchFieldCtx<E>,
@@ -374,17 +383,14 @@ impl BatchCurve {
         out: &mut PointRows,
         ws: &mut Scratch,
     ) {
-        let [xx, yy, yyyy, zz, s, m, t0, t1, t2, ..] = &mut ws.0;
+        let [xx, yy, zz, d, s, m, t0, t1, t2, ..] = &mut ws.0;
         f.sqr_rows(&p.x, xx);
         f.sqr_rows(&p.y, yy);
-        f.sqr_rows(yy, yyyy);
         f.sqr_rows(&p.z, zz);
-        // S = 2((X+YY)² − XX − YYYY)
-        f.add_rows(&p.x, yy, t0);
-        f.sqr_rows(t0, t1);
-        f.sub_rows(t1, xx, t0);
-        f.sub_rows(t0, yyyy, t1);
-        f.dbl_rows(t1, s);
+        // D = 2·YY, S = 2·X·D (= 4·X·YY)
+        f.dbl_rows(yy, d);
+        f.mul_rows(&p.x, d, t0);
+        f.dbl_rows(t0, s);
         // M = 3XX + a·ZZ²
         f.mul_small_rows(xx, 3, t0);
         f.sqr_rows(zz, t1);
@@ -394,20 +400,20 @@ impl BatchCurve {
         f.sqr_rows(m, t0);
         f.dbl_rows(s, t1);
         f.sub_rows(t0, t1, &mut out.x);
-        // Y3 = M(S − X3) − 8·YYYY
+        // Y3 = M(S − X3) − 2·D²  (= 8·YY²)
         f.sub_rows(s, &out.x, t0);
         f.mul_rows(m, t0, t1);
-        f.mul_small_rows(yyyy, 8, t0);
-        f.sub_rows(t1, t0, &mut out.y);
-        // Z3 = (Y+Z)² − YY − ZZ  (= 2YZ)
-        f.add_rows(&p.y, &p.z, t0);
-        f.sqr_rows(t0, t1);
-        f.sub_rows(t1, yy, t0);
-        f.sub_rows(t0, zz, &mut out.z);
+        f.sqr_rows(d, t0);
+        f.dbl_rows(t0, t2);
+        f.sub_rows(t1, t2, &mut out.y);
+        // Z3 = 2·Y·Z
+        f.mul_rows(&p.y, &p.z, t0);
+        f.dbl_rows(t0, &mut out.z);
     }
 
-    /// `add-2007-bl` on resident points, `out = p1 + p2`, with the
-    /// exceptional lanes patched.
+    /// `add-1998-cmo-2` on resident points, `out = p1 + p2`, in the
+    /// operation order of the solo [`Curve::add`], with the exceptional
+    /// lanes patched.
     fn add_rows<E: BatchMontMul>(
         &self,
         f: &mut BatchFieldCtx<E>,
@@ -416,7 +422,7 @@ impl BatchCurve {
         out: &mut PointRows,
         ws: &mut Scratch,
     ) {
-        let [z1z1, z2z2, u1, u2, s1, s2, h, r_half, i, j, r, v, t0, t1, t2] = &mut ws.0;
+        let [z1z1, z2z2, u1, u2, s1, s2, h, r, hh, hhh, v, t0, t1] = &mut ws.0;
         f.sqr_rows(&p1.z, z1z1);
         f.sqr_rows(&p2.z, z2z2);
         f.mul_rows(&p1.x, z2z2, u1);
@@ -426,39 +432,29 @@ impl BatchCurve {
         f.mul_rows(&p2.y, &p1.z, t0);
         f.mul_rows(t0, z1z1, s2);
         f.sub_rows(u2, u1, h);
-        f.sub_rows(s2, s1, r_half);
-        f.dbl_rows(h, t0);
-        f.sqr_rows(t0, i);
-        f.mul_rows(h, i, j);
-        f.dbl_rows(r_half, r);
-        f.mul_rows(u1, i, v);
-        // X3 = r² − J − 2V
+        f.sub_rows(s2, s1, r);
+        f.sqr_rows(h, hh);
+        f.mul_rows(h, hh, hhh);
+        f.mul_rows(u1, hh, v);
+        // X3 = r² − HHH − 2V
         f.sqr_rows(r, t0);
-        f.sub_rows(t0, j, t1);
+        f.sub_rows(t0, hhh, t1);
         f.dbl_rows(v, t0);
         f.sub_rows(t1, t0, &mut out.x);
-        // Y3 = r(V − X3) − 2·S1·J
+        // Y3 = r(V − X3) − S1·HHH
         f.sub_rows(v, &out.x, t0);
         f.mul_rows(r, t0, t1);
-        f.mul_rows(s1, j, t0);
-        f.dbl_rows(t0, t2);
-        f.sub_rows(t1, t2, &mut out.y);
-        // Z3 = ((Z1+Z2)² − Z1Z1 − Z2Z2)·H
-        f.add_rows(&p1.z, &p2.z, t0);
-        f.sqr_rows(t0, t1);
-        f.sub_rows(t1, z1z1, t0);
-        f.sub_rows(t0, z2z2, t1);
-        f.mul_rows(t1, h, &mut out.z);
+        f.mul_rows(s1, hhh, t0);
+        f.sub_rows(t1, t0, &mut out.y);
+        // Z3 = Z1·Z2·H
+        f.mul_rows(&p1.z, &p2.z, t0);
+        f.mul_rows(t0, h, &mut out.z);
         // Patch the exceptional lanes — the same case analysis the solo
         // `add` performs up front, applied after the fact to only the
         // flagged lanes, on the solo curve and field.
         let (inf1, inf2, h0) = (f.zero_lanes(&p1.z), f.zero_lanes(&p2.z), f.zero_lanes(h));
         let mut flagged = inf1 | inf2 | h0;
-        let r0 = if flagged == 0 {
-            0
-        } else {
-            f.zero_lanes(r_half)
-        };
+        let r0 = if flagged == 0 { 0 } else { f.zero_lanes(r) };
         while flagged != 0 {
             let k = flagged.trailing_zeros() as usize;
             flagged &= flagged - 1;
@@ -684,9 +680,10 @@ impl<E: BatchMontMul> WindowScanClient for PointScanClient<'_, '_, E> {
 mod tests {
     use super::*;
     use crate::field::FieldCtx;
-    use mmm_core::engine::EngineKind;
+    use mmm_core::config::HardeningMode;
+    use mmm_core::engine::{AnyBatchEngine, EngineKind};
     use mmm_core::montgomery::MontgomeryParams;
-    use mmm_core::traits::SoftwareEngine;
+    use mmm_core::traits::{MontMul, SoftwareEngine};
 
     /// GF(97), y² = x³ + 2x + 3, G = (3, 6) — the solo fixture.
     fn setup() -> (
@@ -736,41 +733,141 @@ mod tests {
         assert!(err.to_string().contains("not on curve"));
     }
 
-    #[test]
-    fn batched_double_and_add_match_solo_lanes() {
-        let (mut bf, bc, mut sf, sc, g) = setup();
-        // Lanes: ∞, G, 2G, 3G, −G, a 2-torsion-free spread.
-        let id = sc.identity(&mut sf);
+    /// A solo engine that makes one-lane calls on a batch engine, so the
+    /// solo [`Curve`] runs on that engine's exact function: `< 2p`
+    /// products, or canonical `< p` ones when hardened.
+    struct OneLane(AnyBatchEngine);
+
+    impl MontMul for OneLane {
+        fn params(&self) -> &MontgomeryParams {
+            self.0.params()
+        }
+
+        fn mont_mul(&mut self, x: &Ubig, y: &Ubig) -> Ubig {
+            let mut out = self
+                .0
+                .mont_mul_batch(std::slice::from_ref(x), std::slice::from_ref(y));
+            out.pop().expect("one lane in, one lane out")
+        }
+
+        fn name(&self) -> &'static str {
+            "one-lane"
+        }
+    }
+
+    /// Each lane of `got` equals the solo `a[k] + b[k]` bit for bit, in
+    /// Jacobian coordinates. A lane the solo case analysis sends away
+    /// from the generic formula (an identity operand, equal x) is
+    /// patched by the batch on its context's solo field, so its solo
+    /// twin runs there; every other lane runs the formula on the
+    /// engine, so its twin runs on `engine`, the same engine one lane
+    /// at a time.
+    fn assert_adds_match_solo<E: BatchMontMul>(
+        bf: &mut BatchFieldCtx<E>,
+        engine: &mut FieldCtx<OneLane>,
+        sc: &Curve,
+        got: &PointLanes,
+        a: &[Point],
+        b: &[Point],
+        what: &str,
+    ) {
+        for (k, (a, b)) in a.iter().zip(b).enumerate() {
+            let (xa, xb) = (sc.to_affine(engine, a), sc.to_affine(engine, b));
+            let generic = matches!((xa, xb), (Some((xa, _)), Some((xb, _))) if xa != xb);
+            let want = if generic {
+                sc.add(engine, a, b)
+            } else {
+                sc.add(bf.solo(), a, b)
+            };
+            assert_eq!(got.lane(k), want, "{what}: add lane {k}");
+        }
+    }
+
+    /// Doubles the lanes ∞, G, 2G, 3G, −G and the 2-torsion point
+    /// `torsion`, if the curve has one, and adds three second operands
+    /// to them, on every backend, hardened and not, checking each lane
+    /// against the solo [`Curve`].
+    fn assert_double_and_add_match_solo(
+        p: &Ubig,
+        (a, b): (&Ubig, &Ubig),
+        (gx, gy): (&Ubig, &Ubig),
+        torsion: Option<(&Ubig, &Ubig)>,
+    ) {
+        let params = MontgomeryParams::hardware_safe(p);
+        let mut sf = FieldCtx::new(SoftwareEngine::new(params.clone()));
+        let sc = Curve::new(&mut sf, a, b);
+        let bc = BatchCurve::from_solo(&sc);
+        let g = sc.point(&mut sf, gx, gy);
         let g2 = sc.double(&mut sf, &g);
         let g3 = sc.add(&mut sf, &g2, &g);
-        let (gx, gy) = sc.to_affine(&mut sf, &g).unwrap();
-        let p = sf.p().clone();
-        let neg = sc.point(&mut sf, &gx, &(&p - &gy));
-        let pts = vec![id.clone(), g.clone(), g2.clone(), g3.clone(), neg.clone()];
+        let neg = sc.point(&mut sf, gx, &(p - gy));
+        let mut pts = vec![sc.identity(&mut sf), g.clone(), g2, g3, neg];
+        if let Some((tx, ty)) = torsion {
+            let t = sc.point(&mut sf, tx, ty);
+            let tt = sc.add(&mut sf, &t, &t);
+            assert!(sf.is_zero(&tt.z), "T + T = ∞");
+            pts.push(t);
+        }
         let lanes = PointLanes::from_points(&pts);
+        // The second operands: G (the identity, equal-points and
+        // inverse-points patches, and the generic formula on 2G, 3G and
+        // T, with Z2 = 1̄); each lane's double (the generic formula with
+        // neither Z one); the lane itself (every lane patched, T + T
+        // through the equal-points double).
+        let doubles = pts.iter().map(|pt| sc.double(&mut sf, pt)).collect();
+        let seconds: [(&str, Vec<Point>); 3] = [
+            ("G", vec![g; pts.len()]),
+            ("2·lane", doubles),
+            ("lane", pts.clone()),
+        ];
+        for kind in EngineKind::ALL {
+            for mode in [HardeningMode::Off, HardeningMode::Hardened] {
+                let what = format!("p={p} {kind:?} {mode:?}");
+                let build = || {
+                    let mut e = kind.build(params.clone());
+                    e.set_hardening(mode);
+                    e
+                };
+                let mut bf = BatchFieldCtx::new(build());
+                let mut engine = FieldCtx::new(OneLane(build()));
 
-        let dbl = bc.double(&mut bf, &lanes);
-        for (k, pt) in pts.iter().enumerate() {
-            let want = sc.double(&mut sf, pt);
-            assert_eq!(
-                sc.to_affine(&mut sf, &dbl.lane(k)),
-                sc.to_affine(&mut sf, &want),
-                "double lane {k}"
-            );
-        }
+                // Every lane doubles through the one formula. Where the
+                // double is the identity (∞, and 2T through Y ≡ 0) the
+                // solo code returns `Curve::identity` and the formula a
+                // point with Z ≡ 0, so those lanes compare as identities.
+                let dbl = bc.double(&mut bf, &lanes);
+                for (k, pt) in pts.iter().enumerate() {
+                    let want = sc.double(&mut engine, pt);
+                    if engine.is_zero(&want.z) {
+                        assert!(engine.is_zero(&dbl.z[k]), "{what}: double lane {k} is ∞");
+                    } else {
+                        assert_eq!(dbl.lane(k), want, "{what}: double lane {k}");
+                    }
+                }
 
-        // Add the batch to splat(G): exercises identity (lane 0),
-        // equal-points (lane 1) and inverse-points (lane 4) patches.
-        let gs = PointLanes::splat(&g, pts.len());
-        let sum = bc.add(&mut bf, &lanes, &gs);
-        for (k, pt) in pts.iter().enumerate() {
-            let want = sc.add(&mut sf, pt, &g);
-            assert_eq!(
-                sc.to_affine(&mut sf, &sum.lane(k)),
-                sc.to_affine(&mut sf, &want),
-                "add lane {k}"
-            );
+                for (name, second) in &seconds {
+                    let sum = bc.add(&mut bf, &lanes, &PointLanes::from_points(second));
+                    let what = format!("{what}, lane + {name}");
+                    assert_adds_match_solo(&mut bf, &mut engine, &sc, &sum, &pts, second, &what);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn batched_double_and_add_match_solo_lanes() {
+        // The solo fixture, with its 2-torsion point T = (96, 0): x = −1
+        // is a root of x³ + 2x + 3 over GF(97).
+        let small = |v: u64| Ubig::from(v);
+        assert_double_and_add_match_solo(
+            &small(97),
+            (&small(2), &small(3)),
+            (&small(3), &small(6)),
+            Some((&small(96), &small(0))),
+        );
+        // P-256: every pass and product over five-limb rows, as served.
+        let c = crate::curves::p256();
+        assert_double_and_add_match_solo(&c.p, (&c.a, &c.b), (&c.gx, &c.gy), None);
     }
 
     #[test]

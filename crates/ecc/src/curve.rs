@@ -2,9 +2,15 @@
 //! point arithmetic, every field multiplication routed through the
 //! Montgomery engine.
 //!
-//! Formulas: `dbl-2007-bl` and `add-2007-bl` (Bernstein–Lange EFD),
-//! valid for arbitrary `a`. A point is `(X : Y : Z)` with affine
-//! `x = X/Z²`, `y = Y/Z³`; the identity is any point with `Z ≡ 0`.
+//! Formulas: `dbl-1998-cmo-2` and `add-1998-cmo-2` (Cohen–Miyaji–Ono,
+//! as listed in the Explicit-Formulas Database), valid for arbitrary
+//! `a`, and the same chains the batched [`crate::batch_curve`] runs.
+//! They spend a multiplication where the `2007-bl` forms spend a
+//! squaring plus two or three additions (`2·(Y·Z)` rather than
+//! `(Y+Z)² − YY − ZZ`). A squaring is one engine call, as a
+//! multiplication is, so the fewer additions win. A point is
+//! `(X : Y : Z)` with affine `x = X/Z²`, `y = Y/Z³`; the identity is
+//! any point with `Z ≡ 0`.
 
 use crate::field::{Fe, FieldCtx};
 use mmm_bigint::Ubig;
@@ -131,7 +137,9 @@ impl Curve {
         f.from_mont(&y2) == f.from_mont(&rhs)
     }
 
-    /// Point doubling (`dbl-2007-bl`).
+    /// Point doubling (`dbl-1998-cmo-2`): 4M + 6S, the `a·ZZ²` product
+    /// one of the 4M, and 11 additions, subtractions or doublings (the
+    /// `3·XX` ladder counts two).
     pub fn double<E: MontMul>(&self, f: &mut FieldCtx<E>, p1: &Point) -> Point {
         if f.is_zero(&p1.z) || f.is_zero(&p1.y) {
             // 2·∞ = ∞ ; doubling a 2-torsion point (y = 0) gives ∞.
@@ -139,14 +147,11 @@ impl Curve {
         }
         let xx = f.sqr(&p1.x);
         let yy = f.sqr(&p1.y);
-        let yyyy = f.sqr(&yy);
         let zz = f.sqr(&p1.z);
-        // S = 2((X+YY)² − XX − YYYY)
+        // D = 2·YY, S = 2·X·D (= 4·X·YY)
+        let d = f.dbl(&yy);
         let s = {
-            let t = f.add(&p1.x, &yy);
-            let t = f.sqr(&t);
-            let t = f.sub(&t, &xx);
-            let t = f.sub(&t, &yyyy);
+            let t = f.mul(&p1.x, &d);
             f.dbl(&t)
         };
         // M = 3XX + a·ZZ²
@@ -162,19 +167,18 @@ impl Curve {
             let s2 = f.dbl(&s);
             f.sub(&m2, &s2)
         };
-        // Y3 = M(S − X3) − 8·YYYY
+        // Y3 = M(S − X3) − 2·D²  (= 8·YY²)
         let y3 = {
             let t = f.sub(&s, &x3);
             let t = f.mul(&m, &t);
-            let y8 = f.mul_small(&yyyy, 8);
-            f.sub(&t, &y8)
+            let dd = f.sqr(&d);
+            let dd2 = f.dbl(&dd);
+            f.sub(&t, &dd2)
         };
-        // Z3 = (Y+Z)² − YY − ZZ
+        // Z3 = 2·Y·Z
         let z3 = {
-            let t = f.add(&p1.y, &p1.z);
-            let t = f.sqr(&t);
-            let t = f.sub(&t, &yy);
-            f.sub(&t, &zz)
+            let t = f.mul(&p1.y, &p1.z);
+            f.dbl(&t)
         };
         Point {
             x: x3,
@@ -183,7 +187,8 @@ impl Curve {
         }
     }
 
-    /// Point addition (`add-2007-bl`), complete via case analysis.
+    /// Point addition (`add-1998-cmo-2`): 12M + 4S and 7 subtractions or
+    /// doublings, complete via case analysis.
     pub fn add<E: MontMul>(&self, f: &mut FieldCtx<E>, p1: &Point, p2: &Point) -> Point {
         if f.is_zero(&p1.z) {
             return p2.clone();
@@ -204,9 +209,9 @@ impl Curve {
             f.mul(&t, &z1z1)
         };
         let h = f.sub(&u2, &u1);
-        let r_half = f.sub(&s2, &s1);
+        let r = f.sub(&s2, &s1);
         if f.is_zero(&h) {
-            return if f.is_zero(&r_half) {
+            return if f.is_zero(&r) {
                 // Same point: double.
                 self.double(f, p1)
             } else {
@@ -214,34 +219,26 @@ impl Curve {
                 self.identity(f)
             };
         }
-        let i = {
-            let h2 = f.dbl(&h);
-            f.sqr(&h2)
-        };
-        let j = f.mul(&h, &i);
-        let r = f.dbl(&r_half);
-        let v = f.mul(&u1, &i);
-        // X3 = r² − J − 2V
+        let hh = f.sqr(&h);
+        let hhh = f.mul(&h, &hh);
+        let v = f.mul(&u1, &hh);
+        // X3 = r² − HHH − 2V
         let x3 = {
             let r2 = f.sqr(&r);
-            let t = f.sub(&r2, &j);
+            let t = f.sub(&r2, &hhh);
             let v2 = f.dbl(&v);
             f.sub(&t, &v2)
         };
-        // Y3 = r(V − X3) − 2·S1·J
+        // Y3 = r(V − X3) − S1·HHH
         let y3 = {
             let t = f.sub(&v, &x3);
             let t = f.mul(&r, &t);
-            let sj = f.mul(&s1, &j);
-            let sj2 = f.dbl(&sj);
-            f.sub(&t, &sj2)
+            let sh = f.mul(&s1, &hhh);
+            f.sub(&t, &sh)
         };
-        // Z3 = ((Z1+Z2)² − Z1Z1 − Z2Z2)·H
+        // Z3 = Z1·Z2·H
         let z3 = {
-            let t = f.add(&p1.z, &p2.z);
-            let t = f.sqr(&t);
-            let t = f.sub(&t, &z1z1);
-            let t = f.sub(&t, &z2z2);
+            let t = f.mul(&p1.z, &p2.z);
             f.mul(&t, &h)
         };
         Point {
